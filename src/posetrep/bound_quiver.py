@@ -2,12 +2,14 @@
 
 The covering quiver of a poset, bound by all commutativity relations (any two
 parallel directed paths are identified), has the incidence algebra of the
-extended poset as its path algebra quotient.  This module computes the path
-basis, minimal relation counts, the Cartan matrix, the Euler form, and the
-lower bound for the dimension of the representation-variety quotient.  All of
-that is exact integer/rational arithmetic; the only floating point here lives
-in the translation between subspace representations and quiver
-representations.
+extended poset as its path algebra quotient.  This module builds the path
+basis and the relations, and computes the minimal relation counts, the Cartan
+matrix, the Euler form, and the lower bound for the dimension of the
+representation-variety quotient.  The invariants come in closed form from
+the order itself (reachability and open intervals of the extended poset),
+not from the path algebra.  All of that is exact integer/rational
+arithmetic; the only floating point here lives in the translation between
+subspace representations and quiver representations.
 """
 
 from __future__ import annotations
@@ -28,35 +30,9 @@ from .errors import (
     WrongShape,
 )
 from .linrep import SubspaceRep, make_rep
-from .poset import ROOT, Poset, Quiver, hasse_quiver
+from .poset import ROOT, Poset, Quiver, connected_components, hasse_quiver
 
 Path = tuple[str, ...]
-
-
-# ---------------------------------------------------------------------------
-# exact rational elimination, enough for ranks and unitriangular solves
-
-def _frac_rank(rows: list[list[Fraction]]) -> int:
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                f = rows[r][col] / pv
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +66,6 @@ class DimVector(NamedTuple):
         return not any(self.entries)
 
 
-def _concat(u: Path, p: Path, v: Path) -> Path:
-    return u + p[1:] + v[1:]
-
-
 def _arrow_len(p: Path) -> int:
     return len(p) - 1
 
@@ -105,6 +77,12 @@ class BoundQuiver:
     Each relation is an ordered pair of distinct parallel paths (same source,
     same target, both of arrow length >= 2); the relation ideal is generated
     by their differences inside the path algebra.
+
+    The invariants below (:func:`minimal_relation_counts`,
+    :func:`cartan_matrix` and what is built on them) are closed forms that
+    assume the full commutativity ideal, i.e. every pair of parallel paths
+    identified.  :func:`commutativity_ideal`, the only constructor in the
+    package, always builds that ideal.
     """
 
     quiver: Quiver
@@ -133,8 +111,9 @@ def commutativity_ideal(q: Quiver) -> BoundQuiver:
     ideal does not exist: NotHasseQuiver.
     """
     q.validate()
+    basis = q.all_paths()
     groups: dict[tuple[str, str], list[Path]] = {}
-    for p in q.all_paths():
+    for p in basis:
         if len(p) > 1:
             groups.setdefault((p[0], p[-1]), []).append(p)
     relations: list[tuple[Path, Path]] = []
@@ -150,7 +129,7 @@ def commutativity_ideal(q: Quiver) -> BoundQuiver:
         for i in range(len(paths)):
             for j in range(i + 1, len(paths)):
                 relations.append((paths[i], paths[j]))
-    return BoundQuiver(q, tuple(relations))
+    return BoundQuiver(q, tuple(relations), tuple(basis))
 
 
 def bound_quiver_of(p: Poset) -> BoundQuiver:
@@ -158,51 +137,30 @@ def bound_quiver_of(p: Poset) -> BoundQuiver:
     return commutativity_ideal(hasse_quiver(p))
 
 
-def _ideal_vectors(bq: BoundQuiver, src: str, dst: str, minimal: bool):
-    """Spanning vectors of the (src, dst) component of the relation ideal.
-
-    With minimal=False returns generators of I(src, dst); with minimal=True
-    only the products path * generator * path where at least one outer path
-    is nontrivial, i.e. the component of RQ*I + I*RQ.
-    """
-    basis = bq.paths(src, dst)
-    index = {p: k for k, p in enumerate(basis)}
-    vectors: list[list[Fraction]] = []
-    for p1, p2 in bq.relations:
-        a, b = p1[0], p1[-1]
-        for u in bq.paths(src, a):
-            for v in bq.paths(b, dst):
-                if minimal and _arrow_len(u) == 0 and _arrow_len(v) == 0:
-                    continue
-                row = [Fraction(0)] * len(basis)
-                row[index[_concat(u, p1, v)]] += 1
-                row[index[_concat(u, p2, v)]] -= 1
-                if any(row):
-                    vectors.append(row)
-    return basis, vectors
-
-
 def minimal_relation_counts(bq: BoundQuiver) -> dict[tuple[str, str], int]:
     """Number of minimal relations between each vertex pair.
 
-    r(i, j) is the dimension of the (i, j) component of I/(RQ*I + I*RQ),
-    computed by exact rank over the rationals on the finite path space.
-    Only nonzero entries are returned.
+    r(s, t) = dim Ext^2(S_s, S_t) (Bongartz 1983), and for the incidence
+    algebra of the extended poset that is the number of connected components
+    of the open interval (s, t), minus one (Cibils 1989, JPAA 56).  The
+    components are taken over the quiver arrows inside the interval; a cover
+    has an empty interval and r = 0.  Only nonzero entries are returned,
+    both endpoints iterated in quiver vertex order.
     """
+    q = bq.quiver
+    reach = q.reachable()
     counts: dict[tuple[str, str], int] = {}
-    endpoints = sorted({(p1[0], p1[-1]) for p1, _ in bq.relations})
-    verts = bq.quiver.vertices
-    for src in verts:
-        for dst in verts:
-            if not any(
-                bq.paths(src, a) and bq.paths(b, dst) for a, b in endpoints
-            ):
+    for s in q.vertices:
+        for t in q.vertices:
+            if t not in reach[s]:
                 continue
-            _, gens = _ideal_vectors(bq, src, dst, minimal=False)
-            _, sub = _ideal_vectors(bq, src, dst, minimal=True)
-            r = _frac_rank(gens) - _frac_rank(sub)
+            inside = {v for v in reach[s] if t in reach[v]}
+            if len(inside) < 2:
+                continue
+            arrows = ((a, b) for a, b in q.arrows if a in inside and b in inside)
+            r = len(connected_components(inside, arrows)) - 1
             if r:
-                counts[(src, dst)] = r
+                counts[(s, t)] = r
     return counts
 
 
@@ -226,9 +184,6 @@ class CartanMatrix:
             for j in range(n):
                 if j < i and self.entries[i][j] != 0:
                     raise WrongShape("Cartan matrix must be upper triangular")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=np.int64)
 
     def solve(self, rhs: list[Fraction]) -> list[Fraction]:
         """Back substitution for C x = rhs, exact."""
@@ -254,25 +209,17 @@ class CartanMatrix:
 
 
 def cartan_matrix(bq: BoundQuiver) -> CartanMatrix:
-    """Cartan matrix of the bound quiver algebra.
+    """Cartan matrix of the bound quiver algebra: the zeta matrix of the
+    extended poset.
 
-    For poset-derived bound quivers all parallel paths are identified, so the
-    entry for (i, j) is 1 exactly when there is any path i -> j, i.e. the
-    matrix is the zeta matrix of the extended poset.
+    All parallel paths are identified, so the entry for (s, t) is 1 exactly
+    when s = t or t is reachable from s, and 0 otherwise.
     """
-    order = bq.quiver.topological_order()
-    entries = []
-    for src in order:
-        row = []
-        for dst in order:
-            basis = bq.paths(src, dst)
-            if not basis:
-                row.append(0)
-                continue
-            _, gens = _ideal_vectors(bq, src, dst, minimal=False)
-            row.append(len(basis) - _frac_rank(gens))
-        entries.append(tuple(row))
-    return CartanMatrix(order, tuple(entries))
+    q = bq.quiver
+    order = q.topological_order()
+    reach = q.reachable()
+    entries = tuple(tuple(int(s == t or t in reach[s]) for t in order) for s in order)
+    return CartanMatrix(order, entries)
 
 
 def _vertex_vector(bq: BoundQuiver, order: tuple[str, ...], d: DimVector) -> list[Fraction]:
@@ -421,26 +368,6 @@ class AssignmentReport(NamedTuple):
     matched: bool
 
 
-def _components(p: Poset) -> list[list[str]]:
-    parent = {e: e for e in p.elements}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in p.pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    comps: dict[str, list[str]] = {}
-    for e in p.elements:
-        comps.setdefault(find(e), []).append(e)
-    # components ordered by first element occurrence
-    return sorted(comps.values(), key=lambda c: p.elements.index(c[0]))
-
-
 def enumerate_assignments(
     p: Poset, groups: tuple[tuple[int, ...], ...]
 ) -> list[dict[str, int]]:
@@ -451,7 +378,7 @@ def enumerate_assignments(
     when d_a <= d_b for every order pair a < b.  Duplicate assignments from
     equal entries are removed.
     """
-    comps = _components(p)
+    comps = connected_components(p.elements, p.pairs)
     if len(groups) == 1 and len(comps) != 1 and len(groups[0]) == len(p):
         comps = [list(p.elements)]
     if len(comps) != len(groups) or any(

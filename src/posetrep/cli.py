@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -389,7 +390,11 @@ def _global_options() -> argparse.ArgumentParser:
     return par
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  Parsing leaves it
+    unchanged, and environment defaults are read after parsing, in
+    :func:`_fill_globals`, so the cached parser freezes no setting."""
     common = _global_options()
     parser = _Parser(prog="posetrep", parents=[common], description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)

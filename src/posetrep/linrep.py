@@ -32,7 +32,7 @@ from .errors import (
     RankDeficient,
     WrongShape,
 )
-from .poset import Poset
+from .poset import Poset, connected_components
 
 DEFAULT_TOL = 1e-9
 
@@ -165,9 +165,6 @@ class Weight:
             )
         return cls(entries[0], dict(zip(poset.elements, entries[1:])))
 
-    def entries(self, poset: Poset) -> tuple[Fraction, ...]:
-        return (self.chi0,) + tuple(self.chi[e] for e in poset.elements)
-
     def aligned(self, poset: Poset) -> "Weight":
         missing = [e for e in poset.elements if e not in self.chi]
         if missing or len(self.chi) != len(poset):
@@ -249,22 +246,13 @@ def _eig_clusters(values: np.ndarray) -> list[list[int]]:
     scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
     thr = 1e-6 * scale
     n = len(values)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= thr:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=lambda g: g[0])
+    close = (
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if abs(values[i] - values[j]) <= thr
+    )
+    return connected_components(range(n), close)
 
 
 def _generalized_eigenspaces(f: np.ndarray, tol: float) -> list[np.ndarray] | None:

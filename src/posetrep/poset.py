@@ -90,12 +90,6 @@ class Poset:
     def comparable(self, a: str, b: str) -> bool:
         return a == b or (a, b) in self.pairs or (b, a) in self.pairs
 
-    def below(self, e: str) -> frozenset[str]:
-        return frozenset(self._below[e])
-
-    def above(self, e: str) -> frozenset[str]:
-        return frozenset(self._above[e])
-
     def covers(self) -> tuple[tuple[str, str], ...]:
         """Covering pairs (a, b): a < b with nothing strictly between."""
         out = []
@@ -108,9 +102,6 @@ class Poset:
 
     def maximal_elements(self) -> tuple[str, ...]:
         return tuple(e for e in self.elements if not self._above[e])
-
-    def minimal_elements(self) -> tuple[str, ...]:
-        return tuple(e for e in self.elements if not self._below[e])
 
     def restrict(self, subset: Iterable[str]) -> "Poset":
         """Full subposet on the given elements, keeping stored order."""
@@ -136,6 +127,31 @@ class Poset:
             else:  # pragma: no cover - impossible for a valid order
                 raise CycleError("no linear extension exists")
         return tuple(placed)
+
+
+def connected_components(items: Iterable, edges: Iterable[tuple]) -> list[list]:
+    """Connected components of the graph on ``items`` with the given edges.
+
+    Union-find; each component lists its items in the given order and the
+    components come in the order of their first item.
+    """
+    items = list(items)
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    groups: dict = {}
+    for x in items:
+        groups.setdefault(find(x), []).append(x)
+    return list(groups.values())
 
 
 def build_poset(elements: Iterable[str], covers: Iterable[tuple[str, str]]) -> Poset:
@@ -218,6 +234,18 @@ class Quiver(NamedTuple):
             raise CycleError("quiver has a directed cycle")
         return tuple(order)
 
+    def reachable(self) -> dict[str, frozenset[str]]:
+        """For each vertex, the vertices at the end of a path of length >= 1
+        from it; one pass in reverse topological order."""
+        out = self.out_arrows()
+        reach: dict[str, frozenset[str]] = {}
+        for v in reversed(self.topological_order()):
+            found = set(out[v])
+            for t in out[v]:
+                found |= reach[t]
+            reach[v] = frozenset(found)
+        return reach
+
     def paths(self, src: str, dst: str) -> list[tuple[str, ...]]:
         """All directed paths src -> dst as vertex tuples (trivial included)."""
         return [p for p in self.paths_from(src) if p[-1] == dst]
@@ -265,22 +293,8 @@ def is_primitive(p: Poset) -> PrimitivityResult:
     to the covering quiver being star shaped: every non-root vertex then has
     exactly one outgoing arrow and at most one incoming arrow.
     """
-    # Connected components of the comparability graph.
-    parent = {e: e for e in p.elements}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in p.pairs:
-        parent[find(a)] = find(b)
-    comps: dict[str, list[str]] = {}
-    for e in p.elements:
-        comps.setdefault(find(e), []).append(e)
     profile = []
-    for comp in comps.values():
+    for comp in connected_components(p.elements, p.pairs):
         for a, b in combinations(comp, 2):
             if not p.comparable(a, b):
                 return PrimitivityResult(False, None)
@@ -390,18 +404,91 @@ class FinitenessResult(NamedTuple):
     witnesses: tuple[tuple[str, tuple[str, ...]], ...]
 
 
+def _embedding_plan(crit: Poset):
+    """Placement order for the embedding search, with per position: the
+    earlier positions below it, its (below, above) counts, and the earlier
+    position whose image must have a smaller index (-1 for none).
+
+    The order is a linear extension, so everything below an element is
+    placed before it.  Chain components of equal length are interchangeable;
+    their bottoms are placed in increasing index order, so each image subset
+    is reached by one embedding instead of one per permutation of the chains.
+    """
+    order = crit.linear_extension()
+    pos = {c: k for k, c in enumerate(order)}
+    below = [tuple(pos[b] for b in crit._below[c]) for c in order]
+    counts = [_invariant(crit, c) for c in order]
+    after = [-1] * len(order)
+    bottoms: dict[int, list[int]] = {}
+    for comp in connected_components(crit.elements, crit.pairs):
+        if all(crit.comparable(a, b) for a, b in combinations(comp, 2)):
+            bottoms.setdefault(len(comp), []).append(min(pos[c] for c in comp))
+    for same in bottoms.values():
+        same.sort()
+        for a, b in zip(same, same[1:]):
+            after[b] = a
+    return below, counts, after
+
+
+def _embedded_subsets(p: Poset, crit: Poset) -> list[tuple[str, ...]]:
+    """Element subsets of p whose full subposet is isomorphic to crit, in
+    the order :func:`itertools.combinations` yields them.
+
+    Backtracking over induced embeddings with element sets as bitmasks: each
+    new element of crit goes to an unused element of p that lies above the
+    images of exactly the placed elements below it, below none of the placed
+    ones, and has at least as many elements below and above it in p as in
+    crit.
+    """
+    index = {e: i for i, e in enumerate(p.elements)}
+    up = [sum(1 << index[b] for b in p._above[e]) for e in p.elements]
+    down = [sum(1 << index[b] for b in p._below[e]) for e in p.elements]
+    inv = [_invariant(p, e) for e in p.elements]
+    everything = (1 << len(p)) - 1
+    below, counts, after = _embedding_plan(crit)
+    k = len(below)
+    image = [0] * k
+    found: set[int] = set()
+
+    def place(j: int, used: int) -> None:
+        if j == k:
+            found.add(used)
+            return
+        need = 0
+        cand = everything & ~used
+        for b in below[j]:
+            need |= 1 << image[b]
+            cand &= up[image[b]]
+        if after[j] >= 0:
+            cand &= -1 << (image[after[j]] + 1)
+        nb, na = counts[j]
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            x = bit.bit_length() - 1
+            if (down[x] & used == need and not up[x] & used
+                    and inv[x][0] >= nb and inv[x][1] >= na):
+                image[j] = x
+                place(j + 1, used | bit)
+
+    place(0, 0)
+    subsets = sorted(tuple(i for i in range(len(p)) if m >> i & 1) for m in found)
+    return [tuple(p.elements[i] for i in s) for s in subsets]
+
+
 def is_representation_finite(p: Poset) -> FinitenessResult:
     """Search for full subposets isomorphic to a critical poset.
 
     Returns finite=True with no witnesses, or finite=False with every
-    (critical name, element subset) found.  Exhaustive subset search; meant
-    for posets of order up to about 12.
+    (critical name, element subset) found: critical posets in list order,
+    the subsets of each in the order of ascending stored-element indices.
+    Each critical poset is mapped into p element by element with a
+    backtracking embedding search (see :func:`_embedded_subsets`), so the
+    cost follows the number of partial embeddings, not of all subsets.
     """
-    witnesses: list[tuple[str, tuple[str, ...]]] = []
-    for name, crit in CRITICAL_POSETS:
-        if len(crit) > len(p):
-            continue
-        for subset in combinations(p.elements, len(crit)):
-            if order_isomorphic(p.restrict(subset), crit):
-                witnesses.append((name, subset))
+    witnesses = [
+        (name, subset)
+        for name, crit in CRITICAL_POSETS
+        for subset in _embedded_subsets(p, crit)
+    ]
     return FinitenessResult(not witnesses, tuple(witnesses))

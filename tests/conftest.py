@@ -2,14 +2,16 @@
 
 The oracles here deliberately avoid the package's own algorithms so tests
 compare two separately written routes: poset enumeration by brute force,
-representation-finiteness by permutation search against a hard-coded
-critical list, and a fixed-step reference flow with its own projector and
-moment computations.
+representation-finiteness and its witness list by permutation search against
+a hard-coded critical list, the bound-quiver invariants by exact rational
+elimination on the path space, and a fixed-step reference flow with its own
+projector and moment computations.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -50,16 +52,16 @@ def poset_from_pairs(n: int, rel: set[tuple[int, int]]) -> pr.Poset:
 # ---------------------------------------------------------------------------
 # representation-finiteness oracle: permutation search over a literal list
 
-_CRITICAL_RELATIONS: tuple[tuple[int, frozenset[tuple[int, int]]], ...] = (
-    # element count, strict order pairs on range(count)
-    (4, frozenset()),  # four incomparable points
-    (6, frozenset({(0, 1), (2, 3), (4, 5)})),  # three 2-chains
-    (7, frozenset({(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)})),
-    (8, frozenset({(1, 2), (3, 4), (4, 5), (5, 6), (6, 7), (3, 5), (3, 6),
-                   (3, 7), (4, 6), (4, 7), (5, 7)})),
+_CRITICAL_RELATIONS: tuple[tuple[str, int, frozenset[tuple[int, int]]], ...] = (
+    # name, element count, strict order pairs on range(count)
+    ("(1,1,1,1)", 4, frozenset()),  # four incomparable points
+    ("(2,2,2)", 6, frozenset({(0, 1), (2, 3), (4, 5)})),  # three 2-chains
+    ("(1,3,3)", 7, frozenset({(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)})),
+    ("(1,2,5)", 8, frozenset({(1, 2), (3, 4), (4, 5), (5, 6), (6, 7), (3, 5),
+                              (3, 6), (3, 7), (4, 6), (4, 7), (5, 7)})),
     # zigzag (a < b, c < b, c < d) next to a 4-chain
-    (8, frozenset({(0, 1), (2, 1), (2, 3), (4, 5), (5, 6), (6, 7), (4, 6),
-                   (4, 7), (5, 7)})),
+    ("(N,4)", 8, frozenset({(0, 1), (2, 1), (2, 3), (4, 5), (5, 6), (6, 7),
+                            (4, 6), (4, 7), (5, 7)})),
 )
 
 
@@ -87,7 +89,133 @@ def _embeds(sub_n: int, sub_rel: frozenset, p: pr.Poset) -> bool:
 
 
 def oracle_rep_finite(p: pr.Poset) -> bool:
-    return not any(_embeds(n, rel, p) for n, rel in _CRITICAL_RELATIONS)
+    return not any(_embeds(n, rel, p) for _, n, rel in _CRITICAL_RELATIONS)
+
+
+def _degrees(n: int, rel) -> list[tuple[int, int]]:
+    return [(sum(b == i for _, b in rel), sum(a == i for a, _ in rel)) for i in range(n)]
+
+
+def _subset_matches(subset: tuple[str, ...], n: int, rel: frozenset, pairs) -> bool:
+    """Whether the full subposet on subset is isomorphic to (range(n), rel):
+    every bijection that keeps (below, above) counts is tried."""
+    sub_rel = {(a, b) for a in range(n) for b in range(n)
+               if (subset[a], subset[b]) in pairs}
+    if len(sub_rel) != len(rel):
+        return False
+    want, have = _degrees(n, rel), _degrees(n, sub_rel)
+    if sorted(want) != sorted(have):
+        return False
+    classes = sorted(set(want))
+    sources = [[i for i in range(n) if want[i] == c] for c in classes]
+    targets = [[i for i in range(n) if have[i] == c] for c in classes]
+    for images in product(*(permutations(t) for t in targets)):
+        f = {}
+        for src, img in zip(sources, images):
+            f.update(zip(src, img))
+        if all((f[a], f[b]) in sub_rel for a, b in rel):
+            return True
+    return False
+
+
+def oracle_witnesses(p: pr.Poset) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """Every (critical name, element subset) with an isomorphic full
+    subposet: critical list order, subsets in combinations order."""
+    return tuple(
+        (name, subset)
+        for name, n, rel in _CRITICAL_RELATIONS
+        for subset in combinations(p.elements, n)
+        if _subset_matches(subset, n, rel, p.pairs)
+    )
+
+
+# ---------------------------------------------------------------------------
+# bound-quiver oracle: exact rational elimination on the finite path space
+
+def _frac_rank(rows: list[list[Fraction]]) -> int:
+    rows = [list(r) for r in rows]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    col = 0
+    while rank < len(rows) and col < ncols:
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col]:
+                f = rows[r][col] / pv
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def _ideal_vectors(bq, src: str, dst: str, minimal: bool):
+    """Spanning vectors of the (src, dst) component of the relation ideal.
+
+    With minimal=False returns generators of I(src, dst); with minimal=True
+    only the products path * generator * path where at least one outer path
+    is nontrivial, i.e. the component of RQ*I + I*RQ.
+    """
+    basis = bq.paths(src, dst)
+    index = {p: k for k, p in enumerate(basis)}
+    vectors: list[list[Fraction]] = []
+    for p1, p2 in bq.relations:
+        a, b = p1[0], p1[-1]
+        for u in bq.paths(src, a):
+            for v in bq.paths(b, dst):
+                if minimal and len(u) == 1 and len(v) == 1:
+                    continue
+                row = [Fraction(0)] * len(basis)
+                row[index[u + p1[1:] + v[1:]]] += 1
+                row[index[u + p2[1:] + v[1:]]] -= 1
+                if any(row):
+                    vectors.append(row)
+    return basis, vectors
+
+
+def oracle_minimal_relation_counts(bq) -> dict[tuple[str, str], int]:
+    """r(i, j) = dim of the (i, j) component of I/(RQ*I + I*RQ), by exact
+    rank over the rationals; nonzero entries in quiver vertex order."""
+    counts: dict[tuple[str, str], int] = {}
+    endpoints = sorted({(p1[0], p1[-1]) for p1, _ in bq.relations})
+    verts = bq.quiver.vertices
+    for src in verts:
+        for dst in verts:
+            if not any(
+                bq.paths(src, a) and bq.paths(b, dst) for a, b in endpoints
+            ):
+                continue
+            _, gens = _ideal_vectors(bq, src, dst, minimal=False)
+            _, sub = _ideal_vectors(bq, src, dst, minimal=True)
+            r = _frac_rank(gens) - _frac_rank(sub)
+            if r:
+                counts[(src, dst)] = r
+    return counts
+
+
+def oracle_cartan(bq) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
+    """(order, entries) of the Cartan matrix: entry (i, j) is the number of
+    paths i -> j minus the rank of the relation ideal there, in the quiver's
+    topological order."""
+    order = bq.quiver.topological_order()
+    entries = []
+    for src in order:
+        row = []
+        for dst in order:
+            basis = bq.paths(src, dst)
+            if not basis:
+                row.append(0)
+                continue
+            _, gens = _ideal_vectors(bq, src, dst, minimal=False)
+            row.append(len(basis) - _frac_rank(gens))
+        entries.append(tuple(row))
+    return order, tuple(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +257,34 @@ def random_poset(rng: np.random.Generator, n: int, density: float = 0.4) -> pr.P
         if rng.random() < density
     ]
     return pr.build_poset(names, pairs)
+
+
+def shuffled(rng: np.random.Generator, p: pr.Poset) -> pr.Poset:
+    """The same poset with its stored element order shuffled."""
+    return pr.Poset([p.elements[i] for i in rng.permutation(len(p))], p.pairs)
+
+
+def random_relabelled_poset(rng: np.random.Generator, n: int) -> pr.Poset:
+    """Random poset of random density whose stored element order is shuffled,
+    so that stored order is not a linear extension."""
+    return shuffled(rng, random_poset(rng, n, float(rng.uniform(0.15, 0.7))))
+
+
+def boolean_lattice(k: int) -> pr.Poset:
+    """Subsets of {0, ..., k-1} ordered by strict inclusion, named by bit
+    strings."""
+    names = [format(m, f"0{k}b") for m in range(1 << k)]
+    pairs = [(names[a], names[b]) for a in range(1 << k) for b in range(1 << k)
+             if a != b and a & b == a]
+    return pr.Poset(names, pairs)
+
+
+def grid_poset(a: int, b: int) -> pr.Poset:
+    """Product of an a-chain and a b-chain."""
+    names = [f"g{i}_{j}" for i in range(a) for j in range(b)]
+    covers = [(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(a - 1) for j in range(b)]
+    covers += [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(a) for j in range(b - 1)]
+    return pr.build_poset(names, covers)
 
 
 def random_nested_rep(rng: np.random.Generator, p: pr.Poset, d0: int):

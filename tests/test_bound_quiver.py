@@ -6,7 +6,14 @@ import pytest
 import posetrep as pr
 from posetrep.bound_quiver import commutativity_ideal
 from posetrep.poset import Quiver
-from conftest import all_strict_orders, poset_from_pairs, random_poset
+from conftest import (
+    all_strict_orders,
+    oracle_cartan,
+    oracle_minimal_relation_counts,
+    poset_from_pairs,
+    random_poset,
+    random_relabelled_poset,
+)
 
 
 def diamond() -> pr.Poset:
@@ -47,6 +54,24 @@ def test_minimal_relation_counts_drop_induced_relations():
     counts = pr.minimal_relation_counts(pr.bound_quiver_of(p))
     assert counts[("a", "d")] == 1
     assert counts.get(("a", "e"), 0) == 0
+
+
+def test_closed_forms_match_path_algebra_oracle():
+    """Minimal relation counts (components of open intervals, minus one) and
+    the Cartan matrix (reachability) agree with exact elimination over the
+    path space, keys and their order included, on random posets with a
+    shuffled element order."""
+    rng = np.random.default_rng(12)
+    into_root = 0
+    for _ in range(120):
+        p = random_relabelled_poset(rng, int(rng.integers(0, 8)))
+        bq = pr.bound_quiver_of(p)
+        counts = pr.minimal_relation_counts(bq)
+        assert list(counts.items()) == list(oracle_minimal_relation_counts(bq).items())
+        into_root += sum(t == pr.ROOT for _, t in counts)
+        cm = pr.cartan_matrix(bq)
+        assert (cm.order, cm.entries) == oracle_cartan(bq)
+    assert into_root > 0
 
 
 def test_commutativity_ideal_rejects_non_hasse():

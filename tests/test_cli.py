@@ -324,6 +324,26 @@ def test_env_flag_overridden_by_cli(capsys, files, monkeypatch):
     assert out.startswith("representation-finite:")
 
 
+def test_parser_built_once_reads_env_per_call(capsys, files, monkeypatch):
+    """The parser is cached for the process; the environment and the flags
+    of one call do not carry over to the next."""
+    from posetrep.cli import build_parser
+
+    assert build_parser() is build_parser()
+    monkeypatch.setenv("PRL_OUTPUT", "text")
+    code1, out1, _ = run(capsys, "kleiner", files["p12.poset"])
+    monkeypatch.setenv("PRL_OUTPUT", "json")
+    code2, out2, _ = run(capsys, "kleiner", files["p12.poset"])
+    monkeypatch.delenv("PRL_OUTPUT")
+    code3, out3, _ = run(capsys, "--output", "json", "kleiner", files["p12.poset"])
+    code4, out4, _ = run(capsys, "kleiner", files["p12.poset"])
+    assert code1 == code2 == code3 == code4 == 0
+    assert out1.startswith("representation-finite: yes")
+    assert json.loads(out2)["finite"] is True
+    assert json.loads(out3)["finite"] is True
+    assert out4.startswith("representation-finite: yes")
+
+
 def test_env_bad_values_exit_1(capsys, files, monkeypatch):
     monkeypatch.setenv("PRL_OUTPUT", "yaml")
     code, _, err = run(capsys, "kleiner", files["p12.poset"])

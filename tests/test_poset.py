@@ -1,9 +1,19 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import posetrep as pr
-from conftest import all_strict_orders, oracle_rep_finite, poset_from_pairs
+from conftest import (
+    all_strict_orders,
+    boolean_lattice,
+    grid_poset,
+    oracle_rep_finite,
+    oracle_witnesses,
+    poset_from_pairs,
+    random_relabelled_poset,
+    shuffled,
+)
 
 
 def test_build_poset_closure():
@@ -176,6 +186,30 @@ def test_representation_finite_witnesses_are_real_subposets():
         assert pr.order_isomorphic(
             pr.primitive_poset(2, 2, 2).restrict(subset), crit
         )
+
+
+def test_witness_list_matches_subset_oracle():
+    """The embedding search returns exactly the subsets that a search over
+    all combinations finds, in the same order."""
+    rng = np.random.default_rng(8)
+    posets = [random_relabelled_poset(rng, int(rng.integers(4, 9))) for _ in range(40)]
+    posets += [boolean_lattice(4), grid_poset(3, 4)]
+    posets += [
+        shuffled(rng, q)
+        for q in (pr.primitive_poset(2, 2, 2, 1), pr.primitive_poset(2, 3, 3),
+                  pr.primitive_poset(1, 2, 5), pr.primitive_poset(1, 2, 6),
+                  pr.n4_poset())
+    ]
+    infinite, names = 0, set()
+    for p in posets:
+        got = pr.is_representation_finite(p)
+        want = oracle_witnesses(p)
+        assert got.witnesses == want
+        assert got.finite == (not want)
+        infinite += not got.finite
+        names |= {name for name, _ in want}
+    assert 0 < infinite < len(posets)
+    assert names == {name for name, _ in pr.CRITICAL_POSETS}
 
 
 def test_representation_finite_agrees_with_oracle_small():
