@@ -222,7 +222,7 @@ def cartan_matrix(bq: BoundQuiver) -> CartanMatrix:
     return CartanMatrix(order, entries)
 
 
-def _vertex_vector(bq: BoundQuiver, order: tuple[str, ...], d: DimVector) -> list[Fraction]:
+def _vertex_vector(bq: BoundQuiver, d: DimVector) -> dict[str, int]:
     verts = bq.quiver.vertices
     if len(d.entries) != len(verts):
         raise WrongShape(
@@ -230,25 +230,28 @@ def _vertex_vector(bq: BoundQuiver, order: tuple[str, ...], d: DimVector) -> lis
         )
     named = {ROOT: d.entries[0]}
     named.update(zip((v for v in verts if v != ROOT), d.entries[1:]))
-    return [Fraction(named[v]) for v in order]
+    return named
 
 
 def euler_form(bq: BoundQuiver, d: DimVector, e: DimVector | None = None) -> int:
     """Homological bilinear form <d, e> = d^T C^{-1} e, exact integer.
 
-    For an unbound quiver this reduces to
+    C is the zeta matrix of the reachability order, so C^{-1} is its Moebius
+    function mu (Rota 1964).  x = mu e comes from Moebius inversion in
+    integers, x_s = e_s - sum of x_t over the t reachable from s, taken in
+    reverse topological order.  For an unbound quiver this reduces to
     sum_q d_q e_q - sum_{arrows i->j} d_i e_j.
     """
     if e is None:
         e = d
-    c = cartan_matrix(bq)
-    dv = _vertex_vector(bq, c.order, d)
-    ev = _vertex_vector(bq, c.order, e)
-    x = c.solve(ev)
-    val = sum(a * b for a, b in zip(dv, x))
-    if val.denominator != 1:
-        raise WrongShape("Euler form value is not an integer; Cartan matrix invalid")
-    return int(val)
+    q = bq.quiver
+    reach = q.reachable()
+    dv = _vertex_vector(bq, d)
+    ev = _vertex_vector(bq, e)
+    x: dict[str, int] = {}
+    for s in reversed(q.topological_order()):
+        x[s] = ev[s] - sum(x[t] for t in reach[s])
+    return int(sum(dv[s] * xs for s, xs in x.items()))
 
 
 class QuotientDim(NamedTuple):

@@ -9,6 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+#: the rank guard compares the rank at these multiples of the tolerance
+_GUARD_FACTORS = np.array([0.1, 1.0, 10.0])
 
 
 def as_complex(m) -> np.ndarray:
@@ -88,15 +90,59 @@ def null_space(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return vh[r:].conj().T
 
 
+def subspace_intersections(
+    qa: np.ndarray, qb: np.ndarray, tol: float = DEFAULT_TOL, bases: bool = True
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray] | None]:
+    """range(qa[i]) intersect range(qb) for a stack qa of g matrices of one
+    width, from one batched SVD of the stacked [qa[i], -qb].
+
+    Returns per i the dimension of the intersection (the nullity of
+    [qa[i], -qb]), the rank guard, and with ``bases`` the orthonormal bases.
+    The guard says whether [qa[i], -qb] has the same rank at 0.1*tol, tol
+    and 10*tol; False means a singular value near the cut, so the dimension
+    hangs on the tolerance.  When qa[i] and qb have orthonormal columns, the
+    nullity is the column count of the basis: a unit null vector (x, y) has
+    |x| = |y| up to tol, so the columns qa[i] x keep singular values near
+    1/sqrt(2), far above the cut.  Without ``bases`` only singular values
+    are computed; they may differ from the full SVD's in the last bits,
+    which can move a dimension only where the guard is False.
+    """
+    qb = as_complex(qb)
+    g, d, a = qa.shape
+    b = qb.shape[1]
+    if a == 0 or b == 0:
+        empty = [np.zeros((d, 0), dtype=complex) for _ in range(g)] if bases else None
+        return np.zeros(g, dtype=int), np.ones(g, dtype=bool), empty
+    m = np.empty((g, d, a + b), dtype=complex)
+    m[:, :, :a] = qa
+    m[:, :, a:] = -qb
+    if bases:
+        _, s, vh = np.linalg.svd(m, full_matrices=True)
+    else:
+        s = np.linalg.svd(m, compute_uv=False)
+    # ranks at 0.1*tol, tol and 10*tol, in one comparison
+    cuts = np.multiply.outer(s[:, 0], tol * _GUARD_FACTORS)
+    ranks = (s[:, None, :] > cuts[:, :, None]).sum(axis=2)
+    guard = ranks[:, 0] == ranks[:, 2]
+    dims = a + b - ranks[:, 1]
+    if not bases:
+        return dims, guard, None
+    # orthonormal_columns(qa[i] @ ns[:a]) with ns the null space, batched
+    # over the matrices of one nullity
+    out: list[np.ndarray] = [np.zeros((d, 0), dtype=complex)] * g
+    for n in set(dims.tolist()) - {0}:
+        sel = np.flatnonzero(dims == n)
+        ns = vh[sel, a + b - n :].conj().transpose(0, 2, 1)
+        u, s, _ = np.linalg.svd(qa[sel] @ ns[:, :a], full_matrices=False)
+        cols = (s > tol * s[:, :1]).sum(axis=1).tolist()
+        for j, i in enumerate(sel.tolist()):
+            out[i] = u[j, :, : cols[j]]
+    return dims, guard, out
+
+
 def subspace_intersection(qa: np.ndarray, qb: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of range(qa) intersect range(qb)."""
-    qa, qb = as_complex(qa), as_complex(qb)
-    if qa.shape[1] == 0 or qb.shape[1] == 0:
-        return np.zeros((qa.shape[0], 0), dtype=complex)
-    ns = null_space(np.hstack([qa, -qb]), tol)
-    if ns.shape[1] == 0:
-        return np.zeros((qa.shape[0], 0), dtype=complex)
-    return orthonormal_columns(qa @ ns[: qa.shape[1]], tol)
+    return subspace_intersections(as_complex(qa)[None], qb, tol)[2][0]
 
 
 def condition_number(m: np.ndarray) -> float:

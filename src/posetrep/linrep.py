@@ -47,10 +47,12 @@ class SubspaceRep:
 
     ``spans[e]`` is a (d0 x d_e) matrix with orthonormal columns spanning
     V_e.  Use :func:`make_rep` to construct from raw spanning matrices; the
-    constructor itself trusts its input and only checks shapes.
+    constructor itself trusts its input and only checks shapes.  The spans
+    are not changed after construction: the stability code stacks them once
+    and keeps the stacks, and keeps its last intersections.
     """
 
-    __slots__ = ("poset", "ambient_dim", "spans")
+    __slots__ = ("poset", "ambient_dim", "spans", "_groups", "_last")
 
     def __init__(self, poset: Poset, ambient_dim: int, spans: Mapping[str, np.ndarray]):
         if ambient_dim < 0:
@@ -65,6 +67,8 @@ class SubspaceRep:
             if q.shape[1] > ambient_dim:
                 raise WrongShape(f"span for {e!r} has more columns than the ambient dimension")
             self.spans[e] = q
+        self._groups: list[tuple[list[int], np.ndarray]] | None = None
+        self._last: tuple | None = None
 
     def dim(self, e: str) -> int:
         return self.spans[e].shape[1]
@@ -360,56 +364,149 @@ def subspace_lattice(
 ) -> list[np.ndarray]:
     """Closure of {0, V, V_e} under sum and intersection.
 
-    Returns orthonormal bases, deduplicated.  Raises LatticeTooLarge when the
-    closure exceeds cap members; the modular lattice generated by finitely
-    many subspaces can be infinite in general.
+    Returns orthonormal bases, deduplicated with ``linalg.same_subspace``,
+    sorted by dimension (stable, so in order of discovery within one
+    dimension).  Each pass of the closure forms sums and intersections only
+    of the pairs that involve a member found in the previous pass; pairs of
+    older members were formed before and give nothing new.  Raises
+    LatticeTooLarge when the closure exceeds cap members; the modular
+    lattice generated by finitely many subspaces can be infinite in general.
     """
     d0 = rep.ambient_dim
-    members: list[np.ndarray] = [np.zeros((d0, 0), dtype=complex), np.eye(d0, dtype=complex)]
+    members: list[np.ndarray] = []
+    same_dim: dict[int, list[np.ndarray]] = {}
+    # the members of each dimension k side by side, member i in columns
+    # i*k to (i+1)*k of a buffer that doubles when full
+    blocks: dict[int, np.ndarray] = {}
 
-    def add(q: np.ndarray) -> bool:
-        for m in members:
-            if linalg.same_subspace(m, q, tol):
-                return False
+    def known(q: np.ndarray) -> bool:
+        k = q.shape[1]
+        same = same_dim.get(k)
+        if not same:
+            return False
+        # same_subspace(m, q) needs |m - q q* m|_2 <= tol, so
+        # |m - q q* m|_F^2 <= k tol^2; the 1e-12 covers the rounding of this
+        # product against the one same_subspace forms.
+        block = blocks[k][:, : len(same) * k]
+        r = block - q @ (q.conj().T @ block)
+        frob = (r.real**2 + r.imag**2).reshape(d0, len(same), k).sum(axis=(0, 2))
+        return any(
+            linalg.same_subspace(same[i], q, tol)
+            for i in np.flatnonzero(frob <= k * (tol + 1e-12) ** 2).tolist()
+        )
+
+    def keep(q: np.ndarray) -> None:
+        k = q.shape[1]
+        same = same_dim.setdefault(k, [])
+        n = len(same)
+        buf = blocks.get(k)
+        if buf is None:
+            buf = blocks[k] = np.empty((d0, 8 * k), dtype=complex)
+        elif (n + 1) * k > buf.shape[1]:
+            buf = blocks[k] = np.concatenate([buf, np.empty_like(buf)], axis=1)
+        buf[:, n * k : (n + 1) * k] = q
+        same.append(q)
         members.append(q)
+
+    def add(q: np.ndarray) -> None:
+        if known(q):
+            return
+        keep(q)
         if len(members) > cap:
             raise LatticeTooLarge(f"subspace lattice exceeded cap {cap}")
-        return True
 
+    keep(np.zeros((d0, 0), dtype=complex))
+    keep(np.eye(d0, dtype=complex))
     for e in rep.poset.elements:
         add(rep.spans[e])
-    grew = True
-    while grew:
-        grew = False
-        snapshot = list(members)
-        for i in range(len(snapshot)):
-            for j in range(i + 1, len(snapshot)):
-                a, b = snapshot[i], snapshot[j]
-                if add(linalg.subspace_sum(a, b, tol)):
-                    grew = True
-                if add(linalg.subspace_intersection(a, b, tol)):
-                    grew = True
+    done = 0
+    while done < len(members):
+        size = len(members)
+        for i in range(size):
+            for j in range(max(i + 1, done), size):
+                a, b = members[i], members[j]
+                add(linalg.subspace_sum(a, b, tol))
+                add(linalg.subspace_intersection(a, b, tol))
+        done = size
     members.sort(key=lambda q: q.shape[1])
     return members
 
 
-def _score(rep: SubspaceRep, w: Weight, basis: np.ndarray, tol: float) -> tuple[Fraction, bool]:
-    sigma = w.slope(rep)
-    k, guard = linalg.rank_with_guard(basis, tol)
-    total = Fraction(0)
-    for e in rep.poset.elements:
-        inter = linalg.subspace_intersection(rep.spans[e], basis, tol)
-        ki, gi = linalg.rank_with_guard(inter, tol)
-        guard = guard and gi
-        total += w.chi[e] * ki
-    return total - sigma * k, guard
+def _width_groups(rep: SubspaceRep) -> list[tuple[list[int], np.ndarray]]:
+    """Element positions (poset order) grouped by span width, each group
+    with its spans stacked; built once per representation."""
+    if rep._groups is None:
+        elements = rep.poset.elements
+        widths: dict[int, list[int]] = {}
+        for i, e in enumerate(elements):
+            widths.setdefault(rep.dim(e), []).append(i)
+        rep._groups = [
+            (idx, np.stack([rep.spans[elements[i]] for i in idx]))
+            for idx in widths.values()
+        ]
+    return rep._groups
+
+
+def _intersections(
+    rep: SubspaceRep, basis: np.ndarray, tol: float, bases: bool
+) -> tuple[np.ndarray, bool, list[np.ndarray]]:
+    """dim(V_e /\\ K) for every element in poset order, whether every rank
+    guard held, and with ``bases`` the V_e /\\ K themselves; one SVD per
+    span width.
+
+    The last result with bases is kept on the representation, so scoring
+    the basis that saturate_subspace just returned unchanged (all
+    V_e /\\ K zero) costs no second SVD.
+    """
+    last = rep._last
+    if not bases and last is not None and last[0] is basis and last[1] == tol:
+        return last[2], last[3], []
+    n = len(rep.poset.elements)
+    dims = np.zeros(n, dtype=int)
+    parts: list[np.ndarray] = [None] * n if bases else []  # type: ignore[list-item]
+    guard = True
+    for idx, stack in _width_groups(rep):
+        d, ok, got = linalg.subspace_intersections(stack, basis, tol, bases)
+        dims[idx] = d
+        guard = guard and bool(ok.all())
+        if bases:
+            for i, part in zip(idx, got):
+                parts[i] = part
+    if bases:
+        rep._last = (basis, tol, dims, guard)
+    return dims, guard, parts
+
+
+def _scorer(rep: SubspaceRep, w: Weight, tol: float):
+    """f(K) for orthonormal bases K, with the rank guard of the intersections.
+
+    With c = den chi_e the common integer weights, d0 den f(K) is the
+    integer d0 sum_e c_e dim(V_e /\\ K) - (sum_e c_e d_e) dim K; dim K is
+    the column count of K.
+    """
+    w.aligned(rep.poset)
+    d0 = rep.ambient_dim
+    if d0 == 0:
+        raise WrongShape("slope of the zero representation is undefined")
+    c0, c = w.common_integer(rep.poset)
+    den = c0 * w.chi0.denominator // w.chi0.numerator
+    weights = [c[e] for e in rep.poset.elements]
+    total = sum(ce * rep.dim(e) for e, ce in zip(rep.poset.elements, weights))
+
+    def score(basis: np.ndarray) -> tuple[Fraction, bool]:
+        dims, guard, _ = _intersections(rep, basis, tol, bases=False)
+        num = d0 * sum(ce * k for ce, k in zip(weights, dims.tolist()))
+        return Fraction(num - total * basis.shape[1], d0 * den), guard
+
+    return score
 
 
 def subspace_score(
     rep: SubspaceRep, w: Weight, basis: np.ndarray, tol: float = DEFAULT_TOL
 ) -> Fraction:
-    """f(K) = sum chi_e dim(V_e /\\ K) - sigma dim K, exact rational."""
-    return _score(rep, w, basis, tol)[0]
+    """f(K) = sum chi_e dim(V_e /\\ K) - sigma dim K, exact rational, for K
+    the span of the columns of basis."""
+    return _scorer(rep, w, tol)(linalg.orthonormal_columns(basis, tol))[0]
 
 
 def saturate_subspace(
@@ -423,14 +520,10 @@ def saturate_subspace(
     """
     current = basis
     while True:
-        parts = [
-            linalg.subspace_intersection(rep.spans[e], current, tol)
-            for e in rep.poset.elements
-        ]
-        stacked = (
-            np.hstack(parts) if parts else np.zeros((rep.ambient_dim, 0), dtype=complex)
-        )
-        nxt = linalg.orthonormal_columns(stacked, tol)
+        dims, _, parts = _intersections(rep, current, tol, bases=True)
+        if not dims.any():
+            return current
+        nxt = linalg.orthonormal_columns(np.hstack(parts), tol)
         if nxt.shape[1] in (0, current.shape[1]):
             return nxt if nxt.shape[1] else current
         current = nxt
@@ -463,11 +556,20 @@ def stability_check(
 ) -> StabilityVerdict:
     """Classify the representation for the given weight.
 
-    Three cooperating procedures: exact maximization of the score over the
-    lattice generated by the V_e, a seeded randomized destabilizer search
-    with saturation as local improvement, and (optionally) the moment-map
-    flow as an independent polystability oracle.  Disagreements set the
-    inconclusive flag instead of being resolved silently.
+    Three cooperating procedures: maximization of the score over the
+    lattice generated by the V_e (exact given the numerically decided
+    intersection dimensions), a seeded randomized destabilizer search with
+    saturation as local improvement (a heuristic: the lattice need not hold
+    a maximizer of the score, so the random search may score higher), and
+    (optionally) the moment-map flow as an independent polystability oracle.
+
+    ``inconclusive`` is set when the lattice overflows its cap, when the
+    random search finds a score of larger sign than the lattice (a
+    destabilizer or tie the lattice missed, which changes the verdict), when
+    the flow oracle disagrees, or when a rank guard fails: for some scored
+    K, some [V_e, -K] has a different rank at 0.1*tol, tol or 10*tol, so an
+    intersection dimension hangs on the tolerance
+    (``diagnostics["rank_guard_stable"]``).
 
     The verdict "stable" additionally requires the weighted trace identity
     sum chi_e d_e = chi0 d0; ties (score 0) are split into polystable versus
@@ -488,6 +590,7 @@ def stability_check(
     def proper(q: np.ndarray) -> bool:
         return 0 < q.shape[1] < d0
 
+    score = _scorer(rep, w, opts.tol)
     lattice_best: tuple[Fraction, np.ndarray] | None = None
     try:
         members = subspace_lattice(rep, opts.tol, opts.lattice_cap)
@@ -495,7 +598,7 @@ def stability_check(
         for q in members:
             if not proper(q):
                 continue
-            val, g = _score(rep, w, q, opts.tol)
+            val, g = score(q)
             guard_ok = guard_ok and g
             if lattice_best is None or val > lattice_best[0]:
                 lattice_best = (val, q)
@@ -512,7 +615,7 @@ def stability_check(
             sat = saturate_subspace(rep, q, opts.tol)
             if proper(sat):
                 q = sat
-            val, g = _score(rep, w, q, opts.tol)
+            val, g = score(q)
             guard_ok = guard_ok and g
             if random_best is None or val > random_best[0]:
                 random_best = (val, q)
@@ -522,12 +625,14 @@ def stability_check(
     if not guard_ok:
         inconclusive = True
 
+    def sign(x: Fraction) -> int:
+        return (x > 0) - (x < 0)
+
     if (
         lattice_best is not None
         and random_best is not None
-        and random_best[0] > lattice_best[0]
+        and sign(random_best[0]) > sign(lattice_best[0])
     ):
-        # The lattice is supposed to contain a maximizer; record the excess.
         inconclusive = True
         diagnostics["randomized_excess"] = str(random_best[0] - lattice_best[0])
 

@@ -4,8 +4,9 @@ The oracles here deliberately avoid the package's own algorithms so tests
 compare two separately written routes: poset enumeration by brute force,
 representation-finiteness and its witness list by permutation search against
 a hard-coded critical list, the bound-quiver invariants by exact rational
-elimination on the path space, and a fixed-step reference flow with its own
-projector and moment computations.
+elimination on the path space, the subspace lattice and the stability score
+by pairwise closure and one intersection SVD per element, and a fixed-step
+reference flow with its own projector and moment computations.
 """
 
 from __future__ import annotations
@@ -216,6 +217,80 @@ def oracle_cartan(bq) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
             row.append(len(basis) - _frac_rank(gens))
         entries.append(tuple(row))
     return order, tuple(entries)
+
+
+# ---------------------------------------------------------------------------
+# subspace lattice and stability score: one SVD per pair or element, every
+# member compared with same_subspace, rational sums
+
+def oracle_intersection(qa, qb, tol: float = 1e-9):
+    """Orthonormal basis of range(qa) /\\ range(qb) from the null space of
+    [qa, -qb], one matrix at a time."""
+    from posetrep.linalg import null_space, orthonormal_columns
+
+    if qa.shape[1] == 0 or qb.shape[1] == 0:
+        return np.zeros((qa.shape[0], 0), dtype=complex)
+    ns = null_space(np.hstack([qa, -qb]), tol)
+    if ns.shape[1] == 0:
+        return np.zeros((qa.shape[0], 0), dtype=complex)
+    return orthonormal_columns(qa @ ns[: qa.shape[1]], tol)
+
+
+def oracle_subspace_lattice(rep, tol: float = 1e-9, cap: int = 512):
+    """Closure of {0, V, V_e} under sum and intersection: every pass forms
+    every pair of the members so far, and each candidate is compared with
+    every member."""
+    from posetrep.linalg import same_subspace, subspace_sum
+
+    d0 = rep.ambient_dim
+    members = [np.zeros((d0, 0), dtype=complex), np.eye(d0, dtype=complex)]
+
+    def add(q) -> bool:
+        if any(same_subspace(m, q, tol) for m in members):
+            return False
+        members.append(q)
+        if len(members) > cap:
+            raise pr.LatticeTooLarge(f"subspace lattice exceeded cap {cap}")
+        return True
+
+    for e in rep.poset.elements:
+        add(rep.spans[e])
+    grew = True
+    while grew:
+        grew = False
+        snapshot = list(members)
+        for i in range(len(snapshot)):
+            for j in range(i + 1, len(snapshot)):
+                a, b = snapshot[i], snapshot[j]
+                grew = add(subspace_sum(a, b, tol)) | grew
+                grew = add(oracle_intersection(a, b, tol)) | grew
+    members.sort(key=lambda q: q.shape[1])
+    return members
+
+
+def oracle_saturate(rep, basis, tol: float = 1e-9):
+    """K -> sum_e (V_e /\\ K) to a fixed point, one intersection at a time."""
+    from posetrep.linalg import orthonormal_columns
+
+    current = basis
+    while True:
+        parts = [oracle_intersection(rep.spans[e], current, tol) for e in rep.poset.elements]
+        nxt = orthonormal_columns(np.hstack(parts), tol)
+        if nxt.shape[1] in (0, current.shape[1]):
+            return nxt if nxt.shape[1] else current
+        current = nxt
+
+
+def oracle_score(rep, w, basis, tol: float = 1e-9) -> Fraction:
+    """f(K) = sum chi_e dim(V_e /\\ K) - sigma dim K with every dimension a
+    numerical rank, summed in Fractions."""
+    from posetrep.linalg import rank_with_guard
+
+    sigma = w.slope(rep)
+    total = Fraction(0)
+    for e in rep.poset.elements:
+        total += w.chi[e] * rank_with_guard(oracle_intersection(rep.spans[e], basis, tol), tol)[0]
+    return total - sigma * rank_with_guard(basis, tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,24 @@ def test_euler_form_unbound_formula_on_chains():
         assert pr.euler_form(bq, d, e) == direct
 
 
+def test_euler_form_matches_inverse_cartan():
+    """Moebius inversion over reachability against d^T C^{-1} e from the
+    integer inverse of the Cartan matrix."""
+    rng = np.random.default_rng(9)
+    posets = [random_poset(rng, int(rng.integers(0, 8))) for _ in range(30)]
+    for p in posets + [diamond()]:
+        bq = pr.bound_quiver_of(p)
+        cm = pr.cartan_matrix(bq)
+        inv = np.array(cm.inverse(), dtype=np.int64)
+        for _ in range(3):
+            d, e = (pr.DimVector(tuple(int(x) for x in rng.integers(0, 5, len(p) + 1)))
+                    for _ in range(2))
+            dx, ex = (np.array([x.by_vertex(p)[v] for v in cm.order]) for x in (d, e))
+            got = pr.euler_form(bq, d, e)
+            assert type(got) is int
+            assert got == int(dx @ inv @ ex)
+
+
 def test_euler_form_bilinear():
     p = diamond()
     bq = pr.bound_quiver_of(p)

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 import posetrep as pr
-from posetrep.linalg import random_subspace, same_subspace
-from conftest import random_nested_rep, random_poset
+from posetrep.linalg import random_complex, random_subspace, same_subspace
+from conftest import (
+    oracle_saturate,
+    oracle_score,
+    oracle_subspace_lattice,
+    random_nested_rep,
+    random_poset,
+)
 
 E1 = np.array([[1.0], [0.0]], dtype=complex)
 E2 = np.array([[0.0], [1.0]], dtype=complex)
@@ -186,6 +192,126 @@ def test_subspace_score_exact_fraction():
     assert isinstance(val, Fraction)
 
 
+def _lattice_cases(rng):
+    """Small representations (d0 <= 6) with the cap to close them at: generic
+    subspaces, lines drawn from a pool of three (repeated lines), 2-planes
+    through one planted line, direct sums and random nested ones.  Some of
+    them overflow their cap."""
+    def anti(n):
+        return pr.primitive_poset(*([1] * n))
+
+    cases = []
+    for _ in range(14):
+        p, d = anti(int(rng.integers(2, 6))), int(rng.integers(2, 5))
+        spans = {e: random_complex(rng, d, int(rng.integers(1, d))) for e in p.elements}
+        cases.append((pr.make_rep(p, d, spans), 30))
+    for _ in range(12):
+        p, d = anti(int(rng.integers(3, 6))), int(rng.integers(2, 4))
+        pool = [random_complex(rng, d, 1) for _ in range(3)]
+        spans = {e: pool[int(rng.integers(3))] * complex(*rng.standard_normal(2))
+                 for e in p.elements}
+        cases.append((pr.make_rep(p, d, spans), 30))
+    for _ in range(12):
+        p, d = anti(int(rng.integers(3, 6))), int(rng.integers(3, 5))
+        line = random_complex(rng, d, 1)
+        m = int(rng.integers(2, len(p) + 1))
+        spans = {e: np.hstack([line, random_complex(rng, d, 1)]) if i < m
+                 else random_complex(rng, d, 2) for i, e in enumerate(p.elements)}
+        cases.append((pr.make_rep(p, d, spans), 24))
+    for _ in range(10):
+        p = anti(int(rng.integers(2, 5)))
+        da, db = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        parts = [pr.make_rep(p, d, {e: random_complex(rng, d, int(rng.integers(0, d + 1)))
+                                    for e in p.elements}) for d in (da, db)]
+        cases.append((pr.direct_sum(*parts), 30))
+    for _ in range(14):
+        p = random_poset(rng, int(rng.integers(2, 6)))
+        cases.append((random_nested_rep(rng, p, int(rng.integers(1, 7))), 30))
+    return cases
+
+
+def _closed(rep, cap, route):
+    try:
+        return route(rep, cap=cap)
+    except pr.LatticeTooLarge:
+        return None
+
+
+def test_lattice_matches_pairwise_oracle():
+    """Same members, same order, bit for bit, and an overflow at the same
+    cap as the closure that forms every pair in every pass."""
+    rng = np.random.default_rng(31)
+    overflows = 0
+    for rep, cap in _lattice_cases(rng):
+        got = _closed(rep, cap, pr.subspace_lattice)
+        want = _closed(rep, cap, oracle_subspace_lattice)
+        assert (got is None) == (want is None)
+        if want is None:
+            overflows += 1
+            continue
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        if len(want) > 2:  # 0 and V are not counted against the cap
+            # one member fewer than the closure holds: both overflow
+            assert _closed(rep, len(want) - 1, pr.subspace_lattice) is None
+            assert _closed(rep, len(want) - 1, oracle_subspace_lattice) is None
+    assert overflows >= 3
+
+
+def _random_weight(rng, p):
+    entries = [Fraction(int(rng.integers(1, 6)), int(rng.integers(1, 4)))
+               for _ in range(len(p) + 1)]
+    return pr.Weight.from_entries(p, entries)
+
+
+def test_scores_match_per_element_oracle():
+    """subspace_score and the lattice maximum of stability_check against one
+    intersection SVD per element and rational sums."""
+    rng = np.random.default_rng(32)
+    compared = 0
+    for rep, cap in _lattice_cases(rng):
+        d0 = rep.ambient_dim
+        w = _random_weight(rng, rep.poset)
+        members = _closed(rep, cap, oracle_subspace_lattice)
+        bases = [random_subspace(rng, d0, int(rng.integers(1, d0 + 1))),
+                 random_complex(rng, d0, int(rng.integers(1, d0 + 1)))]
+        proper = [] if members is None else [q for q in members if 0 < q.shape[1] < d0]
+        for q in proper + bases:
+            assert pr.subspace_score(rep, w, q) == oracle_score(rep, w, q)
+            compared += 1
+        if proper:
+            v = pr.stability_check(rep, w, pr.StabilityOptions(restarts=0, lattice_cap=cap))
+            assert v.diagnostics["lattice_best"] == max(oracle_score(rep, w, q) for q in proper)
+    assert compared > 300
+
+
+def test_saturation_matches_per_element_oracle():
+    """Same basis, bit for bit, as saturating with one intersection SVD per
+    element."""
+    rng = np.random.default_rng(33)
+    moved = 0
+    for rep, _ in _lattice_cases(rng):
+        d0 = rep.ambient_dim
+        for _ in range(4):
+            k = random_subspace(rng, d0, int(rng.integers(1, d0 + 1)))
+            got = pr.saturate_subspace(rep, k)
+            assert np.array_equal(got, oracle_saturate(rep, k))
+            moved += got is not k
+    assert moved > 50
+
+
+def test_subspace_score_of_rank_deficient_basis_is_score_of_span(rng):
+    p = pr.primitive_poset(1, 1, 1, 1, 1)
+    w = pr.Weight.from_entries(p, [Fraction(5, 2), 1, 1, 1, 1, 1])
+    for _ in range(10):
+        rep = pr.make_rep(p, 4, {e: random_complex(rng, 4, 2) for e in p.elements})
+        k = int(rng.integers(1, 4))
+        q = random_subspace(rng, 4, k) if k > 1 else rep.spans["a1"][:, :1]
+        doubled = np.hstack([q, q[:, :1]])
+        assert pr.subspace_score(rep, w, doubled) == pr.subspace_score(rep, w, q)
+        assert pr.subspace_score(rep, w, doubled) == oracle_score(rep, w, q)
+
+
 def test_saturation_never_lowers_score(rng):
     w_entries = [2, 1, 1, 1, 1]
     p = pr.primitive_poset(1, 1, 1, 1)
@@ -266,3 +392,50 @@ def test_stability_d0_one_no_proper_subspaces():
 def test_stability_rank_guard_diagnostics():
     v = pr.stability_check(pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT)
     assert v.diagnostics["rank_guard_stable"] is True
+
+
+def test_rank_guard_fires_on_near_intersection():
+    """Two lines at angle 3e-9: [V_1, -V_2] has smallest singular value
+    about 1.5 tol times the largest, so its rank differs between tol and
+    10 tol and the dimension of V_1 /\\ V_2 hangs on the tolerance."""
+    theta = 3e-9
+    near = np.array([[np.cos(theta)], [np.sin(theta)]], dtype=complex)
+    rep = two_lines(E1, near)
+    s = np.linalg.svd(np.hstack([E1, -near]), compute_uv=False)
+    assert 1e-9 < s[-1] / s[0] < 1e-8
+    v = pr.stability_check(rep, pr.Weight(1, {"a1": 1, "a2": 1}))
+    assert v.diagnostics["rank_guard_stable"] is False
+    assert v.inconclusive
+
+
+def test_score_after_saturation_reuses_only_same_tolerance():
+    """The scorer may take the intersections saturate_subspace just formed
+    for the same basis, but not those formed at another tolerance: at
+    angle 3e-9, V_2 /\\ V_1 is 0 at tol 1e-9 and a line at tol 1e-8."""
+    from posetrep.linrep import _scorer
+
+    theta = 3e-9
+    rep = two_lines(E1, np.array([[np.cos(theta)], [np.sin(theta)]], dtype=complex))
+    w = pr.Weight(1, {"a1": 1, "a2": 1})
+    k = rep.spans["a1"]
+    for sat_tol, score_tol in ((1e-9, 1e-9), (1e-9, 1e-8), (1e-8, 1e-9)):
+        pr.saturate_subspace(rep, k, sat_tol)
+        assert _scorer(rep, w, score_tol)(k)[0] == oracle_score(rep, w, k, score_tol)
+    assert oracle_score(rep, w, k, 1e-9) != oracle_score(rep, w, k, 1e-8)
+
+
+def test_generic_stable_reps_are_not_inconclusive():
+    """The random search scores above the lattice on generic reps (e.g. -5/2
+    against -3) without a change of sign; that changes no verdict."""
+    cases = [(pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT)]
+    p = pr.primitive_poset(1, 1, 1, 1, 1)
+    w = pr.Weight.from_entries(p, [Fraction(5, 2), 1, 1, 1, 1, 1])
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        cases.append((pr.make_rep(p, 4, {e: random_complex(rng, 4, 2) for e in p.elements}), w))
+    for rep, w in cases:
+        v = pr.stability_check(rep, w)
+        assert v.classification == pr.STABLE
+        assert not v.inconclusive
+        assert "randomized_excess" not in v.diagnostics
+        assert v.diagnostics["rank_guard_stable"] is True
