@@ -48,8 +48,9 @@ class SubspaceRep:
     ``spans[e]`` is a (d0 x d_e) matrix with orthonormal columns spanning
     V_e.  Use :func:`make_rep` to construct from raw spanning matrices; the
     constructor itself trusts its input and only checks shapes.  The spans
-    are not changed after construction: the stability code stacks them once
-    and keeps the stacks, and keeps its last intersections.
+    are not changed after construction: the stability and moment-map code
+    stack them once and keep the stacks, and the stability code keeps its
+    last intersections.
     """
 
     __slots__ = ("poset", "ambient_dim", "spans", "_groups", "_last")
@@ -390,10 +391,17 @@ def subspace_lattice(
         block = blocks[k][:, : len(same) * k]
         r = block - q @ (q.conj().T @ block)
         frob = (r.real**2 + r.imag**2).reshape(d0, len(same), k).sum(axis=(0, 2))
-        return any(
-            linalg.same_subspace(same[i], q, tol)
-            for i in np.flatnonzero(frob <= k * (tol + 1e-12) ** 2).tolist()
-        )
+        for i in np.flatnonzero(frob <= k * (tol + 1e-12) ** 2).tolist():
+            # |.|_2 <= |.|_F: both residuals below tol / 2 decide the pair
+            # without an SVD, with a margin far above their rounding
+            m = same[i]
+            if frob[i] <= tol * tol / 4:
+                back = q - m @ (m.conj().T @ q)
+                if (back.real**2 + back.imag**2).sum() <= tol * tol / 4:
+                    return True
+            if linalg.same_subspace(m, q, tol):
+                return True
+        return False
 
     def keep(q: np.ndarray) -> None:
         k = q.shape[1]

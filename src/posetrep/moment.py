@@ -9,10 +9,14 @@ A zero of mu on the GL-orbit of the representation is an orthoscalar system:
 Hermitian idempotents of the prescribed ranks, nested along the poset
 (P_i P_j = P_j P_i = P_i for i < j), summing with weights to chi0 I.  The
 flow g <- exp(-eps mu(g)) g is gradient descent for the squared residual
-F(g) = ||mu(g)||_F^2; it converges to residual zero exactly on the classes
-that admit an orthoscalar representative, so a converged run is a numerical
-polystability certificate and a positive-residual plateau certifies the
-opposite.
+F(g) = ||mu(g)||_F^2.  The infimum of F over the orbit is zero exactly on
+the semistable classes, and it is attained (by an orthoscalar
+representative) exactly on the polystable ones.  So a converged run
+certifies polystability only while the metric condition number stays
+bounded: a condition that keeps growing as the residual falls means the
+flow is approaching the boundary of the orbit, as it does for strictly
+semistable classes (the four lines at lambda in {0, 1, inf}).  A
+positive-residual plateau points to instability.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import (
     SingularMetric,
     WrongShape,
 )
-from .linrep import SubspaceRep, Weight
+from .linrep import SubspaceRep, Weight, _width_groups
 from .poset import Poset
 
 
@@ -123,28 +127,74 @@ def orthoscalar_check(ps: ProjectionSystem, tol: float = 1e-8) -> CheckReport:
     return CheckReport(herm, idem, rank_dev, nesting, scalar, tol)
 
 
-def _projectors(rep: SubspaceRep, g: np.ndarray) -> dict[str, np.ndarray]:
-    out = {}
-    for e in rep.poset.elements:
-        q = linalg.orthonormal_columns(g @ rep.spans[e], 1e-13)
-        out[e] = q @ q.conj().T
-    return out
+class _MomentMap:
+    """mu(g) = sum_e chi_e P_{g V_e} - chi0 I for one representation and
+    weight, with one batched QR per span width.
+
+    The projectors come as one (n, d0, d0) stack in poset order.  For the
+    elements of one width (``linrep._width_groups``) P = Q Q*, with Q from
+    one QR of g V_e batched over the group.  Along the flow g is invertible
+    with bounded condition, so g V_e keeps the column rank of V_e and no
+    rank cut is needed; the Gram route M (M* M)^-1 M* would square the
+    condition number.  Width-0 elements have the zero projector.  mu is
+    summed from -chi0 I in poset order, as one reduction over a stack: near
+    the boundary the flow's accept/reject decisions follow the last bits of
+    mu, and summing in another order (a tensordot) moves its iteration
+    counts.
+    """
+
+    def __init__(self, rep: SubspaceRep, w: Weight):
+        elements = rep.poset.elements
+        d0 = rep.ambient_dim
+        self.rep = rep
+        self.weight = w
+        self.chi = np.array([float(w.chi[e]) for e in elements])
+        self.shift = -float(w.chi0) * np.eye(d0, dtype=complex)
+        self.groups = [(idx, stack) for idx, stack in _width_groups(rep) if stack.shape[2]]
+
+    def __call__(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The projector stack and mu(g)."""
+        n, d0 = len(self.chi), len(self.shift)
+        p = np.zeros((n, d0, d0), dtype=complex)
+        for idx, stack in self.groups:
+            q = np.linalg.qr(g @ stack)[0]
+            p[idx] = q @ q.conj().swapaxes(1, 2)
+        terms = np.empty((n + 1, d0, d0), dtype=complex)
+        terms[0] = self.shift
+        np.multiply(self.chi[:, None, None], p, out=terms[1:])
+        return p, terms.sum(axis=0)
+
+    def gradient_sq(self, p: np.ndarray, mu: np.ndarray) -> float:
+        """4 sum_e chi_e |(I - P_e) mu P_e|_F^2."""
+        mp = mu @ p
+        r = mp - p @ mp
+        return 4.0 * float(self.chi @ (r.real**2 + r.imag**2).sum(axis=(1, 2)))
+
+    def system(self, p: np.ndarray) -> ProjectionSystem:
+        """The projections keyed in poset order."""
+        rep = self.rep
+        return ProjectionSystem(
+            rep.poset, self.weight, dict(zip(rep.poset.elements, p)), rep.dims()
+        )
 
 
-def moment_value(rep: SubspaceRep, g: np.ndarray, w: Weight) -> np.ndarray:
-    """mu(g) = sum_e chi_e P_{g V_e} - chi0 I, a traceless Hermitian matrix
-    whenever the trace identity holds."""
+def _checked_moment(
+    rep: SubspaceRep, g: np.ndarray, w: Weight
+) -> tuple[_MomentMap, np.ndarray, np.ndarray]:
     w.aligned(rep.poset)
     g = linalg.as_complex(g)
     if g.shape != (rep.ambient_dim, rep.ambient_dim):
         raise WrongShape(f"metric has shape {g.shape}, ambient is {rep.ambient_dim}")
     if linalg.condition_number(g) > 1e14:
         raise SingularMetric("metric is numerically singular")
-    projs = _projectors(rep, g)
-    mu = -float(w.chi0) * np.eye(rep.ambient_dim, dtype=complex)
-    for e in rep.poset.elements:
-        mu = mu + float(w.chi[e]) * projs[e]
-    return mu
+    mmap = _MomentMap(rep, w)
+    return (mmap, *mmap(g))
+
+
+def moment_value(rep: SubspaceRep, g: np.ndarray, w: Weight) -> np.ndarray:
+    """mu(g) = sum_e chi_e P_{g V_e} - chi0 I, a traceless Hermitian matrix
+    whenever the trace identity holds."""
+    return _checked_moment(rep, g, w)[2]
 
 
 def kn_directional_derivative(
@@ -154,13 +204,9 @@ def kn_directional_derivative(
 
     Equals 4 Re tr(mu D) with D = sum_e chi_e (I - P_e) h P_e.
     """
-    mu = moment_value(rep, g, w)
-    projs = _projectors(rep, g)
-    eye = np.eye(rep.ambient_dim)
-    d = np.zeros_like(mu)
-    for e in rep.poset.elements:
-        p = projs[e]
-        d = d + float(w.chi[e]) * ((eye - p) @ h @ p)
+    mmap, p, mu = _checked_moment(rep, g, w)
+    hp = linalg.as_complex(h) @ p
+    d = np.tensordot(mmap.chi, hp - p @ hp, axes=1)
     return float(4.0 * np.real(np.trace(mu @ d)))
 
 
@@ -182,6 +228,7 @@ class FlowOptions:
 class FlowReport:
     status: str  # converged | plateau | max_iter
     iterations: int
+    attempts: int  # step trials, accepted or not, over all iterations
     residual: float
     gradient_norm: float
     step: float
@@ -200,6 +247,7 @@ class FlowReport:
         return {
             "status": self.status,
             "iterations": self.iterations,
+            "attempts": self.attempts,
             "residual": self.residual,
             "gradient_norm": self.gradient_norm,
             "step": self.step,
@@ -222,6 +270,12 @@ def kempf_ness_flow(
     weighted trace identity is required up front (NoTraceIdentity), and the
     metric condition number is capped (NumericalBreakdown).
 
+    Each step trial costs one Hermitian exponential, one moment-map
+    evaluation (one batched QR per span width, see ``_MomentMap``) and one
+    SVD of the candidate metric, whose singular values give both the
+    spectral-norm normalization and the condition number checked against
+    cond_cap.
+
     Returns the projection system of the final metric when converged, else
     None, together with the full report.
     """
@@ -237,33 +291,25 @@ def kempf_ness_flow(
             "(after clearing denominators); no orthoscalar system exists"
         )
     d0 = rep.ambient_dim
-    chi = {e: float(v) for e, v in w.chi.items()}
     chi0 = float(w.chi0)
-    eye = np.eye(d0, dtype=complex)
 
     if opts.initial == "identity":
-        g = eye.copy()
+        g = np.eye(d0, dtype=complex)
     elif opts.initial == "random":
         g = linalg.random_unitary(np.random.default_rng(opts.seed), d0)
     else:
         raise WrongShape(f"unknown initial metric choice {opts.initial!r}")
 
-    def evaluate(metric):
-        projs = {}
-        for e in rep.poset.elements:
-            q = linalg.orthonormal_columns(metric @ rep.spans[e], 1e-13)
-            projs[e] = q @ q.conj().T
-        mu = -chi0 * eye
-        for e in rep.poset.elements:
-            mu = mu + chi[e] * projs[e]
-        return projs, mu, float(np.linalg.norm(mu))
-
+    mmap = _MomentMap(rep, w)
     step = opts.step if opts.step is not None else 1.0 / (4.0 * chi0)
-    projs, mu, residual = evaluate(g)
+    projs, mu = mmap(g)
+    residual = float(np.linalg.norm(mu))
+    condition = linalg.condition_number(g)
     history = [residual]
     grad_norm = np.inf
     plateau_count = 0
     accepts_in_row = 0
+    attempts = 0
     status = "max_iter"
     iterations = 0
 
@@ -272,11 +318,7 @@ def kempf_ness_flow(
             status = "converged"
             iterations -= 1
             break
-        grad_sq = 0.0
-        for e in rep.poset.elements:
-            p = projs[e]
-            grad_sq += chi[e] * float(np.linalg.norm((eye - p) @ mu @ p)) ** 2
-        grad_sq *= 4.0
+        grad_sq = mmap.gradient_sq(projs, mu)
         grad_norm = np.sqrt(grad_sq)
         if grad_norm < opts.plateau_grad and residual > 100 * opts.tol:
             plateau_count += 1
@@ -289,9 +331,13 @@ def kempf_ness_flow(
         f_old = residual * residual
         accepted = False
         for _ in range(60):
+            attempts += 1
             cand = linalg.herm_expm(-step * mu) @ g
-            cand = cand / np.linalg.norm(cand, 2)
-            cprojs, cmu, cres = evaluate(cand)
+            # s[0] is the spectral norm and s[0] / s[-1] the condition
+            s = np.linalg.svd(cand, compute_uv=False)
+            cand = cand / s[0]
+            cprojs, cmu = mmap(cand)
+            cres = float(np.linalg.norm(cmu))
             # Strict decrease: at an exact critical point (grad 0) the
             # candidate leaves the residual unchanged and must be rejected,
             # otherwise step growth inflates the metric for nothing.
@@ -301,6 +347,7 @@ def kempf_ness_flow(
             step *= 0.5
         if accepted:
             g, projs, mu, residual = cand, cprojs, cmu, cres
+            condition = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
             accepts_in_row += 1
             if accepts_in_row >= opts.grow_every:
                 step = min(step * 2.0, 1e9)
@@ -308,7 +355,7 @@ def kempf_ness_flow(
         else:
             accepts_in_row = 0
         history.append(residual)
-        if linalg.condition_number(g) > opts.cond_cap:
+        if condition > opts.cond_cap:
             raise NumericalBreakdown(
                 f"metric condition number exceeded {opts.cond_cap:.0e} "
                 f"at residual {residual:.3e}"
@@ -322,6 +369,7 @@ def kempf_ness_flow(
     report = FlowReport(
         status=status,
         iterations=iterations,
+        attempts=attempts,
         residual=residual,
         gradient_norm=float(grad_norm) if np.isfinite(grad_norm) else 0.0,
         step=step,
@@ -331,13 +379,7 @@ def kempf_ness_flow(
     )
     if status != "converged":
         return None, report
-    system = ProjectionSystem(
-        poset=rep.poset,
-        weight=w,
-        projections=projs,
-        ranks={e: rep.dim(e) for e in rep.poset.elements},
-    )
-    return system, report
+    return mmap.system(projs), report
 
 
 def hopf_normal_form(ps: ProjectionSystem, tol: float = 1e-6) -> dict[str, np.ndarray]:
@@ -379,23 +421,29 @@ def unitary_invariants(
     of projection families.
     """
     elems = ps.poset.elements
-    index = {e: k for k, e in enumerate(elems)}
-
-    def canonical(word: tuple[str, ...]) -> tuple[str, ...]:
-        rots = [word[k:] + word[:k] for k in range(len(word))]
-        return min(rots, key=lambda t: tuple(index[x] for x in t))
-
+    projs = [ps.projections[e] for e in elems]
     out: dict[tuple[str, ...], complex] = {}
-    words: list[tuple[str, ...]] = [()]
-    for _ in range(max_len):
-        words = [w + (e,) for w in words for e in elems]
-        for word in words:
-            if canonical(word) != word or word in out:
-                continue
-            m = np.eye(ps.ambient_dim, dtype=complex)
-            for e in word:
-                m = m @ ps.projections[e]
-            out[word] = complex(np.trace(m))
+    # words as index tuples, each with its product, formed from its prefix's
+    # product in the same left-to-right order as from scratch
+    level: list[tuple[tuple[int, ...], np.ndarray]] = [
+        ((), np.eye(ps.ambient_dim, dtype=complex))
+    ]
+    for length in range(1, max_len + 1):
+        last = length == max_len
+        nxt = []
+        for prefix, m in level:
+            # a word below all its rotations has no letter smaller than its
+            # first, and neither has any prefix of it: append only such letters
+            for i in range(prefix[0] if prefix else 0, len(elems)):
+                word = prefix + (i,)
+                canonical = all(word <= word[k:] + word[:k] for k in range(1, length))
+                if canonical or not last:
+                    mw = m @ projs[i]
+                    if canonical:
+                        out[tuple(elems[j] for j in word)] = complex(mw.trace())
+                    if not last:
+                        nxt.append((word, mw))
+        level = nxt
     return out
 
 

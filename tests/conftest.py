@@ -5,8 +5,10 @@ compare two separately written routes: poset enumeration by brute force,
 representation-finiteness and its witness list by permutation search against
 a hard-coded critical list, the bound-quiver invariants by exact rational
 elimination on the path space, the subspace lattice and the stability score
-by pairwise closure and one intersection SVD per element, and a fixed-step
-reference flow with its own projector and moment computations.
+by pairwise closure and one intersection SVD per element, the moment map by
+one SVD per element, the trace words by one product per word from scratch,
+and a fixed-step reference flow with its own projector and moment
+computations.
 """
 
 from __future__ import annotations
@@ -291,6 +293,48 @@ def oracle_score(rep, w, basis, tol: float = 1e-9) -> Fraction:
     for e in rep.poset.elements:
         total += w.chi[e] * rank_with_guard(oracle_intersection(rep.spans[e], basis, tol), tol)[0]
     return total - sigma * rank_with_guard(basis, tol)[0]
+
+
+# ---------------------------------------------------------------------------
+# moment map and trace words: one SVD and one product per element or word
+
+def oracle_moment(rep, w, g):
+    """Projectors P_{g V_e} keyed in poset order and mu(g), one SVD per
+    element: Q = orthonormal_columns(g V_e, 1e-13), P = Q Q*."""
+    from posetrep.linalg import orthonormal_columns
+
+    projs = {}
+    for e in rep.poset.elements:
+        q = orthonormal_columns(g @ rep.spans[e], 1e-13)
+        projs[e] = q @ q.conj().T
+    mu = -float(w.chi0) * np.eye(rep.ambient_dim, dtype=complex)
+    for e in rep.poset.elements:
+        mu = mu + float(w.chi[e]) * projs[e]
+    return projs, mu
+
+
+def oracle_unitary_invariants(ps, max_len: int = 4):
+    """tr(P_{w1} ... P_{wk}) for every word whose smallest rotation (by
+    element index) is itself, each product formed from scratch."""
+    elems = ps.poset.elements
+    index = {e: k for k, e in enumerate(elems)}
+
+    def canonical(word):
+        rots = [word[k:] + word[:k] for k in range(len(word))]
+        return min(rots, key=lambda t: tuple(index[x] for x in t))
+
+    out = {}
+    words = [()]
+    for _ in range(max_len):
+        words = [w + (e,) for w in words for e in elems]
+        for word in words:
+            if canonical(word) != word or word in out:
+                continue
+            m = np.eye(ps.ambient_dim, dtype=complex)
+            for e in word:
+                m = m @ ps.projections[e]
+            out[word] = complex(np.trace(m))
+    return out
 
 
 # ---------------------------------------------------------------------------

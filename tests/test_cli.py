@@ -180,6 +180,7 @@ def test_solve_writes_outputs(capsys, files, tmp_path):
     report = json.loads((tmp_path / "out.report.json").read_text())
     assert report["status"] == "converged"
     assert report["residual"] < 1e-8
+    assert report["attempts"] >= report["iterations"] > 0
     system, _ = fileio.load_projection_system(prefix + ".proj")
     assert pr.orthoscalar_check(system).passed
 

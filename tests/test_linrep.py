@@ -258,6 +258,22 @@ def test_lattice_matches_pairwise_oracle():
     assert overflows >= 3
 
 
+def test_lattice_keeps_planes_just_beyond_tolerance():
+    """Two planes of C^4 at one principal angle of 1.2 tol: |M - Q Q* M|_F^2
+    passes the prefilter bound 2 tol^2 but the spectral residual is above
+    tol, so both stay members, as in the pairwise closure."""
+    theta = 1.2e-9
+    e = np.eye(4, dtype=complex)
+    tilted = np.stack([e[:, 0], np.cos(theta) * e[:, 1] + np.sin(theta) * e[:, 2]], axis=1)
+    rep = pr.make_rep(pr.primitive_poset(1, 1), 4, {"a1": e[:, :2], "a2": tilted})
+    got = pr.subspace_lattice(rep)
+    want = oracle_subspace_lattice(rep)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert not same_subspace(rep.spans["a1"], rep.spans["a2"])
+    assert sum(q.shape[1] == 2 for q in got) == 2
+
+
 def _random_weight(rng, p):
     entries = [Fraction(int(rng.integers(1, 6)), int(rng.integers(1, 4)))
                for _ in range(len(p) + 1)]

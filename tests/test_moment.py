@@ -1,9 +1,19 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import posetrep as pr
-from posetrep.linalg import herm_expm, random_complex, random_unitary
-from conftest import reference_flow
+from posetrep.linalg import herm_expm, random_complex, random_subspace, random_unitary
+from posetrep.moment import _MomentMap
+from conftest import (
+    oracle_moment,
+    oracle_unitary_invariants,
+    random_nested_rep,
+    random_poset,
+    reference_flow,
+    shuffled,
+)
 
 E1 = np.array([[1.0], [0.0]], dtype=complex)
 E2 = np.array([[0.0], [1.0]], dtype=complex)
@@ -74,6 +84,86 @@ def test_directional_derivative_matches_finite_differences(rng):
         assert abs(der - num) <= 1e-5 * max(1.0, abs(num))
 
 
+def test_batched_moment_matches_per_element_oracle(rng):
+    """One QR per span width against one SVD per element, on random nested
+    reps with mixed widths (zero included) under well-conditioned metrics."""
+    widths_seen = set()
+    mixed = 0
+    for _ in range(60):
+        p = shuffled(rng, random_poset(rng, int(rng.integers(1, 8))))
+        d0 = int(rng.integers(1, 7))
+        rep = random_nested_rep(rng, p, d0)
+        chi = {e: int(rng.integers(1, 6)) for e in p.elements}
+        w = pr.Weight(int(rng.integers(1, 6)), chi)
+        g = (random_unitary(rng, d0) * np.exp(rng.uniform(-1.5, 1.5, d0))) @ random_unitary(rng, d0)
+        mmap = _MomentMap(rep, w)
+        p_stack, mu = mmap(g)
+        system = mmap.system(p_stack)
+        want_projs, want_mu = oracle_moment(rep, w, g)
+        assert list(system.projections) == list(p.elements)
+        assert system.ranks == rep.dims()
+        assert np.linalg.norm(mu - want_mu) <= 1e-12
+        for e in p.elements:
+            assert np.linalg.norm(system.projections[e] - want_projs[e]) <= 1e-12
+        assert np.array_equal(pr.moment_value(rep, g, w), mu)
+        widths = set(rep.dims().values())
+        widths_seen |= widths
+        mixed += len(widths - {0}) >= 2 and 0 in widths
+    assert 0 in widths_seen and len(widths_seen) >= 4
+    assert mixed >= 5
+
+
+def _mixed_width_rep(rng):
+    """Lines, planes and a zero subspace in C^4, with the trace identity
+    for chi = 1: 1 + 2 + 0 + 1 + 2 = (3/2) 4."""
+    p = pr.primitive_poset(1, 1, 1, 1, 1)
+    dims = dict(zip(p.elements, (1, 2, 0, 1, 2)))
+    rep = pr.make_rep(p, 4, {e: random_subspace(rng, 4, k) for e, k in dims.items()})
+    return rep, pr.Weight(Fraction(3, 2), {e: 1 for e in p.elements})
+
+
+def test_flow_gradient_matches_oracle(rng):
+    """The first iteration's gradient norm, sqrt(4 sum_e chi_e
+    |(I - P_e) mu P_e|_F^2) at g = I, from the oracle's projectors; mixed
+    widths and weights other than 1."""
+    rep, _ = _mixed_width_rep(rng)
+    chi = dict(zip(rep.poset.elements, (2, 1, 5, 2, 1)))
+    w = pr.Weight(2, chi)
+    _, report = pr.kempf_ness_flow(rep, w, pr.FlowOptions(max_iter=1))
+    projs, mu = oracle_moment(rep, w, np.eye(4, dtype=complex))
+    want = 4 * sum(
+        chi[e] * np.linalg.norm((np.eye(4) - p) @ mu @ p) ** 2 for e, p in projs.items()
+    )
+    assert abs(report.gradient_norm - np.sqrt(want)) <= 1e-12 * np.sqrt(want)
+
+
+def test_flow_linalg_call_budget(monkeypatch, rng):
+    """At most one SVD per step trial (plus the condition number of the
+    first and the last metric) and one QR per nonzero span width per
+    moment-map evaluation; counts, not timings."""
+    cases = [
+        (pr.four_lines_rep(3 + 4j), pr.FOURSPACE_WEIGHT, pr.FlowOptions(), 1),
+        (*_mixed_width_rep(rng), pr.FlowOptions(max_iter=40), 2),
+    ]
+    counts = {"svd": 0, "qr": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+    for rep, w, opts, groups in cases:
+        counts.update(svd=0, qr=0)
+        _, report = pr.kempf_ness_flow(rep, w, opts)
+        assert report.attempts >= report.iterations > 0
+        assert counts["svd"] <= report.attempts + 2
+        assert counts["qr"] == groups * (report.attempts + 1)
+
+
 # ---------------------------------------------------------------------------
 # the flow
 
@@ -139,6 +229,7 @@ def test_flow_deterministic_reports():
     _, r1 = pr.kempf_ness_flow(rep, w)
     _, r2 = pr.kempf_ness_flow(rep, w)
     assert r1.iterations == r2.iterations
+    assert r1.attempts == r2.attempts
     assert r1.history == r2.history
 
 
@@ -194,6 +285,24 @@ def test_unitary_invariants_cyclic_keys_and_invariance(rng):
     assert max(abs(inv[k] - inv2[k]) for k in inv) < 1e-12
 
 
+def test_unitary_invariants_match_oracle(rng):
+    """Keys, their order and the values, bit for bit, against one product
+    per word from scratch; mixed ranks and a stored order that is not
+    sorted."""
+    for n, d0, max_len in ((1, 2, 4), (3, 3, 5), (4, 2, 4), (6, 5, 3), (10, 4, 4)):
+        p = shuffled(rng, pr.primitive_poset(*[1] * n))
+        ranks = {e: int(rng.integers(0, d0 + 1)) for e in p.elements}
+        projs = {}
+        for e in p.elements:
+            q = random_subspace(rng, d0, ranks[e])
+            projs[e] = q @ q.conj().T
+        ps = pr.ProjectionSystem(p, pr.Weight(1, {e: 1 for e in p.elements}), projs, ranks)
+        got = pr.unitary_invariants(ps, max_len)
+        want = oracle_unitary_invariants(ps, max_len)
+        assert list(got) == list(want)
+        assert all(got[k] == want[k] for k in want)
+
+
 def test_fourspace_parameters_on_sphere_matrices(rng):
     for _ in range(10):
         v = rng.normal(size=3)
@@ -224,6 +333,7 @@ def test_flow_report_as_dict_round_trips_json():
     payload = json.loads(json.dumps(report.as_dict()))
     assert payload["status"] == "converged"
     assert payload["iterations"] == report.iterations
+    assert payload["attempts"] == report.attempts >= report.iterations
 
 
 def test_parse_lambda_tokens():
