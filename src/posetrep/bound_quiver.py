@@ -15,7 +15,6 @@ subspace representations and quiver representations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, NamedTuple
 
@@ -185,28 +184,6 @@ class CartanMatrix:
                 if j < i and self.entries[i][j] != 0:
                     raise WrongShape("Cartan matrix must be upper triangular")
 
-    def solve(self, rhs: list[Fraction]) -> list[Fraction]:
-        """Back substitution for C x = rhs, exact."""
-        n = len(self.order)
-        x = [Fraction(0)] * n
-        for i in range(n - 1, -1, -1):
-            acc = rhs[i]
-            for j in range(i + 1, n):
-                acc -= self.entries[i][j] * x[j]
-            x[i] = acc
-        return x
-
-    def inverse(self) -> tuple[tuple[int, ...], ...]:
-        n = len(self.order)
-        cols = []
-        for k in range(n):
-            e = [Fraction(int(i == k)) for i in range(n)]
-            cols.append(self.solve(e))
-        inv = tuple(
-            tuple(int(cols[j][i]) for j in range(n)) for i in range(n)
-        )
-        return inv
-
 
 def cartan_matrix(bq: BoundQuiver) -> CartanMatrix:
     """Cartan matrix of the bound quiver algebra: the zeta matrix of the
@@ -267,11 +244,7 @@ def quotient_dim_lower_bound(bq: BoundQuiver, d: DimVector) -> QuotientDim:
     with r the minimal relation counts.  The zero vector gives 1 with the
     empty_quotient flag set.
     """
-    verts = bq.quiver.vertices
-    named = {ROOT: d.entries[0]}
-    if len(d.entries) != len(verts):
-        raise WrongShape("dimension vector does not match quiver")
-    named.update(zip((v for v in verts if v != ROOT), d.entries[1:]))
+    named = _vertex_vector(bq, d)
     if any(x < 0 for x in d.entries):
         raise WrongShape("dimension vector entries must be nonnegative")
     val = 1 - sum(x * x for x in named.values())

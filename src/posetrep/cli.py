@@ -211,7 +211,6 @@ def _cmd_solve(args) -> int:
     opts = FlowOptions(
         tol=args.tol if args.tol is not None else 1e-8,
         max_iter=args.max_iter if args.max_iter is not None else 20000,
-        seed=args.seed,
     )
     system, report = kempf_ness_flow(rep, w, opts)
     prefix = args.prefix or os.path.splitext(args.rep)[0]
@@ -312,7 +311,6 @@ def _sweep_row(token: str, args) -> dict:
         opts = FlowOptions(
             tol=tol,
             max_iter=args.max_iter if args.max_iter is not None else 20000,
-            seed=args.seed,
         )
         system, report = kempf_ness_flow(rep, w, opts)
     except NoTraceIdentity:

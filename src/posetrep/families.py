@@ -11,6 +11,7 @@ split points.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -48,14 +49,22 @@ EXCEPTIONAL_LAMBDAS = (0.0, 1.0, math.inf)
 
 
 def parse_lambda(token: str) -> complex | float:
-    """Parse a lambda grid token; accepts i or j imaginary units and inf."""
+    """Parse a lambda grid token; accepts i or j imaginary units and inf.
+
+    Every value whose modulus overflows a float (1e400, -1e400, 2-1e400i,
+    1.5e308+1.5e308i) is the point infinity, returned as math.inf; NaN is
+    rejected (WrongShape).
+    """
     text = token.strip().lower()
     if text in INF_TOKENS:
         return math.inf
     try:
-        return complex(text.replace("i", "j"))
+        lam = complex(text.replace("i", "j"))
     except ValueError as exc:
         raise WrongShape(f"cannot parse lambda value {token!r}") from exc
+    if cmath.isnan(lam):
+        raise WrongShape(f"lambda value {token!r} is not a number")
+    return math.inf if math.isinf(math.hypot(lam.real, lam.imag)) else lam
 
 
 def is_exceptional(lam: complex | float) -> bool:

@@ -169,9 +169,3 @@ def random_subspace(rng: np.random.Generator, dim: int, k: int) -> np.ndarray:
     if k == 0:
         return np.zeros((dim, 0), dtype=complex)
     return orthonormal_columns(random_complex(rng, dim, k))
-
-
-def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(random_complex(rng, n, n))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))

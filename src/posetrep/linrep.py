@@ -116,11 +116,11 @@ def make_rep(
         if raw.shape[0] != ambient_dim:
             raise WrongShape(f"span for {e!r} has {raw.shape[0]} rows, ambient is {ambient_dim}")
         if raw.shape[1]:
-            if linalg.numerical_rank(raw, tol) < raw.shape[1]:
+            cleaned[e] = linalg.orthonormal_columns(raw, tol)
+            if cleaned[e].shape[1] < raw.shape[1]:
                 raise RankDeficient(
                     f"span for {e!r} has rank below its {raw.shape[1]} columns"
                 )
-            cleaned[e] = linalg.orthonormal_columns(raw, tol)
         else:
             cleaned[e] = np.zeros((ambient_dim, 0), dtype=complex)
     for a, b in poset.pairs:
@@ -542,9 +542,7 @@ class StabilityOptions:
     tol: float = DEFAULT_TOL
     restarts: int = 200
     seed: int = 0
-    lattice_cap: int = 512
     use_flow: bool = False
-    flow_tol: float = 1e-8
     flow_max_iter: int = 20000
 
 
@@ -571,13 +569,14 @@ def stability_check(
     a maximizer of the score, so the random search may score higher), and
     (optionally) the moment-map flow as an independent polystability oracle.
 
-    ``inconclusive`` is set when the lattice overflows its cap, when the
-    random search finds a score of larger sign than the lattice (a
-    destabilizer or tie the lattice missed, which changes the verdict), when
-    the flow oracle disagrees, or when a rank guard fails: for some scored
-    K, some [V_e, -K] has a different rank at 0.1*tol, tol or 10*tol, so an
-    intersection dimension hangs on the tolerance
-    (``diagnostics["rank_guard_stable"]``).
+    ``inconclusive`` is set when the lattice overflows the default cap of
+    ``subspace_lattice`` (512 members), when the random search finds a
+    score of larger sign than the lattice (a destabilizer or tie the
+    lattice missed, which changes the verdict), when the flow oracle
+    disagrees (flow at the default tol of FlowOptions), or when a rank
+    guard fails: for some scored K, some [V_e, -K] has a different rank at
+    0.1*tol, tol or 10*tol, so an intersection dimension hangs on the
+    tolerance (``diagnostics["rank_guard_stable"]``).
 
     The verdict "stable" additionally requires the weighted trace identity
     sum chi_e d_e = chi0 d0; ties (score 0) are split into polystable versus
@@ -601,7 +600,7 @@ def stability_check(
     score = _scorer(rep, w, opts.tol)
     lattice_best: tuple[Fraction, np.ndarray] | None = None
     try:
-        members = subspace_lattice(rep, opts.tol, opts.lattice_cap)
+        members = subspace_lattice(rep, opts.tol)
         diagnostics["lattice_size"] = len(members)
         for q in members:
             if not proper(q):
@@ -670,9 +669,7 @@ def stability_check(
         from .moment import FlowOptions, kempf_ness_flow
 
         methods.append("flow_oracle")
-        _, report = kempf_ness_flow(
-            rep, w, FlowOptions(tol=opts.flow_tol, max_iter=opts.flow_max_iter)
-        )
+        _, report = kempf_ness_flow(rep, w, FlowOptions(max_iter=opts.flow_max_iter))
         diagnostics["flow_status"] = report.status
         flow_poly = report.status == "converged"
         class_poly = classification in (STABLE, POLYSTABLE_NOT_STABLE)

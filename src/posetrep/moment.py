@@ -210,18 +210,22 @@ def kn_directional_derivative(
     return float(4.0 * np.real(np.trace(mu @ d)))
 
 
+#: Armijo constant of the backtracking test
+ARMIJO_C = 0.1
+#: the step doubles after this many accepted steps in a row
+GROW_EVERY = 5
+#: plateau: the gradient norm stays below PLATEAU_GRAD for PLATEAU_WINDOW
+#: iterations while the residual stays above 100 tol
+PLATEAU_GRAD = 1e-10
+PLATEAU_WINDOW = 50
+#: largest metric condition number before NumericalBreakdown
+COND_CAP = 1e12
+
+
 @dataclass
 class FlowOptions:
     tol: float = 1e-8
     max_iter: int = 20000
-    step: float | None = None  # None: 1 / (4 chi0)
-    seed: int = 0
-    initial: str = "identity"  # or "random" (random unitary start)
-    cond_cap: float = 1e12
-    armijo_c: float = 0.1
-    grow_every: int = 5
-    plateau_grad: float = 1e-10
-    plateau_window: int = 50
 
 
 @dataclass
@@ -260,21 +264,23 @@ class FlowReport:
 def kempf_ness_flow(
     rep: SubspaceRep, w: Weight, opts: FlowOptions | None = None
 ) -> tuple[ProjectionSystem | None, FlowReport]:
-    """Run gradient descent g <- exp(-eps mu(g)) g on F = ||mu||_F^2.
+    """Run gradient descent g <- exp(-eps mu(g)) g on F = ||mu||_F^2 from
+    g = I.
 
-    Backtracking (Armijo) keeps the residual history monotone; the step is
-    halved on rejection and doubled after grow_every consecutive accepts.
-    Stops with status converged when the residual drops below tol, plateau
-    when the gradient stays below plateau_grad for plateau_window iterations
-    while the residual stays above 100 tol, and max_iter otherwise.  The
-    weighted trace identity is required up front (NoTraceIdentity), and the
-    metric condition number is capped (NumericalBreakdown).
+    Backtracking (Armijo constant ARMIJO_C) keeps the residual history
+    monotone; the step starts at 1 / (4 chi0), is halved on rejection and
+    doubled after GROW_EVERY consecutive accepts.  Stops with status
+    converged when the residual drops below tol, plateau when the gradient
+    stays below PLATEAU_GRAD for PLATEAU_WINDOW iterations while the
+    residual stays above 100 tol, and max_iter otherwise.  The weighted
+    trace identity is required up front (NoTraceIdentity), and the metric
+    condition number is capped at COND_CAP (NumericalBreakdown).
 
     Each step trial costs one Hermitian exponential, one moment-map
     evaluation (one batched QR per span width, see ``_MomentMap``) and one
     SVD of the candidate metric, whose singular values give both the
     spectral-norm normalization and the condition number checked against
-    cond_cap.
+    COND_CAP.
 
     Returns the projection system of the final metric when converged, else
     None, together with the full report.
@@ -290,18 +296,9 @@ def kempf_ness_flow(
             f"sum chi_e d_e = {total} but chi0 d0 = {chi0_scaled * rep.ambient_dim} "
             "(after clearing denominators); no orthoscalar system exists"
         )
-    d0 = rep.ambient_dim
-    chi0 = float(w.chi0)
-
-    if opts.initial == "identity":
-        g = np.eye(d0, dtype=complex)
-    elif opts.initial == "random":
-        g = linalg.random_unitary(np.random.default_rng(opts.seed), d0)
-    else:
-        raise WrongShape(f"unknown initial metric choice {opts.initial!r}")
-
+    g = np.eye(rep.ambient_dim, dtype=complex)
     mmap = _MomentMap(rep, w)
-    step = opts.step if opts.step is not None else 1.0 / (4.0 * chi0)
+    step = 1.0 / (4.0 * float(w.chi0))
     projs, mu = mmap(g)
     residual = float(np.linalg.norm(mu))
     condition = linalg.condition_number(g)
@@ -320,9 +317,9 @@ def kempf_ness_flow(
             break
         grad_sq = mmap.gradient_sq(projs, mu)
         grad_norm = np.sqrt(grad_sq)
-        if grad_norm < opts.plateau_grad and residual > 100 * opts.tol:
+        if grad_norm < PLATEAU_GRAD and residual > 100 * opts.tol:
             plateau_count += 1
-            if plateau_count >= opts.plateau_window:
+            if plateau_count >= PLATEAU_WINDOW:
                 status = "plateau"
                 break
         else:
@@ -341,7 +338,7 @@ def kempf_ness_flow(
             # Strict decrease: at an exact critical point (grad 0) the
             # candidate leaves the residual unchanged and must be rejected,
             # otherwise step growth inflates the metric for nothing.
-            if cres * cres < f_old - opts.armijo_c * step * grad_sq:
+            if cres * cres < f_old - ARMIJO_C * step * grad_sq:
                 accepted = True
                 break
             step *= 0.5
@@ -349,15 +346,15 @@ def kempf_ness_flow(
             g, projs, mu, residual = cand, cprojs, cmu, cres
             condition = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
             accepts_in_row += 1
-            if accepts_in_row >= opts.grow_every:
+            if accepts_in_row >= GROW_EVERY:
                 step = min(step * 2.0, 1e9)
                 accepts_in_row = 0
         else:
             accepts_in_row = 0
         history.append(residual)
-        if condition > opts.cond_cap:
+        if condition > COND_CAP:
             raise NumericalBreakdown(
-                f"metric condition number exceeded {opts.cond_cap:.0e} "
+                f"metric condition number exceeded {COND_CAP:.0e} "
                 f"at residual {residual:.3e}"
             )
     else:

@@ -4,11 +4,11 @@ The oracles here deliberately avoid the package's own algorithms so tests
 compare two separately written routes: poset enumeration by brute force,
 representation-finiteness and its witness list by permutation search against
 a hard-coded critical list, the bound-quiver invariants by exact rational
-elimination on the path space, the subspace lattice and the stability score
-by pairwise closure and one intersection SVD per element, the moment map by
-one SVD per element, the trace words by one product per word from scratch,
-and a fixed-step reference flow with its own projector and moment
-computations.
+elimination on the path space, the inverse Cartan matrix by back
+substitution, the subspace lattice and the stability score by pairwise
+closure and one intersection SVD per element, the moment map by one SVD per
+element, the trace words by one product per word from scratch, and a
+fixed-step reference flow with its own projector and moment computations.
 """
 
 from __future__ import annotations
@@ -221,6 +221,22 @@ def oracle_cartan(bq) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
     return order, tuple(entries)
 
 
+def cartan_solve(cm, rhs) -> list[Fraction]:
+    """Exact back substitution for C x = rhs, C upper unitriangular."""
+    n = len(cm.order)
+    x = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        x[i] = rhs[i] - sum(cm.entries[i][j] * x[j] for j in range(i + 1, n))
+    return x
+
+
+def cartan_inverse(cm) -> tuple[tuple[int, ...], ...]:
+    """Integer inverse of the Cartan matrix, column by column."""
+    n = len(cm.order)
+    cols = [cartan_solve(cm, [Fraction(int(i == k)) for i in range(n)]) for k in range(n)]
+    return tuple(tuple(int(cols[j][i]) for j in range(n)) for i in range(n))
+
+
 # ---------------------------------------------------------------------------
 # subspace lattice and stability score: one SVD per pair or element, every
 # member compared with same_subspace, rational sums
@@ -404,6 +420,15 @@ def grid_poset(a: int, b: int) -> pr.Poset:
     covers = [(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(a - 1) for j in range(b)]
     covers += [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(a) for j in range(b - 1)]
     return pr.build_poset(names, covers)
+
+
+def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-distributed unitary: QR of a complex Gaussian, phases fixed."""
+    from posetrep.linalg import random_complex
+
+    q, r = np.linalg.qr(random_complex(rng, n, n))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 def random_nested_rep(rng: np.random.Generator, p: pr.Poset, d0: int):

@@ -8,6 +8,8 @@ from posetrep.bound_quiver import commutativity_ideal
 from posetrep.poset import Quiver
 from conftest import (
     all_strict_orders,
+    cartan_inverse,
+    cartan_solve,
     oracle_cartan,
     oracle_minimal_relation_counts,
     poset_from_pairs,
@@ -90,7 +92,7 @@ def test_cartan_unitriangular_and_integral():
         for j in range(n):
             if cm.entries[i][j]:
                 assert i == j or pos[cm.order[i]] < pos[cm.order[j]]
-    inv = cm.inverse()
+    inv = cartan_inverse(cm)
     prod = np.array(cm.entries) @ np.array(inv)
     assert np.array_equal(prod, np.eye(n, dtype=int))
 
@@ -136,7 +138,7 @@ def test_euler_form_matches_inverse_cartan():
     for p in posets + [diamond()]:
         bq = pr.bound_quiver_of(p)
         cm = pr.cartan_matrix(bq)
-        inv = np.array(cm.inverse(), dtype=np.int64)
+        inv = np.array(cartan_inverse(cm), dtype=np.int64)
         for _ in range(3):
             d, e = (pr.DimVector(tuple(int(x) for x in rng.integers(0, 5, len(p) + 1)))
                     for _ in range(2))
@@ -174,6 +176,18 @@ def test_quotient_dim_zero_vector_flag():
     bq = pr.bound_quiver_of(p)
     res = pr.quotient_dim_lower_bound(bq, pr.DimVector((0, 0)))
     assert res.value == 1 and res.empty_quotient
+
+
+def test_quotient_dim_rejects_malformed_vectors():
+    """Empty, short, long and negative vectors are WrongShape, as in
+    euler_form."""
+    bq = pr.bound_quiver_of(pr.primitive_poset(1, 1))
+    for entries in ((), (1, 1), (1, 1, 1, 1), (1, -1, 1)):
+        with pytest.raises(pr.WrongShape):
+            pr.quotient_dim_lower_bound(bq, pr.DimVector(entries))
+        if entries and min(entries) >= 0:
+            with pytest.raises(pr.WrongShape):
+                pr.euler_form(bq, pr.DimVector(entries))
 
 
 def test_assignment_search_frozen_values():
@@ -252,7 +266,7 @@ def test_cartan_solve_exact():
     p = diamond()
     cm = pr.cartan_matrix(pr.bound_quiver_of(p))
     rhs = tuple(Fraction(k + 1) for k in range(len(cm.order)))
-    x = cm.solve(rhs)
+    x = cartan_solve(cm, rhs)
     back = tuple(
         sum(Fraction(cm.entries[i][j]) * x[j] for j in range(len(x)))
         for i in range(len(x))

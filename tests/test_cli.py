@@ -288,6 +288,18 @@ def test_fourspace_sweep_stdout_header(capsys):
     assert len(out.strip().splitlines()) == 1
 
 
+def test_fourspace_sweep_goes_on_past_nan_and_infinite_lambdas(capsys):
+    """NaN is an invalid-lambda row, not an aborted sweep; every infinite
+    value is the point infinity."""
+    code, out, _ = run(capsys, "fourspace-sweep", "--lambdas", "2, nan, 3, -1e400")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["lambda"] for r in rows] == ["2", "nan", "3", "-1e400"]
+    assert [r["status"] for r in rows[:3]] == ["converged", "error:invalid-lambda", "converged"]
+    assert rows[3]["exceptional"] == "yes"
+    assert rows[3]["status"] == "converged"
+
+
 def test_fourspace_sweep_trace_identity_error_row(capsys):
     code, out, _ = run(
         capsys, "fourspace-sweep", "--lambdas", "2", "--chi", "3; 1, 1, 1, 1"

@@ -1,16 +1,19 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import posetrep as pr
-from posetrep.linalg import herm_expm, random_complex, random_subspace, random_unitary
+from posetrep import moment
+from posetrep.linalg import herm_expm, random_complex, random_subspace
 from posetrep.moment import _MomentMap
 from conftest import (
     oracle_moment,
     oracle_unitary_invariants,
     random_nested_rep,
     random_poset,
+    random_unitary,
     reference_flow,
     shuffled,
 )
@@ -192,10 +195,13 @@ def test_flow_matches_reference_implementation():
 
 
 def test_flow_gauge_consistency():
+    """The flow from a random unitary start in the orbit (the flow on u V
+    from the identity) reaches the same unitary class."""
     rep = pr.four_lines_rep(2)
     w = pr.FOURSPACE_WEIGHT
+    u = random_unitary(np.random.default_rng(5), rep.ambient_dim)
     s1, _ = pr.kempf_ness_flow(rep, w)
-    s2, _ = pr.kempf_ness_flow(rep, w, pr.FlowOptions(initial="random", seed=5))
+    s2, _ = pr.kempf_ness_flow(rep.transformed(u), w)
     i1 = pr.unitary_invariants(s1, 4)
     i2 = pr.unitary_invariants(s2, 4)
     assert max(abs(i1[k] - i2[k]) for k in i1) < 1e-6
@@ -216,11 +222,11 @@ def test_flow_plateau_on_coincident_lines():
     assert report.residual > 1.0
 
 
-def test_flow_breakdown_on_tiny_condition_cap():
+def test_flow_breakdown_on_tiny_condition_cap(monkeypatch):
     rep = pr.four_lines_rep(2)
-    opts = pr.FlowOptions(cond_cap=1.0 + 1e-9)
+    monkeypatch.setattr(moment, "COND_CAP", 1.0 + 1e-9)
     with pytest.raises(pr.NumericalBreakdown):
-        pr.kempf_ness_flow(rep, pr.FOURSPACE_WEIGHT, opts)
+        pr.kempf_ness_flow(rep, pr.FOURSPACE_WEIGHT)
 
 
 def test_flow_deterministic_reports():
@@ -341,6 +347,14 @@ def test_parse_lambda_tokens():
     assert pr.parse_lambda("3+4i") == 3 + 4j
     assert pr.parse_lambda("inf") == float("inf")
     assert pr.parse_lambda("oo") == float("inf")
+    assert pr.parse_lambda("-1e400") == math.inf
+    assert pr.parse_lambda("1e400") == math.inf
+    assert pr.parse_lambda("2-1e400i") == math.inf
+    assert pr.parse_lambda("1.5e308+1.5e308i") == math.inf
+    assert pr.parse_lambda("1e308+1e308i") == 1e308 + 1e308j
+    for token in ("nan", "nan+1i", "1-nani"):
+        with pytest.raises(pr.WrongShape):
+            pr.parse_lambda(token)
     with pytest.raises(pr.WrongShape):
         pr.parse_lambda("zzz")
 
