@@ -29,7 +29,7 @@ from .errors import (
     WrongShape,
 )
 from .linrep import SubspaceRep, make_rep
-from .poset import ROOT, Poset, Quiver, connected_components, hasse_quiver
+from .poset import ROOT, Poset, Quiver, build_poset, connected_components, hasse_quiver
 
 Path = tuple[str, ...]
 
@@ -330,8 +330,6 @@ def quiver_to_rep(qrep: QuiverRep, tol: float = 1e-9) -> SubspaceRep:
 def _poset_from_quiver(q: Quiver) -> Poset:
     elems = tuple(v for v in q.vertices if v != ROOT)
     covers = [(s, t) for s, t in q.arrows if t != ROOT]
-    from .poset import build_poset
-
     return build_poset(elems, covers)
 
 

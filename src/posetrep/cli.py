@@ -15,15 +15,13 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from . import fileio
 from .bound_quiver import (
-    DimVector,
     assignment_report,
     bound_quiver_of,
     euler_form,
@@ -33,11 +31,16 @@ from .errors import (
     CheckFailed,
     NoTraceIdentity,
     NumericalBreakdown,
-    ParseError,
     PosetRepError,
     SingularMetric,
 )
-from .families import four_lines_rep, is_exceptional, parse_lambda
+from .families import (
+    FOUR_ANTICHAIN,
+    FOURSPACE_WEIGHT,
+    four_lines_rep,
+    is_exceptional,
+    parse_lambda,
+)
 from .linrep import StabilityOptions, decompose, stability_check
 from .moment import FlowOptions, kempf_ness_flow, orthoscalar_check, unitary_invariants
 from .poset import hasse_quiver, is_representation_finite
@@ -54,6 +57,12 @@ class _Parser(argparse.ArgumentParser):
     # reserves 2 for non-convergence, so route usage errors through 1.
     def error(self, message):
         raise _UsageError(message)
+
+
+def _given(args, *names: str) -> dict:
+    """The named options that were set by a flag or an environment
+    variable; the library's defaults stand for the rest."""
+    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -165,14 +174,7 @@ def _cmd_dim_quotient(args) -> int:
 def _cmd_stability(args) -> int:
     rep, _ = fileio.load_rep(args.rep)
     w = fileio.parse_weight(args.weight, rep.poset)
-    opts = StabilityOptions(
-        tol=args.tol if args.tol is not None else 1e-9,
-        restarts=args.restarts,
-        seed=args.seed,
-        use_flow=args.use_flow,
-    )
-    if args.max_iter is not None:
-        opts.flow_max_iter = args.max_iter
+    opts = StabilityOptions(**_given(args, "tol", "restarts", "seed"))
     verdict = stability_check(rep, w, opts)
     lines = [
         f"classification: {verdict.classification}",
@@ -208,11 +210,7 @@ def _cmd_stability(args) -> int:
 def _cmd_solve(args) -> int:
     rep, poset_path = fileio.load_rep(args.rep)
     w = fileio.parse_weight(args.weight, rep.poset)
-    opts = FlowOptions(
-        tol=args.tol if args.tol is not None else 1e-8,
-        max_iter=args.max_iter if args.max_iter is not None else 20000,
-    )
-    system, report = kempf_ness_flow(rep, w, opts)
+    system, report = kempf_ness_flow(rep, w, FlowOptions(**_given(args, "tol", "max_iter")))
     prefix = args.prefix or os.path.splitext(args.rep)[0]
     report_path = prefix + ".report.json"
     with open(report_path, "w", encoding="utf-8") as fh:
@@ -249,8 +247,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_invariants(args) -> int:
     ps, _ = fileio.load_projection_system(args.projections)
-    check = orthoscalar_check(ps, tol=args.tol if args.tol is not None else 1e-8)
-    traces = unitary_invariants(ps, max_len=args.max_len)
+    check = orthoscalar_check(ps, **_given(args, "tol"))
+    traces = unitary_invariants(ps, **_given(args, "max_len"))
     lines = [f"orthoscalar: {'yes' if check.passed else 'no'}"]
     lines += [
         f"{' '.join(word)}: {fileio.format_complex(val)}"
@@ -288,7 +286,7 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _sweep_row(token: str, args) -> dict:
+def _sweep_row(token: str, args, w) -> dict:
     row = {col: "" for col in _SWEEP_COLUMNS}
     row["lambda"] = token
     try:
@@ -298,21 +296,15 @@ def _sweep_row(token: str, args) -> dict:
         return row
     exceptional = is_exceptional(lam)
     row["exceptional"] = "yes" if exceptional else "no"
-    tol = args.tol if args.tol is not None else 1e-8
+    opts = FlowOptions(**_given(args, "tol", "max_iter"))
     if exceptional:
         # Boundary points approach the zero fiber only polynomially; run to
         # a coarser residual and widen decompose accordingly (the angle
         # between coalescing lines scales like sqrt(residual)).
-        tol = max(tol, 1e-4)
+        opts.tol = max(opts.tol, 1e-4)
     decomp_tol = 1e-2 if exceptional else 1e-6
     try:
-        rep = four_lines_rep(lam)
-        w = fileio.parse_weight(args.chi, rep.poset)
-        opts = FlowOptions(
-            tol=tol,
-            max_iter=args.max_iter if args.max_iter is not None else 20000,
-        )
-        system, report = kempf_ness_flow(rep, w, opts)
+        system, report = kempf_ness_flow(four_lines_rep(lam), w, opts)
     except NoTraceIdentity:
         row["status"] = "error:trace-identity"
         return row
@@ -324,16 +316,12 @@ def _sweep_row(token: str, args) -> dict:
     row["iterations"] = str(report.iterations)
     if system is None:
         return row
-    e1, e2, e3, e4 = system.poset.elements
-    p = system.projections
-    t14 = float(np.trace(p[e1] @ p[e4]).real)
-    t13 = float(np.trace(p[e1] @ p[e3]).real)
-    t12 = float(np.trace(p[e1] @ p[e2]).real)
+    t14, t13, t12 = system.sphere_coordinates()
     row["a_sq"], row["b_sq"], row["c_sq"] = repr(t14), repr(t13), repr(t12)
     row["invariant_sum"] = repr(t14 + t13 + t12)
     try:
         parts = decompose(
-            system.subspace_rep(tol=decomp_tol), seed=args.seed, tol=decomp_tol
+            system.subspace_rep(tol=decomp_tol), tol=decomp_tol, **_given(args, "seed")
         )
         row["summands"] = str(len(parts))
     except PosetRepError:
@@ -343,12 +331,13 @@ def _sweep_row(token: str, args) -> dict:
 
 def _cmd_fourspace_sweep(args) -> int:
     tokens = [tok.strip() for tok in args.lambdas.split(",") if tok.strip()]
+    w = FOURSPACE_WEIGHT if args.chi is None else fileio.parse_weight(args.chi, FOUR_ANTICHAIN)
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.DictWriter(out, fieldnames=_SWEEP_COLUMNS)
         writer.writeheader()
         for token in tokens:
-            writer.writerow(_sweep_row(token, args))
+            writer.writerow(_sweep_row(token, args, w))
     finally:
         if args.out:
             out.close()
@@ -368,6 +357,22 @@ def _env_default(name: str, cast, fallback):
         raise _UsageError(f"bad value {raw!r} for PRL_{name}") from None
 
 
+def finite_positive_float(raw: str) -> float:
+    """Cast of --tol and PRL_TOL."""
+    value = float(raw)
+    if not 0 < value < math.inf:
+        raise ValueError(raw)
+    return value
+
+
+def nonnegative_int(raw: str) -> int:
+    """Cast of --max-iter and PRL_MAX_ITER."""
+    value = int(raw)
+    if value < 0:
+        raise ValueError(raw)
+    return value
+
+
 def _output_choice(raw: str) -> str:
     if raw not in ("text", "json"):
         raise ValueError(raw)
@@ -377,10 +382,11 @@ def _output_choice(raw: str) -> str:
 def _global_options() -> argparse.ArgumentParser:
     par = _Parser(add_help=False)
     g = par.add_argument_group("global options")
-    g.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                   help="numerical tolerance (default per command; env PRL_TOL)")
-    g.add_argument("--max-iter", type=int, default=argparse.SUPPRESS,
-                   help="iteration cap for flows (env PRL_MAX_ITER)")
+    g.add_argument("--tol", type=finite_positive_float, default=argparse.SUPPRESS,
+                   help="numerical tolerance, finite and > 0 (default per command; "
+                        "env PRL_TOL)")
+    g.add_argument("--max-iter", type=nonnegative_int, default=argparse.SUPPRESS,
+                   help="iteration cap for flows, >= 0 (env PRL_MAX_ITER)")
     g.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                    help="random seed (env PRL_SEED)")
     g.add_argument("--output", choices=("text", "json"), default=argparse.SUPPRESS,
@@ -429,9 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="classify a subspace representation for a weight")
     sp.add_argument("rep", help="representation file")
     sp.add_argument("-w", "--weight", required=True, help="'chi0; chi_1, ...'")
-    sp.add_argument("--restarts", type=int, default=200)
-    sp.add_argument("--use-flow", action="store_true",
-                    help="also consult the gradient-flow oracle")
+    sp.add_argument("--restarts", type=int, help="random destabilizer searches")
     sp.set_defaults(func=_cmd_stability)
 
     sp = sub.add_parser("solve", parents=[common],
@@ -444,14 +448,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("invariants", parents=[common],
                         help="trace monomials of a projection system")
     sp.add_argument("projections", help="projection-system file")
-    sp.add_argument("--max-len", type=int, default=4)
+    sp.add_argument("--max-len", type=int, help="longest trace word")
     sp.set_defaults(func=_cmd_invariants)
 
     sp = sub.add_parser("fourspace-sweep", parents=[common],
                         help="flow the four-line family over a lambda grid, CSV out")
     sp.add_argument("--lambdas", required=True,
                     help="comma-separated lambda values; 'inf' for the line <e2>")
-    sp.add_argument("--chi", default="2; 1, 1, 1, 1")
+    sp.add_argument("--chi", help="weight (default: the four-line weight)")
     sp.add_argument("--out", help="CSV path (default: stdout)")
     sp.set_defaults(func=_cmd_fourspace_sweep)
 
@@ -464,11 +468,11 @@ def _fill_globals(args) -> None:
     # shared parent actions and let the subparser clobber it); absent flags
     # are filled from the environment here instead.
     if not hasattr(args, "tol"):
-        args.tol = _env_default("TOL", float, None)
+        args.tol = _env_default("TOL", finite_positive_float, None)
     if not hasattr(args, "max_iter"):
-        args.max_iter = _env_default("MAX_ITER", int, None)
+        args.max_iter = _env_default("MAX_ITER", nonnegative_int, None)
     if not hasattr(args, "seed"):
-        args.seed = _env_default("SEED", int, 0)
+        args.seed = _env_default("SEED", int, None)
     if not hasattr(args, "output"):
         args.output = _env_default("OUTPUT", _output_choice, "text")
 

@@ -73,12 +73,7 @@ def parse_poset(text: str) -> Poset:
             covers.append((sides[0].strip(), sides[1].strip()))
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
-    try:
-        return build_poset(elements, covers)
-    except Exception as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise type(exc)(str(exc)) from None
+    return build_poset(elements, covers)
 
 
 def serialize_poset(p: Poset) -> str:
@@ -195,8 +190,61 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _resolve(base_dir: str, path: str) -> str:
-    return path if os.path.isabs(path) else os.path.join(base_dir, path)
+def _read_blocks(
+    text: str, base_dir: str, kind: str, keyword: str, attr: str,
+    headers: tuple[str, ...] = (), square: bool = False,
+):
+    """Read the layout shared by representation and projection files.
+
+    The file starts with ``poset <path>``, ``ambient <d0>`` and one line per
+    extra header keyword, in that order.  Blocks ``<keyword> <elem> <attr>
+    <k>`` follow, at most one per element, with 0 <= k <= d0; each is
+    followed by d0 matrix rows of k entries (d0 entries when ``square``),
+    and by no rows when that count is 0.  Returns the poset, its path as
+    written, d0, the text after each extra header keyword, and per element
+    k and the matrix.
+    """
+    lines = _content_lines(text)
+    if not lines or not lines[0][1].startswith("poset "):
+        raise ParseError(f"{kind} file must start with 'poset <path>'")
+    poset_path = lines[0][1][len("poset ") :].strip()
+    poset = load_poset(os.path.join(base_dir, poset_path))  # keeps an absolute path
+    names = ("ambient",) + headers
+    body = len(names) + 1
+    if len(lines) < body or any(
+        not line.startswith(name + " ") for (_, line), name in zip(lines[1:], names)
+    ):
+        wanted = " and ".join(f"'{name} ...'" for name in names)
+        raise ParseError(f"expected {wanted} after the poset line")
+    lineno, line = lines[1]
+    tokens = line.split()
+    if len(tokens) != 2 or not tokens[1].isdecimal():
+        raise ParseError("bad ambient dimension", lineno)
+    ambient = int(tokens[1])
+    extra = [line.split(None, 1)[1] for _, line in lines[2:body]]
+    blocks: dict[str, tuple[int, np.ndarray]] = {}
+    idx = body
+    while idx < len(lines):
+        lineno, line = lines[idx]
+        parts = line.split()
+        if len(parts) != 4 or parts[0] != keyword or parts[2] != attr:
+            raise ParseError(f"expected '{keyword} <elem> {attr} <k>'", lineno)
+        elem, k = parts[1], parts[3]
+        if not k.isdecimal() or int(k) > ambient:
+            raise ParseError(f"bad {attr} {k!r}, need 0..{ambient}", lineno)
+        k = int(k)
+        if elem in blocks:
+            raise ParseError(f"duplicate {keyword} block for {elem!r}", lineno)
+        ncols = ambient if square else k
+        if ncols:
+            m, idx = _parse_rows(lines, idx + 1, ambient, ncols)
+        else:
+            m, idx = np.zeros((ambient, 0), dtype=complex), idx + 1
+        blocks[elem] = (k, m)
+    unknown = set(blocks) - set(poset.elements)
+    if unknown:
+        raise ParseError(f"{keyword} blocks for unknown elements {sorted(unknown)}")
+    return poset, poset_path, ambient, extra, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -214,40 +262,10 @@ def serialize_rep(rep: SubspaceRep, poset_path: str) -> str:
 
 def parse_rep(text: str, base_dir: str = ".") -> tuple[SubspaceRep, str]:
     """Parse a representation file; returns the rep and the poset path used."""
-    lines = _content_lines(text)
-    if not lines or not lines[0][1].startswith("poset "):
-        raise ParseError("representation file must start with 'poset <path>'")
-    poset_path = lines[0][1][len("poset ") :].strip()
-    poset = load_poset(_resolve(base_dir, poset_path))
-    if len(lines) < 2 or not lines[1][1].startswith("ambient "):
-        raise ParseError("expected 'ambient <d0>' after the poset line")
-    try:
-        ambient = int(lines[1][1].split()[1])
-    except (IndexError, ValueError):
-        raise ParseError("bad ambient dimension", lines[1][0]) from None
-    spans: dict[str, np.ndarray] = {}
-    idx = 2
-    while idx < len(lines):
-        lineno, line = lines[idx]
-        parts = line.split()
-        if len(parts) != 4 or parts[0] != "span" or parts[2] != "cols":
-            raise ParseError("expected 'span <elem> cols <k>'", lineno)
-        elem = parts[1]
-        try:
-            cols = int(parts[3])
-        except ValueError:
-            raise ParseError(f"bad column count {parts[3]!r}", lineno) from None
-        idx += 1
-        if cols:
-            m, idx = _parse_rows(lines, idx, ambient, cols)
-        else:
-            m = np.zeros((ambient, 0), dtype=complex)
-        if elem in spans:
-            raise ParseError(f"duplicate span block for {elem!r}", lineno)
-        spans[elem] = m
-    unknown = set(spans) - set(poset.elements)
-    if unknown:
-        raise ParseError(f"span blocks for unknown elements {sorted(unknown)}")
+    poset, poset_path, ambient, _, blocks = _read_blocks(
+        text, base_dir, "representation", "span", "cols"
+    )
+    spans = {e: m for e, (_, m) in blocks.items()}
     # Keep stored matrices verbatim when they are already orthonormal, so
     # that reserialization is byte-stable; raw spans get orthonormalized.
     orthonormal = all(
@@ -287,39 +305,15 @@ def serialize_projection_system(ps: ProjectionSystem, poset_path: str) -> str:
 
 
 def parse_projection_system(text: str, base_dir: str = ".") -> tuple[ProjectionSystem, str]:
-    lines = _content_lines(text)
-    if not lines or not lines[0][1].startswith("poset "):
-        raise ParseError("projection file must start with 'poset <path>'")
-    poset_path = lines[0][1][len("poset ") :].strip()
-    poset = load_poset(_resolve(base_dir, poset_path))
-    if len(lines) < 3 or not lines[1][1].startswith("ambient ") or not lines[2][1].startswith("weight "):
-        raise ParseError("expected 'ambient <d0>' and 'weight <chi>' headers")
-    try:
-        ambient = int(lines[1][1].split()[1])
-    except (IndexError, ValueError):
-        raise ParseError("bad ambient dimension", lines[1][0]) from None
-    weight = parse_weight(lines[2][1][len("weight ") :], poset)
-    projections: dict[str, np.ndarray] = {}
-    ranks: dict[str, int] = {}
-    idx = 3
-    while idx < len(lines):
-        lineno, line = lines[idx]
-        parts = line.split()
-        if len(parts) != 4 or parts[0] != "projection" or parts[2] != "rank":
-            raise ParseError("expected 'projection <elem> rank <r>'", lineno)
-        elem, rank = parts[1], parts[3]
-        if elem not in poset.elements:
-            raise ParseError(f"unknown element {elem!r}", lineno)
-        try:
-            ranks[elem] = int(rank)
-        except ValueError:
-            raise ParseError(f"bad rank {rank!r}", lineno) from None
-        m, idx = _parse_rows(lines, idx + 1, ambient, ambient)
-        projections[elem] = m
+    poset, poset_path, _, (weight,), blocks = _read_blocks(
+        text, base_dir, "projection", "projection", "rank", ("weight",), square=True
+    )
+    ranks = {e: k for e, (k, _) in blocks.items()}
+    projections = {e: m for e, (_, m) in blocks.items()}
     missing = set(poset.elements) - set(projections)
     if missing:
         raise ParseError(f"missing projection blocks for {sorted(missing)}")
-    return ProjectionSystem(poset, weight, projections, ranks), poset_path
+    return ProjectionSystem(poset, parse_weight(weight, poset), projections, ranks), poset_path
 
 
 def load_projection_system(path: str) -> tuple[ProjectionSystem, str]:

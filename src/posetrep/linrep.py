@@ -201,14 +201,6 @@ class Weight:
         total = sum(self.chi[e] * rep.dim(e) for e in rep.poset.elements)
         return total == self.chi0 * rep.ambient_dim
 
-    def stability_form(self, poset: Poset) -> tuple[Fraction, ...]:
-        """The associated linear form (chi0; -chi_e) on dimension vectors."""
-        return (self.chi0,) + tuple(-self.chi[e] for e in poset.elements)
-
-    def coadjoint_spectrum(self, e: str, d0: int, de: int) -> tuple[Fraction, ...]:
-        """Eigenvalue list (chi_e, ..., chi_e, 0, ..., 0) with de copies."""
-        return (self.chi[e],) * de + (Fraction(0),) * (d0 - de)
-
     def __repr__(self) -> str:
         return f"Weight({self.chi0}; {self.chi})"
 
@@ -542,8 +534,6 @@ class StabilityOptions:
     tol: float = DEFAULT_TOL
     restarts: int = 200
     seed: int = 0
-    use_flow: bool = False
-    flow_max_iter: int = 20000
 
 
 @dataclass
@@ -562,19 +552,17 @@ def stability_check(
 ) -> StabilityVerdict:
     """Classify the representation for the given weight.
 
-    Three cooperating procedures: maximization of the score over the
-    lattice generated by the V_e (exact given the numerically decided
-    intersection dimensions), a seeded randomized destabilizer search with
+    Two cooperating procedures: maximization of the score over the lattice
+    generated by the V_e (exact given the numerically decided intersection
+    dimensions), and a seeded randomized destabilizer search with
     saturation as local improvement (a heuristic: the lattice need not hold
-    a maximizer of the score, so the random search may score higher), and
-    (optionally) the moment-map flow as an independent polystability oracle.
+    a maximizer of the score, so the random search may score higher).
 
     ``inconclusive`` is set when the lattice overflows the default cap of
     ``subspace_lattice`` (512 members), when the random search finds a
     score of larger sign than the lattice (a destabilizer or tie the
-    lattice missed, which changes the verdict), when the flow oracle
-    disagrees (flow at the default tol of FlowOptions), or when a rank
-    guard fails: for some scored K, some [V_e, -K] has a different rank at
+    lattice missed, which changes the verdict), or when a rank guard
+    fails: for some scored K, some [V_e, -K] has a different rank at
     0.1*tol, tol or 10*tol, so an intersection dimension hangs on the
     tolerance (``diagnostics["rank_guard_stable"]``).
 
@@ -590,7 +578,6 @@ def stability_check(
     d0 = rep.ambient_dim
     trace_ok = w.trace_identity(rep)
     guard_ok = True
-    methods = ["lattice_exact", "randomized"]
     diagnostics: dict = {"sigma": str(w.slope(rep)), "restarts": opts.restarts}
     inconclusive = False
 
@@ -665,21 +652,10 @@ def stability_check(
     else:
         classification = STABLE
 
-    if opts.use_flow and trace_ok:
-        from .moment import FlowOptions, kempf_ness_flow
-
-        methods.append("flow_oracle")
-        _, report = kempf_ness_flow(rep, w, FlowOptions(max_iter=opts.flow_max_iter))
-        diagnostics["flow_status"] = report.status
-        flow_poly = report.status == "converged"
-        class_poly = classification in (STABLE, POLYSTABLE_NOT_STABLE)
-        if flow_poly != class_poly:
-            inconclusive = True
-
     return StabilityVerdict(
         classification=classification,
         witness=witness,
-        methods=tuple(methods),
+        methods=("lattice_exact", "randomized"),
         inconclusive=inconclusive,
         best_score=None if best is None else best[0],
         trace_identity=trace_ok,

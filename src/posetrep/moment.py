@@ -33,7 +33,7 @@ from .errors import (
     SingularMetric,
     WrongShape,
 )
-from .linrep import SubspaceRep, Weight, _width_groups
+from .linrep import SubspaceRep, Weight, _width_groups, make_rep
 from .poset import Poset
 
 
@@ -52,15 +52,23 @@ class ProjectionSystem:
             return p.shape[0]
         return 0
 
+    def range_basis(self, e: str) -> np.ndarray:
+        """Orthonormal basis of range(P_e): the eigenvectors of the rank_e
+        largest eigenvalues."""
+        w, v = np.linalg.eigh(self.projections[e])
+        return v[:, np.argsort(w)[::-1][: self.ranks[e]]]
+
     def subspace_rep(self, tol: float = 1e-8) -> SubspaceRep:
         """Representation spanned by the projection ranges (rank many columns)."""
-        from .linrep import make_rep
-
-        spans = {}
-        for e in self.poset.elements:
-            w, v = np.linalg.eigh(self.projections[e])
-            spans[e] = v[:, np.argsort(w)[::-1][: self.ranks[e]]]
+        spans = {e: self.range_basis(e) for e in self.poset.elements}
         return make_rep(self.poset, self.ambient_dim, spans, tol=tol)
+
+    def sphere_coordinates(self) -> tuple[float, float, float]:
+        """(tr(P1 P4), tr(P1 P3), tr(P1 P2)) over the first four elements;
+        see :func:`fourspace_parameters`."""
+        e1, e2, e3, e4 = self.poset.elements
+        p1 = self.projections[e1]
+        return tuple(float(np.trace(p1 @ self.projections[e]).real) for e in (e4, e3, e2))
 
 
 class CheckReport:
@@ -394,9 +402,7 @@ def hopf_normal_form(ps: ProjectionSystem, tol: float = 1e-6) -> dict[str, np.nd
     out: dict[str, np.ndarray] = {}
     total = np.zeros((d0, d0), dtype=complex)
     for e in ps.poset.elements:
-        w, v = np.linalg.eigh(ps.projections[e])
-        q = v[:, np.argsort(w)[::-1][: ps.ranks[e]]]
-        a = np.sqrt(chi[e]) * q
+        a = np.sqrt(chi[e]) * ps.range_basis(e)
         gram_dev = np.linalg.norm(a.conj().T @ a - chi[e] * np.eye(ps.ranks[e]))
         if gram_dev > tol:
             raise CheckFailed(f"normal form for {e!r} fails its Gram identity")
@@ -467,10 +473,4 @@ def fourspace_parameters(ps: ProjectionSystem, tol: float = 1e-6) -> tuple[float
     report = orthoscalar_check(ps, tol)
     if not report.passed:
         raise CheckFailed(f"system is not orthoscalar at {tol:.0e}: {report.as_dict()}")
-    e1, e2, e3, e4 = p.elements
-    p1 = ps.projections[e1]
-    return (
-        float(np.trace(p1 @ ps.projections[e4]).real),
-        float(np.trace(p1 @ ps.projections[e3]).real),
-        float(np.trace(p1 @ ps.projections[e2]).real),
-    )
+    return ps.sphere_coordinates()

@@ -399,6 +399,15 @@ def shuffled(rng: np.random.Generator, p: pr.Poset) -> pr.Poset:
     return pr.Poset([p.elements[i] for i in rng.permutation(len(p))], p.pairs)
 
 
+def restrict(p: pr.Poset, subset) -> pr.Poset:
+    """Full subposet on the given elements, keeping stored order."""
+    keep = set(subset)
+    elems = tuple(e for e in p.elements if e in keep)
+    if len(elems) != len(keep):
+        raise pr.InvalidElement("restriction subset contains unknown elements")
+    return pr.Poset(elems, {(a, b) for a, b in p.pairs if a in keep and b in keep})
+
+
 def random_relabelled_poset(rng: np.random.Generator, n: int) -> pr.Poset:
     """Random poset of random density whose stored element order is shuffled,
     so that stored order is not a linear extension."""

@@ -222,12 +222,17 @@ def test_missing_file_exit_1(capsys, files):
     assert "error:" in err
 
 
-def test_usage_errors_exit_1(capsys):
+def test_usage_errors_exit_1(capsys, files):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1
     assert "error:" in err
     code, _, err = run(capsys)
     assert code == 1
+    code, _, err = run(
+        capsys, "stability", files["lam2.rep"], "-w", "2; 1, 1, 1, 1", "--use-flow"
+    )
+    assert code == 1
+    assert "--use-flow" in err
 
 
 def test_invariants_on_solution(capsys, files, tmp_path):
@@ -300,6 +305,19 @@ def test_fourspace_sweep_goes_on_past_nan_and_infinite_lambdas(capsys):
     assert rows[3]["status"] == "converged"
 
 
+def test_fourspace_sweep_bad_chi_writes_no_csv(capsys, tmp_path):
+    out_path = tmp_path / "sweep.csv"
+    for chi in ("2; 1, 1", "x; 1, 1, 1, 1"):
+        code, out, err = run(
+            capsys, "fourspace-sweep", "--lambdas", "2, nan", "--chi", chi,
+            "--out", str(out_path),
+        )
+        assert code == 1
+        assert "error:" in err
+        assert out == ""
+        assert not out_path.exists()
+
+
 def test_fourspace_sweep_trace_identity_error_row(capsys):
     code, out, _ = run(
         capsys, "fourspace-sweep", "--lambdas", "2", "--chi", "3; 1, 1, 1, 1"
@@ -367,6 +385,24 @@ def test_env_bad_values_exit_1(capsys, files, monkeypatch):
     code, _, err = run(capsys, "kleiner", files["p12.poset"])
     assert code == 1
     assert "PRL_MAX_ITER" in err
+
+
+def test_bad_tol_and_max_iter_exit_1(capsys, files, monkeypatch):
+    """A tolerance must be finite and positive and an iteration cap
+    nonnegative, whether given by flag or by environment variable."""
+    stability = ["stability", files["lam2.rep"], "-w", "2; 1, 1, 1, 1"]
+    solve = ["solve", files["lam2.rep"], "-w", "2; 1, 1, 1, 1", "--prefix", files["dir"] + "/bad"]
+    bad = [("--tol", "PRL_TOL", v, stability) for v in ("nan", "inf", "0", "-1")]
+    bad.append(("--max-iter", "PRL_MAX_ITER", "-5", solve))
+    for flag, var, value, argv in bad:
+        code, out, err = run(capsys, *argv, flag, value)
+        assert (code, out) == (1, ""), (flag, value)
+        assert flag in err
+        monkeypatch.setenv(var, value)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), (var, value)
+        assert var in err
+        monkeypatch.delenv(var)
 
 
 def test_env_max_iter_limits_flow(capsys, files, tmp_path, monkeypatch):

@@ -233,6 +233,15 @@ def test_projection_system_parse_errors(tmp_path):
         fileio.parse_projection_system(
             head + block.replace("rank 1", "rank one"), base_dir=str(tmp_path)
         )
+    with pytest.raises(pr.ParseError, match="line 6.*duplicate projection"):
+        fileio.parse_projection_system(
+            head + block.replace("projection a2", "projection a1"), base_dir=str(tmp_path)
+        )
+    for rank in ("-1", "2"):
+        with pytest.raises(pr.ParseError, match="line 4.*bad rank"):
+            fileio.parse_projection_system(
+                head + block.replace("rank 1", "rank " + rank), base_dir=str(tmp_path)
+            )
 
 
 def test_rep_poset_path_resolution(tmp_path):

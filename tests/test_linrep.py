@@ -98,8 +98,6 @@ def test_weight_derived_quantities():
     assert w.normalized(p) == {"a1": 0.25, "a2": 0.75}
     chi0, chi = w.common_integer(p)
     assert (chi0, chi["a1"], chi["a2"]) == (4, 1, 3)
-    assert w.stability_form(p) == (Fraction(2), Fraction(-1, 2), Fraction(-3, 2))
-    assert w.coadjoint_spectrum("a1", 3, 1) == (Fraction(1, 2), 0, 0)
 
 
 def test_weight_slope_and_trace_identity():
@@ -378,15 +376,23 @@ def test_stability_broken_trace_identity_not_polystable():
     assert not v.trace_identity
 
 
-def test_stability_flow_oracle_recorded():
-    v = pr.stability_check(
-        pr.four_lines_rep(2),
-        pr.FOURSPACE_WEIGHT,
-        pr.StabilityOptions(use_flow=True),
-    )
-    assert v.classification == pr.STABLE
-    assert "flow_oracle" in v.methods
-    assert not v.inconclusive
+def test_stability_agrees_with_flow():
+    """King's correspondence, checked by two independent routes: a rep is
+    polystable exactly when the Kempf-Ness flow reaches mu = 0."""
+    w2 = pr.Weight(1, {"a1": 1, "a2": 1})
+    cases = [
+        (pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT, pr.STABLE),
+        (pr.four_lines_rep(3 + 4j), pr.FOURSPACE_WEIGHT, pr.STABLE),
+        (two_lines(), w2, pr.POLYSTABLE_NOT_STABLE),
+        (two_lines(E1, E1), w2, pr.UNSTABLE),
+    ]
+    for rep, w, expected in cases:
+        verdict = pr.stability_check(rep, w)
+        _, report = pr.kempf_ness_flow(rep, w, pr.FlowOptions(max_iter=2000))
+        assert verdict.classification == expected
+        assert (report.status == "converged") == (
+            verdict.classification in (pr.STABLE, pr.POLYSTABLE_NOT_STABLE)
+        )
 
 
 def test_stability_exceptional_lambdas():
