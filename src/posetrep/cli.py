@@ -296,15 +296,13 @@ def _sweep_row(token: str, args, w) -> dict:
         return row
     exceptional = is_exceptional(lam)
     row["exceptional"] = "yes" if exceptional else "no"
-    opts = FlowOptions(**_given(args, "tol", "max_iter"))
-    if exceptional:
-        # Boundary points approach the zero fiber only polynomially; run to
-        # a coarser residual and widen decompose accordingly (the angle
-        # between coalescing lines scales like sqrt(residual)).
-        opts.tol = max(opts.tol, 1e-4)
+    # At a boundary point the two coalescing lines of the limit meet at an
+    # angle of order sqrt(residual), so decompose needs a wider tolerance.
     decomp_tol = 1e-2 if exceptional else 1e-6
     try:
-        system, report = kempf_ness_flow(four_lines_rep(lam), w, opts)
+        system, report = kempf_ness_flow(
+            four_lines_rep(lam), w, FlowOptions(**_given(args, "tol", "max_iter"))
+        )
     except NoTraceIdentity:
         row["status"] = "error:trace-identity"
         return row
@@ -366,7 +364,7 @@ def finite_positive_float(raw: str) -> float:
 
 
 def nonnegative_int(raw: str) -> int:
-    """Cast of --max-iter and PRL_MAX_ITER."""
+    """Cast of --max-iter, PRL_MAX_ITER, --restarts and --max-len."""
     value = int(raw)
     if value < 0:
         raise ValueError(raw)
@@ -435,11 +433,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="classify a subspace representation for a weight")
     sp.add_argument("rep", help="representation file")
     sp.add_argument("-w", "--weight", required=True, help="'chi0; chi_1, ...'")
-    sp.add_argument("--restarts", type=int, help="random destabilizer searches")
+    sp.add_argument("--restarts", type=nonnegative_int,
+                    help="random destabilizer searches, >= 0")
     sp.set_defaults(func=_cmd_stability)
 
     sp = sub.add_parser("solve", parents=[common],
-                        help="gradient flow to the orthoscalar representative")
+                        help="Kempf-Ness flow to the orthoscalar representative")
     sp.add_argument("rep")
     sp.add_argument("-w", "--weight", required=True)
     sp.add_argument("--prefix", help="output prefix (default: rep path stem)")
@@ -448,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("invariants", parents=[common],
                         help="trace monomials of a projection system")
     sp.add_argument("projections", help="projection-system file")
-    sp.add_argument("--max-len", type=int, help="longest trace word")
+    sp.add_argument("--max-len", type=nonnegative_int, help="longest trace word, >= 0")
     sp.set_defaults(func=_cmd_invariants)
 
     sp = sub.add_parser("fourspace-sweep", parents=[common],

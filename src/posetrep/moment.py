@@ -7,16 +7,23 @@ g in GL(V) is
 
 A zero of mu on the GL-orbit of the representation is an orthoscalar system:
 Hermitian idempotents of the prescribed ranks, nested along the poset
-(P_i P_j = P_j P_i = P_i for i < j), summing with weights to chi0 I.  The
-flow g <- exp(-eps mu(g)) g is gradient descent for the squared residual
-F(g) = ||mu(g)||_F^2.  The infimum of F over the orbit is zero exactly on
-the semistable classes, and it is attained (by an orthoscalar
+(P_i P_j = P_j P_i = P_i for i < j), summing with weights to chi0 I.  mu is
+the gradient of the Kempf-Ness potential, which is geodesically convex
+along g <- exp(t x) g, and its Hessian is
+L(x) = sum_e chi_e (x P_e + P_e x - 2 P_e x P_e).  The flow takes damped
+Newton steps: x solves L(x) = -mu inexactly by conjugate gradients, one
+batched product over the projector stack per CG step, and the damping
+backtracks on the squared residual F(g) = ||mu(g)||_F^2, which falls
+quadratically near a zero.  The infimum of F over the orbit is zero
+exactly on the semistable classes, and it is attained (by an orthoscalar
 representative) exactly on the polystable ones.  So a converged run
 certifies polystability only while the metric condition number stays
 bounded: a condition that keeps growing as the residual falls means the
 flow is approaching the boundary of the orbit, as it does for strictly
-semistable classes (the four lines at lambda in {0, 1, inf}).  A
-positive-residual plateau points to instability.
+semistable classes (the four lines at lambda in {0, 1, inf}, which still
+reach the default tolerance in about 19 steps).  On an unstable class the
+residual stalls above the norm of the Harder-Narasimhan type while the
+metric degenerates, and the flow stops with a plateau.
 """
 
 from __future__ import annotations
@@ -144,11 +151,7 @@ class _MomentMap:
     one QR of g V_e batched over the group.  Along the flow g is invertible
     with bounded condition, so g V_e keeps the column rank of V_e and no
     rank cut is needed; the Gram route M (M* M)^-1 M* would square the
-    condition number.  Width-0 elements have the zero projector.  mu is
-    summed from -chi0 I in poset order, as one reduction over a stack: near
-    the boundary the flow's accept/reject decisions follow the last bits of
-    mu, and summing in another order (a tensordot) moves its iteration
-    counts.
+    condition number.  Width-0 elements have the zero projector.
     """
 
     def __init__(self, rep: SubspaceRep, w: Weight):
@@ -167,16 +170,24 @@ class _MomentMap:
         for idx, stack in self.groups:
             q = np.linalg.qr(g @ stack)[0]
             p[idx] = q @ q.conj().swapaxes(1, 2)
-        terms = np.empty((n + 1, d0, d0), dtype=complex)
-        terms[0] = self.shift
-        np.multiply(self.chi[:, None, None], p, out=terms[1:])
-        return p, terms.sum(axis=0)
+        return p, self._weighted_sum(p) + self.shift
 
-    def gradient_sq(self, p: np.ndarray, mu: np.ndarray) -> float:
-        """4 sum_e chi_e |(I - P_e) mu P_e|_F^2."""
-        mp = mu @ p
-        r = mp - p @ mp
-        return 4.0 * float(self.chi @ (r.real**2 + r.imag**2).sum(axis=(1, 2)))
+    def _weighted_sum(self, stack: np.ndarray) -> np.ndarray:
+        """sum_e chi_e stack[e], as one vector-matrix product."""
+        d0 = stack.shape[1]
+        return (self.chi @ stack.reshape(len(self.chi), d0 * d0)).reshape(d0, d0)
+
+    def hessian(self, p: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """L(x) = sum_e chi_e (R_e + R_e*) with R_e = (I - P_e) x P_e, the
+        Hessian of the Kempf-Ness potential (the derivative of mu along
+        g <- exp(t x) g) applied to a Hermitian x, and the curvature
+        <x, L(x)> = 2 sum_e chi_e |R_e|_F^2, summed from squares so that it
+        stays accurate where L is nearly singular."""
+        xp = x @ p
+        r = xp - p @ xp
+        s = self._weighted_sum(r)
+        curvature = 2.0 * float(self.chi @ (r.real**2 + r.imag**2).sum(axis=(1, 2)))
+        return s + s.conj().T, curvature
 
     def system(self, p: np.ndarray) -> ProjectionSystem:
         """The projections keyed in poset order."""
@@ -210,22 +221,28 @@ def kn_directional_derivative(
 ) -> float:
     """Derivative of F(exp(t h) g) = ||mu||_F^2 at t = 0, for Hermitian h.
 
-    Equals 4 Re tr(mu D) with D = sum_e chi_e (I - P_e) h P_e.
+    Equals 2 Re tr(mu L(h)) with L the Hessian of ``_MomentMap.hessian``.
     """
     mmap, p, mu = _checked_moment(rep, g, w)
-    hp = linalg.as_complex(h) @ p
-    d = np.tensordot(mmap.chi, hp - p @ hp, axes=1)
-    return float(4.0 * np.real(np.trace(mu @ d)))
+    lh, _ = mmap.hessian(p, linalg.as_complex(h))
+    return 2.0 * _inner(mu, lh)
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Re tr(a* b), the real inner product on Hermitian matrices."""
+    return float(np.vdot(a, b).real)
 
 
 #: Armijo constant of the backtracking test
 ARMIJO_C = 0.1
-#: the step doubles after this many accepted steps in a row
-GROW_EVERY = 5
-#: plateau: the gradient norm stays below PLATEAU_GRAD for PLATEAU_WINDOW
-#: iterations while the residual stays above 100 tol
-PLATEAU_GRAD = 1e-10
-PLATEAU_WINDOW = 50
+#: damped trials per iteration; the damping halves after each rejection
+MAX_TRIALS = 40
+#: trust region of the Newton direction: |x|_F <= MAX_STEP
+MAX_STEP = 10.0
+#: stall: plateau when the residual has not fallen below STALL_FACTOR times
+#: its value STALL_WINDOW iterations earlier
+STALL_WINDOW = 20
+STALL_FACTOR = 0.5
 #: largest metric condition number before NumericalBreakdown
 COND_CAP = 1e12
 
@@ -241,9 +258,10 @@ class FlowReport:
     status: str  # converged | plateau | max_iter
     iterations: int
     attempts: int  # step trials, accepted or not, over all iterations
+    hvp: int  # Hessian-vector products over all iterations
     residual: float
     gradient_norm: float
-    step: float
+    step: float  # last accepted damping t in (0, 1]; 0 when none was accepted
     condition: float
     history: list[float] = field(default_factory=list)
     final_metric: np.ndarray | None = None
@@ -260,6 +278,7 @@ class FlowReport:
             "status": self.status,
             "iterations": self.iterations,
             "attempts": self.attempts,
+            "hvp": self.hvp,
             "residual": self.residual,
             "gradient_norm": self.gradient_norm,
             "step": self.step,
@@ -269,20 +288,78 @@ class FlowReport:
         }
 
 
+def _newton_direction(
+    mmap: _MomentMap, p: np.ndarray, mu: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Conjugate gradients on L(x) = -mu over Hermitian x, from x = 0.
+
+    Stops once |L(x) + mu| <= min(1/2, sqrt|mu|) |mu| (an inexact Newton
+    step whose accuracy grows as mu shrinks) or after d0^2 products (the
+    real dimension of the Hermitian matrices).  It also stops, keeping the
+    current x, before a direction of no curvature or a step that would
+    leave the trust region |x|_F <= MAX_STEP: when mu has a part along the
+    flat stabilizer directions (a direct sum of unequal slopes) that part
+    cannot be solved for, and CG would otherwise run off along it.  A
+    first step that leaves the region is cut to its boundary instead, so
+    the direction is zero only when mu meets no curvature at all.  Returns
+    x, L(x), the squared gradient norm 4 sum_e chi_e |(I - P_e) mu P_e|_F^2
+    (twice the curvature along mu, read off the first product) and the
+    number of products.
+    """
+    d0 = len(mu)
+    x = np.zeros_like(mu)
+    lx = np.zeros_like(mu)
+    r = -0.5 * (mu + mu.conj().T)
+    d = r.copy()
+    rr = _inner(r, r)
+    norm = np.sqrt(rr)
+    target = min(0.5, np.sqrt(norm)) * norm
+    grad_sq = 0.0
+    # a curvature below the rounding noise of R_e along d reads as flat
+    floor = float(np.sum(mmap.chi)) * (16 * d0 * np.finfo(float).eps) ** 2
+    for k in range(d0 * d0):
+        ld, curvature = mmap.hessian(p, d)
+        dd = _inner(d, d)
+        if k == 0:
+            grad_sq = 2.0 * curvature
+        if curvature <= floor * dd:
+            break
+        a = rr / curvature
+        if _inner(x + a * d, x + a * d) > MAX_STEP * MAX_STEP:
+            if k == 0:
+                a = MAX_STEP / np.sqrt(dd)
+                x, lx = a * d, a * ld
+            break
+        x += a * d
+        lx += a * ld
+        r -= a * ld
+        rr_next = _inner(r, r)
+        if np.sqrt(rr_next) <= target:
+            break
+        d = r + (rr_next / rr) * d
+        rr = rr_next
+    return x, lx, grad_sq, k + 1
+
+
 def kempf_ness_flow(
     rep: SubspaceRep, w: Weight, opts: FlowOptions | None = None
 ) -> tuple[ProjectionSystem | None, FlowReport]:
-    """Run gradient descent g <- exp(-eps mu(g)) g on F = ||mu||_F^2 from
-    g = I.
+    """Minimize F = ||mu||_F^2 over the orbit by damped Newton steps
+    g <- exp(t x) g from g = I.
 
-    Backtracking (Armijo constant ARMIJO_C) keeps the residual history
-    monotone; the step starts at 1 / (4 chi0), is halved on rejection and
-    doubled after GROW_EVERY consecutive accepts.  Stops with status
-    converged when the residual drops below tol, plateau when the gradient
-    stays below PLATEAU_GRAD for PLATEAU_WINDOW iterations while the
-    residual stays above 100 tol, and max_iter otherwise.  The weighted
-    trace identity is required up front (NoTraceIdentity), and the metric
-    condition number is capped at COND_CAP (NumericalBreakdown).
+    The direction x is an inexact Newton step on the Kempf-Ness potential:
+    conjugate gradients on L(x) = -mu, with L the Hessian of
+    ``_MomentMap.hessian``, each product a few batched matmuls over the
+    projector stack (see ``_newton_direction``).  The damping t starts at 1
+    in every iteration and halves until the Armijo test
+    F(t) < F + ARMIJO_C t s holds, with the slope s = 2 Re tr(mu L(x))
+    (about -2F, so F falls quadratically near a zero of mu), for at most
+    MAX_TRIALS trials.  Stops with status converged when the residual
+    drops below tol; plateau when no trial is accepted or the residual is
+    above STALL_FACTOR times its value STALL_WINDOW iterations earlier; and
+    max_iter otherwise.  The weighted trace identity is required up front
+    (NoTraceIdentity), and the metric condition number is capped at
+    COND_CAP (NumericalBreakdown).
 
     Each step trial costs one Hermitian exponential, one moment-map
     evaluation (one batched QR per span width, see ``_MomentMap``) and one
@@ -306,15 +383,13 @@ def kempf_ness_flow(
         )
     g = np.eye(rep.ambient_dim, dtype=complex)
     mmap = _MomentMap(rep, w)
-    step = 1.0 / (4.0 * float(w.chi0))
     projs, mu = mmap(g)
     residual = float(np.linalg.norm(mu))
-    condition = linalg.condition_number(g)
+    condition = 1.0
     history = [residual]
-    grad_norm = np.inf
-    plateau_count = 0
-    accepts_in_row = 0
-    attempts = 0
+    grad_norm = 0.0
+    step = 0.0
+    attempts = hvp = 0
     status = "max_iter"
     iterations = 0
 
@@ -323,48 +398,44 @@ def kempf_ness_flow(
             status = "converged"
             iterations -= 1
             break
-        grad_sq = mmap.gradient_sq(projs, mu)
+        x, lx, grad_sq, products = _newton_direction(mmap, projs, mu)
+        hvp += products
         grad_norm = np.sqrt(grad_sq)
-        if grad_norm < PLATEAU_GRAD and residual > 100 * opts.tol:
-            plateau_count += 1
-            if plateau_count >= PLATEAU_WINDOW:
-                status = "plateau"
-                break
-        else:
-            plateau_count = 0
-
         f_old = residual * residual
+        slope = 2.0 * _inner(mu, lx)
         accepted = False
-        for _ in range(60):
+        t = 1.0
+        # a direction of no descent (x = 0 when mu meets no curvature) gets
+        # no trial, and the iteration ends the run as a plateau
+        for _ in range(MAX_TRIALS if slope < 0 else 0):
             attempts += 1
-            cand = linalg.herm_expm(-step * mu) @ g
+            cand = linalg.herm_expm(t * x) @ g
             # s[0] is the spectral norm and s[0] / s[-1] the condition
             s = np.linalg.svd(cand, compute_uv=False)
             cand = cand / s[0]
             cprojs, cmu = mmap(cand)
             cres = float(np.linalg.norm(cmu))
-            # Strict decrease: at an exact critical point (grad 0) the
-            # candidate leaves the residual unchanged and must be rejected,
-            # otherwise step growth inflates the metric for nothing.
-            if cres * cres < f_old - ARMIJO_C * step * grad_sq:
+            if cres * cres < f_old + ARMIJO_C * t * slope:
                 accepted = True
                 break
-            step *= 0.5
+            t *= 0.5
         if accepted:
             g, projs, mu, residual = cand, cprojs, cmu, cres
             condition = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
-            accepts_in_row += 1
-            if accepts_in_row >= GROW_EVERY:
-                step = min(step * 2.0, 1e9)
-                accepts_in_row = 0
-        else:
-            accepts_in_row = 0
+            step = t
         history.append(residual)
         if condition > COND_CAP:
             raise NumericalBreakdown(
                 f"metric condition number exceeded {COND_CAP:.0e} "
                 f"at residual {residual:.3e}"
             )
+        stalled = (
+            len(history) > STALL_WINDOW
+            and residual > STALL_FACTOR * history[-1 - STALL_WINDOW]
+        )
+        if (not accepted or stalled) and residual >= opts.tol:
+            status = "plateau"
+            break
     else:
         iterations = opts.max_iter
 
@@ -375,8 +446,9 @@ def kempf_ness_flow(
         status=status,
         iterations=iterations,
         attempts=attempts,
+        hvp=hvp,
         residual=residual,
-        gradient_norm=float(grad_norm) if np.isfinite(grad_norm) else 0.0,
+        gradient_norm=float(grad_norm),
         step=step,
         condition=linalg.condition_number(g),
         history=history,

@@ -7,8 +7,9 @@ a hard-coded critical list, the bound-quiver invariants by exact rational
 elimination on the path space, the inverse Cartan matrix by back
 substitution, the subspace lattice and the stability score by pairwise
 closure and one intersection SVD per element, the moment map by one SVD per
-element, the trace words by one product per word from scratch, and a
-fixed-step reference flow with its own projector and moment computations.
+element, the Hessian of the Newton step as a dense Kronecker matrix, the
+trace words by one product per word from scratch, and a fixed-step
+reference flow with its own projector and moment computations.
 """
 
 from __future__ import annotations
@@ -329,6 +330,17 @@ def oracle_moment(rep, w, g):
     return projs, mu
 
 
+def oracle_hessian(projs: dict, w) -> np.ndarray:
+    """The Hessian X -> sum_e chi_e ((I - P_e) X P_e + P_e X (I - P_e)) as a
+    dense d0^2 x d0^2 matrix on column-major vec(X):
+    sum_e chi_e (kron(P_e^T, I - P_e) + kron((I - P_e)^T, P_e))."""
+    total = 0
+    for e, p in projs.items():
+        q = np.eye(len(p)) - p
+        total = total + float(w.chi[e]) * (np.kron(p.T, q) + np.kron(q.T, p))
+    return total
+
+
 def oracle_unitary_invariants(ps, max_len: int = 4):
     """tr(P_{w1} ... P_{wk}) for every word whose smallest rotation (by
     element index) is itself, each product formed from scratch."""
@@ -382,6 +394,21 @@ def reference_flow(rep, w, steps: int = 4000, eta: float = 0.05):
 
 # ---------------------------------------------------------------------------
 # randomized helpers
+
+def planted_line_rep(rng: np.random.Generator):
+    """Six 2-planes in C^4, the first four through one common line, with
+    weight (3; 1, 1, 1, 1, 1, 1): the line has slope 4 > 3, so the rep is
+    unstable and no orthoscalar representative exists."""
+    from posetrep.linalg import random_subspace
+
+    p = pr.primitive_poset(*[1] * 6)
+    line = random_subspace(rng, 4, 1)
+    spans = {
+        e: np.hstack([line, random_subspace(rng, 4, 1)]) if i < 4 else random_subspace(rng, 4, 2)
+        for i, e in enumerate(p.elements)
+    }
+    return pr.make_rep(p, 4, spans), pr.Weight(3, {e: 1 for e in p.elements})
+
 
 def random_poset(rng: np.random.Generator, n: int, density: float = 0.4) -> pr.Poset:
     names = [f"x{i}" for i in range(n)]

@@ -8,6 +8,7 @@ import pytest
 import posetrep as pr
 from posetrep import fileio
 from posetrep.cli import main
+from conftest import planted_line_rep
 
 
 def run(capsys, *argv):
@@ -204,6 +205,26 @@ def test_solve_non_convergence_exit_2(capsys, files, tmp_path):
     assert not (tmp_path / "stuck.proj").exists()
 
 
+def test_solve_unstable_plateau_exit_2(capsys, files, tmp_path):
+    """Four of six 2-planes in C^4 through one line: the flow stalls above
+    the norm of the Harder-Narasimhan type and stops in tens of iterations
+    with a plateau."""
+    rep, _ = planted_line_rep(np.random.default_rng(3))
+    (tmp_path / "anti6.poset").write_text(fileio.serialize_poset(rep.poset))
+    (tmp_path / "planted.rep").write_text(fileio.serialize_rep(rep, "anti6.poset"))
+    code, out, _ = run(
+        capsys, "--output", "json", "solve", str(tmp_path / "planted.rep"),
+        "-w", "3; 1, 1, 1, 1, 1, 1",
+    )
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["status"] == "plateau"
+    assert payload["iterations"] <= 100
+    assert payload["hvp"] >= payload["iterations"]
+    assert payload["residual"] > np.sqrt(4 / 3) - 1e-9
+    assert payload["files"] == [str(tmp_path / "planted.report.json")]
+
+
 def test_solve_trace_identity_failure_exit_1(capsys, files):
     code, _, err = run(capsys, "solve", files["same.rep"], "-w", "2; 1, 1")
     assert code == 1
@@ -233,6 +254,18 @@ def test_usage_errors_exit_1(capsys, files):
     )
     assert code == 1
     assert "--use-flow" in err
+    proj = files["dir"] + "/sphere.proj"
+    fileio.save_projection_system(pr.sphere_projection_system(0.6, 0.8, 0.0), proj, "anti4.poset")
+    negative = [
+        ("--restarts", ["stability", files["lam2.rep"], "-w", "2; 1, 1, 1, 1", "--restarts", "-5"]),
+        ("--max-len", ["invariants", proj, "--max-len", "-1"]),
+    ]
+    for flag, argv in negative:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), flag
+        assert flag in err
+    code, out, _ = run(capsys, "invariants", proj, "--max-len", "0")
+    assert (code, out) == (0, "orthoscalar: yes\n")
 
 
 def test_invariants_on_solution(capsys, files, tmp_path):

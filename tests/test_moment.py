@@ -9,8 +9,10 @@ from posetrep import moment
 from posetrep.linalg import herm_expm, random_complex, random_subspace
 from posetrep.moment import _MomentMap
 from conftest import (
+    oracle_hessian,
     oracle_moment,
     oracle_unitary_invariants,
+    planted_line_rep,
     random_nested_rep,
     random_poset,
     random_unitary,
@@ -240,14 +242,95 @@ def test_flow_deterministic_reports():
 
 
 def test_flow_exceptional_reaches_boundary():
-    """Non-closed orbits approach the zero fiber polynomially; at a relaxed
-    tolerance the flow converges and the limit splits into two lines."""
-    system, report = pr.kempf_ness_flow(
-        pr.four_lines_rep(0.0), pr.FOURSPACE_WEIGHT, pr.FlowOptions(tol=1e-4)
-    )
+    """Non-closed orbits approach the zero fiber only in the limit; the
+    Newton flow still gets below the default tolerance, and the limit splits
+    into two lines."""
+    system, report = pr.kempf_ness_flow(pr.four_lines_rep(0.0), pr.FOURSPACE_WEIGHT)
     assert report.status == "converged"
     parts = pr.decompose(system.subspace_rep(tol=1e-2), tol=1e-2)
     assert sorted(p.ambient_dim for p in parts) == [1, 1]
+
+
+def test_flow_plateau_on_planted_line(rng):
+    """Unstable input: the residual settles above the norm of the
+    Harder-Narasimhan type, sqrt(4/3), while the metric degenerates; the
+    stall test ends the run long before max_iter or the condition cap."""
+    for _ in range(3):
+        rep, w = planted_line_rep(rng)
+        system, report = pr.kempf_ness_flow(rep, w)
+        assert system is None
+        assert report.status == "plateau"
+        assert report.iterations <= 100
+        assert report.residual > np.sqrt(4 / 3) - 1e-9
+        assert report.condition < moment.COND_CAP
+
+
+def test_newton_direction_meets_forcing_bound(rng):
+    """The CG direction against the dense Hessian L, on antichains with mixed
+    widths (zero and full included), weights other than 1 and metrics of
+    condition at most e^3.  Always: x is Hermitian, inside the trust region,
+    a descent direction for F, and the reported L(x) is L applied to x.
+    Where mu lies in the range of L and the exact Newton step L^+(-mu) fits
+    the trust region (CG iterates grow in norm towards it): x meets the
+    forcing bound |L(x) + mu| <= min(1/2, sqrt|mu|) |mu|."""
+
+    def vec(m):
+        return m.reshape(-1, order="F")
+
+    checked = 0
+    for _ in range(40):
+        n, d0 = int(rng.integers(4, 8)), int(rng.integers(2, 6))
+        p = pr.primitive_poset(*[1] * n)
+        dims = {e: int(rng.integers(1, d0)) for e in p.elements}
+        dims[p.elements[0]] = int(rng.choice([0, d0, dims[p.elements[0]]]))
+        rep = pr.make_rep(p, d0, {e: random_subspace(rng, d0, k) for e, k in dims.items()})
+        chi = {e: int(rng.integers(1, 4)) for e in p.elements}
+        w = pr.Weight(Fraction(sum(chi[e] * dims[e] for e in chi), d0), chi)
+        g = (random_unitary(rng, d0) * np.exp(rng.uniform(-1.5, 1.5, d0))) @ random_unitary(rng, d0)
+        mmap = _MomentMap(rep, w)
+        p_stack, mu = mmap(g)
+        residual = float(np.linalg.norm(mu))
+        x, lx, _, products = moment._newton_direction(mmap, p_stack, mu)
+        assert np.array_equal(x, x.conj().T)
+        assert 1 <= products <= d0 * d0
+        assert np.linalg.norm(x) <= moment.MAX_STEP * (1 + 1e-12)
+        projs, want_mu = oracle_moment(rep, w, g)
+        dense = oracle_hessian(projs, w)
+        assert np.linalg.norm(dense @ vec(x) - vec(lx)) <= 1e-10 * residual
+        assert np.vdot(want_mu, lx).real < 0
+        newton = np.linalg.lstsq(dense, -vec(want_mu), rcond=1e-10)[0]
+        if (
+            np.linalg.norm(dense @ newton + vec(want_mu)) > 1e-9 * residual
+            or np.linalg.norm(newton) > moment.MAX_STEP
+        ):
+            continue
+        checked += 1
+        bound = min(0.5, np.sqrt(residual)) * residual
+        assert np.linalg.norm(dense @ vec(x) + vec(want_mu)) <= bound * (1 + 1e-9)
+    assert checked >= 25
+
+
+def test_flow_iteration_budget(rng):
+    """Iteration counts, not times, at tol 1e-8: a few Newton steps on
+    generic inputs and tens of them at and near the boundary of the
+    four-line family."""
+    w = pr.FOURSPACE_WEIGHT
+    opts = pr.FlowOptions(tol=1e-8)
+    cases = [(pr.four_lines_rep(lam), w, 8) for lam in (2, 3 + 4j)]
+    cases += [
+        (pr.four_lines_rep(lam), w, 30)
+        for lam in (1e-3, 1e-4, 1e-5, 1e-6, 0.0, 1.0, float("inf"))
+    ]
+    for n, d0, k in ((5, 4, 2), (10, 16, 8)):
+        p = pr.primitive_poset(*[1] * n)
+        rep = pr.make_rep(p, d0, {e: random_subspace(rng, d0, k) for e in p.elements})
+        cases.append((rep, pr.Weight(Fraction(n * k, d0), {e: 1 for e in p.elements}), 15))
+    for rep, weight, budget in cases:
+        _, report = pr.kempf_ness_flow(rep, weight, opts)
+        assert report.status == "converged"
+        assert report.iterations <= budget, (rep.ambient_dim, report.iterations)
+        assert 0 < report.step <= 1
+        assert report.hvp >= report.iterations
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +423,8 @@ def test_flow_report_as_dict_round_trips_json():
     assert payload["status"] == "converged"
     assert payload["iterations"] == report.iterations
     assert payload["attempts"] == report.attempts >= report.iterations
+    assert payload["hvp"] == report.hvp >= report.iterations
+    assert payload["step"] == report.step == 1.0
 
 
 def test_parse_lambda_tokens():
