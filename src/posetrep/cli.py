@@ -249,22 +249,24 @@ def _cmd_invariants(args) -> int:
     ps, _ = fileio.load_projection_system(args.projections)
     check = orthoscalar_check(ps, **_given(args, "tol"))
     traces = unitary_invariants(ps, **_given(args, "max_len"))
-    lines = [f"orthoscalar: {'yes' if check.passed else 'no'}"]
-    lines += [
-        f"{' '.join(word)}: {fileio.format_complex(val)}"
-        for word, val in sorted(traces.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    ]
+    values = {word: fileio.format_complex(val) for word, val in traces.items()}
+    text = ""
+    if args.output != "json":
+        # the listing sorts the words by name; JSON output has no use for it
+        lines = [f"orthoscalar: {'yes' if check.passed else 'no'}"]
+        lines += [
+            f"{' '.join(word)}: {val}"
+            for word, val in sorted(values.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        ]
+        text = "\n".join(lines)
     _emit(
         args,
         {
             "orthoscalar": check.passed,
             "checks": check.as_dict(),
-            "invariants": {
-                " ".join(word): fileio.format_complex(val)
-                for word, val in traces.items()
-            },
+            "invariants": {" ".join(word): val for word, val in values.items()},
         },
-        "\n".join(lines),
+        text,
     )
     return 0
 

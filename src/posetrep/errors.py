@@ -43,7 +43,14 @@ class PosetMismatch(PosetRepError):
 
 
 class LatticeTooLarge(PosetRepError):
-    """Subspace lattice closure exceeded the configured size cap."""
+    """Subspace lattice closure exceeded the configured size cap.
+
+    ``members`` holds the orthonormal bases found before it stopped, sorted
+    by dimension like a complete lattice."""
+
+    def __init__(self, message: str, members: list | None = None):
+        super().__init__(message)
+        self.members = members or []
 
 
 class SingularMetric(PosetRepError):

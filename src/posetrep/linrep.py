@@ -362,8 +362,9 @@ def subspace_lattice(
     dimension).  Each pass of the closure forms sums and intersections only
     of the pairs that involve a member found in the previous pass; pairs of
     older members were formed before and give nothing new.  Raises
-    LatticeTooLarge when the closure exceeds cap members; the modular
-    lattice generated by finitely many subspaces can be infinite in general.
+    LatticeTooLarge, carrying the members found so far in the same order,
+    when the closure exceeds cap members; the modular lattice generated by
+    finitely many subspaces can be infinite in general.
     """
     d0 = rep.ambient_dim
     members: list[np.ndarray] = []
@@ -413,7 +414,8 @@ def subspace_lattice(
             return
         keep(q)
         if len(members) > cap:
-            raise LatticeTooLarge(f"subspace lattice exceeded cap {cap}")
+            members.sort(key=lambda q: q.shape[1])
+            raise LatticeTooLarge(f"subspace lattice exceeded cap {cap}", members)
 
     keep(np.zeros((d0, 0), dtype=complex))
     keep(np.eye(d0, dtype=complex))
@@ -558,10 +560,14 @@ def stability_check(
     saturation as local improvement (a heuristic: the lattice need not hold
     a maximizer of the score, so the random search may score higher).
 
-    ``inconclusive`` is set when the lattice overflows the default cap of
-    ``subspace_lattice`` (512 members), when the random search finds a
-    score of larger sign than the lattice (a destabilizer or tie the
-    lattice missed, which changes the verdict), or when a rank guard
+    When the lattice overflows the default cap of ``subspace_lattice`` (512
+    members), the members found before the overflow are scored as a
+    complete lattice would be (``diagnostics["lattice_size"]`` is None).  A
+    positive best score is a certificate of instability either way, so the
+    overflow sets ``inconclusive`` only when the best score is 0 or less.
+    ``inconclusive`` is also set when the random search finds a score of
+    larger sign than the lattice (a destabilizer or tie the lattice
+    missed, which changes the verdict), or when a rank guard
     fails: for some scored K, some [V_e, -K] has a different rank at
     0.1*tol, tol or 10*tol, so an intersection dimension hangs on the
     tolerance (``diagnostics["rank_guard_stable"]``).
@@ -589,16 +595,16 @@ def stability_check(
     try:
         members = subspace_lattice(rep, opts.tol)
         diagnostics["lattice_size"] = len(members)
-        for q in members:
-            if not proper(q):
-                continue
-            val, g = score(q)
-            guard_ok = guard_ok and g
-            if lattice_best is None or val > lattice_best[0]:
-                lattice_best = (val, q)
-    except LatticeTooLarge:
+    except LatticeTooLarge as exc:
+        members = exc.members
         diagnostics["lattice_size"] = None
-        inconclusive = True
+    for q in members:
+        if not proper(q):
+            continue
+        val, g = score(q)
+        guard_ok = guard_ok and g
+        if lattice_best is None or val > lattice_best[0]:
+            lattice_best = (val, q)
 
     rng = np.random.default_rng(opts.seed)
     random_best: tuple[Fraction, np.ndarray] | None = None
@@ -633,6 +639,8 @@ def stability_check(
     best = lattice_best
     if random_best is not None and (best is None or random_best[0] > best[0]):
         best = random_best
+    if diagnostics["lattice_size"] is None and (best is None or best[0] <= 0):
+        inconclusive = True
 
     witness: np.ndarray | None = None
     if best is not None and best[0] > 0:

@@ -485,6 +485,10 @@ def hopf_normal_form(ps: ProjectionSystem, tol: float = 1e-6) -> dict[str, np.nd
     return out
 
 
+#: Most products that one matmul of unitary_invariants forms at a time.
+_WORD_BATCH = 64
+
+
 def unitary_invariants(
     ps: ProjectionSystem, max_len: int = 4
 ) -> dict[tuple[str, ...], complex]:
@@ -494,31 +498,57 @@ def unitary_invariants(
     smallest rotation (element order as stored in the poset), and listed in
     (length, word) order.  These traces separate unitary equivalence classes
     of projection families.
+
+    The keys are the necklaces, generated level by level as prenecklaces
+    with their period p (Fredricksen-Kessler-Maiorana; Ruskey-Savage-Wang,
+    J. Algorithms 13, 1992): w.i is a prenecklace iff i >= w[-p], its period
+    stays p when i = w[-p] and becomes its length otherwise, and it is a
+    necklace iff the period divides the length.  The products of a level are
+    formed from their prefixes' products, one batched ``prods[src] @ P_i``
+    per letter i in stacks of at most ``_WORD_BATCH``; the last level keeps
+    only the traces of its necklaces.  Each product is thus built left to
+    right from the identity, one factor at a time, as a word's product
+    formed from scratch, so keys, order and values are the same bit for bit.
     """
     elems = ps.poset.elements
+    names = np.array(elems, dtype=object)
     projs = [ps.projections[e] for e in elems]
+    n = len(elems)
     out: dict[tuple[str, ...], complex] = {}
-    # words as index tuples, each with its product, formed from its prefix's
-    # product in the same left-to-right order as from scratch
-    level: list[tuple[tuple[int, ...], np.ndarray]] = [
-        ((), np.eye(ps.ambient_dim, dtype=complex))
-    ]
+    # the prenecklaces of the current length in lexicographic order: letters,
+    # period, first letter w[-p] a child may take, product (the empty word
+    # has period 1 and takes every letter)
+    words = np.zeros((1, 0), dtype=int)
+    period = np.ones(1, dtype=int)
+    first = np.zeros(1, dtype=int)
+    prods = np.eye(ps.ambient_dim, dtype=complex)[None]
     for length in range(1, max_len + 1):
         last = length == max_len
-        nxt = []
-        for prefix, m in level:
-            # a word below all its rotations has no letter smaller than its
-            # first, and neither has any prefix of it: append only such letters
-            for i in range(prefix[0] if prefix else 0, len(elems)):
-                word = prefix + (i,)
-                canonical = all(word <= word[k:] + word[:k] for k in range(1, length))
-                if canonical or not last:
-                    mw = m @ projs[i]
-                    if canonical:
-                        out[tuple(elems[j] for j in word)] = complex(mw.trace())
-                    if not last:
-                        nxt.append((word, mw))
-        level = nxt
+        # children w.i for i = first..n-1, parent-major, so again in order
+        counts = n - first
+        parent = np.repeat(np.arange(len(words)), counts)
+        offset = np.cumsum(counts) - counts
+        letter = first[parent] + np.arange(len(parent)) - offset[parent]
+        words = np.column_stack([words[parent], letter])
+        period = np.where(letter == first[parent], period[parent], length)
+        necklace = length % period == 0
+        built = necklace | (not last)
+        traces = np.zeros(len(words), dtype=complex)
+        nxt = None if last else np.empty((len(words),) + prods.shape[1:], dtype=complex)
+        for i in range(n):
+            dest = np.flatnonzero(built & (letter == i))
+            for lo in range(0, len(dest), _WORD_BATCH):
+                chunk = dest[lo:lo + _WORD_BATCH]
+                m = prods[parent[chunk]] @ projs[i]
+                traces[chunk] = np.trace(m, axis1=1, axis2=2)
+                if not last:
+                    nxt[chunk] = m
+        keys = map(tuple, names[words[necklace]].tolist())
+        out.update(zip(keys, traces[necklace].tolist()))
+        if last:
+            break
+        prods = nxt
+        first = words[np.arange(len(words)), length - period]
     return out
 
 

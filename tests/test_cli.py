@@ -8,6 +8,7 @@ import pytest
 import posetrep as pr
 from posetrep import fileio
 from posetrep.cli import main
+from posetrep.linalg import random_subspace
 from conftest import planted_line_rep
 
 
@@ -282,6 +283,35 @@ def test_invariants_on_solution(capsys, files, tmp_path):
     # Four rank-one projections obeying sum chi_e P_e = chi0 I trace to
     # chi0 * d0 = 4 in total.
     assert abs(total - 4.0) < 1e-8
+
+
+def test_invariants_text_and_json_agree(capsys, tmp_path):
+    """Text and JSON list the same words with the same formatted values;
+    the text sorts them by length, then by name (ten elements, so a10
+    comes before a2 there but after it in the element order)."""
+    rng = np.random.default_rng(5)
+    p = pr.primitive_poset(*[1] * 10)
+    ranks = {e: int(rng.integers(0, 4)) for e in p.elements}
+    projs = {}
+    for e in p.elements:
+        q = random_subspace(rng, 3, ranks[e])
+        projs[e] = q @ q.conj().T
+    ps = pr.ProjectionSystem(p, pr.Weight(1, {e: 1 for e in p.elements}), projs, ranks)
+    (tmp_path / "anti10.poset").write_text(fileio.serialize_poset(p))
+    proj = str(tmp_path / "ten.proj")
+    fileio.save_projection_system(ps, proj, "anti10.poset")
+    code, text, _ = run(capsys, "invariants", proj, "--max-len", "3")
+    assert code == 0
+    code, out, _ = run(capsys, "--output", "json", "invariants", proj, "--max-len", "3")
+    assert code == 0
+    payload = json.loads(out)
+    lines = text.splitlines()
+    assert lines[0] == "orthoscalar: " + ("yes" if payload["orthoscalar"] else "no")
+    listed = [line.split(": ", 1) for line in lines[1:]]
+    assert dict(listed) == payload["invariants"]
+    assert len(listed) == len(payload["invariants"]) == 10 + 55 + 340
+    words = [word.split() for word, _ in listed]
+    assert words == sorted(words, key=lambda w: (len(w), w))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from conftest import (
     oracle_saturate,
     oracle_score,
     oracle_subspace_lattice,
+    planted_line_rep,
     random_nested_rep,
     random_poset,
 )
@@ -446,6 +447,34 @@ def test_score_after_saturation_reuses_only_same_tolerance():
         pr.saturate_subspace(rep, k, sat_tol)
         assert _scorer(rep, w, score_tol)(k)[0] == oracle_score(rep, w, k, score_tol)
     assert oracle_score(rep, w, k, 1e-9) != oracle_score(rep, w, k, 1e-8)
+
+
+def test_lattice_overflow_keeps_best_member():
+    """Four of six 2-planes in C^4 through one planted line: the closure
+    overflows its cap, but the line, an intersection of two planes, is
+    found before it and scores +1, a certificate of instability.  A
+    generic stable rep whose lattice overflows stays inconclusive."""
+    rep, _ = planted_line_rep(np.random.default_rng(0))
+    with pytest.raises(pr.LatticeTooLarge) as info:
+        pr.subspace_lattice(rep)
+    dims = [q.shape[1] for q in info.value.members]
+    assert len(dims) == 513 and dims == sorted(dims)
+    for seed in range(4):
+        rep, w = planted_line_rep(np.random.default_rng(seed))
+        # no random search: the witness comes from the partial lattice
+        v = pr.stability_check(rep, w, pr.StabilityOptions(restarts=0))
+        assert v.diagnostics["lattice_size"] is None
+        assert v.classification == pr.UNSTABLE
+        assert not v.inconclusive
+        assert v.best_score == pr.subspace_score(rep, w, v.witness) >= 1
+    p = pr.primitive_poset(*[1] * 5)
+    rng = np.random.default_rng(0)
+    rep = pr.make_rep(p, 5, {e: random_complex(rng, 5, 3) for e in p.elements})
+    v = pr.stability_check(rep, pr.Weight(3, {e: 1 for e in p.elements}),
+                           pr.StabilityOptions(restarts=0))
+    assert v.diagnostics["lattice_size"] is None
+    assert v.classification == pr.STABLE and v.best_score < 0
+    assert v.inconclusive
 
 
 def test_generic_stable_reps_are_not_inconclusive():

@@ -374,13 +374,25 @@ def test_unitary_invariants_cyclic_keys_and_invariance(rng):
     assert max(abs(inv[k] - inv2[k]) for k in inv) < 1e-12
 
 
+def _necklace_count(n: int, m: int) -> int:
+    """Necklaces of length m over n letters: (1/m) sum_{d | m} phi(d) n^(m/d)."""
+    phi = [sum(1 for j in range(1, d + 1) if math.gcd(j, d) == 1) for d in range(m + 1)]
+    return sum(phi[d] * n ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
+
+
 def test_unitary_invariants_match_oracle(rng):
     """Keys, their order and the values, bit for bit, against one product
     per word from scratch; mixed ranks and a stored order that is not
-    sorted."""
-    for n, d0, max_len in ((1, 2, 4), (3, 3, 5), (4, 2, 4), (6, 5, 3), (10, 4, 4)):
+    sorted.  (10, 16, 4) is the size the benchmark runs, with more words
+    per letter than one batch of products holds; the last two cases have
+    only rank-0 and full-rank projections."""
+    cases = [(1, 2, 4, None), (3, 3, 5, None), (4, 2, 4, None), (6, 5, 3, None),
+             (10, 4, 4, None), (10, 16, 4, None), (5, 3, 0, None), (5, 3, 1, None),
+             (1, 3, 1, None), (4, 3, 4, (0, 3)), (3, 2, 3, (2, 0))]
+    for n, d0, max_len, only in cases:
         p = shuffled(rng, pr.primitive_poset(*[1] * n))
-        ranks = {e: int(rng.integers(0, d0 + 1)) for e in p.elements}
+        ranks = {e: only[i % 2] if only else int(rng.integers(0, d0 + 1))
+                 for i, e in enumerate(p.elements)}
         projs = {}
         for e in p.elements:
             q = random_subspace(rng, d0, ranks[e])
@@ -390,6 +402,8 @@ def test_unitary_invariants_match_oracle(rng):
         want = oracle_unitary_invariants(ps, max_len)
         assert list(got) == list(want)
         assert all(got[k] == want[k] for k in want)
+        for m in range(1, max_len + 1):
+            assert sum(len(k) == m for k in got) == _necklace_count(n, m)
 
 
 def test_fourspace_parameters_on_sphere_matrices(rng):
