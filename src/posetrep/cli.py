@@ -171,6 +171,12 @@ def _cmd_dim_quotient(args) -> int:
 # ---------------------------------------------------------------------------
 # linear-representation subcommands
 
+#: stability_check diagnostics emitted under --output json: ints, and the
+#: inconclusive reasons as a list of strings
+_STABILITY_DIAGNOSTICS = ("restarts", "lattice_scored", "saturation_rounds",
+                     "saturated_moved", "inconclusive_reasons")
+
+
 def _cmd_stability(args) -> int:
     rep, _ = fileio.load_rep(args.rep)
     w = fileio.parse_weight(args.weight, rep.poset)
@@ -201,6 +207,7 @@ def _cmd_stability(args) -> int:
             "methods": list(verdict.methods),
             "inconclusive": verdict.inconclusive,
             "witness": witness,
+            "diagnostics": {k: verdict.diagnostics[k] for k in _STABILITY_DIAGNOSTICS},
         },
         "\n".join(lines),
     )

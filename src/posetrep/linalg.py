@@ -48,9 +48,19 @@ def orthonormal_columns(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     m = as_complex(m)
     if m.shape[1] == 0:
         return m.copy()
+    return orthonormal_stack(m[None], tol)[0]
+
+
+def orthonormal_stack(m: np.ndarray, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+    """orthonormal_columns of every matrix of a stack m of shape (n, d, k),
+    from one batched SVD: the first r left singular vectors, r the count of
+    singular values above tol times the largest."""
+    n, d, k = m.shape
+    if k == 0 or d == 0:
+        return [np.zeros((d, 0), dtype=complex) for _ in range(n)]
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    r = int(np.count_nonzero(s > tol * s[0])) if s.size else 0
-    return u[:, :r]
+    ranks = (s > tol * s[:, :1]).sum(axis=1).tolist()
+    return [u[j, :, :r] for j, r in enumerate(ranks)]
 
 
 def projector(q: np.ndarray) -> np.ndarray:
@@ -92,52 +102,60 @@ def null_space(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def subspace_intersections(
     qa: np.ndarray, qb: np.ndarray, tol: float = DEFAULT_TOL, bases: bool = True
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray] | None]:
-    """range(qa[i]) intersect range(qb) for a stack qa of g matrices of one
-    width, from one batched SVD of the stacked [qa[i], -qb].
+) -> tuple[np.ndarray, np.ndarray, list | None]:
+    """range(qa[i]) intersect range(qb[r]) for a stack qa of g matrices of
+    one width and a stack qb of R matrices of one width, from one batched
+    SVD of the R*g matrices [qa[i], -qb[r]].  A 2-D qb is the case R = 1,
+    and its results drop the R axis.
 
-    Returns per i the dimension of the intersection (the nullity of
-    [qa[i], -qb]), the rank guard, and with ``bases`` the orthonormal bases.
-    The guard says whether [qa[i], -qb] has the same rank at 0.1*tol, tol
-    and 10*tol; False means a singular value near the cut, so the dimension
-    hangs on the tolerance.  When qa[i] and qb have orthonormal columns, the
-    nullity is the column count of the basis: a unit null vector (x, y) has
-    |x| = |y| up to tol, so the columns qa[i] x keep singular values near
-    1/sqrt(2), far above the cut.  Without ``bases`` only singular values
-    are computed; they may differ from the full SVD's in the last bits,
-    which can move a dimension only where the guard is False.
+    Returns per (r, i) the dimension of the intersection (the nullity of
+    [qa[i], -qb[r]]), the rank guard, and with ``bases`` the orthonormal
+    bases (R lists of g).  The guard says whether [qa[i], -qb[r]] has the
+    same rank at 0.1*tol, tol and 10*tol; False means a singular value near
+    the cut, so the dimension hangs on the tolerance.  When qa[i] and qb[r]
+    have orthonormal columns, the nullity is the column count of the basis:
+    a unit null vector (x, y) has |x| = |y| up to tol, so the columns
+    qa[i] x keep singular values near 1/sqrt(2), far above the cut.
+    Without ``bases`` only singular values are computed; they may differ
+    from the full SVD's in the last bits, which can move a dimension only
+    where the guard is False.  Each matrix goes through the same LAPACK
+    call as on its own, so the results do not depend on what else is in
+    the stack.
     """
-    qb = as_complex(qb)
+    stacked = np.ndim(qb) == 3
+    qb = np.asarray(qb, dtype=complex) if stacked else as_complex(qb)[None]
     g, d, a = qa.shape
-    b = qb.shape[1]
+    r, _, b = qb.shape
     if a == 0 or b == 0:
-        empty = [np.zeros((d, 0), dtype=complex) for _ in range(g)] if bases else None
-        return np.zeros(g, dtype=int), np.ones(g, dtype=bool), empty
-    m = np.empty((g, d, a + b), dtype=complex)
-    m[:, :, :a] = qa
-    m[:, :, a:] = -qb
-    if bases:
-        _, s, vh = np.linalg.svd(m, full_matrices=True)
+        dims, guard = np.zeros((r, g), dtype=int), np.ones((r, g), dtype=bool)
+        out = [[np.zeros((d, 0), dtype=complex)] * g for _ in range(r)] if bases else None
     else:
-        s = np.linalg.svd(m, compute_uv=False)
-    # ranks at 0.1*tol, tol and 10*tol, in one comparison
-    cuts = np.multiply.outer(s[:, 0], tol * _GUARD_FACTORS)
-    ranks = (s[:, None, :] > cuts[:, :, None]).sum(axis=2)
-    guard = ranks[:, 0] == ranks[:, 2]
-    dims = a + b - ranks[:, 1]
-    if not bases:
-        return dims, guard, None
-    # orthonormal_columns(qa[i] @ ns[:a]) with ns the null space, batched
-    # over the matrices of one nullity
-    out: list[np.ndarray] = [np.zeros((d, 0), dtype=complex)] * g
-    for n in set(dims.tolist()) - {0}:
-        sel = np.flatnonzero(dims == n)
-        ns = vh[sel, a + b - n :].conj().transpose(0, 2, 1)
-        u, s, _ = np.linalg.svd(qa[sel] @ ns[:, :a], full_matrices=False)
-        cols = (s > tol * s[:, :1]).sum(axis=1).tolist()
-        for j, i in enumerate(sel.tolist()):
-            out[i] = u[j, :, : cols[j]]
-    return dims, guard, out
+        m = np.empty((r, g, d, a + b), dtype=complex)
+        m[..., :a] = qa
+        m[..., a:] = -qb[:, None]
+        if bases:
+            _, s, vh = np.linalg.svd(m, full_matrices=True)
+        else:
+            s = np.linalg.svd(m, compute_uv=False)
+        # ranks at 0.1*tol, tol and 10*tol, in one comparison
+        cuts = np.multiply.outer(s[..., 0], tol * _GUARD_FACTORS)
+        ranks = (s[..., None, :] > cuts[..., :, None]).sum(axis=-1)
+        guard = ranks[..., 0] == ranks[..., 2]
+        dims = a + b - ranks[..., 1]
+        out = None
+        if bases:
+            # orthonormal_columns(qa[i] @ ns[:a]) with ns the null space,
+            # batched over the matrices of one nullity
+            out = [[np.zeros((d, 0), dtype=complex)] * g for _ in range(r)]
+            for n in set(dims.ravel().tolist()) - {0}:
+                sel = np.nonzero(dims == n)
+                ns = vh[sel[0], sel[1], a + b - n :].conj().transpose(0, 2, 1)
+                got = orthonormal_stack(qa[sel[1]] @ ns[:, :a], tol)
+                for j, i, q in zip(*(x.tolist() for x in sel), got):
+                    out[j][i] = q
+    if stacked:
+        return dims, guard, out
+    return dims[0], guard[0], None if out is None else out[0]
 
 
 def subspace_intersection(qa: np.ndarray, qb: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -49,11 +50,10 @@ class SubspaceRep:
     V_e.  Use :func:`make_rep` to construct from raw spanning matrices; the
     constructor itself trusts its input and only checks shapes.  The spans
     are not changed after construction: the stability and moment-map code
-    stack them once and keep the stacks, and the stability code keeps its
-    last intersections.
+    stack them once and keep the stacks.
     """
 
-    __slots__ = ("poset", "ambient_dim", "spans", "_groups", "_last")
+    __slots__ = ("poset", "ambient_dim", "spans", "_groups")
 
     def __init__(self, poset: Poset, ambient_dim: int, spans: Mapping[str, np.ndarray]):
         if ambient_dim < 0:
@@ -69,7 +69,6 @@ class SubspaceRep:
                 raise WrongShape(f"span for {e!r} has more columns than the ambient dimension")
             self.spans[e] = q
         self._groups: list[tuple[list[int], np.ndarray]] | None = None
-        self._last: tuple | None = None
 
     def dim(self, e: str) -> int:
         return self.spans[e].shape[1]
@@ -449,58 +448,85 @@ def _width_groups(rep: SubspaceRep) -> list[tuple[list[int], np.ndarray]]:
     return rep._groups
 
 
-def _intersections(
-    rep: SubspaceRep, basis: np.ndarray, tol: float, bases: bool
-) -> tuple[np.ndarray, bool, list[np.ndarray]]:
-    """dim(V_e /\\ K) for every element in poset order, whether every rank
-    guard held, and with ``bases`` the V_e /\\ K themselves; one SVD per
-    span width.
+def _per_width(fn, mats: list[np.ndarray]) -> list:
+    """fn on the stack of the matrices of each column count, which gives
+    one result per stacked matrix; the results in the order of mats."""
+    groups: dict[int, list[int]] = {}
+    for i, m in enumerate(mats):
+        groups.setdefault(m.shape[1], []).append(i)
+    out: list = [None] * len(mats)
+    for idx in groups.values():
+        for i, res in zip(idx, fn(np.stack([mats[i] for i in idx]))):
+            out[i] = res
+    return out
 
-    The last result with bases is kept on the representation, so scoring
-    the basis that saturate_subspace just returned unchanged (all
-    V_e /\\ K zero) costs no second SVD.
-    """
-    last = rep._last
-    if not bases and last is not None and last[0] is basis and last[1] == tol:
-        return last[2], last[3], []
+
+def _intersections(
+    rep: SubspaceRep, qb: np.ndarray, tol: float, bases: bool
+) -> tuple[np.ndarray, np.ndarray, list[list[np.ndarray]] | None]:
+    """dim(V_e /\\ K) for every basis K of the stack qb (R x d0 x b) and
+    every element in poset order (an R x n array), whether every rank guard
+    held for each K, and with ``bases`` the V_e /\\ K themselves (for each
+    K in poset order); one SVD per span width for the whole stack."""
     n = len(rep.poset.elements)
-    dims = np.zeros(n, dtype=int)
-    parts: list[np.ndarray] = [None] * n if bases else []  # type: ignore[list-item]
-    guard = True
+    dims = np.zeros((len(qb), n), dtype=int)
+    guard = np.ones(len(qb), dtype=bool)
+    parts = [[None] * n for _ in range(len(qb))] if bases else None
     for idx, stack in _width_groups(rep):
-        d, ok, got = linalg.subspace_intersections(stack, basis, tol, bases)
-        dims[idx] = d
-        guard = guard and bool(ok.all())
-        if bases:
-            for i, part in zip(idx, got):
-                parts[i] = part
-    if bases:
-        rep._last = (basis, tol, dims, guard)
+        d, ok, got = linalg.subspace_intersections(stack, qb, tol, bases)
+        dims[:, idx] = d
+        guard &= ok.all(axis=1)
+        if parts is not None:
+            for row, got_row in zip(parts, got):
+                for i, part in zip(idx, got_row):
+                    row[i] = part
     return dims, guard, parts
 
 
-def _scorer(rep: SubspaceRep, w: Weight, tol: float):
+class _Scorer:
     """f(K) for orthonormal bases K, with the rank guard of the intersections.
 
     With c = den chi_e the common integer weights, d0 den f(K) is the
     integer d0 sum_e c_e dim(V_e /\\ K) - (sum_e c_e d_e) dim K; dim K is
-    the column count of K.
+    the column count of K.  Scores stay these integer numerators over the
+    common denominator ``den`` (= d0 den) until a Fraction is asked for.
     """
-    w.aligned(rep.poset)
-    d0 = rep.ambient_dim
-    if d0 == 0:
-        raise WrongShape("slope of the zero representation is undefined")
-    c0, c = w.common_integer(rep.poset)
-    den = c0 * w.chi0.denominator // w.chi0.numerator
-    weights = [c[e] for e in rep.poset.elements]
-    total = sum(ce * rep.dim(e) for e, ce in zip(rep.poset.elements, weights))
 
-    def score(basis: np.ndarray) -> tuple[Fraction, bool]:
-        dims, guard, _ = _intersections(rep, basis, tol, bases=False)
-        num = d0 * sum(ce * k for ce, k in zip(weights, dims.tolist()))
-        return Fraction(num - total * basis.shape[1], d0 * den), guard
+    def __init__(self, rep: SubspaceRep, w: Weight, tol: float):
+        w.aligned(rep.poset)
+        d0 = rep.ambient_dim
+        if d0 == 0:
+            raise WrongShape("slope of the zero representation is undefined")
+        c0, c = w.common_integer(rep.poset)
+        self.rep, self.tol, self.d0 = rep, tol, d0
+        self.den = d0 * (c0 * w.chi0.denominator // w.chi0.numerator)
+        self.weights = [c[e] for e in rep.poset.elements]
+        self.total = sum(ce * rep.dim(e) for e, ce in zip(rep.poset.elements, self.weights))
 
-    return score
+    def numerator(self, dims: np.ndarray, width: int) -> int:
+        """The numerator for the intersection dimensions of a basis of the
+        given width."""
+        return self.d0 * sum(map(mul, self.weights, dims.tolist())) - self.total * width
+
+    def __call__(self, bases: list[np.ndarray]) -> list[tuple[int, bool]]:
+        """Numerator and rank guard of every basis of the list, from one
+        singular-values-only SVD per (basis width, span width)."""
+
+        def stack(qb: np.ndarray):
+            dims, guard, _ = _intersections(self.rep, qb, self.tol, bases=False)
+            width = qb.shape[2]
+            return zip((self.numerator(d, width) for d in dims), guard.tolist())
+
+        return _per_width(stack, bases)
+
+    def best(
+        self, scored: list[tuple[int, bool]], bases: list[np.ndarray]
+    ) -> tuple[Fraction, np.ndarray] | None:
+        """The first basis of largest score, with its score."""
+        if not scored:
+            return None
+        i = max(range(len(scored)), key=lambda j: scored[j][0])
+        return Fraction(scored[i][0], self.den), bases[i]
 
 
 def subspace_score(
@@ -508,7 +534,52 @@ def subspace_score(
 ) -> Fraction:
     """f(K) = sum chi_e dim(V_e /\\ K) - sigma dim K, exact rational, for K
     the span of the columns of basis."""
-    return _scorer(rep, w, tol)(linalg.orthonormal_columns(basis, tol))[0]
+    score = _Scorer(rep, w, tol)
+    return Fraction(score([linalg.orthonormal_columns(basis, tol)])[0][0], score.den)
+
+
+def _saturate(
+    rep: SubspaceRep, bases: list[np.ndarray], tol: float
+) -> tuple[list[tuple[np.ndarray, np.ndarray | None, bool]], int]:
+    """saturate_subspace of every basis of the list, all in lock step, and
+    the number of rounds.
+
+    Each round takes one full intersection SVD per (basis width, span
+    width) for the bases still moving.  A basis whose V_e /\\ K are all
+    zero stops there; the others' sums of V_e /\\ K are orthonormalized
+    with one SVD per shape.  A basis stops when that sum keeps its width
+    (the sum is the result) or is zero (the basis is).  Each result comes
+    with the intersection dimensions and rank guard of its last round when
+    that round saw the result itself, else None and True.
+    """
+    out: list = [None] * len(bases)
+    current = list(bases)
+    live = list(range(len(bases)))
+    rounds = 0
+
+    def intersect(qb: np.ndarray):
+        return zip(*_intersections(rep, qb, tol, bases=True))
+
+    while live:
+        rounds += 1
+        moving = []
+        rows = _per_width(intersect, [current[i] for i in live])
+        for i, (dims, guard, parts) in zip(live, rows):
+            if dims.any():
+                moving.append((i, dims, guard, np.hstack(parts)))
+            else:
+                out[i] = (current[i], dims, guard)
+        sums = _per_width(lambda m: linalg.orthonormal_stack(m, tol), [m[3] for m in moving])
+        live = []
+        for (i, dims, guard, _), nxt in zip(moving, sums):
+            if nxt.shape[1] == 0:
+                out[i] = (current[i], dims, guard)
+            elif nxt.shape[1] == current[i].shape[1]:
+                out[i] = (nxt, None, True)
+            else:
+                current[i] = nxt
+                live.append(i)
+    return out, rounds
 
 
 def saturate_subspace(
@@ -518,17 +589,58 @@ def saturate_subspace(
 
     Keeps every V_e /\\ K while possibly shrinking K, so the score never
     drops (and never drops to a worse witness) as long as the result stays
-    nonzero.
+    nonzero.  The one-basis case of the lock-step saturation of
+    ``stability_check``: the same SVDs, so the same basis bit for bit, and
+    ``basis`` itself when no V_e meets it.
     """
-    current = basis
-    while True:
-        dims, _, parts = _intersections(rep, current, tol, bases=True)
-        if not dims.any():
-            return current
-        nxt = linalg.orthonormal_columns(np.hstack(parts), tol)
-        if nxt.shape[1] in (0, current.shape[1]):
-            return nxt if nxt.shape[1] else current
-        current = nxt
+    return _saturate(rep, [basis], tol)[0][0][0]
+
+
+#: restarts saturated in lock step at a time: bounds the stacks of one SVD
+#: call and the bases held at once (a few MB at d0 = 10)
+_RESTART_BATCH = 1024
+
+
+def _random_search(
+    rep: SubspaceRep, score: _Scorer, restarts: int, seed: int
+) -> tuple[tuple[Fraction, np.ndarray] | None, bool, dict]:
+    """The randomized destabilizer search of ``stability_check``: the best
+    (score, K) over the restarts (None without one), whether every rank
+    guard of the scored K held, and the counts ``restarts`` (0 when d0 = 1,
+    which has no proper subspace), ``saturation_rounds`` and
+    ``saturated_moved``.  The restarts run in batches of _RESTART_BATCH in
+    draw order, and the first strict maximum of all of them wins."""
+    d0, tol = rep.ambient_dim, score.tol
+    restarts = restarts if d0 > 1 else 0
+    rng = np.random.default_rng(seed)
+    best, guard = None, True
+    counts = {"restarts": restarts, "saturation_rounds": 0, "saturated_moved": 0}
+    for done in range(0, restarts, _RESTART_BATCH):
+        draws = []
+        for _ in range(min(_RESTART_BATCH, restarts - done)):
+            k = int(rng.integers(1, d0))
+            draws.append(linalg.random_complex(rng, d0, k))
+        starts = _per_width(linalg.orthonormal_stack, draws)
+        saturated, rounds = _saturate(rep, starts, tol)
+        # the saturated K, or the drawn one when saturation leaves no
+        # proper subspace; a K that its last saturation round saw keeps
+        # that round's intersections (from the full SVD), the others are
+        # scored afresh
+        picked = [res if 0 < res[0].shape[1] < d0 else (q, None, True)
+                  for q, res in zip(starts, saturated)]
+        fresh = iter(score([q for q, dims, _ in picked if dims is None]))
+        scored = [next(fresh) if dims is None else (score.numerator(dims, q.shape[1]), g)
+                  for q, dims, g in picked]
+        candidates = [q for q, _, _ in picked]
+        top = score.best(scored, candidates)
+        if best is None or top[0] > best[0]:
+            best = top
+        guard = guard and all(g for _, g in scored)
+        counts["saturation_rounds"] += rounds
+        counts["saturated_moved"] += sum(
+            q.shape[1] < s.shape[1] for q, s in zip(candidates, starts)
+        )
+    return best, guard, counts
 
 
 @dataclass
@@ -560,6 +672,20 @@ def stability_check(
     saturation as local improvement (a heuristic: the lattice need not hold
     a maximizer of the score, so the random search may score higher).
 
+    The search draws ``restarts`` random subspaces K (a dimension in
+    [1, d0), then a complex Gaussian d0 x k matrix, in that order per
+    restart) and orthonormalizes them with one SVD per dimension.  The
+    restarts then saturate in lock step, up to 1,024 at a time (see
+    ``_saturate``): each round costs one batched SVD per (basis width, span
+    width), however many restarts are in it.  Each saturated K (the drawn
+    one when saturation leaves no proper subspace) is scored; scores stay
+    integer numerators until the end, and the first strict maximum wins.  The lattice members
+    go through the same batched scorer, grouped by dimension.  Every basis,
+    intersection and score equals that of saturating and scoring one
+    restart at a time, bit for bit.  With d0 = 1 there is no proper
+    subspace and no search runs; ``methods`` lists ``randomized`` only when
+    it ran, and ``diagnostics["restarts"]`` counts the restarts run.
+
     When the lattice overflows the default cap of ``subspace_lattice`` (512
     members), the members found before the overflow are scored as a
     complete lattice would be (``diagnostics["lattice_size"]`` is None).  A
@@ -571,6 +697,11 @@ def stability_check(
     fails: for some scored K, some [V_e, -K] has a different rank at
     0.1*tol, tol or 10*tol, so an intersection dimension hangs on the
     tolerance (``diagnostics["rank_guard_stable"]``).
+    ``diagnostics["inconclusive_reasons"]`` lists which of these fired, as
+    ``rank_guard``, ``random_excess`` and ``lattice_overflow``; the counts
+    ``lattice_scored`` (proper members scored), ``saturation_rounds`` and
+    ``saturated_moved`` (restarts whose scored K is smaller than the drawn
+    one) say what the search did.
 
     The verdict "stable" additionally requires the weighted trace identity
     sum chi_e d_e = chi0 d0; ties (score 0) are split into polystable versus
@@ -583,47 +714,28 @@ def stability_check(
         raise WrongShape("stability of the zero representation is undefined")
     d0 = rep.ambient_dim
     trace_ok = w.trace_identity(rep)
-    guard_ok = True
-    diagnostics: dict = {"sigma": str(w.slope(rep)), "restarts": opts.restarts}
-    inconclusive = False
+    diagnostics: dict = {"sigma": str(w.slope(rep))}
 
-    def proper(q: np.ndarray) -> bool:
-        return 0 < q.shape[1] < d0
-
-    score = _scorer(rep, w, opts.tol)
-    lattice_best: tuple[Fraction, np.ndarray] | None = None
+    score = _Scorer(rep, w, opts.tol)
     try:
         members = subspace_lattice(rep, opts.tol)
         diagnostics["lattice_size"] = len(members)
     except LatticeTooLarge as exc:
         members = exc.members
         diagnostics["lattice_size"] = None
-    for q in members:
-        if not proper(q):
-            continue
-        val, g = score(q)
-        guard_ok = guard_ok and g
-        if lattice_best is None or val > lattice_best[0]:
-            lattice_best = (val, q)
+    members = [q for q in members if 0 < q.shape[1] < d0]
+    lattice_scored = score(members)
+    lattice_best = score.best(lattice_scored, members)
+    diagnostics["lattice_scored"] = len(members)
 
-    rng = np.random.default_rng(opts.seed)
-    random_best: tuple[Fraction, np.ndarray] | None = None
-    if d0 > 1:
-        for _ in range(opts.restarts):
-            k = int(rng.integers(1, d0))
-            q = linalg.random_subspace(rng, d0, k)
-            sat = saturate_subspace(rep, q, opts.tol)
-            if proper(sat):
-                q = sat
-            val, g = score(q)
-            guard_ok = guard_ok and g
-            if random_best is None or val > random_best[0]:
-                random_best = (val, q)
+    random_best, random_guard, counts = _random_search(rep, score, opts.restarts, opts.seed)
+    diagnostics.update(counts)
+
+    guard_ok = random_guard and all(g for _, g in lattice_scored)
     diagnostics["lattice_best"] = None if lattice_best is None else lattice_best[0]
     diagnostics["random_best"] = None if random_best is None else random_best[0]
     diagnostics["rank_guard_stable"] = guard_ok
-    if not guard_ok:
-        inconclusive = True
+    reasons = [] if guard_ok else ["rank_guard"]
 
     def sign(x: Fraction) -> int:
         return (x > 0) - (x < 0)
@@ -633,14 +745,15 @@ def stability_check(
         and random_best is not None
         and sign(random_best[0]) > sign(lattice_best[0])
     ):
-        inconclusive = True
+        reasons.append("random_excess")
         diagnostics["randomized_excess"] = str(random_best[0] - lattice_best[0])
 
     best = lattice_best
     if random_best is not None and (best is None or random_best[0] > best[0]):
         best = random_best
     if diagnostics["lattice_size"] is None and (best is None or best[0] <= 0):
-        inconclusive = True
+        reasons.append("lattice_overflow")
+    diagnostics["inconclusive_reasons"] = reasons
 
     witness: np.ndarray | None = None
     if best is not None and best[0] > 0:
@@ -663,8 +776,8 @@ def stability_check(
     return StabilityVerdict(
         classification=classification,
         witness=witness,
-        methods=("lattice_exact", "randomized"),
-        inconclusive=inconclusive,
+        methods=("lattice_exact", "randomized") if counts["restarts"] else ("lattice_exact",),
+        inconclusive=bool(reasons),
         best_score=None if best is None else best[0],
         trace_identity=trace_ok,
         diagnostics=diagnostics,

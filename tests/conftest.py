@@ -6,7 +6,8 @@ representation-finiteness and its witness list by permutation search against
 a hard-coded critical list, the bound-quiver invariants by exact rational
 elimination on the path space, the inverse Cartan matrix by back
 substitution, the subspace lattice and the stability score by pairwise
-closure and one intersection SVD per element, the moment map by one SVD per
+closure and one intersection SVD per element, the randomized destabilizer
+search one restart at a time, the moment map by one SVD per
 element, the Hessian of the Newton step as a dense Kronecker matrix, the
 trace words by one product per word from scratch, and a fixed-step
 reference flow with its own projector and moment computations.
@@ -310,6 +311,52 @@ def oracle_score(rep, w, basis, tol: float = 1e-9) -> Fraction:
     for e in rep.poset.elements:
         total += w.chi[e] * rank_with_guard(oracle_intersection(rep.spans[e], basis, tol), tol)[0]
     return total - sigma * rank_with_guard(basis, tol)[0]
+
+
+def oracle_random_search(rep, w, seed: int, restarts: int, tol: float = 1e-9):
+    """The randomized destabilizer search one restart at a time: draw a
+    dimension k in [1, d0) and a random k-subspace, saturate it one
+    intersection at a time (the drawn K when that leaves no proper
+    subspace), score it in Fractions.  Returns (best score, the first K
+    reaching it, whether every rank guard held); (None, None, True) when
+    no restart runs, as with d0 = 1.  The dimensions and guard of a K that
+    the last saturation round saw come from full SVDs of [V_e, -K], as that
+    round formed them, those of any other K from singular values only."""
+    from posetrep.linalg import orthonormal_columns, random_subspace
+
+    d0 = rep.ambient_dim
+    sigma = w.slope(rep)
+    rng = np.random.default_rng(seed)
+    best, witness, guard = None, None, True
+    for _ in range(restarts if d0 > 1 else 0):
+        k = int(rng.integers(1, d0))
+        q = random_subspace(rng, d0, k)
+        sat, seen = q, True
+        while True:
+            parts = [oracle_intersection(rep.spans[e], sat, tol) for e in rep.poset.elements]
+            if not any(p.shape[1] for p in parts):
+                break
+            nxt = orthonormal_columns(np.hstack(parts), tol)
+            if nxt.shape[1] == 0:
+                break
+            if nxt.shape[1] == sat.shape[1]:
+                sat, seen = nxt, False
+                break
+            sat = nxt
+        if not 0 < sat.shape[1] < d0:
+            sat, seen = q, False
+        score = -sigma * sat.shape[1]
+        for e in rep.poset.elements:
+            if rep.dim(e) == 0:
+                continue
+            m = np.hstack([rep.spans[e], -sat])
+            s = np.linalg.svd(m)[1] if seen else np.linalg.svd(m, compute_uv=False)
+            ranks = [int(np.count_nonzero(s > f * tol * s[0])) for f in (0.1, 1.0, 10.0)]
+            score += w.chi[e] * (m.shape[1] - ranks[1])
+            guard = guard and ranks[0] == ranks[2]
+        if best is None or score > best:
+            best, witness = score, sat
+    return best, witness, guard
 
 
 # ---------------------------------------------------------------------------

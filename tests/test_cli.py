@@ -172,6 +172,25 @@ def test_stability_json_round_trip(capsys, files):
     assert payload["witness"] is None
 
 
+def test_stability_json_diagnostics(capsys, files):
+    """The search's counts and the inconclusive reasons, as ints and
+    strings; methods lists the random search only when it ran."""
+    for extra, restarts, methods in (([], 200, ["lattice_exact", "randomized"]),
+                                     (["--restarts", "0"], 0, ["lattice_exact"])):
+        code, out, _ = run(capsys, "--output", "json", "stability", files["lam2.rep"],
+                           "-w", "2; 1, 1, 1, 1", *extra)
+        assert code == 0
+        payload = json.loads(out)
+        diag = payload["diagnostics"]
+        assert payload["methods"] == methods
+        assert diag["restarts"] == restarts
+        assert diag["inconclusive_reasons"] == []
+        assert diag["lattice_scored"] == 4
+        assert set(diag) == {"restarts", "lattice_scored", "saturation_rounds",
+                             "saturated_moved", "inconclusive_reasons"}
+        assert all(type(v) is int for k, v in diag.items() if k != "inconclusive_reasons")
+
+
 def test_solve_writes_outputs(capsys, files, tmp_path):
     prefix = str(tmp_path / "out")
     code, out, _ = run(

@@ -6,6 +6,7 @@ import pytest
 import posetrep as pr
 from posetrep.linalg import random_complex, random_subspace, same_subspace
 from conftest import (
+    oracle_random_search,
     oracle_saturate,
     oracle_score,
     oracle_subspace_lattice,
@@ -21,6 +22,31 @@ E2 = np.array([[0.0], [1.0]], dtype=complex)
 def two_lines(v1=E1, v2=E2):
     p = pr.primitive_poset(1, 1)
     return pr.make_rep(p, 2, {"a1": v1, "a2": v2})
+
+
+def near_lines(theta=3e-9):
+    """Two lines at angle theta; at 3e-9 [V_1, -V_2] has a singular value
+    between tol and 10 tol, so the rank guard fires."""
+    return two_lines(E1, np.array([[np.cos(theta)], [np.sin(theta)]], dtype=complex))
+
+
+def point_rep():
+    """A rep in C^1, which has no proper nonzero subspace."""
+    p = pr.primitive_poset(1, 2)
+    spans = {
+        "a1": np.ones((1, 1), dtype=complex),
+        "a2": np.zeros((1, 0), dtype=complex),
+        "a3": np.ones((1, 1), dtype=complex),
+    }
+    return pr.make_rep(p, 1, spans), pr.Weight.from_entries(p, [2, 1, 1, 1])
+
+
+def five_planes(k):
+    """Five random k-planes in C^5 (seed 0) with weight (k; 1, ..., 1)."""
+    p = pr.primitive_poset(*[1] * 5)
+    rng = np.random.default_rng(0)
+    rep = pr.make_rep(p, 5, {e: random_complex(rng, 5, k) for e in p.elements})
+    return rep, pr.Weight(k, {e: 1 for e in p.elements})
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +429,8 @@ def test_stability_exceptional_lambdas():
 
 
 def test_stability_d0_one_no_proper_subspaces():
-    p = pr.primitive_poset(1, 2)
-    spans = {
-        "a1": np.ones((1, 1), dtype=complex),
-        "a2": np.zeros((1, 0), dtype=complex),
-        "a3": np.ones((1, 1), dtype=complex),
-    }
-    rep = pr.make_rep(p, 1, spans)
-    v = pr.stability_check(rep, pr.Weight.from_entries(p, [2, 1, 1, 1]))
+    rep, w = point_rep()
+    v = pr.stability_check(rep, w)
     assert v.classification == pr.STABLE
 
 
@@ -433,19 +453,16 @@ def test_rank_guard_fires_on_near_intersection():
     assert v.inconclusive
 
 
-def test_score_after_saturation_reuses_only_same_tolerance():
-    """The scorer may take the intersections saturate_subspace just formed
-    for the same basis, but not those formed at another tolerance: at
-    angle 3e-9, V_2 /\\ V_1 is 0 at tol 1e-9 and a line at tol 1e-8."""
-    from posetrep.linrep import _scorer
-
-    theta = 3e-9
-    rep = two_lines(E1, np.array([[np.cos(theta)], [np.sin(theta)]], dtype=complex))
+def test_score_after_saturation_uses_its_own_tolerance():
+    """Saturating at one tolerance leaves nothing behind that a score at
+    another tolerance reads: at angle 3e-9, V_2 /\\ V_1 is 0 at tol 1e-9
+    and a line at tol 1e-8."""
+    rep = near_lines()
     w = pr.Weight(1, {"a1": 1, "a2": 1})
     k = rep.spans["a1"]
     for sat_tol, score_tol in ((1e-9, 1e-9), (1e-9, 1e-8), (1e-8, 1e-9)):
         pr.saturate_subspace(rep, k, sat_tol)
-        assert _scorer(rep, w, score_tol)(k)[0] == oracle_score(rep, w, k, score_tol)
+        assert pr.subspace_score(rep, w, k, score_tol) == oracle_score(rep, w, k, score_tol)
     assert oracle_score(rep, w, k, 1e-9) != oracle_score(rep, w, k, 1e-8)
 
 
@@ -467,11 +484,8 @@ def test_lattice_overflow_keeps_best_member():
         assert v.classification == pr.UNSTABLE
         assert not v.inconclusive
         assert v.best_score == pr.subspace_score(rep, w, v.witness) >= 1
-    p = pr.primitive_poset(*[1] * 5)
-    rng = np.random.default_rng(0)
-    rep = pr.make_rep(p, 5, {e: random_complex(rng, 5, 3) for e in p.elements})
-    v = pr.stability_check(rep, pr.Weight(3, {e: 1 for e in p.elements}),
-                           pr.StabilityOptions(restarts=0))
+    rep, w = five_planes(3)
+    v = pr.stability_check(rep, w, pr.StabilityOptions(restarts=0))
     assert v.diagnostics["lattice_size"] is None
     assert v.classification == pr.STABLE and v.best_score < 0
     assert v.inconclusive
@@ -492,3 +506,127 @@ def test_generic_stable_reps_are_not_inconclusive():
         assert not v.inconclusive
         assert "randomized_excess" not in v.diagnostics
         assert v.diagnostics["rank_guard_stable"] is True
+
+
+# ---------------------------------------------------------------------------
+# the randomized search: lock step against one restart at a time
+
+def test_random_search_matches_per_restart_oracle():
+    """Best score, witness (bit for bit) and rank guard of the lock-step
+    search equal those of the search one restart at a time."""
+    from posetrep.linrep import _random_search, _Scorer
+
+    rng = np.random.default_rng(34)
+    cases = [((rep, _random_weight(rng, rep.poset)), ((0, 1, 200)[i % 3],))
+             for i, (rep, _) in enumerate(_lattice_cases(rng))]
+    every = (0, 1, 200)
+    cases += [(planted_line_rep(np.random.default_rng(seed)), every) for seed in range(4)]
+    cases += [((near_lines(), pr.Weight(1, {"a1": 1, "a2": 1})), every), (point_rep(), every)]
+    witnesses = moved = 0
+    for seed, ((rep, w), counts) in enumerate(cases):
+        for restarts in counts:
+            best, witness, guard = oracle_random_search(rep, w, seed, restarts)
+            got, got_guard, diag = _random_search(rep, _Scorer(rep, w, 1e-9), restarts, seed)
+            assert got_guard == guard
+            if best is None:
+                assert got is None
+                continue
+            assert got[0] == best
+            assert np.array_equal(got[1], witness)
+            witnesses += 1
+            moved += diag["saturated_moved"]
+    assert witnesses >= 50 and moved > 100
+    # stability_check reports the search; at 3e-9 the guard fires on the
+    # lattice member V_1
+    w = pr.Weight(1, {"a1": 1, "a2": 1})
+    v = pr.stability_check(near_lines(), w)
+    assert v.diagnostics["random_best"] == oracle_random_search(near_lines(), w, 0, 200)[0]
+    assert v.diagnostics["rank_guard_stable"] is False
+
+
+def test_random_search_batches_keep_the_first_maximum(monkeypatch):
+    """Restarts beyond one lock-step batch give the best score, witness and
+    rank guard of one restart at a time; batches of 7 split 200 restarts
+    into 29."""
+    from posetrep import linrep
+
+    monkeypatch.setattr(linrep, "_RESTART_BATCH", 7)
+    cases = [planted_line_rep(np.random.default_rng(seed)) for seed in range(2)]
+    cases += [(pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT), five_planes(2)]
+    for seed, (rep, w) in enumerate(cases):
+        best, witness, guard = oracle_random_search(rep, w, seed, 200)
+        score = linrep._Scorer(rep, w, 1e-9)
+        got, got_guard, counts = linrep._random_search(rep, score, 200, seed)
+        assert got[0] == best and np.array_equal(got[1], witness)
+        assert got_guard == guard
+        assert counts["restarts"] == 200 and counts["saturation_rounds"] >= 29
+
+
+def test_stability_svd_call_budget(monkeypatch):
+    """The search costs a number of SVD calls bounded by widths times
+    saturation rounds, however many restarts run; counts, not timings."""
+    calls = [0]
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rng = np.random.default_rng(42)
+    p = pr.primitive_poset(*[1] * 5)
+    planes = pr.make_rep(p, 4, {e: random_complex(rng, 4, 2) for e in p.elements})
+    cases = [(pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT),
+             (planes, pr.Weight(Fraction(5, 2), {e: 1 for e in p.elements}))]
+    for rep, w in cases:
+        calls[0] = 0
+        pr.stability_check(rep, w, pr.StabilityOptions(restarts=0))
+        lattice = calls[0]
+        d0, n = rep.ambient_dim, len(rep.poset)
+        widths = len({rep.dim(e) for e in rep.poset.elements})
+        for restarts in (50, 400):
+            calls[0] = 0
+            v = pr.stability_check(rep, w, pr.StabilityOptions(restarts=restarts))
+            rounds = v.diagnostics["saturation_rounds"]
+            assert 1 <= rounds <= d0
+            # per basis width the draws, per round and span width one full
+            # SVD and at most d0 null-space SVDs, and the scores; per round
+            # one SVD per width of a sum of intersections (at most n d0)
+            bound = (d0 - 1) * (1 + widths * (1 + rounds * (1 + d0))) + rounds * n * d0
+            assert calls[0] - lattice <= bound < 50
+
+
+def test_methods_list_only_the_search_that_ran():
+    """No random search runs with restarts 0 or d0 = 1: methods lists the
+    lattice alone and diagnostics count 0 restarts."""
+    for (rep, w), opts in (((pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT),
+                            pr.StabilityOptions(restarts=0)),
+                           (point_rep(), pr.StabilityOptions())):
+        v = pr.stability_check(rep, w, opts)
+        assert v.methods == ("lattice_exact",)
+        assert v.diagnostics["restarts"] == 0
+        assert v.diagnostics["random_best"] is None
+        assert v.diagnostics["saturation_rounds"] == v.diagnostics["saturated_moved"] == 0
+    v = pr.stability_check(pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT,
+                           pr.StabilityOptions(restarts=7))
+    assert v.methods == ("lattice_exact", "randomized")
+    assert v.diagnostics["restarts"] == 7
+
+
+def test_stability_inconclusive_reasons():
+    """Each reason names the flag it raised; counts are ints."""
+    w2 = pr.Weight(1, {"a1": 1, "a2": 1})
+    v = pr.stability_check(near_lines(), w2)
+    assert v.inconclusive and "rank_guard" in v.diagnostics["inconclusive_reasons"]
+    rep, w = five_planes(3)
+    v = pr.stability_check(rep, w, pr.StabilityOptions(restarts=0))
+    assert v.inconclusive
+    assert v.diagnostics["inconclusive_reasons"] == ["lattice_overflow"]
+    assert v.diagnostics["lattice_scored"] > 0
+    v = pr.stability_check(pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT)
+    assert not v.inconclusive and v.diagnostics["inconclusive_reasons"] == []
+    # the four lines are the only proper members: sums are C^2
+    assert v.diagnostics["lattice_scored"] == 4
+    assert v.diagnostics["saturation_rounds"] == 1
+    for key in ("lattice_scored", "saturation_rounds", "saturated_moved", "restarts"):
+        assert type(v.diagnostics[key]) is int
