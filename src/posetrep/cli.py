@@ -173,8 +173,8 @@ def _cmd_dim_quotient(args) -> int:
 
 #: stability_check diagnostics emitted under --output json: ints, and the
 #: inconclusive reasons as a list of strings
-_STABILITY_DIAGNOSTICS = ("restarts", "lattice_scored", "saturation_rounds",
-                     "saturated_moved", "inconclusive_reasons")
+_STABILITY_DIAGNOSTICS = ("lattice_size", "restarts", "lattice_scored", "saturation_rounds",
+                         "saturated_moved", "inconclusive_reasons")
 
 
 def _cmd_stability(args) -> int:

@@ -103,36 +103,40 @@ def null_space(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 def subspace_intersections(
     qa: np.ndarray, qb: np.ndarray, tol: float = DEFAULT_TOL, bases: bool = True
 ) -> tuple[np.ndarray, np.ndarray, list | None]:
-    """range(qa[i]) intersect range(qb[r]) for a stack qa of g matrices of
-    one width and a stack qb of R matrices of one width, from one batched
-    SVD of the R*g matrices [qa[i], -qb[r]].  A 2-D qb is the case R = 1,
-    and its results drop the R axis.
+    """range(qa[p]) intersect range(qb[p]) for stacks qa (... x d x a) and
+    qb (... x d x b) whose leading axes broadcast against each other, from
+    one batched SVD of the matrices [qa[p], -qb[p]].  Paired stacks of P
+    matrices give P intersections; qa[None] against qb[:, None] gives all
+    R x g pairs of a stack of g and a stack of R; a 2-D qb meets every
+    matrix of qa.
 
-    Returns per (r, i) the dimension of the intersection (the nullity of
-    [qa[i], -qb[r]]), the rank guard, and with ``bases`` the orthonormal
-    bases (R lists of g).  The guard says whether [qa[i], -qb[r]] has the
-    same rank at 0.1*tol, tol and 10*tol; False means a singular value near
-    the cut, so the dimension hangs on the tolerance.  When qa[i] and qb[r]
-    have orthonormal columns, the nullity is the column count of the basis:
-    a unit null vector (x, y) has |x| = |y| up to tol, so the columns
-    qa[i] x keep singular values near 1/sqrt(2), far above the cut.
-    Without ``bases`` only singular values are computed; they may differ
-    from the full SVD's in the last bits, which can move a dimension only
-    where the guard is False.  Each matrix goes through the same LAPACK
-    call as on its own, so the results do not depend on what else is in
-    the stack.
+    Returns over the broadcast leading shape the dimension of each
+    intersection (the nullity of [qa[p], -qb[p]]), the rank guard, and with
+    ``bases`` the orthonormal bases (nested lists of that shape).  The
+    guard says whether [qa[p], -qb[p]] has the same rank at 0.1*tol, tol
+    and 10*tol; False means a singular value near the cut, so the dimension
+    hangs on the tolerance.  When qa[p] and qb[p] have orthonormal columns,
+    the nullity is the column count of the basis: a unit null vector
+    (x, y) has |x| = |y| up to tol, so the columns qa[p] x keep singular
+    values near 1/sqrt(2), far above the cut.  Without ``bases`` only
+    singular values are computed; they may differ from the full SVD's in
+    the last bits, which can move a dimension only where the guard is
+    False.  Each matrix goes through the same LAPACK call as on its own, so
+    the results do not depend on what else is in the stack.
     """
-    stacked = np.ndim(qb) == 3
-    qb = np.asarray(qb, dtype=complex) if stacked else as_complex(qb)[None]
-    g, d, a = qa.shape
-    r, _, b = qb.shape
+    qa, qb = np.asarray(qa, dtype=complex), np.asarray(qb, dtype=complex)
+    d, a = qa.shape[-2:]
+    b = qb.shape[-1]
+    shape = np.broadcast_shapes(qa.shape[:-2], qb.shape[:-2])
+    out = np.empty(shape, dtype=object) if bases else None
+    if out is not None:
+        out.fill(np.zeros((d, 0), dtype=complex))
     if a == 0 or b == 0:
-        dims, guard = np.zeros((r, g), dtype=int), np.ones((r, g), dtype=bool)
-        out = [[np.zeros((d, 0), dtype=complex)] * g for _ in range(r)] if bases else None
+        dims, guard = np.zeros(shape, dtype=int), np.ones(shape, dtype=bool)
     else:
-        m = np.empty((r, g, d, a + b), dtype=complex)
+        m = np.empty(shape + (d, a + b), dtype=complex)
         m[..., :a] = qa
-        m[..., a:] = -qb[:, None]
+        m[..., a:] = -qb
         if bases:
             _, s, vh = np.linalg.svd(m, full_matrices=True)
         else:
@@ -142,25 +146,22 @@ def subspace_intersections(
         ranks = (s[..., None, :] > cuts[..., :, None]).sum(axis=-1)
         guard = ranks[..., 0] == ranks[..., 2]
         dims = a + b - ranks[..., 1]
-        out = None
         if bases:
-            # orthonormal_columns(qa[i] @ ns[:a]) with ns the null space,
+            # orthonormal_columns(qa[p] @ ns[:a]) with ns the null space,
             # batched over the matrices of one nullity
-            out = [[np.zeros((d, 0), dtype=complex)] * g for _ in range(r)]
+            qa = np.broadcast_to(qa, shape + (d, a))
             for n in set(dims.ravel().tolist()) - {0}:
                 sel = np.nonzero(dims == n)
-                ns = vh[sel[0], sel[1], a + b - n :].conj().transpose(0, 2, 1)
-                got = orthonormal_stack(qa[sel[1]] @ ns[:, :a], tol)
-                for j, i, q in zip(*(x.tolist() for x in sel), got):
-                    out[j][i] = q
-    if stacked:
-        return dims, guard, out
-    return dims[0], guard[0], None if out is None else out[0]
+                ns = vh[sel][:, a + b - n :].conj().transpose(0, 2, 1)
+                got = orthonormal_stack(qa[sel] @ ns[:, :a], tol)
+                for p, q in zip(zip(*(x.tolist() for x in sel)), got):
+                    out[p] = q
+    return dims, guard, None if out is None else out.tolist()
 
 
 def subspace_intersection(qa: np.ndarray, qb: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of range(qa) intersect range(qb)."""
-    return subspace_intersections(as_complex(qa)[None], qb, tol)[2][0]
+    return subspace_intersections(as_complex(qa)[None], as_complex(qb)[None], tol)[2][0]
 
 
 def condition_number(m: np.ndarray) -> float:

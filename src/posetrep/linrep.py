@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple
@@ -351,6 +352,66 @@ def decompose(rep: SubspaceRep, seed: int = 0, tol: float = DEFAULT_TOL) -> list
 # ---------------------------------------------------------------------------
 # subspace lattice and stability
 
+#: pairs of the lattice closure whose sums, intersections and dedup are
+#: batched together: bounds the stacks of one SVD call and the candidates
+#: held at once
+_PAIR_CHUNK = 64
+#: entries of one residual stack of the dedup prefilter at most (512 KB), so
+#: that its memory stays bounded however large d0 and the lattice get
+_SCREEN_ENTRIES = 1 << 15
+
+
+def _pair_candidates(
+    members: list[np.ndarray], pairs: list[tuple[int, int]], tol: float
+) -> list[np.ndarray]:
+    """Sum and intersection of every pair of members, in the order sum,
+    intersection, pair by pair: one ``linalg.orthonormal_stack`` and one
+    intersection SVD per (width, width) group of pairs, the same bases bit
+    for bit as ``linalg.subspace_sum`` and ``subspace_intersection``."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for p, (i, j) in enumerate(pairs):
+        groups.setdefault((members[i].shape[1], members[j].shape[1]), []).append(p)
+    out: list = [None] * (2 * len(pairs))
+    for ps in groups.values():
+        qa = np.stack([members[pairs[p][0]] for p in ps])
+        qb = np.stack([members[pairs[p][1]] for p in ps])
+        sums = linalg.orthonormal_stack(np.concatenate([qa, qb], axis=2), tol)
+        caps = linalg.subspace_intersections(qa, qb, tol)[2]
+        for p, s, c in zip(ps, sums, caps):
+            out[2 * p], out[2 * p + 1] = s, c
+    return out
+
+
+def _screen(
+    q: np.ndarray, block: np.ndarray, n: int, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The dedup prefilter of a stack q of c bases of width k against n
+    bases of width k side by side in ``block`` (d0 x n k): per pair (c x n),
+    whether it passes the Frobenius bound that ``linalg.same_subspace``
+    implies (hit), and whether both residuals below tol / 2 already decide
+    that it is the same subspace (close)."""
+    c, d0, k = q.shape
+    step = max(1, _SCREEN_ENTRIES // max(1, block.size))
+    if c > step:
+        parts = [_screen(q[i : i + step], block, n, tol) for i in range(0, c, step)]
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    # same_subspace(m, q) needs |m - q q* m|_2 <= tol, so
+    # |m - q q* m|_F^2 <= k tol^2; the 1e-12 covers the rounding of this
+    # product against the one same_subspace forms.
+    r = block - q @ (q.conj().transpose(0, 2, 1) @ block)
+    frob = (r.real**2 + r.imag**2).reshape(c, d0, n, k).sum(axis=(1, 3))
+    hit = frob <= k * (tol + 1e-12) ** 2
+    # |.|_2 <= |.|_F: both residuals below tol / 2 decide the pair without
+    # an SVD, with a margin far above their rounding
+    close = hit & (frob <= tol * tol / 4)
+    ci, mi = np.nonzero(close)
+    if ci.size:
+        m = block.reshape(d0, n, k).transpose(1, 0, 2)[mi]
+        back = q[ci] - m @ (m.conj().transpose(0, 2, 1) @ q[ci])
+        close[ci, mi] = (back.real**2 + back.imag**2).sum(axis=(1, 2)) <= tol * tol / 4
+    return close, hit
+
+
 def subspace_lattice(
     rep: SubspaceRep, tol: float = DEFAULT_TOL, cap: int = 512
 ) -> list[np.ndarray]:
@@ -364,6 +425,17 @@ def subspace_lattice(
     LatticeTooLarge, carrying the members found so far in the same order,
     when the closure exceeds cap members; the modular lattice generated by
     finitely many subspaces can be infinite in general.
+
+    A pass walks its pairs in order, _PAIR_CHUNK at a time.  A chunk forms
+    its sums and intersections with one SVD each per pair of widths.  Its
+    candidates are screened with one batched Frobenius prefilter per
+    dimension against the members known at the chunk start, and the ones
+    left open against each other; only pairs the prefilter leaves
+    undecided go through ``linalg.same_subspace``.  The candidates are then
+    added in order, each unless it is the same subspace as a member known
+    at the chunk start or a candidate added before it.  So the members,
+    their order and the point of an overflow are those of adding one
+    candidate at a time, bit for bit.
     """
     d0 = rep.ambient_dim
     members: list[np.ndarray] = []
@@ -372,30 +444,9 @@ def subspace_lattice(
     # i*k to (i+1)*k of a buffer that doubles when full
     blocks: dict[int, np.ndarray] = {}
 
-    def known(q: np.ndarray) -> bool:
-        k = q.shape[1]
-        same = same_dim.get(k)
-        if not same:
-            return False
-        # same_subspace(m, q) needs |m - q q* m|_2 <= tol, so
-        # |m - q q* m|_F^2 <= k tol^2; the 1e-12 covers the rounding of this
-        # product against the one same_subspace forms.
-        block = blocks[k][:, : len(same) * k]
-        r = block - q @ (q.conj().T @ block)
-        frob = (r.real**2 + r.imag**2).reshape(d0, len(same), k).sum(axis=(0, 2))
-        for i in np.flatnonzero(frob <= k * (tol + 1e-12) ** 2).tolist():
-            # |.|_2 <= |.|_F: both residuals below tol / 2 decide the pair
-            # without an SVD, with a margin far above their rounding
-            m = same[i]
-            if frob[i] <= tol * tol / 4:
-                back = q - m @ (m.conj().T @ q)
-                if (back.real**2 + back.imag**2).sum() <= tol * tol / 4:
-                    return True
-            if linalg.same_subspace(m, q, tol):
-                return True
-        return False
-
     def keep(q: np.ndarray) -> None:
+        # a copy, so that a member does not hold on to a whole batch's SVD
+        q = q.copy()
         k = q.shape[1]
         same = same_dim.setdefault(k, [])
         n = len(same)
@@ -408,26 +459,56 @@ def subspace_lattice(
         same.append(q)
         members.append(q)
 
-    def add(q: np.ndarray) -> None:
-        if known(q):
-            return
-        keep(q)
-        if len(members) > cap:
-            members.sort(key=lambda q: q.shape[1])
-            raise LatticeTooLarge(f"subspace lattice exceeded cap {cap}", members)
+    def absorb(cands: list[np.ndarray]) -> None:
+        """Add the candidates in order, each unless a member matches it."""
+        widths: dict[int, list[int]] = {}
+        for c, q in enumerate(cands):
+            widths.setdefault(q.shape[1], []).append(c)
+        # each candidate that no member known at the start decides: its
+        # row j among the open candidates of its width, their positions,
+        # its screen against rows < j and against the start members, and
+        # which rows were added
+        pending: dict[int, tuple] = {}
+        for k, idx in widths.items():
+            q = np.stack([cands[c] for c in idx])
+            n = len(same_dim.get(k, ()))
+            hit0 = np.zeros((len(idx), 0), dtype=bool)
+            if n:
+                close, hit0 = _screen(q, blocks[k][:, : n * k], n, tol)
+                left = ~close.any(axis=1)
+                idx, q, hit0 = [c for c, o in zip(idx, left.tolist()) if o], q[left], hit0[left]
+            if not idx:
+                continue
+            close, hit = _screen(q, q.transpose(1, 0, 2).reshape(d0, -1), len(idx), tol)
+            added = np.zeros(len(idx), dtype=bool)
+            for j, c in enumerate(idx):
+                pending[c] = (j, idx, close[j, :j], hit[j, :j], hit0[j], added)
+        for c in sorted(pending):
+            j, idx, close, hit, hit0, added = pending[c]
+            q = cands[c]
+            if (close & added[:j]).any():
+                continue
+            same = same_dim.get(q.shape[1], [])
+            if any(linalg.same_subspace(same[i], q, tol) for i in np.flatnonzero(hit0)):
+                continue
+            if any(linalg.same_subspace(cands[idx[i]], q, tol)
+                   for i in np.flatnonzero(hit & added[:j])):
+                continue
+            added[j] = True
+            keep(q)
+            if len(members) > cap:
+                members.sort(key=lambda q: q.shape[1])
+                raise LatticeTooLarge(f"subspace lattice exceeded cap {cap}", members)
 
     keep(np.zeros((d0, 0), dtype=complex))
     keep(np.eye(d0, dtype=complex))
-    for e in rep.poset.elements:
-        add(rep.spans[e])
+    absorb([rep.spans[e] for e in rep.poset.elements])
     done = 0
     while done < len(members):
         size = len(members)
-        for i in range(size):
-            for j in range(max(i + 1, done), size):
-                a, b = members[i], members[j]
-                add(linalg.subspace_sum(a, b, tol))
-                add(linalg.subspace_intersection(a, b, tol))
+        pairs = ((i, j) for i in range(size) for j in range(max(i + 1, done), size))
+        while chunk := list(islice(pairs, _PAIR_CHUNK)):
+            absorb(_pair_candidates(members, chunk, tol))
         done = size
     members.sort(key=lambda q: q.shape[1])
     return members
@@ -473,7 +554,7 @@ def _intersections(
     guard = np.ones(len(qb), dtype=bool)
     parts = [[None] * n for _ in range(len(qb))] if bases else None
     for idx, stack in _width_groups(rep):
-        d, ok, got = linalg.subspace_intersections(stack, qb, tol, bases)
+        d, ok, got = linalg.subspace_intersections(stack[None], qb[:, None], tol, bases)
         dims[:, idx] = d
         guard &= ok.all(axis=1)
         if parts is not None:

@@ -259,7 +259,9 @@ def oracle_intersection(qa, qb, tol: float = 1e-9):
 def oracle_subspace_lattice(rep, tol: float = 1e-9, cap: int = 512):
     """Closure of {0, V, V_e} under sum and intersection: every pass forms
     every pair of the members so far, and each candidate is compared with
-    every member."""
+    every member.  On overflow, LatticeTooLarge carries the members found
+    before the cap, sorted by dimension: pairs of older members only give
+    duplicates, so they are added in the order of the semi-naive closure."""
     from posetrep.linalg import same_subspace, subspace_sum
 
     d0 = rep.ambient_dim
@@ -270,7 +272,8 @@ def oracle_subspace_lattice(rep, tol: float = 1e-9, cap: int = 512):
             return False
         members.append(q)
         if len(members) > cap:
-            raise pr.LatticeTooLarge(f"subspace lattice exceeded cap {cap}")
+            members.sort(key=lambda q: q.shape[1])
+            raise pr.LatticeTooLarge(f"subspace lattice exceeded cap {cap}", members)
         return True
 
     for e in rep.poset.elements:

@@ -186,9 +186,27 @@ def test_stability_json_diagnostics(capsys, files):
         assert diag["restarts"] == restarts
         assert diag["inconclusive_reasons"] == []
         assert diag["lattice_scored"] == 4
-        assert set(diag) == {"restarts", "lattice_scored", "saturation_rounds",
-                             "saturated_moved", "inconclusive_reasons"}
+        assert diag["lattice_size"] == 6  # 0, the four lines and C^2
+        assert set(diag) == {"lattice_size", "restarts", "lattice_scored",
+                             "saturation_rounds", "saturated_moved", "inconclusive_reasons"}
         assert all(type(v) is int for k, v in diag.items() if k != "inconclusive_reasons")
+
+
+def test_stability_json_lattice_size_null_on_overflow(capsys, tmp_path):
+    """The planted line: the lattice overflows its cap, so lattice_size is
+    null, and the line among the members found before it certifies
+    instability without an inconclusive reason."""
+    rep, _ = planted_line_rep(np.random.default_rng(0))
+    (tmp_path / "anti6.poset").write_text(fileio.serialize_poset(rep.poset))
+    (tmp_path / "planted.rep").write_text(fileio.serialize_rep(rep, "anti6.poset"))
+    code, out, _ = run(capsys, "--output", "json", "stability", str(tmp_path / "planted.rep"),
+                       "-w", "3; 1, 1, 1, 1, 1, 1", "--restarts", "0")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["classification"] == "unstable"
+    assert payload["diagnostics"]["lattice_size"] is None
+    assert payload["diagnostics"]["lattice_scored"] > 400
+    assert payload["diagnostics"]["inconclusive_reasons"] == []
 
 
 def test_solve_writes_outputs(capsys, files, tmp_path):

@@ -255,32 +255,73 @@ def _lattice_cases(rng):
     return cases
 
 
-def _closed(rep, cap, route):
+def _members(rep, cap, route):
+    """The members, and whether the closure overflowed cap; on overflow the
+    members found before it."""
     try:
-        return route(rep, cap=cap)
-    except pr.LatticeTooLarge:
-        return None
+        return route(rep, cap=cap), False
+    except pr.LatticeTooLarge as exc:
+        return exc.members, True
+
+
+def _assert_same_closure(rep, cap):
+    """subspace_lattice and the pairwise oracle overflow at the same cap
+    and give the same members in the same order, bit for bit, also the
+    members found before an overflow; returns whether it overflowed."""
+    got, got_over = _members(rep, cap, pr.subspace_lattice)
+    want, want_over = _members(rep, cap, oracle_subspace_lattice)
+    assert got_over == want_over
+    assert len(got) == len(want) == (cap + 1 if want_over else len(want))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    return want_over
 
 
 def test_lattice_matches_pairwise_oracle():
     """Same members, same order, bit for bit, and an overflow at the same
-    cap as the closure that forms every pair in every pass."""
+    cap, with the same members found before it, as the closure that forms
+    every pair in every pass."""
     rng = np.random.default_rng(31)
     overflows = 0
     for rep, cap in _lattice_cases(rng):
-        got = _closed(rep, cap, pr.subspace_lattice)
-        want = _closed(rep, cap, oracle_subspace_lattice)
-        assert (got is None) == (want is None)
-        if want is None:
+        if _assert_same_closure(rep, cap):
             overflows += 1
             continue
-        assert len(got) == len(want)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-        if len(want) > 2:  # 0 and V are not counted against the cap
+        n = len(pr.subspace_lattice(rep, cap=cap))
+        if n > 2:  # 0 and V are not counted against the cap
             # one member fewer than the closure holds: both overflow
-            assert _closed(rep, len(want) - 1, pr.subspace_lattice) is None
-            assert _closed(rep, len(want) - 1, oracle_subspace_lattice) is None
+            assert _assert_same_closure(rep, n - 1)
     assert overflows >= 3
+
+
+def test_lattice_batching_edges(monkeypatch):
+    """The chunked closure against the pairwise oracle where the batching
+    has edges: C^1; a zero-width and a full-width span, so that a width
+    group holds 0 or d0 columns; two elements with one span, and a third
+    line at 0.8 tol from it (its Frobenius residual is above tol^2 / 4, so
+    only same_subspace decides it), all met within the first chunk;
+    passes of more pairs than one
+    chunk (7 generic lines in C^3, a planted rep), at caps that overflow
+    inside a chunk.  With the default chunk and prefilter stacks, and with
+    chunks of 1 and 5 pairs whose prefilter screens one and a few
+    candidates at a time."""
+    from posetrep import linrep
+
+    rng = np.random.default_rng(33)
+    line, other = random_subspace(rng, 4, 2).T[:, :, None]
+    spans = {"a1": np.zeros((4, 0), dtype=complex), "a2": random_complex(rng, 4, 4),
+             "a3": line, "a4": 2j * line, "a5": random_complex(rng, 4, 2),
+             "a6": line + 0.8e-9 * other}
+    edges = pr.make_rep(pr.primitive_poset(*[1] * 6), 4, spans)
+    p = pr.primitive_poset(*[1] * 7)
+    lines = pr.make_rep(p, 3, {e: random_complex(rng, 3, 1) for e in p.elements})
+    planted, _ = planted_line_rep(np.random.default_rng(0))
+    cases = [(point_rep()[0], 512), (edges, 512), (lines, 38), (lines, 47), (lines, 56),
+             (planted, 60), (planted, 101)]
+    assert len(pr.subspace_lattice(edges)) == 5  # 0, the line, the plane, their sum, V
+    for chunk, entries in ((1, 1), (5, 64), (linrep._PAIR_CHUNK, linrep._SCREEN_ENTRIES)):
+        monkeypatch.setattr(linrep, "_PAIR_CHUNK", chunk)
+        monkeypatch.setattr(linrep, "_SCREEN_ENTRIES", entries)
+        assert sum(_assert_same_closure(rep, cap) for rep, cap in cases) == 5
 
 
 def test_lattice_keeps_planes_just_beyond_tolerance():
@@ -313,10 +354,10 @@ def test_scores_match_per_element_oracle():
     for rep, cap in _lattice_cases(rng):
         d0 = rep.ambient_dim
         w = _random_weight(rng, rep.poset)
-        members = _closed(rep, cap, oracle_subspace_lattice)
+        members, over = _members(rep, cap, oracle_subspace_lattice)
         bases = [random_subspace(rng, d0, int(rng.integers(1, d0 + 1))),
                  random_complex(rng, d0, int(rng.integers(1, d0 + 1)))]
-        proper = [] if members is None else [q for q in members if 0 < q.shape[1] < d0]
+        proper = [] if over else [q for q in members if 0 < q.shape[1] < d0]
         for q in proper + bases:
             assert pr.subspace_score(rep, w, q) == oracle_score(rep, w, q)
             compared += 1
