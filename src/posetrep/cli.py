@@ -41,9 +41,10 @@ from .families import (
     is_exceptional,
     parse_lambda,
 )
-from .linrep import StabilityOptions, decompose, stability_check
+from .linrep import decompose
 from .moment import FlowOptions, kempf_ness_flow, orthoscalar_check, unitary_invariants
 from .poset import hasse_quiver, is_representation_finite
+from .stability import StabilityOptions, stability_check
 
 _BREAKDOWN = (NumericalBreakdown, SingularMetric, CheckFailed)
 
@@ -171,10 +172,22 @@ def _cmd_dim_quotient(args) -> int:
 # ---------------------------------------------------------------------------
 # linear-representation subcommands
 
-#: stability_check diagnostics emitted under --output json: ints, and the
-#: inconclusive reasons as a list of strings
-_STABILITY_DIAGNOSTICS = ("lattice_size", "restarts", "lattice_scored", "saturation_rounds",
-                         "saturated_moved", "inconclusive_reasons")
+#: stability_check diagnostics emitted under --output json: the route and
+#: the reasons it fell back to the lattice; the flow's status, iterations
+#: and residual, lambda_min, dim End, the dual bound, the gap and the HN
+#: type; the lattice and search counts and the inconclusive reasons; and
+#: the wall time of each method in ms.  A key the route did not set is null.
+_STABILITY_DIAGNOSTICS = ("route", "fallback_reasons", "flow_status", "flow_iterations",
+                         "residual", "lambda_min", "end_dim", "dual_bound", "gap",
+                         "hn_dims", "hn_slopes", "lattice_size", "restarts",
+                         "lattice_scored", "saturation_rounds", "saturated_moved",
+                         "inconclusive_reasons", "times_ms")
+
+
+def _route_text(diagnostics: dict) -> str:
+    """The route, with the reasons in parentheses when it fell back."""
+    reasons = diagnostics["fallback_reasons"]
+    return diagnostics["route"] + (f" ({', '.join(reasons)})" if reasons else "")
 
 
 def _cmd_stability(args) -> int:
@@ -188,6 +201,7 @@ def _cmd_stability(args) -> int:
         f"trace_identity: {'yes' if verdict.trace_identity else 'no'}",
         f"methods: {', '.join(verdict.methods)}",
         f"inconclusive: {'yes' if verdict.inconclusive else 'no'}",
+        f"route: {_route_text(verdict.diagnostics)}",
     ]
     witness = None
     if verdict.witness is not None:
@@ -207,7 +221,7 @@ def _cmd_stability(args) -> int:
             "methods": list(verdict.methods),
             "inconclusive": verdict.inconclusive,
             "witness": witness,
-            "diagnostics": {k: verdict.diagnostics[k] for k in _STABILITY_DIAGNOSTICS},
+            "diagnostics": {k: verdict.diagnostics.get(k) for k in _STABILITY_DIAGNOSTICS},
         },
         "\n".join(lines),
     )
@@ -443,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("rep", help="representation file")
     sp.add_argument("-w", "--weight", required=True, help="'chi0; chi_1, ...'")
     sp.add_argument("--restarts", type=nonnegative_int,
-                    help="random destabilizer searches, >= 0")
+                    help="random destabilizer searches when the lattice route runs, >= 0")
     sp.set_defaults(func=_cmd_stability)
 
     sp = sub.add_parser("solve", parents=[common],

@@ -63,11 +63,6 @@ def orthonormal_stack(m: np.ndarray, tol: float = DEFAULT_TOL) -> list[np.ndarra
     return [u[j, :, :r] for j, r in enumerate(ranks)]
 
 
-def projector(q: np.ndarray) -> np.ndarray:
-    q = as_complex(q)
-    return q @ q.conj().T
-
-
 def inclusion_residual(q_small: np.ndarray, q_big: np.ndarray) -> float:
     """Largest singular value of (I - P_big) Q_small; 0 when contained."""
     q_small, q_big = as_complex(q_small), as_complex(q_big)
@@ -89,15 +84,27 @@ def subspace_sum(qa: np.ndarray, qb: np.ndarray, tol: float = DEFAULT_TOL) -> np
 
 
 def null_space(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of the null space: the right singular vectors past
+    the rank at tol times the largest singular value."""
+    return null_space_with_guard(m, tol)[0]
+
+
+def null_space_with_guard(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, bool]:
+    """null_space, and whether the rank comes out the same at 0.1*tol and
+    10*tol (the rank guard of ``rank_with_guard``).  The left singular
+    vectors are formed only as far as the right ones need them: all of vh
+    comes out of the thin SVD once m has at least as many rows as
+    columns."""
     m = as_complex(m)
     if m.shape[1] == 0:
-        return np.zeros((0, 0), dtype=complex)
+        return np.zeros((0, 0), dtype=complex), True
     if m.shape[0] == 0:
-        return np.eye(m.shape[1], dtype=complex)
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
+        return np.eye(m.shape[1], dtype=complex), True
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     smax = s[0] if s.size else 0.0
-    r = int(np.count_nonzero(s > tol * smax)) if smax > 0 else 0
-    return vh[r:].conj().T
+    ranks = [int(np.count_nonzero(s > f * tol * smax)) if smax > 0 else 0
+             for f in _GUARD_FACTORS]
+    return vh[ranks[1]:].conj().T, ranks[0] == ranks[2]
 
 
 def subspace_intersections(

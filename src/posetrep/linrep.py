@@ -1,4 +1,4 @@
-r"""Subspace representations of posets and their slope stability.
+r"""Subspace representations of posets and the linear side of slope stability.
 
 A representation assigns to each poset element a subspace of a fixed ambient
 space, with V_i <= V_j whenever i < j.  A positive rational weight chi (one
@@ -10,14 +10,19 @@ entry chi_0 for the ambient space, one entry per element) defines the score
 for proper nonzero subspaces K.  The representation is slope stable when
 f(K) < 0 for every such K, semistable when f never becomes positive.  Scores
 are computed in exact rational arithmetic from numerically determined
-intersection dimensions; f is supermodular on the subspace lattice, and the
-saturation K -> sum_i (V_i /\ K) never lowers it, which justifies the
-randomized destabilizer search below.
+intersection dimensions (``_Scorer``).  ``posetrep.stability`` classifies
+from the Kempf-Ness flow and scores here only the subspaces the flow's
+limit points to.  The lattice closure generated by the V_e
+(``subspace_lattice``) and the randomized destabilizer search
+(``_random_search``: f is supermodular on the subspace lattice, and the
+saturation K -> sum_i (V_i /\ K) never lowers it) are its fallback, for the
+inputs where the flow's certificate does not close.  The endomorphism
+algebra (``endomorphism_algebra``) is the Schur test of the stable verdict
+and the source of direct-sum splits (``split_along``, ``decompose``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from math import lcm
@@ -37,11 +42,6 @@ from .errors import (
 from .poset import Poset, connected_components
 
 DEFAULT_TOL = 1e-9
-
-STABLE = "stable"
-POLYSTABLE_NOT_STABLE = "polystable_not_stable"
-SEMISTABLE_NOT_POLYSTABLE = "semistable_not_polystable"
-UNSTABLE = "unstable"
 
 
 class SubspaceRep:
@@ -209,28 +209,46 @@ class Weight:
 # endomorphisms and direct-sum decomposition
 
 def endomorphism_algebra(rep: SubspaceRep, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Basis of {f : f V_e <= V_e for all e}, as d0 x d0 matrices.
+    """Basis of {f : f V_e <= V_e for all e}, as d0 x d0 matrices,
+    orthonormal in the Frobenius inner product.
 
-    Solves the stacked linear system (I - P_e) f P_e = 0 by a singular value
-    decomposition of the Kronecker constraint matrix.  The complex dimension
-    of the algebra is the length of the returned list.
+    f maps V_e into itself exactly when Q_e'* f Q_e = 0, with Q_e an
+    orthonormal basis of V_e and Q_e' one of its orthogonal complement; in
+    column-major vec(f) this is (Q_e^T kron Q_e'*) vec(f) = 0, one block of
+    d_e (d0 - d_e) rows per element.  The algebra is the null space of the
+    stacked blocks (``linalg.null_space_with_guard``, rank cut at tol times
+    the largest singular value).  The Gram matrix of the stack is
+    sum_e conj(P_e) kron (I - P_e), the same as that of the Kronecker system
+    (I - P_e) f P_e = 0, so the singular values, and with them the rank cut,
+    are those of that system; but the stack has sum_e d_e (d0 - d_e) rows
+    instead of n d0^2.  The cut is on singular values: eigenvalues of the
+    Gram matrix carry an absolute error of about eps, which is sqrt(eps)
+    on the singular-value scale, far above tol.  The complex dimension of
+    the algebra is the length of the returned list.
     """
+    return _endomorphisms(rep, tol)[0]
+
+
+def _endomorphisms(rep: SubspaceRep, tol: float) -> tuple[list[np.ndarray], bool]:
+    """endomorphism_algebra, and whether its dimension is the same at
+    0.1*tol and 10*tol (``linalg.null_space_with_guard``)."""
     d0 = rep.ambient_dim
     if d0 == 0:
-        return []
-    eye = np.eye(d0, dtype=complex)
-    constraints = []
-    for e in rep.poset.elements:
-        q = rep.spans[e]
-        if q.shape[1] in (0, d0):
+        return [], True
+    blocks = []
+    for _, stack in _width_groups(rep):
+        k = stack.shape[2]
+        if k in (0, d0):
             continue  # constraint is vacuous
-        p = linalg.projector(q)
-        constraints.append(np.kron(p.T, eye - p))
-    if not constraints:
-        ns = np.eye(d0 * d0, dtype=complex)
+        comp = np.linalg.qr(stack, mode="complete")[0][:, :, k:]
+        # (Q^T kron Q'*)[(a, b), (i, j)] = Q[i, a] conj(Q'[j, b]), with
+        # vec(f)[i d0 + j] = f[j, i] (column-major)
+        blocks.append(np.einsum("nia,njb->nabij", stack, comp.conj()).reshape(-1, d0 * d0))
+    if not blocks:
+        ns, guard = np.eye(d0 * d0, dtype=complex), True
     else:
-        ns = linalg.null_space(np.vstack(constraints), tol)
-    return [ns[:, k].reshape((d0, d0), order="F") for k in range(ns.shape[1])]
+        ns, guard = linalg.null_space_with_guard(np.concatenate(blocks), tol)
+    return [ns[:, k].reshape((d0, d0), order="F") for k in range(ns.shape[1])], guard
 
 
 class Decomposition(NamedTuple):
@@ -287,14 +305,39 @@ def _restrict_to_block(rep: SubspaceRep, block: np.ndarray, tol: float) -> Subsp
     return sub
 
 
+def split_along(
+    rep: SubspaceRep, f: np.ndarray, tol: float = DEFAULT_TOL
+) -> list[tuple[np.ndarray, SubspaceRep]] | None:
+    """The direct-sum split of the representation along the generalized
+    eigenspaces of an endomorphism f: (block, summand) pairs, each block an
+    isometric embedding of the summand's ambient space, or None when the
+    split is not clean (one eigenvalue cluster, a block whose
+    intersections do not form a representation, or dim V_e not the sum of
+    the summands' dimensions for some e)."""
+    blocks = _generalized_eigenspaces(f, tol)
+    if blocks is None:
+        return None
+    pieces = []
+    for block in blocks:
+        piece = _restrict_to_block(rep, block, tol)
+        if piece is None:
+            return None
+        pieces.append((block, piece))
+    for e in rep.poset.elements:
+        if sum(p.dim(e) for _, p in pieces) != rep.dim(e):
+            return None
+    return pieces
+
+
 def decompose_full(rep: SubspaceRep, seed: int = 0, tol: float = DEFAULT_TOL) -> Decomposition:
     """Split into indecomposable summands; deterministic given the seed.
 
     Samples a random endomorphism, splits the ambient space along its
     generalized eigenspaces (their spectral projections commute with every
-    V_e), intersects, and recurses until each block has a one-dimensional
-    endomorphism algebra or refuses to split further.  Returns the summands
-    together with isometric embeddings of their ambient spaces.
+    V_e, see ``split_along``), and recurses until each block has a
+    one-dimensional endomorphism algebra or refuses to split further.
+    Returns the summands together with isometric embeddings of their
+    ambient spaces.
     """
     rng = np.random.default_rng(seed)
     diagnostics = {"samples": 0, "failed_splits": 0}
@@ -309,25 +352,7 @@ def decompose_full(rep: SubspaceRep, seed: int = 0, tol: float = DEFAULT_TOL) ->
         for _ in range(4):
             diagnostics["samples"] += 1
             coeff = linalg.random_complex(rng, len(basis))
-            f = sum(c * b for c, b in zip(coeff, basis))
-            blocks = _generalized_eigenspaces(f, tol)
-            if blocks is None:
-                diagnostics["failed_splits"] += 1
-                continue
-            pieces = []
-            for block in blocks:
-                piece = _restrict_to_block(sub, block, tol)
-                if piece is None:
-                    pieces = None
-                    break
-                pieces.append((block, piece))
-            if pieces is None:
-                diagnostics["failed_splits"] += 1
-                continue
-            for e in sub.poset.elements:
-                if sum(p.dim(e) for _, p in pieces) != sub.dim(e):
-                    pieces = None
-                    break
+            pieces = split_along(sub, sum(c * b for c, b in zip(coeff, basis)), tol)
             if pieces is None:
                 diagnostics["failed_splits"] += 1
                 continue
@@ -722,144 +747,3 @@ def _random_search(
             q.shape[1] < s.shape[1] for q, s in zip(candidates, starts)
         )
     return best, guard, counts
-
-
-@dataclass
-class StabilityOptions:
-    tol: float = DEFAULT_TOL
-    restarts: int = 200
-    seed: int = 0
-
-
-@dataclass
-class StabilityVerdict:
-    classification: str
-    witness: np.ndarray | None
-    methods: tuple[str, ...]
-    inconclusive: bool
-    best_score: Fraction | None
-    trace_identity: bool
-    diagnostics: dict = field(default_factory=dict)
-
-
-def stability_check(
-    rep: SubspaceRep, w: Weight, opts: StabilityOptions | None = None
-) -> StabilityVerdict:
-    """Classify the representation for the given weight.
-
-    Two cooperating procedures: maximization of the score over the lattice
-    generated by the V_e (exact given the numerically decided intersection
-    dimensions), and a seeded randomized destabilizer search with
-    saturation as local improvement (a heuristic: the lattice need not hold
-    a maximizer of the score, so the random search may score higher).
-
-    The search draws ``restarts`` random subspaces K (a dimension in
-    [1, d0), then a complex Gaussian d0 x k matrix, in that order per
-    restart) and orthonormalizes them with one SVD per dimension.  The
-    restarts then saturate in lock step, up to 1,024 at a time (see
-    ``_saturate``): each round costs one batched SVD per (basis width, span
-    width), however many restarts are in it.  Each saturated K (the drawn
-    one when saturation leaves no proper subspace) is scored; scores stay
-    integer numerators until the end, and the first strict maximum wins.  The lattice members
-    go through the same batched scorer, grouped by dimension.  Every basis,
-    intersection and score equals that of saturating and scoring one
-    restart at a time, bit for bit.  With d0 = 1 there is no proper
-    subspace and no search runs; ``methods`` lists ``randomized`` only when
-    it ran, and ``diagnostics["restarts"]`` counts the restarts run.
-
-    When the lattice overflows the default cap of ``subspace_lattice`` (512
-    members), the members found before the overflow are scored as a
-    complete lattice would be (``diagnostics["lattice_size"]`` is None).  A
-    positive best score is a certificate of instability either way, so the
-    overflow sets ``inconclusive`` only when the best score is 0 or less.
-    ``inconclusive`` is also set when the random search finds a score of
-    larger sign than the lattice (a destabilizer or tie the lattice
-    missed, which changes the verdict), or when a rank guard
-    fails: for some scored K, some [V_e, -K] has a different rank at
-    0.1*tol, tol or 10*tol, so an intersection dimension hangs on the
-    tolerance (``diagnostics["rank_guard_stable"]``).
-    ``diagnostics["inconclusive_reasons"]`` lists which of these fired, as
-    ``rank_guard``, ``random_excess`` and ``lattice_overflow``; the counts
-    ``lattice_scored`` (proper members scored), ``saturation_rounds`` and
-    ``saturated_moved`` (restarts whose scored K is smaller than the drawn
-    one) say what the search did.
-
-    The verdict "stable" additionally requires the weighted trace identity
-    sum chi_e d_e = chi0 d0; ties (score 0) are split into polystable versus
-    merely semistable by decomposing into indecomposables and checking the
-    identity on every summand.
-    """
-    opts = opts or StabilityOptions()
-    w.aligned(rep.poset)
-    if rep.ambient_dim == 0:
-        raise WrongShape("stability of the zero representation is undefined")
-    d0 = rep.ambient_dim
-    trace_ok = w.trace_identity(rep)
-    diagnostics: dict = {"sigma": str(w.slope(rep))}
-
-    score = _Scorer(rep, w, opts.tol)
-    try:
-        members = subspace_lattice(rep, opts.tol)
-        diagnostics["lattice_size"] = len(members)
-    except LatticeTooLarge as exc:
-        members = exc.members
-        diagnostics["lattice_size"] = None
-    members = [q for q in members if 0 < q.shape[1] < d0]
-    lattice_scored = score(members)
-    lattice_best = score.best(lattice_scored, members)
-    diagnostics["lattice_scored"] = len(members)
-
-    random_best, random_guard, counts = _random_search(rep, score, opts.restarts, opts.seed)
-    diagnostics.update(counts)
-
-    guard_ok = random_guard and all(g for _, g in lattice_scored)
-    diagnostics["lattice_best"] = None if lattice_best is None else lattice_best[0]
-    diagnostics["random_best"] = None if random_best is None else random_best[0]
-    diagnostics["rank_guard_stable"] = guard_ok
-    reasons = [] if guard_ok else ["rank_guard"]
-
-    def sign(x: Fraction) -> int:
-        return (x > 0) - (x < 0)
-
-    if (
-        lattice_best is not None
-        and random_best is not None
-        and sign(random_best[0]) > sign(lattice_best[0])
-    ):
-        reasons.append("random_excess")
-        diagnostics["randomized_excess"] = str(random_best[0] - lattice_best[0])
-
-    best = lattice_best
-    if random_best is not None and (best is None or random_best[0] > best[0]):
-        best = random_best
-    if diagnostics["lattice_size"] is None and (best is None or best[0] <= 0):
-        reasons.append("lattice_overflow")
-    diagnostics["inconclusive_reasons"] = reasons
-
-    witness: np.ndarray | None = None
-    if best is not None and best[0] > 0:
-        classification = UNSTABLE
-        witness = best[1]
-    elif not trace_ok:
-        classification = SEMISTABLE_NOT_POLYSTABLE
-        diagnostics["trace_identity_failure"] = True
-        if best is not None and best[0] == 0:
-            witness = best[1]
-    elif best is not None and best[0] == 0:
-        summands = decompose(rep, seed=opts.seed, tol=opts.tol)
-        diagnostics["summand_dims"] = [s.dim_vector() for s in summands]
-        poly = all(w.trace_identity(s) for s in summands if s.ambient_dim)
-        classification = POLYSTABLE_NOT_STABLE if poly else SEMISTABLE_NOT_POLYSTABLE
-        witness = best[1]
-    else:
-        classification = STABLE
-
-    return StabilityVerdict(
-        classification=classification,
-        witness=witness,
-        methods=("lattice_exact", "randomized") if counts["restarts"] else ("lattice_exact",),
-        inconclusive=bool(reasons),
-        best_score=None if best is None else best[0],
-        trace_identity=trace_ok,
-        diagnostics=diagnostics,
-    )

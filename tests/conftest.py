@@ -7,7 +7,8 @@ a hard-coded critical list, the bound-quiver invariants by exact rational
 elimination on the path space, the inverse Cartan matrix by back
 substitution, the subspace lattice and the stability score by pairwise
 closure and one intersection SVD per element, the randomized destabilizer
-search one restart at a time, the moment map by one SVD per
+search one restart at a time, the endomorphism algebra by an SVD of the
+Kronecker system, the moment map by one SVD per
 element, the Hessian of the Newton step as a dense Kronecker matrix, the
 trace words by one product per word from scratch, and a fixed-step
 reference flow with its own projector and moment computations.
@@ -291,6 +292,25 @@ def oracle_subspace_lattice(rep, tol: float = 1e-9, cap: int = 512):
     return members
 
 
+def oracle_endomorphism_dim(rep, tol: float = 1e-9) -> int:
+    """dim End from the Kronecker system (I - P_e) f P_e = 0: the stacked
+    n d0^2 x d0^2 matrix of the kron(P_e^T, I - P_e), its singular values
+    from a full SVD, the nullity at tol times the largest."""
+    d0 = rep.ambient_dim
+    eye = np.eye(d0, dtype=complex)
+    blocks = []
+    for e in rep.poset.elements:
+        q = rep.spans[e]
+        if q.shape[1] in (0, d0):
+            continue
+        p = q @ q.conj().T
+        blocks.append(np.kron(p.T, eye - p))
+    if not blocks:
+        return d0 * d0
+    s = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+    return d0 * d0 - int(np.count_nonzero(s > tol * s[0]))
+
+
 def oracle_saturate(rep, basis, tol: float = 1e-9):
     """K -> sum_e (V_e /\\ K) to a fixed point, one intersection at a time."""
     from posetrep.linalg import orthonormal_columns
@@ -458,6 +478,27 @@ def planted_line_rep(rng: np.random.Generator):
         for i, e in enumerate(p.elements)
     }
     return pr.make_rep(p, 4, spans), pr.Weight(3, {e: 1 for e in p.elements})
+
+
+def random_antichain_rep(rng: np.random.Generator, bent: bool):
+    """Three to six subspaces of C^2..C^6, each of dimension 1..d0-1, with
+    weights chi_e in {1, 2, 3} and chi0 from the trace identity.  When
+    bent, a random nonempty set of them has its first basis vector moved to
+    within 10^-6..1 of one common line, which puts the rep near (or at,
+    numerically) an unstable or strictly semistable class."""
+    from posetrep.linalg import random_complex
+
+    d0, n = int(rng.integers(2, 7)), int(rng.integers(3, 7))
+    p = pr.primitive_poset(*[1] * n)
+    spans = {e: random_complex(rng, d0, int(rng.integers(1, d0))) for e in p.elements}
+    if bent:
+        line = random_complex(rng, d0, 1)
+        for e in p.elements[: int(rng.integers(1, n + 1))]:
+            eps = 10 ** rng.uniform(-6, 0)
+            spans[e][:, :1] = line + eps * random_complex(rng, d0, 1)
+    chi = {e: int(rng.integers(1, 4)) for e in p.elements}
+    rep = pr.make_rep(p, d0, spans)
+    return rep, pr.Weight(Fraction(sum(chi[e] * rep.dim(e) for e in p.elements), d0), chi)
 
 
 def random_poset(rng: np.random.Generator, n: int, density: float = 0.4) -> pr.Poset:

@@ -68,9 +68,13 @@ def test_02_sphere_invariant(generic_runs, rng):
 
 
 def test_03_exceptional_points():
-    # Boundary orbits reach the zero fiber only polynomially, so the flow
-    # runs to 1e-4 and the summand split is read off at the matching
-    # sqrt-scale tolerance 1e-2.
+    # The four lines at lambda in {0, 1, inf} are indecomposable (dim End =
+    # 1: two of the lines coincide, and a matrix keeping the three distinct
+    # lines is scalar) with a score-0 line (the doubled one), so they are
+    # semistable but not polystable: an indecomposable polystable rep is
+    # stable.  Boundary orbits reach the zero fiber only polynomially, so
+    # the flow runs to 1e-4 and the split of the limit's closed orbit is
+    # read off at the matching sqrt-scale tolerance 1e-2.
     details = []
     ok = True
     for lam in pr.EXCEPTIONAL_LAMBDAS:
@@ -85,7 +89,7 @@ def test_03_exceptional_points():
             else []
         )
         good = (
-            verdict.classification == pr.POLYSTABLE_NOT_STABLE
+            verdict.classification == pr.SEMISTABLE_NOT_POLYSTABLE
             and report.status == "converged"
             and sorted(p.ambient_dim for p in parts) == [1, 1]
         )

@@ -153,7 +153,8 @@ def test_stability_stable_line(capsys, files):
     assert lines["classification"] == "stable"
     assert lines["trace_identity"] == "yes"
     assert lines["inconclusive"] == "no"
-    assert "lattice_exact" in lines["methods"]
+    assert lines["methods"] == "flow"
+    assert lines["route"] == "flow_stable"
 
 
 def test_stability_json_round_trip(capsys, files):
@@ -172,41 +173,86 @@ def test_stability_json_round_trip(capsys, files):
     assert payload["witness"] is None
 
 
+#: the diagnostics keys of every stability verdict under --output json
+STABILITY_KEYS = {"route", "fallback_reasons", "flow_status", "flow_iterations", "residual",
+                  "lambda_min", "end_dim", "dual_bound", "gap", "hn_dims", "hn_slopes",
+                  "lattice_size", "restarts", "lattice_scored", "saturation_rounds",
+                  "saturated_moved", "inconclusive_reasons", "times_ms"}
+LATTICE_COUNTS = ("lattice_size", "restarts", "lattice_scored", "saturation_rounds",
+                  "saturated_moved")
+
+
 def test_stability_json_diagnostics(capsys, files):
-    """The search's counts and the inconclusive reasons, as ints and
-    strings; methods lists the random search only when it ran."""
+    """The flow's certificate on the flow route; on the lattice route (here
+    for a weight without the trace identity, where the flow does not run)
+    the search's counts and the inconclusive reasons, as ints and strings;
+    methods lists the random search only when it ran.  Every verdict has
+    the same keys; wall times are floats and are not compared."""
+    code, out, _ = run(capsys, "--output", "json", "stability", files["lam2.rep"],
+                       "-w", "2; 1, 1, 1, 1")
+    assert code == 0
+    payload = json.loads(out)
+    diag = payload["diagnostics"]
+    assert set(diag) == STABILITY_KEYS
+    assert payload["methods"] == ["flow"]
+    assert diag["route"] == "flow_stable" and diag["fallback_reasons"] == []
+    assert diag["flow_status"] == "converged" and type(diag["flow_iterations"]) is int
+    assert diag["end_dim"] == 1
+    assert 0 <= diag["residual"] <= diag["lambda_min"] / 4
+    assert diag["gap"] < 0 < diag["dual_bound"]  # no positive score can exist
+    assert diag["hn_dims"] == [2] and diag["hn_slopes"] == ["2"]
+    assert diag["inconclusive_reasons"] == []
+    assert all(diag[k] is None for k in LATTICE_COUNTS)
+    assert set(diag["times_ms"]) == {"flow", "schur", "hessian"}
+    assert all(type(v) is float for v in diag["times_ms"].values())
     for extra, restarts, methods in (([], 200, ["lattice_exact", "randomized"]),
                                      (["--restarts", "0"], 0, ["lattice_exact"])):
         code, out, _ = run(capsys, "--output", "json", "stability", files["lam2.rep"],
-                           "-w", "2; 1, 1, 1, 1", *extra)
+                           "-w", "3; 1, 1, 1, 1", *extra)
         assert code == 0
         payload = json.loads(out)
         diag = payload["diagnostics"]
+        assert set(diag) == STABILITY_KEYS
         assert payload["methods"] == methods
+        assert diag["route"] == "lattice"
+        assert diag["fallback_reasons"] == ["no_trace_identity"]
+        assert diag["flow_status"] is None
         assert diag["restarts"] == restarts
         assert diag["inconclusive_reasons"] == []
         assert diag["lattice_scored"] == 4
         assert diag["lattice_size"] == 6  # 0, the four lines and C^2
-        assert set(diag) == {"lattice_size", "restarts", "lattice_scored",
-                             "saturation_rounds", "saturated_moved", "inconclusive_reasons"}
-        assert all(type(v) is int for k, v in diag.items() if k != "inconclusive_reasons")
+        assert all(type(diag[k]) is int for k in LATTICE_COUNTS)
 
 
 def test_stability_json_lattice_size_null_on_overflow(capsys, tmp_path):
-    """The planted line: the lattice overflows its cap, so lattice_size is
-    null, and the line among the members found before it certifies
-    instability without an inconclusive reason."""
+    """The planted line: on the lattice route (chi0 = 4 breaks the trace
+    identity and leaves every score as it is) the lattice overflows its
+    cap, so lattice_size is null, and the line among the members found
+    before it certifies instability without an inconclusive reason.  With
+    the trace identity the flow's plateau certifies it, with the HN type
+    of the line: slopes 4 and 8/3 against sigma = 3."""
     rep, _ = planted_line_rep(np.random.default_rng(0))
     (tmp_path / "anti6.poset").write_text(fileio.serialize_poset(rep.poset))
     (tmp_path / "planted.rep").write_text(fileio.serialize_rep(rep, "anti6.poset"))
     code, out, _ = run(capsys, "--output", "json", "stability", str(tmp_path / "planted.rep"),
-                       "-w", "3; 1, 1, 1, 1, 1, 1", "--restarts", "0")
+                       "-w", "4; 1, 1, 1, 1, 1, 1", "--restarts", "0")
     assert code == 0
     payload = json.loads(out)
     assert payload["classification"] == "unstable"
+    assert payload["diagnostics"]["route"] == "lattice"
     assert payload["diagnostics"]["lattice_size"] is None
     assert payload["diagnostics"]["lattice_scored"] > 400
     assert payload["diagnostics"]["inconclusive_reasons"] == []
+    code, out, _ = run(capsys, "--output", "json", "stability", str(tmp_path / "planted.rep"),
+                       "-w", "3; 1, 1, 1, 1, 1, 1", "--restarts", "0")
+    assert code == 0
+    payload = json.loads(out)
+    diag = payload["diagnostics"]
+    assert payload["classification"] == "unstable" and payload["best_score"] == "1"
+    assert diag["route"] == "flow_unstable" and diag["flow_status"] == "plateau"
+    assert diag["lattice_size"] is None and diag["lattice_scored"] is None
+    assert diag["hn_dims"] == [1, 3] and diag["hn_slopes"] == ["4", "8/3"]
+    assert abs(diag["gap"]) < 1e-6 and diag["inconclusive_reasons"] == []
 
 
 def test_solve_writes_outputs(capsys, files, tmp_path):

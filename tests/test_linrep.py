@@ -5,12 +5,15 @@ import pytest
 
 import posetrep as pr
 from posetrep.linalg import random_complex, random_subspace, same_subspace
+from posetrep.stability import _lattice_verdict
 from conftest import (
+    oracle_endomorphism_dim,
     oracle_random_search,
     oracle_saturate,
     oracle_score,
     oracle_subspace_lattice,
     planted_line_rep,
+    random_antichain_rep,
     random_nested_rep,
     random_poset,
 )
@@ -151,6 +154,40 @@ def test_endomorphism_algebra_contains_identity():
 def test_endomorphism_algebra_generic_lines_is_scalars():
     rep = pr.four_lines_rep(2 + 1j)
     assert len(pr.endomorphism_algebra(rep)) == 1
+
+
+def test_endomorphism_dims_match_kronecker_oracle():
+    """The compact constraint stack gives the dimension of the Kronecker
+    system's null space, on generic and nested reps, the exceptional four
+    lines and block sums (dim End >= 2, 4 for two equal copies); the basis
+    is orthonormal and keeps every V_e."""
+    rng = np.random.default_rng(35)
+    cases = [pr.four_lines_rep(lam) for lam in pr.EXCEPTIONAL_LAMBDAS + (2, 3 + 4j)]
+    for i in range(24):
+        cases.append(random_antichain_rep(rng, bent=i % 2 == 1)[0])
+    for _ in range(12):
+        p = random_poset(rng, int(rng.integers(2, 6)))
+        cases.append(random_nested_rep(rng, p, int(rng.integers(1, 6))))
+    p = pr.primitive_poset(*[1] * 5)
+    for _ in range(8):
+        d = int(rng.integers(2, 4))
+        a = pr.make_rep(p, d, {e: random_complex(rng, d, 1) for e in p.elements})
+        b = pr.make_rep(p, d, {e: random_complex(rng, d, 1) for e in p.elements})
+        cases += [pr.direct_sum(a, b), pr.direct_sum(a, a), pr.direct_sum(pr.direct_sum(a, b), a)]
+    dims = []
+    for rep in cases:
+        basis = pr.endomorphism_algebra(rep)
+        assert len(basis) == oracle_endomorphism_dim(rep)
+        dims.append(len(basis))
+        if rep.ambient_dim == 0:
+            continue
+        flat = np.stack([f.ravel() for f in basis])
+        assert np.allclose(flat.conj() @ flat.T, np.eye(len(basis)), atol=1e-12)
+        for f in basis:
+            for e in rep.poset.elements:
+                q = rep.spans[e]
+                assert np.linalg.norm(f @ q - q @ (q.conj().T @ f @ q)) < 1e-9
+    assert sum(d >= 2 for d in dims) >= 30 and 4 in dims and max(dims) >= 5
 
 
 def test_decompose_two_lines():
@@ -362,9 +399,9 @@ def test_scores_match_per_element_oracle():
             assert pr.subspace_score(rep, w, q) == oracle_score(rep, w, q)
             compared += 1
         if proper:
-            # closed under cap, so the same closure as under the 512 of
-            # stability_check
-            v = pr.stability_check(rep, w, pr.StabilityOptions(restarts=0))
+            # closed under cap, so the same closure as under the 512 of the
+            # lattice route
+            v = _lattice_verdict(rep, w, pr.StabilityOptions(restarts=0))
             assert v.diagnostics["lattice_best"] == max(oracle_score(rep, w, q) for q in proper)
     assert compared > 300
 
@@ -418,6 +455,12 @@ def test_saturation_never_lowers_score(rng):
 def test_stability_stable_case():
     v = pr.stability_check(pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT)
     assert v.classification == pr.STABLE
+    assert not v.inconclusive
+    # the flow certifies it and scores no subspace
+    assert v.methods == ("flow",) and v.diagnostics["route"] == "flow_stable"
+    assert v.best_score is None and v.witness is None
+    v = _lattice_verdict(pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT, pr.StabilityOptions())
+    assert v.classification == pr.STABLE
     assert v.best_score == Fraction(-1)
     assert not v.inconclusive
     assert "lattice_exact" in v.methods and "randomized" in v.methods
@@ -464,9 +507,17 @@ def test_stability_agrees_with_flow():
 
 
 def test_stability_exceptional_lambdas():
+    """Indecomposable (dim End = 1) with a score-0 line: semistable, not
+    polystable, on the flow route and on the lattice route."""
     for lam in pr.EXCEPTIONAL_LAMBDAS:
-        v = pr.stability_check(pr.four_lines_rep(lam), pr.FOURSPACE_WEIGHT)
-        assert v.classification == pr.POLYSTABLE_NOT_STABLE
+        rep = pr.four_lines_rep(lam)
+        assert len(pr.endomorphism_algebra(rep)) == 1
+        v = pr.stability_check(rep, pr.FOURSPACE_WEIGHT)
+        assert v.classification == pr.SEMISTABLE_NOT_POLYSTABLE
+        assert v.diagnostics["route"] == "flow_boundary"
+        assert v.best_score == 0 == pr.subspace_score(rep, pr.FOURSPACE_WEIGHT, v.witness)
+        v = _lattice_verdict(rep, pr.FOURSPACE_WEIGHT, pr.StabilityOptions())
+        assert v.classification == pr.SEMISTABLE_NOT_POLYSTABLE
 
 
 def test_stability_d0_one_no_proper_subspaces():
@@ -520,16 +571,25 @@ def test_lattice_overflow_keeps_best_member():
     for seed in range(4):
         rep, w = planted_line_rep(np.random.default_rng(seed))
         # no random search: the witness comes from the partial lattice
-        v = pr.stability_check(rep, w, pr.StabilityOptions(restarts=0))
+        v = _lattice_verdict(rep, w, pr.StabilityOptions(restarts=0))
         assert v.diagnostics["lattice_size"] is None
         assert v.classification == pr.UNSTABLE
         assert not v.inconclusive
         assert v.best_score == pr.subspace_score(rep, w, v.witness) >= 1
+        # the flow's plateau certifies the same best score without a lattice
+        flow = pr.stability_check(rep, w, pr.StabilityOptions(restarts=0))
+        assert flow.diagnostics["route"] == "flow_unstable"
+        assert flow.classification == pr.UNSTABLE and not flow.inconclusive
+        assert flow.best_score == pr.subspace_score(rep, w, flow.witness) == v.best_score
     rep, w = five_planes(3)
-    v = pr.stability_check(rep, w, pr.StabilityOptions(restarts=0))
+    v = _lattice_verdict(rep, w, pr.StabilityOptions(restarts=0))
     assert v.diagnostics["lattice_size"] is None
     assert v.classification == pr.STABLE and v.best_score < 0
     assert v.inconclusive
+    # the flow certifies stable with a margin, and nothing is left open
+    v = pr.stability_check(rep, w, pr.StabilityOptions(restarts=0))
+    assert v.classification == pr.STABLE and not v.inconclusive
+    assert v.diagnostics["residual"] <= v.diagnostics["lambda_min"] / 4
 
 
 def test_generic_stable_reps_are_not_inconclusive():
@@ -621,13 +681,13 @@ def test_stability_svd_call_budget(monkeypatch):
              (planes, pr.Weight(Fraction(5, 2), {e: 1 for e in p.elements}))]
     for rep, w in cases:
         calls[0] = 0
-        pr.stability_check(rep, w, pr.StabilityOptions(restarts=0))
+        _lattice_verdict(rep, w, pr.StabilityOptions(restarts=0))
         lattice = calls[0]
         d0, n = rep.ambient_dim, len(rep.poset)
         widths = len({rep.dim(e) for e in rep.poset.elements})
         for restarts in (50, 400):
             calls[0] = 0
-            v = pr.stability_check(rep, w, pr.StabilityOptions(restarts=restarts))
+            v = _lattice_verdict(rep, w, pr.StabilityOptions(restarts=restarts))
             rounds = v.diagnostics["saturation_rounds"]
             assert 1 <= rounds <= d0
             # per basis width the draws, per round and span width one full
@@ -639,18 +699,24 @@ def test_stability_svd_call_budget(monkeypatch):
 
 def test_methods_list_only_the_search_that_ran():
     """No random search runs with restarts 0 or d0 = 1: methods lists the
-    lattice alone and diagnostics count 0 restarts."""
+    lattice alone and diagnostics count 0 restarts.  The flow route lists
+    the flow alone; a fallback lists the flow first."""
     for (rep, w), opts in (((pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT),
                             pr.StabilityOptions(restarts=0)),
                            (point_rep(), pr.StabilityOptions())):
-        v = pr.stability_check(rep, w, opts)
+        v = _lattice_verdict(rep, w, opts)
         assert v.methods == ("lattice_exact",)
         assert v.diagnostics["restarts"] == 0
         assert v.diagnostics["random_best"] is None
         assert v.diagnostics["saturation_rounds"] == v.diagnostics["saturated_moved"] == 0
-    v = pr.stability_check(pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT,
-                           pr.StabilityOptions(restarts=7))
+        assert pr.stability_check(rep, w, opts).methods == ("flow",)
+    v = _lattice_verdict(pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT,
+                         pr.StabilityOptions(restarts=7))
     assert v.methods == ("lattice_exact", "randomized")
+    assert v.diagnostics["restarts"] == 7
+    v = pr.stability_check(near_lines(), pr.Weight(1, {"a1": 1, "a2": 1}),
+                           pr.StabilityOptions(restarts=7))
+    assert v.methods == ("flow", "lattice_exact", "randomized")
     assert v.diagnostics["restarts"] == 7
 
 
@@ -660,11 +726,11 @@ def test_stability_inconclusive_reasons():
     v = pr.stability_check(near_lines(), w2)
     assert v.inconclusive and "rank_guard" in v.diagnostics["inconclusive_reasons"]
     rep, w = five_planes(3)
-    v = pr.stability_check(rep, w, pr.StabilityOptions(restarts=0))
+    v = _lattice_verdict(rep, w, pr.StabilityOptions(restarts=0))
     assert v.inconclusive
     assert v.diagnostics["inconclusive_reasons"] == ["lattice_overflow"]
     assert v.diagnostics["lattice_scored"] > 0
-    v = pr.stability_check(pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT)
+    v = _lattice_verdict(pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT, pr.StabilityOptions())
     assert not v.inconclusive and v.diagnostics["inconclusive_reasons"] == []
     # the four lines are the only proper members: sums are C^2
     assert v.diagnostics["lattice_scored"] == 4

@@ -1,0 +1,241 @@
+"""The flow-first stability classifier against the lattice route.
+
+``stability_check`` reads the verdict off the Kempf-Ness flow's limit with
+a certificate and falls back to the lattice route
+(``stability._lattice_verdict``: the lattice closure and the randomized
+search) when none closes.  These tests compare the two routes on seeded
+random reps, check each certificate on inputs of known class, and check
+the Hessian against the dense Kronecker oracle.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+import posetrep as pr
+from posetrep import moment, stability
+from posetrep.linalg import random_complex, subspace_intersection
+from posetrep.stability import _lattice_verdict
+from conftest import oracle_hessian, planted_line_rep, random_antichain_rep
+
+W_LINES = pr.Weight(1, {"a1": 1, "a2": 1})
+
+
+def test_flow_route_matches_lattice_route():
+    """On 40 seeded antichain reps (C^2..C^6, weights 1-3, every other one
+    bent toward a common line) the verdict is the lattice route's, and an
+    unstable verdict of the flow has the lattice's best score; the flow's
+    certificates leave nothing inconclusive.  The plateau's HN type, when
+    certified, has pieces of falling slopes that fill V; among these reps
+    are three-step types and certified maximal scores whose HN type is
+    not.  Where the flow's certificate does not close, the lattice route
+    decides and its verdict is returned as is."""
+    rng = np.random.default_rng(2026)
+    routes, hn_steps = set(), set()
+    for i in range(40):
+        rep, w = random_antichain_rep(rng, bent=i % 2 == 1)
+        v = pr.stability_check(rep, w)
+        lattice = _lattice_verdict(rep, w, pr.StabilityOptions())
+        route = v.diagnostics["route"]
+        routes.add(route)
+        assert v.classification == lattice.classification, (i, route)
+        if route == "lattice":
+            assert v.diagnostics["fallback_reasons"]
+            assert v.best_score == lattice.best_score
+            continue
+        assert not v.inconclusive and v.diagnostics["fallback_reasons"] == []
+        if v.classification == pr.STABLE:
+            assert v.witness is None and v.best_score is None
+            continue
+        assert v.best_score == lattice.best_score
+        assert pr.subspace_score(rep, w, v.witness) == v.best_score
+        if route == "flow_unstable":
+            dims, slopes = v.diagnostics["hn_dims"], v.diagnostics["hn_slopes"]
+            hn_steps.add(None if dims is None else len(dims))
+            if dims is not None:
+                assert sum(dims) == rep.ambient_dim
+                assert [Fraction(x) for x in slopes] == sorted(map(Fraction, slopes), reverse=True)
+    assert {"flow_stable", "flow_unstable", "flow_boundary", "lattice"} <= routes
+    assert {None, 2, 3} <= hn_steps
+
+
+def test_block_sums_are_never_stable():
+    """Block sums of stable reps of one slope are polystable, split on the
+    flow route into the summands (each certified stable): four lines in C^2
+    with four others or with themselves (dim End = 4), three such, and two
+    sets of five 2-planes in C^4."""
+    rng = np.random.default_rng(36)
+    p4, p5 = pr.primitive_poset(1, 1, 1, 1), pr.primitive_poset(*[1] * 5)
+    w4, w5 = pr.FOURSPACE_WEIGHT, pr.Weight(Fraction(5, 2), {e: 1 for e in p5.elements})
+    for _ in range(3):
+        a, b = (pr.make_rep(p4, 2, {e: random_complex(rng, 2, 1) for e in p4.elements})
+                for _ in range(2))
+        c, d = (pr.make_rep(p5, 4, {e: random_complex(rng, 4, 2) for e in p5.elements})
+                for _ in range(2))
+        for rep, w, parts in ((pr.direct_sum(a, b), w4, 2), (pr.direct_sum(a, a), w4, 2),
+                              (pr.direct_sum(pr.direct_sum(a, b), a), w4, 3),
+                              (pr.direct_sum(c, d), w5, 2)):
+            v = pr.stability_check(rep, w)
+            assert v.classification == pr.POLYSTABLE_NOT_STABLE
+            assert v.diagnostics["route"] == "flow_split" and not v.inconclusive
+            summands = v.diagnostics["summands"]
+            assert len(summands) == parts
+            assert all(s["classification"] == pr.STABLE for s in summands)
+            assert v.best_score == 0 == pr.subspace_score(rep, w, v.witness)
+
+
+def test_hessian_matches_dense_oracle():
+    """The trace-zero spectrum of L at random metrics is the dense
+    Kronecker matrix's spectrum less the identity's zero, and the Hermitian
+    matrix of each returned eigenvector (row-major) satisfies
+    L(x) = lambda x."""
+    rng = np.random.default_rng(37)
+    for i in range(12):
+        rep, w = random_antichain_rep(rng, bent=i % 2 == 1)
+        d0 = rep.ambient_dim
+        g = np.eye(d0) + 0.3 * random_complex(rng, d0, d0)
+        mmap = moment._MomentMap(rep, w)
+        p, _ = mmap(g)
+        values, vectors = stability._hessian(p, mmap.chi)
+        dense = oracle_hessian(dict(zip(rep.poset.elements, p)), w)
+        want = np.linalg.eigvalsh(dense)
+        assert abs(want[0]) < 1e-12
+        assert np.allclose(values, want[1:], atol=1e-10)
+        for lam, v in zip(values, vectors.T):
+            # L commutes with x -> x*, so the Hermitian line of an
+            # eigenvector is one too
+            x = stability._hermitian(v, d0)
+            lx, _ = mmap.hessian(p, x)
+            assert np.linalg.norm(lx - lam * x) < 1e-10 * np.linalg.norm(x)
+
+
+def test_stable_margin_and_boundary():
+    """Generic four lines: residual within a quarter of lambda_min, so the
+    flow certifies stable.  At lambda in {0, 1, inf} lambda_min shrinks
+    with the residual, at r / lambda_min near 1/sqrt(8) > 1/4: the
+    boundary route, with a score-0 line as witness."""
+    for lam in (2, -1, 0.5, 3 + 4j, 1e-7):
+        v = pr.stability_check(pr.four_lines_rep(lam), pr.FOURSPACE_WEIGHT)
+        d = v.diagnostics
+        assert v.classification == pr.STABLE and d["route"] == "flow_stable"
+        assert d["residual"] <= stability.MARGIN_FACTOR * d["lambda_min"]
+        assert d["end_dim"] == 1 and d["gap"] < 0
+    for lam in pr.EXCEPTIONAL_LAMBDAS:
+        rep = pr.four_lines_rep(lam)
+        v = pr.stability_check(rep, pr.FOURSPACE_WEIGHT)
+        d = v.diagnostics
+        assert v.classification == pr.SEMISTABLE_NOT_POLYSTABLE
+        assert d["route"] == "flow_boundary" and d["end_dim"] == 1
+        assert 0.3 < d["residual"] / d["lambda_min"] < 0.4
+        assert v.witness.shape == (2, 1)
+        assert pr.subspace_score(rep, pr.FOURSPACE_WEIGHT, v.witness) == 0
+
+
+def test_plateau_certificate_and_snap():
+    """The planted line of four of six planes in C^4: the plateau's top
+    eigenvector is the line up to about 1e-10, in the rank guard's band
+    for some seeds; snapped, a line 1e-6 off it comes out as the line.  The
+    dual bound of the flag, 2/sqrt(3), meets the residual: HN type
+    (1, 3) with slopes (4, 8/3)."""
+    for seed in range(4):
+        rep, w = planted_line_rep(np.random.default_rng(seed))
+        v = pr.stability_check(rep, w)
+        d = v.diagnostics
+        assert d["route"] == "flow_unstable" and d["flow_status"] == "plateau"
+        assert v.best_score == 1 and v.witness.shape == (4, 1)
+        assert abs(d["dual_bound"] - 2 / np.sqrt(3)) < 1e-12
+        assert 0 <= d["gap"] < 1e-6
+        assert d["hn_dims"] == [1, 3] and d["hn_slopes"] == ["4", "8/3"]
+    line = subspace_intersection(rep.spans["a1"], rep.spans["a2"])
+    rng = np.random.default_rng(38)
+    off = line + 1e-6 * random_complex(rng, 4, 1)
+    snapped = stability._snap(rep, off / np.linalg.norm(off), 1e-9)
+    assert snapped.shape == (4, 1)
+    assert np.linalg.norm(snapped - line @ (line.conj().T @ snapped)) < 1e-14
+    assert pr.subspace_score(rep, w, snapped) == 1
+
+
+def test_fallback_reasons():
+    """Without the trace identity the flow does not run; near two lines at
+    3e-9 the dimension of End hangs on the tolerance; in both cases the
+    lattice route decides and says so."""
+    rep = pr.four_lines_rep(2)
+    v = pr.stability_check(rep, pr.Weight(3, {e: 1 for e in rep.poset.elements}))
+    assert v.diagnostics["route"] == "lattice"
+    assert v.diagnostics["fallback_reasons"] == ["no_trace_identity"]
+    assert v.methods == ("lattice_exact", "randomized")
+    assert v.diagnostics["flow_status"] is None
+    e1 = np.array([[1.0], [0.0]], dtype=complex)
+    near = np.array([[np.cos(3e-9)], [np.sin(3e-9)]], dtype=complex)
+    lines = pr.make_rep(pr.primitive_poset(1, 1), 2, {"a1": e1, "a2": near})
+    v = pr.stability_check(lines, W_LINES)
+    assert v.diagnostics["fallback_reasons"] == ["rank_guard"]
+    assert v.methods[0] == "flow" and v.inconclusive
+
+
+def _bent_lines(n: int, m: int, eps: float, seed: int):
+    """n lines in C^2, the first m within about eps of one common line, with
+    weight (n/2; 1, ..., 1): stable, since the lines are distinct, but
+    close to the unstable class where m > n/2 of them coincide."""
+    rng = np.random.default_rng(seed)
+    p = pr.primitive_poset(*[1] * n)
+    line = random_complex(rng, 2, 1)
+    spans = {}
+    for i, e in enumerate(p.elements):
+        spans[e] = random_complex(rng, 2, 1)
+        if i < m:
+            spans[e] = line + eps * random_complex(rng, 2, 1)
+    return pr.make_rep(p, 2, spans), pr.Weight(Fraction(n, 2), {e: 1 for e in p.elements})
+
+
+def test_stall_reps_stay_stable_via_the_fallback():
+    """Lines within 1.4e-6, 3.7e-6 and 4.3e-6 of a common line: the flow
+    hovers near the norm of the unstable class nearby (about 0.70 and 0.85)
+    and stops on a plateau after 20-22 iterations.  No flag candidate
+    scores above 0, so the lattice route decides: stable, not
+    inconclusive."""
+    for n, m, eps, seed in ((5, 3, 1.4e-6, 2), (7, 4, 3.7e-6, 1), (5, 3, 4.3e-6, 3)):
+        rep, w = _bent_lines(n, m, eps, seed)
+        _, report = pr.kempf_ness_flow(rep, w)
+        assert report.status == "plateau" and report.iterations <= 25
+        v = pr.stability_check(rep, w)
+        assert v.classification == pr.STABLE and not v.inconclusive
+        assert v.diagnostics["route"] == "lattice"
+        assert v.diagnostics["fallback_reasons"] == ["no_destabilizer"]
+        assert v.methods == ("flow", "lattice_exact", "randomized")
+
+
+def test_sum_with_a_boundary_summand_is_not_polystable():
+    """A block sum with the four lines at lambda = 0 as a summand splits on
+    the flow route; that summand is semistable_not_polystable, so the sum
+    is too (dim End = 2, or 4 for two boundary copies)."""
+    boundary, generic = pr.four_lines_rep(0), pr.four_lines_rep(2 + 1j)
+    for rep, end_dim in ((pr.direct_sum(boundary, generic), 2),
+                         (pr.direct_sum(generic, boundary), 2),
+                         (pr.direct_sum(boundary, boundary), 4)):
+        v = pr.stability_check(rep, pr.FOURSPACE_WEIGHT)
+        assert v.classification == pr.SEMISTABLE_NOT_POLYSTABLE
+        assert v.diagnostics["route"] == "flow_split"
+        assert v.diagnostics["end_dim"] == end_dim
+        routes = sorted(s["route"] for s in v.diagnostics["summands"])
+        assert "flow_boundary" in routes and len(routes) == 2
+
+
+def test_plateau_continues_once_when_the_gap_is_open():
+    """Rep 11 of the seeded antichain sequence (C^5): the flow stalls at
+    residual 0.756 while its flag's best line (score 2/5) bounds the HN
+    norm by 0.447, too far to certify the maximal score.  One more run of
+    the flow from the plateau's metric brings the residual to the bound,
+    and the certificate closes with the lattice route's best score."""
+    rng = np.random.default_rng(2026)
+    for i in range(12):
+        rep, w = random_antichain_rep(rng, bent=i % 2 == 1)
+    _, report = pr.kempf_ness_flow(rep, w)
+    assert report.status == "plateau" and report.residual > 0.75
+    v = pr.stability_check(rep, w)
+    d = v.diagnostics
+    assert d["route"] == "flow_unstable" and d["fallback_reasons"] == []
+    assert d["flow_iterations"] > report.iterations
+    assert d["residual"] < 0.4473 and 0 <= d["gap"] < 1e-4
+    assert v.best_score == Fraction(2, 5) == pr.subspace_score(rep, w, v.witness)
+    assert v.best_score == _lattice_verdict(rep, w, pr.StabilityOptions()).best_score
