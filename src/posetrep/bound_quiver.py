@@ -2,21 +2,24 @@
 
 The covering quiver of a poset, bound by all commutativity relations (any two
 parallel directed paths are identified), has the incidence algebra of the
-extended poset as its path algebra quotient.  This module builds the path
-basis and the relations, and computes the minimal relation counts, the Cartan
-matrix, the Euler form, and the lower bound for the dimension of the
-representation-variety quotient.  The invariants come in closed form from
-the order itself (reachability and open intervals of the extended poset),
-not from the path algebra.  All of that is exact integer/rational
-arithmetic; the only floating point here lives in the translation between
-subspace representations and quiver representations.
+extended poset as its path algebra quotient.  The ideal is implied by the
+quiver, so a bound quiver holds only its quiver: the relation count comes
+from a dynamic program over path counts, and the path basis and the
+relations are built only when asked for.  This module also computes the
+minimal relation counts, the Cartan matrix, the Euler form, and the lower
+bound for the dimension of the representation-variety quotient.  The
+invariants come in closed form from the order itself (reachability and open
+intervals of the extended poset), not from the path algebra.  All of that is
+exact integer/rational arithmetic; the only floating point here lives in the
+translation between subspace representations and quiver representations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import permutations
-from typing import Iterable, NamedTuple
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations, permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,37 +68,62 @@ class DimVector(NamedTuple):
         return not any(self.entries)
 
 
-def _arrow_len(p: Path) -> int:
-    return len(p) - 1
-
-
 @dataclass(frozen=True)
 class BoundQuiver:
-    """A quiver together with commutativity relations and its path basis.
+    """An acyclic covering quiver bound by all commutativity relations.
 
-    Each relation is an ordered pair of distinct parallel paths (same source,
-    same target, both of arrow length >= 2); the relation ideal is generated
-    by their differences inside the path algebra.
+    The ideal is implied: any two distinct parallel paths are identified, so
+    the quiver alone determines it.  :attr:`relation_count`, the number of
+    unordered pairs of distinct parallel paths, comes from the path counts
+    n(s, t) in one reverse-topological pass over the arrows.  The path basis
+    and the relations themselves are built only on first access: each
+    relation is an ordered pair of distinct parallel paths (same source,
+    same target, both of arrow length >= 2), grouped by endpoints in sorted
+    order and ordered by length, then by name, inside a group.
 
     The invariants below (:func:`minimal_relation_counts`,
-    :func:`cartan_matrix` and what is built on them) are closed forms that
-    assume the full commutativity ideal, i.e. every pair of parallel paths
-    identified.  :func:`commutativity_ideal`, the only constructor in the
-    package, always builds that ideal.
+    :func:`cartan_matrix` and what is built on them) are closed forms of
+    this full ideal.  Build one with :func:`bound_quiver_of` from a poset, or
+    with :func:`commutativity_ideal`, which first checks that a given quiver
+    is a covering quiver.
     """
 
     quiver: Quiver
-    relations: tuple[tuple[Path, Path], ...]
-    path_basis: tuple[Path, ...] = field(default=())
 
-    def __post_init__(self):
-        if not self.path_basis:
-            object.__setattr__(self, "path_basis", tuple(self.quiver.all_paths()))
-        for p, q in self.relations:
-            if p[0] != q[0] or p[-1] != q[-1]:
-                raise WrongShape(f"relation sides {p} and {q} have different endpoints")
-            if _arrow_len(p) < 2 or _arrow_len(q) < 2:
-                raise WrongShape("relation paths must have arrow length at least 2")
+    @cached_property
+    def relation_count(self) -> int:
+        """Sum over vertex pairs (s, t) of C(n(s, t), 2), with n(s, t) the
+        number of paths s -> t of arrow length >= 1."""
+        out = self.quiver.out_arrows()
+        counts: dict[str, dict[str, int]] = {}
+        twice = 0
+        for s in reversed(self.quiver.topological_order()):
+            n: dict[str, int] = {}
+            for u in out[s]:
+                n[u] = n.get(u, 0) + 1
+                for t, k in counts[u].items():
+                    n[t] = n.get(t, 0) + k
+            counts[s] = n
+            twice += sum(k * (k - 1) for k in n.values())
+        return twice // 2
+
+    @cached_property
+    def path_basis(self) -> tuple[Path, ...]:
+        """Every directed path, trivial ones included, by arrow length and
+        then by vertex positions."""
+        return tuple(self.quiver.all_paths())
+
+    @cached_property
+    def relations(self) -> tuple[tuple[Path, Path], ...]:
+        groups: dict[tuple[str, str], list[Path]] = {}
+        for p in self.path_basis:
+            if len(p) > 1:
+                groups.setdefault((p[0], p[-1]), []).append(p)
+        return tuple(
+            pair
+            for _, paths in sorted(groups.items())
+            for pair in combinations(sorted(paths, key=lambda p: (len(p), p)), 2)
+        )
 
     def paths(self, src: str, dst: str) -> list[Path]:
         return [p for p in self.path_basis if p[0] == src and p[-1] == dst]
@@ -104,36 +132,34 @@ class BoundQuiver:
 def commutativity_ideal(q: Quiver) -> BoundQuiver:
     """Bind an acyclic quiver by all parallel-path identifications.
 
-    One generator per unordered pair of distinct directed paths with the same
-    endpoints.  If some parallel pair involves a single arrow the quiver is
-    not a covering quiver (the arrow would not be a cover) and the admissible
-    ideal does not exist: NotHasseQuiver.
+    If an arrow s -> t runs parallel to a longer path (t is reachable from
+    another out-neighbour of s), the quiver is not a covering quiver (the
+    arrow would not be a cover) and the admissible ideal does not exist:
+    NotHasseQuiver, naming the least such arrow.
     """
     q.validate()
-    basis = q.all_paths()
-    groups: dict[tuple[str, str], list[Path]] = {}
-    for p in basis:
-        if len(p) > 1:
-            groups.setdefault((p[0], p[-1]), []).append(p)
-    relations: list[tuple[Path, Path]] = []
-    for (src, dst), paths in sorted(groups.items(), key=lambda kv: kv[0]):
-        if len(paths) < 2:
-            continue
-        paths.sort(key=lambda p: (len(p), p))
-        if _arrow_len(paths[0]) == 1:
-            raise NotHasseQuiver(
-                f"arrow {src} -> {dst} is parallel to a longer path; "
-                "not a covering quiver"
-            )
-        for i in range(len(paths)):
-            for j in range(i + 1, len(paths)):
-                relations.append((paths[i], paths[j]))
-    return BoundQuiver(q, tuple(relations), tuple(basis))
+    out = q.out_arrows()
+    reach = q.reachable()
+    shortcuts = [
+        (s, t) for s, t in q.arrows if any(u != t and t in reach[u] for u in out[s])
+    ]
+    if shortcuts:
+        src, dst = min(shortcuts)
+        raise NotHasseQuiver(
+            f"arrow {src} -> {dst} is parallel to a longer path; "
+            "not a covering quiver"
+        )
+    return BoundQuiver(q)
 
 
 def bound_quiver_of(p: Poset) -> BoundQuiver:
-    """Covering quiver of the extended poset with its commutativity ideal."""
-    return commutativity_ideal(hasse_quiver(p))
+    """Covering quiver of the extended poset with its commutativity ideal.
+
+    No shortcut check is needed: a cover a < b has no element strictly
+    between, and a maximal element has no arrow into the poset, so no arrow
+    of the covering quiver runs parallel to a longer path.
+    """
+    return BoundQuiver(hasse_quiver(p))
 
 
 def minimal_relation_counts(bq: BoundQuiver) -> dict[tuple[str, str], int]:
@@ -236,12 +262,15 @@ class QuotientDim(NamedTuple):
     empty_quotient: bool
 
 
-def quotient_dim_lower_bound(bq: BoundQuiver, d: DimVector) -> QuotientDim:
+def quotient_dim_lower_bound(
+    bq: BoundQuiver, d: DimVector, counts: dict[tuple[str, str], int] | None = None
+) -> QuotientDim:
     """Lower bound for the dimension of the representation-variety quotient:
 
         1 - sum_i d_i^2 + sum_{arrows i->j} d_i d_j - sum_{i,j} r(i,j) d_i d_j
 
-    with r the minimal relation counts.  The zero vector gives 1 with the
+    with r the minimal relation counts, taken from ``counts`` when the
+    caller already has them.  The zero vector gives 1 with the
     empty_quotient flag set.
     """
     named = _vertex_vector(bq, d)
@@ -250,7 +279,9 @@ def quotient_dim_lower_bound(bq: BoundQuiver, d: DimVector) -> QuotientDim:
     val = 1 - sum(x * x for x in named.values())
     for s, t in bq.quiver.arrows:
         val += named[s] * named[t]
-    for (i, j), r in minimal_relation_counts(bq).items():
+    if counts is None:
+        counts = minimal_relation_counts(bq)
+    for (i, j), r in counts.items():
         val -= r * named[i] * named[j]
     return QuotientDim(val, d.is_zero())
 
@@ -269,12 +300,6 @@ class QuiverRep:
 
     def dim_vector(self, poset: Poset) -> DimVector:
         return DimVector((self.dims[ROOT],) + tuple(self.dims[e] for e in poset.elements))
-
-    def path_map(self, path: Path) -> np.ndarray:
-        m = np.eye(self.dims[path[0]], dtype=complex)
-        for s, t in zip(path, path[1:]):
-            m = self.maps[(s, t)] @ m
-        return m
 
 
 def rep_to_quiver(rep: SubspaceRep) -> QuiverRep:
@@ -300,31 +325,48 @@ def quiver_to_rep(qrep: QuiverRep, tol: float = 1e-9) -> SubspaceRep:
     Every structure map must be injective (NotSubspaceRep) and every
     commutativity relation must vanish (RelationViolation); the subspace at
     element i is the image of the composite map along any path i -> root.
+
+    The relations are checked one vertex at a time in reverse topological
+    order: once all paths out of each out-neighbour u of s agree, all paths
+    s -> t agree exactly when the composites through the arrows s -> u do,
+    within tol times the larger norm (at least 1).
     """
     bq = qrep.bound_quiver
-    verts = bq.quiver.vertices
-    elements = tuple(v for v in verts if v != ROOT)
+    q = bq.quiver
     for (s, t), m in qrep.maps.items():
         if m.shape != (qrep.dims[t], qrep.dims[s]):
             raise WrongShape(f"map for arrow {s}->{t} has shape {m.shape}")
         if qrep.dims[s] and linalg.numerical_rank(m, tol) < qrep.dims[s]:
             raise NotSubspaceRep(f"structure map for arrow {s} -> {t} is not injective")
-    for p1, p2 in bq.relations:
-        m1, m2 = qrep.path_map(p1), qrep.path_map(p2)
-        scale = max(np.linalg.norm(m1), np.linalg.norm(m2), 1.0)
-        if np.linalg.norm(m1 - m2) > tol * scale:
-            raise RelationViolation(f"relation {p1} = {p2} fails")
-    poset = _poset_from_quiver(bq.quiver)
+    out = q.out_arrows()
+    # composite[s][t]: one path s -> t and its map, the first one found
+    composite: dict[str, dict[str, tuple[Path, np.ndarray]]] = {}
+    for s in reversed(q.topological_order()):
+        found: dict[str, tuple[Path, np.ndarray]] = {}
+        for u in out[s]:
+            a = qrep.maps[(s, u)]
+            through = {u: ((s, u), a)}
+            through.update({t: ((s,) + p, m @ a) for t, (p, m) in composite[u].items()})
+            for t, (p2, m2) in through.items():
+                if t not in found:
+                    found[t] = (p2, m2)
+                    continue
+                p1, m1 = found[t]
+                scale = max(np.linalg.norm(m1), np.linalg.norm(m2), 1.0)
+                if np.linalg.norm(m1 - m2) > tol * scale:
+                    raise RelationViolation(f"relation {p1} = {p2} fails")
+        composite[s] = found
     spans = {}
-    for e in elements:
-        paths = bq.paths(e, ROOT)
-        if not paths:
+    for e in q.vertices:
+        if e == ROOT:
+            continue
+        if ROOT not in composite[e]:
             raise WrongShape(f"vertex {e} has no path to the root")
-        comp = qrep.path_map(paths[0])
+        comp = composite[e][ROOT][1]
         if qrep.dims[e] and linalg.numerical_rank(comp, tol) < qrep.dims[e]:
             raise NotSubspaceRep(f"composite map from {e} to the root drops rank")
         spans[e] = comp
-    return make_rep(poset, qrep.dims[ROOT], spans, tol=tol)
+    return make_rep(_poset_from_quiver(q), qrep.dims[ROOT], spans, tol=tol)
 
 
 def _poset_from_quiver(q: Quiver) -> Poset:
@@ -386,11 +428,12 @@ def assignment_report(
 ) -> AssignmentReport:
     """Evaluate the quotient dimension bound over all consistent assignments."""
     bq = bound_quiver_of(p)
+    counts = minimal_relation_counts(bq)
     rows = []
     matched = False
     for assignment in enumerate_assignments(p, groups):
         d = DimVector((root_dim,) + tuple(assignment[e] for e in p.elements))
-        val = quotient_dim_lower_bound(bq, d).value
+        val = quotient_dim_lower_bound(bq, d, counts).value
         if target is not None and val == target:
             matched = True
         rows.append((tuple(sorted(assignment.items())), val))

@@ -82,13 +82,13 @@ def _cmd_hasse(args) -> int:
     bq = bound_quiver_of(p)
     lines = ["vertices: " + " ".join(q.vertices), "arrows:"]
     lines += [f"  {s} -> {t}" for s, t in q.arrows]
-    lines.append(f"relations: {len(bq.relations)}")
+    lines.append(f"relations: {bq.relation_count}")
     _emit(
         args,
         {
             "vertices": list(q.vertices),
             "arrows": [list(a) for a in q.arrows],
-            "relations": len(bq.relations),
+            "relations": bq.relation_count,
         },
         "\n".join(lines),
     )

@@ -8,6 +8,7 @@ for each covering pair, and one arrow from each maximal element into ``*``.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
@@ -194,21 +195,23 @@ class Quiver(NamedTuple):
         return out
 
     def topological_order(self) -> tuple[str, ...]:
-        """Stable topological order; raises CycleError on a directed cycle."""
+        """Stable topological order: each step takes the ready vertex that
+        comes first in the vertex tuple.  Raises CycleError on a directed
+        cycle."""
         indeg = {v: 0 for v in self.vertices}
         for _, t in self.arrows:
             indeg[t] += 1
         out = self.out_arrows()
+        pos = {v: i for i, v in enumerate(self.vertices)}
         order: list[str] = []
-        ready = [v for v in self.vertices if indeg[v] == 0]
+        ready = [i for i, v in enumerate(self.vertices) if indeg[v] == 0]
         while ready:
-            v = ready.pop(0)
+            v = self.vertices[heappop(ready)]
             order.append(v)
             for t in out[v]:
                 indeg[t] -= 1
                 if indeg[t] == 0:
-                    ready.append(t)
-            ready.sort(key=self.vertices.index)
+                    heappush(ready, pos[t])
         if len(order) != len(self.vertices):
             raise CycleError("quiver has a directed cycle")
         return tuple(order)

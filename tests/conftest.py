@@ -3,15 +3,15 @@
 The oracles here deliberately avoid the package's own algorithms so tests
 compare two separately written routes: poset enumeration by brute force,
 representation-finiteness and its witness list by permutation search against
-a hard-coded critical list, the bound-quiver invariants by exact rational
-elimination on the path space, the inverse Cartan matrix by back
-substitution, the subspace lattice and the stability score by pairwise
-closure and one intersection SVD per element, the randomized destabilizer
-search one restart at a time, the endomorphism algebra by an SVD of the
-Kronecker system, the moment map by one SVD per
-element, the Hessian of the Newton step as a dense Kronecker matrix, the
-trace words by one product per word from scratch, and a fixed-step
-reference flow with its own projector and moment computations.
+a hard-coded critical list, the commutativity ideal by listing every path,
+the bound-quiver invariants by exact rational elimination on the path
+space, the inverse Cartan matrix by back substitution, the subspace lattice
+and the stability score by pairwise closure and one intersection SVD per
+element, the randomized destabilizer search one restart at a time, the
+endomorphism algebra by an SVD of the Kronecker system, the moment map by
+one SVD per element, the Hessian of the Newton step as a dense Kronecker
+matrix, the trace words by one product per word from scratch, and a
+fixed-step reference flow with its own projector and moment computations.
 """
 
 from __future__ import annotations
@@ -137,6 +137,34 @@ def oracle_witnesses(p: pr.Poset) -> tuple[tuple[str, tuple[str, ...]], ...]:
 
 # ---------------------------------------------------------------------------
 # bound-quiver oracle: exact rational elimination on the finite path space
+
+def oracle_commutativity_ideal(q):
+    """(path basis, relations) of the full commutativity ideal by listing
+    every path: relations are the pairs of distinct parallel paths, grouped
+    by sorted endpoints and ordered by (length, path) in a group.  An arrow
+    in a group of two or more paths is a shortcut: NotHasseQuiver, naming
+    the first such group."""
+    q.validate()
+    basis = q.all_paths()
+    groups: dict[tuple[str, str], list[tuple[str, ...]]] = {}
+    for p in basis:
+        if len(p) > 1:
+            groups.setdefault((p[0], p[-1]), []).append(p)
+    relations = []
+    for (src, dst), paths in sorted(groups.items(), key=lambda kv: kv[0]):
+        if len(paths) < 2:
+            continue
+        paths.sort(key=lambda p: (len(p), p))
+        if len(paths[0]) == 2:
+            raise pr.NotHasseQuiver(
+                f"arrow {src} -> {dst} is parallel to a longer path; "
+                "not a covering quiver"
+            )
+        for i in range(len(paths)):
+            for j in range(i + 1, len(paths)):
+                relations.append((paths[i], paths[j]))
+    return tuple(basis), tuple(relations)
+
 
 def _frac_rank(rows: list[list[Fraction]]) -> int:
     rows = [list(r) for r in rows]

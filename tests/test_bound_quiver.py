@@ -8,11 +8,15 @@ from posetrep.bound_quiver import commutativity_ideal
 from posetrep.poset import Quiver
 from conftest import (
     all_strict_orders,
+    boolean_lattice,
     cartan_inverse,
     cartan_solve,
+    grid_poset,
     oracle_cartan,
+    oracle_commutativity_ideal,
     oracle_minimal_relation_counts,
     poset_from_pairs,
+    random_nested_rep,
     random_poset,
     random_relabelled_poset,
 )
@@ -80,6 +84,131 @@ def test_commutativity_ideal_rejects_non_hasse():
     q = Quiver(vertices=("a", "b", "c"), arrows=(("a", "b"), ("b", "c"), ("a", "c")))
     with pytest.raises(pr.NotHasseQuiver):
         commutativity_ideal(q)
+
+
+def test_relation_count_and_lazy_paths_match_enumeration_oracle():
+    """The relation count from path counts, and the path basis and relations
+    built on first access, equal the listing of every path, order included,
+    on random posets with shuffled stored order, B3, B4, and the 3x3 and 3x4
+    grids."""
+    rng = np.random.default_rng(21)
+    posets = [random_relabelled_poset(rng, int(rng.integers(0, 11))) for _ in range(200)]
+    posets += [boolean_lattice(3), boolean_lattice(4), grid_poset(3, 3), grid_poset(3, 4)]
+    for p in posets:
+        bq = pr.bound_quiver_of(p)
+        basis, relations = oracle_commutativity_ideal(bq.quiver)
+        assert bq.relation_count == len(relations)
+        assert bq.path_basis == basis
+        assert bq.relations == relations
+    b4 = pr.bound_quiver_of(boolean_lattice(4))
+    assert (len(b4.path_basis), b4.relation_count) == (234, 762)
+
+
+def _reach_by_two_or_more(q: Quiver) -> list[tuple[str, str]]:
+    """Pairs (s, t), not arrows, joined by a path of at least two arrows."""
+    arrows = set(q.arrows)
+    return [
+        (p[0], p[-1]) for p in q.all_paths()
+        if len(p) > 2 and (p[0], p[-1]) not in arrows
+    ]
+
+
+def test_commutativity_ideal_names_the_shortcut_like_the_oracle():
+    """NotHasseQuiver with the oracle's message, on the three-vertex
+    shortcut and on covering quivers with one to three shortcut arrows
+    added."""
+    quivers = [Quiver(("a", "b", "c"), (("a", "b"), ("b", "c"), ("a", "c")))]
+    rng = np.random.default_rng(22)
+    while len(quivers) < 60:
+        q = pr.hasse_quiver(random_relabelled_poset(rng, int(rng.integers(2, 9))))
+        far = sorted(set(_reach_by_two_or_more(q)))
+        if not far:
+            continue
+        picks = rng.choice(len(far), size=min(len(far), int(rng.integers(1, 4))),
+                           replace=False)
+        extra = tuple(far[i] for i in picks)
+        quivers.append(Quiver(q.vertices, q.arrows + extra))
+    for q in quivers:
+        with pytest.raises(pr.NotHasseQuiver) as want:
+            oracle_commutativity_ideal(q)
+        with pytest.raises(pr.NotHasseQuiver) as got:
+            commutativity_ideal(q)
+        assert str(got.value) == str(want.value)
+
+
+def _relations_hold(qrep, relations, tol: float = 1e-9) -> bool:
+    """Every listed relation checked as a product along each path."""
+    def path_map(path):
+        m = np.eye(qrep.dims[path[0]], dtype=complex)
+        for s, t in zip(path, path[1:]):
+            m = qrep.maps[(s, t)] @ m
+        return m
+
+    for p1, p2 in relations:
+        m1, m2 = path_map(p1), path_map(p2)
+        if np.linalg.norm(m1 - m2) > tol * max(np.linalg.norm(m1), np.linalg.norm(m2), 1.0):
+            return False
+    return True
+
+
+def test_quiver_to_rep_flags_violations_like_the_relation_list():
+    """quiver_to_rep raises RelationViolation exactly when some relation of
+    the listed ideal fails, after one arrow map of a nested representation
+    is replaced by a random injective map."""
+    rng = np.random.default_rng(23)
+    outcomes = set()
+    for _ in range(40):
+        p = random_poset(rng, int(rng.integers(2, 7)), density=0.5)
+        rep = random_nested_rep(rng, p, 3)
+        x = pr.rep_to_quiver(rep)
+        arrows = [a for a in x.bound_quiver.quiver.arrows if x.dims[a[0]]]
+        if not arrows:
+            continue
+        s, t = arrows[int(rng.integers(len(arrows)))]
+        maps = dict(x.maps)
+        maps[(s, t)] = np.linalg.qr(
+            rng.normal(size=(x.dims[t], x.dims[s]))
+            + 1j * rng.normal(size=(x.dims[t], x.dims[s]))
+        )[0]
+        broken = pr.QuiverRep(x.bound_quiver, x.dims, maps)
+        holds = _relations_hold(broken, oracle_commutativity_ideal(x.bound_quiver.quiver)[1])
+        outcomes.add(holds)
+        if holds:
+            pr.quiver_to_rep(broken)
+        else:
+            with pytest.raises(pr.RelationViolation):
+                pr.quiver_to_rep(broken)
+    assert outcomes == {True, False}
+
+
+def test_quiver_commands_never_list_paths(monkeypatch, tmp_path, capsys, rng):
+    """hasse, euler, dim-quotient (plain and with the assignment search),
+    rep_to_quiver and quiver_to_rep run without Quiver.all_paths."""
+    from posetrep import fileio
+    from posetrep.cli import main
+
+    def forbidden(self):
+        raise AssertionError("Quiver.all_paths called")
+
+    monkeypatch.setattr(Quiver, "all_paths", forbidden)
+    b4 = tmp_path / "b4.poset"
+    b4.write_text(fileio.serialize_poset(boolean_lattice(4)))
+    n4 = tmp_path / "n4.poset"
+    n4.write_text(fileio.serialize_poset(pr.n4_poset()))
+    dims = "2; " + ", ".join(["1"] * 16)
+    for argv in (
+        ["hasse", str(b4)],
+        ["euler", str(b4), "-d", dims, "-e", dims],
+        ["dim-quotient", str(b4), "-d", dims],
+        ["dim-quotient", str(n4), "-d", "5; 2, 4, 3, 2; 1, 2, 3, 4",
+         "--search-assignments"],
+    ):
+        for prefix in ([], ["--output", "json"]):
+            assert main(prefix + argv) == 0, argv
+    capsys.readouterr()
+    rep = random_nested_rep(rng, grid_poset(2, 3), 3)
+    back = pr.quiver_to_rep(pr.rep_to_quiver(rep))
+    assert back.poset.pairs == rep.poset.pairs
 
 
 def test_cartan_unitriangular_and_integral():
