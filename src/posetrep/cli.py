@@ -43,7 +43,8 @@ from .families import (
 )
 from .linrep import decompose
 from .moment import FlowOptions, kempf_ness_flow, orthoscalar_check, unitary_invariants
-from .poset import hasse_quiver, is_representation_finite
+# hasse_quiver stays a name of this module: bench/tracer.py patches it here.
+from .poset import hasse_quiver, is_representation_finite  # noqa: F401
 from .stability import StabilityOptions, stability_check
 
 _BREAKDOWN = (NumericalBreakdown, SingularMetric, CheckFailed)
@@ -77,9 +78,8 @@ def _emit(args, payload: dict, text: str) -> None:
 # combinatorial subcommands
 
 def _cmd_hasse(args) -> int:
-    p = fileio.load_poset(args.poset)
-    q = hasse_quiver(p)
-    bq = bound_quiver_of(p)
+    bq = bound_quiver_of(fileio.load_poset(args.poset))
+    q = bq.quiver
     lines = ["vertices: " + " ".join(q.vertices), "arrows:"]
     lines += [f"  {s} -> {t}" for s, t in q.arrows]
     lines.append(f"relations: {bq.relation_count}")
@@ -234,8 +234,9 @@ def _cmd_solve(args) -> int:
     system, report = kempf_ness_flow(rep, w, FlowOptions(**_given(args, "tol", "max_iter")))
     prefix = args.prefix or os.path.splitext(args.rep)[0]
     report_path = prefix + ".report.json"
+    payload = report.as_dict()
     with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(fileio.report_to_json(report))
+        fh.write(fileio.report_to_json(payload))
     written = [report_path]
     if system is not None:
         out_dir = os.path.dirname(os.path.abspath(prefix + ".proj"))
@@ -246,7 +247,7 @@ def _cmd_solve(args) -> int:
             system, prefix + ".proj", os.path.relpath(poset_abs, out_dir)
         )
         written.append(prefix + ".proj")
-    payload = report.as_dict()
+    # the file keeps the final metric and the history; stdout drops them
     payload.pop("final_metric", None)
     payload.pop("history", None)
     payload["files"] = written

@@ -331,5 +331,8 @@ def save_projection_system(ps: ProjectionSystem, path: str, poset_path: str) -> 
 # ---------------------------------------------------------------------------
 # flow reports
 
-def report_to_json(report: FlowReport) -> str:
-    return json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
+def report_to_json(report: FlowReport | dict) -> str:
+    """The report as indented JSON; ``report`` may also be the dict of
+    :meth:`FlowReport.as_dict`, when the caller has built it already."""
+    payload = report if isinstance(report, dict) else report.as_dict()
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -8,6 +8,8 @@ for each covering pair, and one arrow from each maximal element into ``*``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import combinations
 from typing import Iterable, NamedTuple
@@ -168,8 +170,14 @@ def build_poset(elements: Iterable[str], covers: Iterable[tuple[str, str]]) -> P
     return Poset(elements, ((a, b) for a in elements for b in succ[a]))
 
 
-class Quiver(NamedTuple):
-    """Finite acyclic quiver: vertex tuple plus (source, target) arrows."""
+@dataclass(frozen=True)
+class Quiver:
+    """Finite acyclic quiver: vertex tuple plus (source, target) arrows.
+
+    The out-neighbours, the topological order and the reachable sets are
+    worked out once per quiver, on first use, and shared by every later
+    call; callers must not change what these methods return.
+    """
 
     vertices: tuple[str, ...]
     arrows: tuple[tuple[str, str], ...]
@@ -189,19 +197,32 @@ class Quiver(NamedTuple):
         return self
 
     def out_arrows(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for s, t in self.arrows:
-            out[s].append(t)
-        return out
+        return self._out
 
     def topological_order(self) -> tuple[str, ...]:
         """Stable topological order: each step takes the ready vertex that
         comes first in the vertex tuple.  Raises CycleError on a directed
         cycle."""
+        return self._order
+
+    def reachable(self) -> dict[str, frozenset[str]]:
+        """For each vertex, the vertices at the end of a path of length >= 1
+        from it; one pass in reverse topological order."""
+        return self._reach
+
+    @cached_property
+    def _out(self) -> dict[str, list[str]]:
+        out: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for s, t in self.arrows:
+            out[s].append(t)
+        return out
+
+    @cached_property
+    def _order(self) -> tuple[str, ...]:
         indeg = {v: 0 for v in self.vertices}
         for _, t in self.arrows:
             indeg[t] += 1
-        out = self.out_arrows()
+        out = self._out
         pos = {v: i for i, v in enumerate(self.vertices)}
         order: list[str] = []
         ready = [i for i, v in enumerate(self.vertices) if indeg[v] == 0]
@@ -216,12 +237,11 @@ class Quiver(NamedTuple):
             raise CycleError("quiver has a directed cycle")
         return tuple(order)
 
-    def reachable(self) -> dict[str, frozenset[str]]:
-        """For each vertex, the vertices at the end of a path of length >= 1
-        from it; one pass in reverse topological order."""
-        out = self.out_arrows()
+    @cached_property
+    def _reach(self) -> dict[str, frozenset[str]]:
+        out = self._out
         reach: dict[str, frozenset[str]] = {}
-        for v in reversed(self.topological_order()):
+        for v in reversed(self._order):
             found = set(out[v])
             for t in out[v]:
                 found |= reach[t]
@@ -386,74 +406,107 @@ class FinitenessResult(NamedTuple):
     witnesses: tuple[tuple[str, tuple[str, ...]], ...]
 
 
-def _embedding_plan(crit: Poset):
-    """Placement order for the embedding search, with per position: the
-    earlier positions below it, its (below, above) counts, and the earlier
-    position whose image must have a smaller index (-1 for none).
+class _EmbeddingPlan(NamedTuple):
+    """How :func:`_embedded_subsets` maps one critical poset, position by
+    position: the (below, above) counts of each position, its links to the
+    earlier positions as (position, relation) pairs with relation _BELOW or
+    _APART (the earlier element lies below it or is incomparable to it),
+    and the earlier position whose image must have a smaller index (-1 for
+    none)."""
 
-    The order is a linear extension, so everything below an element is
-    placed before it.  Chain components of equal length are interchangeable;
-    their bottoms are placed in increasing index order, so each image subset
-    is reached by one embedding instead of one per permutation of the chains.
+    counts: tuple[tuple[int, int], ...]
+    links: tuple[tuple[tuple[int, int], ...], ...]
+    after: tuple[int, ...]
+
+
+_BELOW, _APART = range(2)
+
+
+def _embedding_plan(crit: Poset) -> _EmbeddingPlan:
+    """Placement order for the embedding search and what each position
+    asks of its image.
+
+    The components go largest first, each in linear-extension order, so the
+    longest chain of (1,2,5) and a four-element component of (N,4) are
+    placed before anything else and a poset without one fails at once.  No
+    earlier position then lies above a later one: each earlier position is
+    below the new one or incomparable to it.
+
+    Chain components of equal length are interchangeable; their bottoms are
+    placed in increasing index order, so each image subset is reached by one
+    embedding instead of one per permutation of the chains.
     """
-    order = crit.linear_extension()
+    comps = connected_components(crit.elements, crit.pairs)
+    rank = {c: k for k, c in enumerate(crit.linear_extension())}
+    order = [c for comp in sorted(comps, key=len, reverse=True)
+             for c in sorted(comp, key=rank.get)]
     pos = {c: k for k, c in enumerate(order)}
-    below = [tuple(pos[b] for b in crit._below[c]) for c in order]
-    counts = [_invariant(crit, c) for c in order]
+
+    links = tuple(
+        tuple((k, _BELOW if crit.precedes(c, j) else _APART)
+              for k, c in enumerate(order[:pos[j]]))
+        for j in order
+    )
     after = [-1] * len(order)
     bottoms: dict[int, list[int]] = {}
-    for comp in connected_components(crit.elements, crit.pairs):
+    for comp in comps:
         if all(crit.comparable(a, b) for a, b in combinations(comp, 2)):
             bottoms.setdefault(len(comp), []).append(min(pos[c] for c in comp))
     for same in bottoms.values():
         same.sort()
         for a, b in zip(same, same[1:]):
             after[b] = a
-    return below, counts, after
+    return _EmbeddingPlan(tuple(_invariant(crit, c) for c in order), links, tuple(after))
 
 
-def _embedded_subsets(p: Poset, crit: Poset) -> list[tuple[str, ...]]:
-    """Element subsets of p whose full subposet is isomorphic to crit, in
-    the order :func:`itertools.combinations` yields them.
+#: (name, embedding plan) for each critical poset, in list order.
+_PLANS = tuple((name, _embedding_plan(crit)) for name, crit in CRITICAL_POSETS)
+#: Every (below, above) count that some plan asks of an image.
+_COUNT_CLASSES = frozenset(c for _, plan in _PLANS for c in plan.counts)
 
-    Backtracking over induced embeddings with element sets as bitmasks: each
-    new element of crit goes to an unused element of p that lies above the
-    images of exactly the placed elements below it, below none of the placed
-    ones, and has at least as many elements below and above it in p as in
-    crit.
+
+def _embedded_subsets(p: Poset, plan: _EmbeddingPlan, tables: tuple[list[int], ...],
+                      fits: dict[tuple[int, int], int]) -> list[tuple[str, ...]]:
+    """Element subsets of p whose full subposet is isomorphic to the
+    critical poset of ``plan``, in the order :func:`itertools.combinations`
+    yields them.
+
+    Backtracking over induced embeddings with element sets as bitmasks.  The
+    candidates for a position are one mask: the elements with at least its
+    (below, above) counts (``fits``), cut by the up-set or the incomparable
+    set (``tables``, by relation) of the image of each earlier position,
+    and by the symmetry break of equal chains.  Each of those sets leaves
+    out the image it is taken from, so no element is used twice, and every
+    candidate extends a valid partial embedding.
     """
-    index = {e: i for i, e in enumerate(p.elements)}
-    up = [sum(1 << index[b] for b in p._above[e]) for e in p.elements]
-    down = [sum(1 << index[b] for b in p._below[e]) for e in p.elements]
-    inv = [_invariant(p, e) for e in p.elements]
-    everything = (1 << len(p)) - 1
-    below, counts, after = _embedding_plan(crit)
-    k = len(below)
+    k = len(plan.counts)
+    last = k - 1
+    start = [fits[c] for c in plan.counts]
+    links = [tuple((c, tables[rel]) for c, rel in pairs) for pairs in plan.links]
+    after = plan.after
     image = [0] * k
     found: set[int] = set()
 
     def place(j: int, used: int) -> None:
-        if j == k:
-            found.add(used)
-            return
-        need = 0
-        cand = everything & ~used
-        for b in below[j]:
-            need |= 1 << image[b]
-            cand &= up[image[b]]
+        cand = start[j]
+        for c, table in links[j]:
+            cand &= table[image[c]]
         if after[j] >= 0:
             cand &= -1 << (image[after[j]] + 1)
-        nb, na = counts[j]
+        if j == last:
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                found.add(used | bit)
+            return
         while cand:
             bit = cand & -cand
             cand ^= bit
-            x = bit.bit_length() - 1
-            if (down[x] & used == need and not up[x] & used
-                    and inv[x][0] >= nb and inv[x][1] >= na):
-                image[j] = x
-                place(j + 1, used | bit)
+            image[j] = bit.bit_length() - 1
+            place(j + 1, used | bit)
 
-    place(0, 0)
+    if k <= len(p):
+        place(0, 0)
     subsets = sorted(tuple(i for i in range(len(p)) if m >> i & 1) for m in found)
     return [tuple(p.elements[i] for i in s) for s in subsets]
 
@@ -464,13 +517,27 @@ def is_representation_finite(p: Poset) -> FinitenessResult:
     Returns finite=True with no witnesses, or finite=False with every
     (critical name, element subset) found: critical posets in list order,
     the subsets of each in the order of ascending stored-element indices.
-    Each critical poset is mapped into p element by element with a
-    backtracking embedding search (see :func:`_embedded_subsets`), so the
-    cost follows the number of partial embeddings, not of all subsets.
+    The order of p is read once into bitmasks (up-set and incomparable set
+    of each element, and the elements with at least each (below, above)
+    count the plans ask for); each critical poset is then
+    mapped into p by its plan, built at import (see
+    :func:`_embedding_plan` and :func:`_embedded_subsets`), so the cost
+    follows the number of valid partial embeddings, not of all subsets.
     """
+    index = {e: i for i, e in enumerate(p.elements)}
+    up = [sum(1 << index[b] for b in p._above[e]) for e in p.elements]
+    down = [sum(1 << index[b] for b in p._below[e]) for e in p.elements]
+    everything = (1 << len(p)) - 1
+    apart = [everything & ~(up[i] | down[i] | 1 << i) for i in range(len(p))]
+    tables = (up, apart)  # indexed by _BELOW, _APART
+    inv = [_invariant(p, e) for e in p.elements]
+    fits = {
+        (nb, na): sum(1 << i for i, (b, a) in enumerate(inv) if b >= nb and a >= na)
+        for nb, na in _COUNT_CLASSES
+    }
     witnesses = [
         (name, subset)
-        for name, crit in CRITICAL_POSETS
-        for subset in _embedded_subsets(p, crit)
+        for name, plan in _PLANS
+        for subset in _embedded_subsets(p, plan, tables, fits)
     ]
     return FinitenessResult(not witnesses, tuple(witnesses))

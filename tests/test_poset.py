@@ -189,18 +189,46 @@ def test_representation_finite_witnesses_are_real_subposets():
         )
 
 
+def _with_extras(rng: np.random.Generator, crit: pr.Poset, extra: int) -> pr.Poset:
+    """crit with ``extra`` more elements, shuffled, keeping crit a full
+    subposet: each new element lies only below or only above elements of
+    crit, and no upper one lies below a lower one."""
+    lower = [f"z{k}" for k in range(extra) if rng.random() < 0.5]
+    upper = [f"z{k}" for k in range(extra) if f"z{k}" not in lower]
+    covers = list(crit.pairs)
+    for z in lower + upper:
+        for e in crit.elements:
+            if rng.random() < 0.3:
+                covers.append((z, e) if z in lower else (e, z))
+    new = lower + upper
+    covers += [(a, b) for i, a in enumerate(new) for b in new[i + 1:]
+               if rng.random() < 0.3]
+    return shuffled(rng, pr.build_poset(list(crit.elements) + new, covers))
+
+
 def test_witness_list_matches_subset_oracle():
     """The embedding search returns exactly the subsets that a search over
-    all combinations finds, in the same order."""
+    all combinations finds, in the same order.  Besides small random posets
+    the cases include posets where the placement order (largest component
+    first) is not a linear extension of the critical poset: (1,2,5) and
+    (N,4) among extra elements, and several equal chains."""
     rng = np.random.default_rng(8)
+    crit = dict(pr.CRITICAL_POSETS)
     posets = [random_relabelled_poset(rng, int(rng.integers(4, 9))) for _ in range(40)]
+    posets += [random_relabelled_poset(rng, int(rng.integers(9, 12))) for _ in range(20)]
     posets += [boolean_lattice(4), grid_poset(3, 4)]
     posets += [
         shuffled(rng, q)
         for q in (pr.primitive_poset(2, 2, 2, 1), pr.primitive_poset(2, 3, 3),
                   pr.primitive_poset(1, 2, 5), pr.primitive_poset(1, 2, 6),
-                  pr.n4_poset())
+                  pr.n4_poset(), pr.primitive_poset(2, 2, 2, 2),
+                  pr.primitive_poset(3, 3, 1, 1))
     ]
+    for name in ("(1,2,5)", "(N,4)"):
+        for extra in (1, 2, 3, 4):
+            p = _with_extras(rng, crit[name], extra)
+            assert name in {found for found, _ in oracle_witnesses(p)}
+            posets.append(p)
     infinite, names = 0, set()
     for p in posets:
         got = pr.is_representation_finite(p)
@@ -211,6 +239,20 @@ def test_witness_list_matches_subset_oracle():
         names |= {name for name, _ in want}
     assert 0 < infinite < len(posets)
     assert names == {name for name, _ in pr.CRITICAL_POSETS}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)),
+    st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))) if n else st.just(set()),
+)))
+def test_witness_list_matches_oracle_property(case):
+    """On any poset of at most 8 elements, in any stored order, the
+    witnesses are those of the subset oracle."""
+    order, raw = case
+    names = [f"x{i}" for i in order]
+    p = pr.build_poset(names, [(f"x{a}", f"x{b}") for a, b in raw if a < b])
+    assert pr.is_representation_finite(p).witnesses == oracle_witnesses(p)
 
 
 def test_representation_finite_agrees_with_oracle_small():
