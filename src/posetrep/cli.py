@@ -175,12 +175,11 @@ def _cmd_dim_quotient(args) -> int:
 #: stability_check diagnostics emitted under --output json: the route and
 #: the reasons it fell back to the lattice; the flow's status, iterations
 #: and residual, lambda_min, dim End, the dual bound, the gap and the HN
-#: type; the lattice and search counts and the inconclusive reasons; and
+#: type; the lattice counts and the inconclusive reasons; and
 #: the wall time of each method in ms.  A key the route did not set is null.
 _STABILITY_DIAGNOSTICS = ("route", "fallback_reasons", "flow_status", "flow_iterations",
                          "residual", "lambda_min", "end_dim", "dual_bound", "gap",
-                         "hn_dims", "hn_slopes", "lattice_size", "restarts",
-                         "lattice_scored", "saturation_rounds", "saturated_moved",
+                         "hn_dims", "hn_slopes", "lattice_size", "lattice_scored",
                          "inconclusive_reasons", "times_ms")
 
 
@@ -193,7 +192,7 @@ def _route_text(diagnostics: dict) -> str:
 def _cmd_stability(args) -> int:
     rep, _ = fileio.load_rep(args.rep)
     w = fileio.parse_weight(args.weight, rep.poset)
-    opts = StabilityOptions(**_given(args, "tol", "restarts", "seed"))
+    opts = StabilityOptions(**_given(args, "tol", "seed"))
     verdict = stability_check(rep, w, opts)
     lines = [
         f"classification: {verdict.classification}",
@@ -388,7 +387,7 @@ def finite_positive_float(raw: str) -> float:
 
 
 def nonnegative_int(raw: str) -> int:
-    """Cast of --max-iter, PRL_MAX_ITER, --restarts and --max-len."""
+    """Cast of --max-iter, PRL_MAX_ITER and --max-len."""
     value = int(raw)
     if value < 0:
         raise ValueError(raw)
@@ -457,8 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="classify a subspace representation for a weight")
     sp.add_argument("rep", help="representation file")
     sp.add_argument("-w", "--weight", required=True, help="'chi0; chi_1, ...'")
-    sp.add_argument("--restarts", type=nonnegative_int,
-                    help="random destabilizer searches when the lattice route runs, >= 0")
     sp.set_defaults(func=_cmd_stability)
 
     sp = sub.add_parser("solve", parents=[common],

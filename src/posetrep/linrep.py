@@ -13,12 +13,12 @@ are computed in exact rational arithmetic from numerically determined
 intersection dimensions (``_Scorer``).  ``posetrep.stability`` classifies
 from the Kempf-Ness flow and scores here only the subspaces the flow's
 limit points to.  The lattice closure generated by the V_e
-(``subspace_lattice``) and the randomized destabilizer search
-(``_random_search``: f is supermodular on the subspace lattice, and the
-saturation K -> sum_i (V_i /\ K) never lowers it) are its fallback, for the
-inputs where the flow's certificate does not close.  The endomorphism
-algebra (``endomorphism_algebra``) is the Schur test of the stable verdict
-and the source of direct-sum splits (``split_along``, ``decompose``).
+(``subspace_lattice``) is its fallback, for the inputs where the flow's
+certificate does not close.  The saturation K -> sum_i (V_i /\ K)
+(``saturate_subspace``) never lowers f, which is supermodular on the
+subspace lattice.  The endomorphism algebra (``endomorphism_algebra``) is
+the Schur test of the stable verdict and the source of direct-sum splits
+(``split_along``, ``decompose``).
 """
 
 from __future__ import annotations
@@ -567,28 +567,6 @@ def _per_width(fn, mats: list[np.ndarray]) -> list:
     return out
 
 
-def _intersections(
-    rep: SubspaceRep, qb: np.ndarray, tol: float, bases: bool
-) -> tuple[np.ndarray, np.ndarray, list[list[np.ndarray]] | None]:
-    """dim(V_e /\\ K) for every basis K of the stack qb (R x d0 x b) and
-    every element in poset order (an R x n array), whether every rank guard
-    held for each K, and with ``bases`` the V_e /\\ K themselves (for each
-    K in poset order); one SVD per span width for the whole stack."""
-    n = len(rep.poset.elements)
-    dims = np.zeros((len(qb), n), dtype=int)
-    guard = np.ones(len(qb), dtype=bool)
-    parts = [[None] * n for _ in range(len(qb))] if bases else None
-    for idx, stack in _width_groups(rep):
-        d, ok, got = linalg.subspace_intersections(stack[None], qb[:, None], tol, bases)
-        dims[:, idx] = d
-        guard &= ok.all(axis=1)
-        if parts is not None:
-            for row, got_row in zip(parts, got):
-                for i, part in zip(idx, got_row):
-                    row[i] = part
-    return dims, guard, parts
-
-
 class _Scorer:
     """f(K) for orthonormal bases K, with the rank guard of the intersections.
 
@@ -619,7 +597,15 @@ class _Scorer:
         singular-values-only SVD per (basis width, span width)."""
 
         def stack(qb: np.ndarray):
-            dims, guard, _ = _intersections(self.rep, qb, self.tol, bases=False)
+            # dim(V_e /\ K) for every K of the stack and every element in
+            # poset order, and whether every rank guard of K held
+            dims = np.zeros((len(qb), len(self.weights)), dtype=int)
+            guard = np.ones(len(qb), dtype=bool)
+            for idx, spans in _width_groups(self.rep):
+                d, ok, _ = linalg.subspace_intersections(spans[None], qb[:, None], self.tol,
+                                                         bases=False)
+                dims[:, idx] = d
+                guard &= ok.all(axis=1)
             width = qb.shape[2]
             return zip((self.numerator(d, width) for d in dims), guard.tolist())
 
@@ -644,50 +630,6 @@ def subspace_score(
     return Fraction(score([linalg.orthonormal_columns(basis, tol)])[0][0], score.den)
 
 
-def _saturate(
-    rep: SubspaceRep, bases: list[np.ndarray], tol: float
-) -> tuple[list[tuple[np.ndarray, np.ndarray | None, bool]], int]:
-    """saturate_subspace of every basis of the list, all in lock step, and
-    the number of rounds.
-
-    Each round takes one full intersection SVD per (basis width, span
-    width) for the bases still moving.  A basis whose V_e /\\ K are all
-    zero stops there; the others' sums of V_e /\\ K are orthonormalized
-    with one SVD per shape.  A basis stops when that sum keeps its width
-    (the sum is the result) or is zero (the basis is).  Each result comes
-    with the intersection dimensions and rank guard of its last round when
-    that round saw the result itself, else None and True.
-    """
-    out: list = [None] * len(bases)
-    current = list(bases)
-    live = list(range(len(bases)))
-    rounds = 0
-
-    def intersect(qb: np.ndarray):
-        return zip(*_intersections(rep, qb, tol, bases=True))
-
-    while live:
-        rounds += 1
-        moving = []
-        rows = _per_width(intersect, [current[i] for i in live])
-        for i, (dims, guard, parts) in zip(live, rows):
-            if dims.any():
-                moving.append((i, dims, guard, np.hstack(parts)))
-            else:
-                out[i] = (current[i], dims, guard)
-        sums = _per_width(lambda m: linalg.orthonormal_stack(m, tol), [m[3] for m in moving])
-        live = []
-        for (i, dims, guard, _), nxt in zip(moving, sums):
-            if nxt.shape[1] == 0:
-                out[i] = (current[i], dims, guard)
-            elif nxt.shape[1] == current[i].shape[1]:
-                out[i] = (nxt, None, True)
-            else:
-                current[i] = nxt
-                live.append(i)
-    return out, rounds
-
-
 def saturate_subspace(
     rep: SubspaceRep, basis: np.ndarray, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
@@ -695,55 +637,17 @@ def saturate_subspace(
 
     Keeps every V_e /\\ K while possibly shrinking K, so the score never
     drops (and never drops to a worse witness) as long as the result stays
-    nonzero.  The one-basis case of the lock-step saturation of
-    ``stability_check``: the same SVDs, so the same basis bit for bit, and
-    ``basis`` itself when no V_e meets it.
+    nonzero.  Each round takes one intersection per element and
+    orthonormalizes their sum; ``basis`` itself comes back when no V_e
+    meets it.
     """
-    return _saturate(rep, [basis], tol)[0][0][0]
-
-
-#: restarts saturated in lock step at a time: bounds the stacks of one SVD
-#: call and the bases held at once (a few MB at d0 = 10)
-_RESTART_BATCH = 1024
-
-
-def _random_search(
-    rep: SubspaceRep, score: _Scorer, restarts: int, seed: int
-) -> tuple[tuple[Fraction, np.ndarray] | None, bool, dict]:
-    """The randomized destabilizer search of ``stability_check``: the best
-    (score, K) over the restarts (None without one), whether every rank
-    guard of the scored K held, and the counts ``restarts`` (0 when d0 = 1,
-    which has no proper subspace), ``saturation_rounds`` and
-    ``saturated_moved``.  The restarts run in batches of _RESTART_BATCH in
-    draw order, and the first strict maximum of all of them wins."""
-    d0, tol = rep.ambient_dim, score.tol
-    restarts = restarts if d0 > 1 else 0
-    rng = np.random.default_rng(seed)
-    best, guard = None, True
-    counts = {"restarts": restarts, "saturation_rounds": 0, "saturated_moved": 0}
-    for done in range(0, restarts, _RESTART_BATCH):
-        draws = []
-        for _ in range(min(_RESTART_BATCH, restarts - done)):
-            k = int(rng.integers(1, d0))
-            draws.append(linalg.random_complex(rng, d0, k))
-        starts = _per_width(linalg.orthonormal_stack, draws)
-        saturated, rounds = _saturate(rep, starts, tol)
-        # the saturated K, or the drawn one when saturation leaves no
-        # proper subspace; a K that its last saturation round saw keeps
-        # that round's intersections (from the full SVD), the others are
-        # scored afresh
-        picked = [res if 0 < res[0].shape[1] < d0 else (q, None, True)
-                  for q, res in zip(starts, saturated)]
-        fresh = iter(score([q for q, dims, _ in picked if dims is None]))
-        scored = [next(fresh) if dims is None else (score.numerator(dims, q.shape[1]), g)
-                  for q, dims, g in picked]
-        candidates = [q for q, _, _ in picked]
-        top = score.best(scored, candidates)
-        if best is None or top[0] > best[0]:
-            best = top
-        guard = guard and all(g for _, g in scored)
-        counts["saturation_rounds"] += rounds
-        counts["saturated_moved"] += sum(
-            q.shape[1] < s.shape[1] for q, s in zip(candidates, starts)
-        )
-    return best, guard, counts
+    current = basis
+    while True:
+        parts = [linalg.subspace_intersection(rep.spans[e], current, tol)
+                 for e in rep.poset.elements]
+        if not any(part.shape[1] for part in parts):
+            return current
+        nxt = linalg.orthonormal_columns(np.hstack(parts), tol)
+        if nxt.shape[1] == current.shape[1]:
+            return nxt
+        current = nxt

@@ -70,7 +70,7 @@ the V_e it nearly meets (``_snap``) and scored again; one that still fails
 takes no part.  When the raw candidates leave a certificate open, every
 candidate is snapped and scored as well.  Everything else falls back to the
 lattice route (``_lattice_verdict``: the maximum of f over the lattice
-generated by the V_e and a seeded randomized search), with the reason in
+generated by the V_e, with the Schur test), with the reason in
 ``diagnostics["fallback_reasons"]``: a gap that stays open, a flow that
 breaks down, a weight without the trace identity, a boundary without a
 score-0 witness, a split that does not close, a dimension of End that
@@ -118,7 +118,6 @@ SNAP_ROUNDS = 100
 @dataclass
 class StabilityOptions:
     tol: float = DEFAULT_TOL
-    restarts: int = 200
     seed: int = 0
 
 
@@ -450,13 +449,15 @@ def stability_check(
     ``best_score`` is the largest score of a proper subspace when the route
     certifies it: the witness's score for ``unstable``, 0 for the
     semistable classes, and None for ``stable`` from the flow, which
-    scores no subspace.  ``witness`` is a subspace of that score (None for
-    ``stable``).  ``diagnostics`` also gives the flow's status, iterations
+    scores no subspace.  On a ``stable`` verdict of the lattice route it is
+    the best candidate's score, which is not certified to be the maximum
+    (see ``_lattice_verdict``).  ``witness`` is a subspace of that score
+    (None for ``stable``).  ``diagnostics`` also gives the flow's status, iterations
     and residual, lambda_min, the dimension of End (``end_dim``), the dual
     bound and the gap (residual minus dual bound), the HN type
     (``hn_dims`` and ``hn_slopes``), and the wall time of each method in
-    ms (``times_ms``: flow, schur, hessian, candidates, split, lattice,
-    randomized).  ``inconclusive`` is set only by the lattice route (see
+    ms (``times_ms``: flow, schur, hessian, candidates, split,
+    lattice).  ``inconclusive`` is set only by the lattice route (see
     ``_lattice_verdict``), or when the classification of a summand was.
 
     The verdict "stable" requires the weighted trace identity
@@ -509,54 +510,41 @@ def stability_check(
 def _lattice_verdict(
     rep: SubspaceRep, w: Weight, opts: StabilityOptions
 ) -> StabilityVerdict:
-    """The classification by the lattice and the randomized search alone.
+    """The classification by the lattice and the Schur test alone.
 
-    Two cooperating procedures: maximization of the score over the lattice
-    generated by the V_e (``linrep.subspace_lattice``; exact given the
-    numerically decided intersection dimensions), and a seeded randomized
-    destabilizer search with saturation as local improvement (a heuristic:
-    the lattice need not hold a maximizer of the score, so the random
-    search may score higher).
+    The candidates are the proper members of the lattice generated by the
+    V_e (``linrep.subspace_lattice``; exact given the numerically decided
+    intersection dimensions), scored in one batch per dimension.  The
+    lattice need not hold a maximizer of the score, so on a ``stable``
+    verdict ``best_score`` is the best candidate's score, not a certified
+    maximum: on five generic 2-planes in C^4 with weight (5/2; 1, ..., 1)
+    it is -3 (a plane), while a plane that meets four of them in lines
+    scores -1.
 
-    The search draws ``restarts`` random subspaces K (a dimension in
-    [1, d0), then a complex Gaussian d0 x k matrix, in that order per
-    restart) and orthonormalizes them with one SVD per dimension.  The
-    restarts then saturate in lock step, up to 1,024 at a time (see
-    ``linrep._saturate``): each round costs one batched SVD per (basis
-    width, span width), however many restarts are in it.  Each saturated K
-    (the drawn one when saturation leaves no proper subspace) is scored;
-    scores stay integer numerators until the end, and the first strict
-    maximum wins.  The lattice members go through the same batched scorer,
-    grouped by dimension.  With d0 = 1 there is no proper subspace and no
-    search runs; ``methods`` lists ``randomized`` only when it ran, and
-    ``diagnostics["restarts"]`` counts the restarts run.
+    Schur: a stable representation has End = C.  When no candidate reaches
+    0 (or the lattice has no proper member, as when every V_e is 0 or V)
+    and d0 > 1, the summand embeddings of ``linrep.decompose_full`` are
+    scored too; when there are two or more, their scores sum to 0, so one
+    of them reaches it.  A best score of 0 with the trace identity is split
+    along the same decomposition into indecomposables (computed once per
+    verdict): ``polystable_not_stable`` when every summand is classified
+    (poly)stable on its own, else ``semistable_not_polystable`` (an
+    indecomposable representation with a score-0 subspace is not
+    polystable).  Without the trace identity the verdict is
+    ``semistable_not_polystable`` unless a positive score is found.
 
     When the lattice overflows the default cap of ``subspace_lattice`` (512
     members), the members found before the overflow are scored as a
     complete lattice would be (``diagnostics["lattice_size"]`` is None).  A
     positive best score is a certificate of instability either way, so the
     overflow sets ``inconclusive`` only when the best score is 0 or less.
-    ``inconclusive`` is also set when the random search finds a score of
-    larger sign than the lattice (a destabilizer or tie the lattice
-    missed, which changes the verdict), or when a rank guard fails: for
-    some scored K, some [V_e, -K] has a different rank at 0.1*tol, tol or
-    10*tol, so an intersection dimension hangs on the tolerance
+    ``inconclusive`` is also set when a rank guard fails: for some scored
+    K, some [V_e, -K] has a different rank at 0.1*tol, tol or 10*tol, so an
+    intersection dimension hangs on the tolerance
     (``diagnostics["rank_guard_stable"]``).
     ``diagnostics["inconclusive_reasons"]`` lists which of these fired, as
-    ``rank_guard``, ``random_excess`` and ``lattice_overflow``; the counts
-    ``lattice_scored`` (proper members scored), ``saturation_rounds`` and
-    ``saturated_moved`` (restarts whose scored K is smaller than the drawn
-    one) say what the search did.
-
-    Schur: a stable representation has End = C.  When no scored K reaches
-    0 and dim End > 1, the summand embeddings of ``linrep.decompose_full``
-    are scored too; their scores sum to 0, so one of them reaches it.  A
-    best score of 0 with the trace identity is split by decomposing into
-    indecomposables: ``polystable_not_stable`` when every summand is
-    classified (poly)stable on its own, else ``semistable_not_polystable``
-    (an indecomposable representation with a score-0 subspace is not
-    polystable).  Without the trace identity the verdict is
-    ``semistable_not_polystable`` unless a positive score is found.
+    ``rank_guard`` and ``lattice_overflow``; ``lattice_scored`` counts the
+    proper members scored and ``lattice_best`` is the best of their scores.
     """
     d0, tol = rep.ambient_dim, opts.tol
     trace_ok = w.trace_identity(rep)
@@ -572,46 +560,24 @@ def _lattice_verdict(
             members = exc.members
             diagnostics["lattice_size"] = None
         members = [q for q in members if 0 < q.shape[1] < d0]
-        lattice_scored = score(members)
-        lattice_best = score.best(lattice_scored, members)
+        scored = score(members)
+        best = score.best(scored, members)
     diagnostics["lattice_scored"] = len(members)
+    diagnostics["lattice_best"] = None if best is None else best[0]
+    guard_ok = all(g for _, g in scored)
 
-    with _timed(times, "randomized"):
-        random_best, random_guard, counts = linrep._random_search(
-            rep, score, opts.restarts, opts.seed)
-    diagnostics.update(counts)
-
-    guard_ok = random_guard and all(g for _, g in lattice_scored)
-    diagnostics["lattice_best"] = None if lattice_best is None else lattice_best[0]
-    diagnostics["random_best"] = None if random_best is None else random_best[0]
-    reasons = []
-
-    def sign(x: Fraction) -> int:
-        return (x > 0) - (x < 0)
-
-    if (
-        lattice_best is not None
-        and random_best is not None
-        and sign(random_best[0]) > sign(lattice_best[0])
-    ):
-        reasons.append("random_excess")
-        diagnostics["randomized_excess"] = str(random_best[0] - lattice_best[0])
-
-    best = lattice_best
-    if random_best is not None and (best is None or random_best[0] > best[0]):
-        best = random_best
-    if best is not None and best[0] < 0 and d0 > 1:
+    dec = None
+    if (best is None or best[0] < 0) and d0 > 1:
         with _timed(times, "schur"):
             dec = linrep.decompose_full(rep, seed=opts.seed, tol=tol)
         if len(dec.embeddings) > 1:
             summand_scored = score(dec.embeddings)
             guard_ok = guard_ok and all(g for _, g in summand_scored)
             top = score.best(summand_scored, dec.embeddings)
-            if top[0] > best[0]:
+            if best is None or top[0] > best[0]:
                 best = top
     diagnostics["rank_guard_stable"] = guard_ok
-    if not guard_ok:
-        reasons.insert(0, "rank_guard")
+    reasons = [] if guard_ok else ["rank_guard"]
     if diagnostics["lattice_size"] is None and (best is None or best[0] <= 0):
         reasons.append("lattice_overflow")
     diagnostics["inconclusive_reasons"] = reasons
@@ -626,7 +592,7 @@ def _lattice_verdict(
         if best is not None and best[0] == 0:
             witness = best[1]
     elif best is not None and best[0] == 0:
-        summands = linrep.decompose(rep, seed=opts.seed, tol=tol)
+        summands = (dec or linrep.decompose_full(rep, seed=opts.seed, tol=tol)).summands
         diagnostics["summand_dims"] = [s.dim_vector() for s in summands]
         poly = len(summands) > 1 and all(
             stability_check(s, w, opts).classification in (STABLE, POLYSTABLE_NOT_STABLE)
@@ -641,7 +607,7 @@ def _lattice_verdict(
     return StabilityVerdict(
         classification=classification,
         witness=witness,
-        methods=("lattice_exact", "randomized") if counts["restarts"] else ("lattice_exact",),
+        methods=("lattice_exact",),
         inconclusive=bool(reasons),
         best_score=None if best is None else best[0],
         trace_identity=trace_ok,

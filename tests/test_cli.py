@@ -1,13 +1,16 @@
+import argparse
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import posetrep as pr
 from posetrep import fileio
-from posetrep.cli import main
+from posetrep.cli import build_parser, main
 from posetrep.linalg import random_subspace
 from conftest import planted_line_rep
 
@@ -176,18 +179,17 @@ def test_stability_json_round_trip(capsys, files):
 #: the diagnostics keys of every stability verdict under --output json
 STABILITY_KEYS = {"route", "fallback_reasons", "flow_status", "flow_iterations", "residual",
                   "lambda_min", "end_dim", "dual_bound", "gap", "hn_dims", "hn_slopes",
-                  "lattice_size", "restarts", "lattice_scored", "saturation_rounds",
-                  "saturated_moved", "inconclusive_reasons", "times_ms"}
-LATTICE_COUNTS = ("lattice_size", "restarts", "lattice_scored", "saturation_rounds",
-                  "saturated_moved")
+                  "lattice_size", "lattice_scored", "inconclusive_reasons", "times_ms"}
+LATTICE_COUNTS = ("lattice_size", "lattice_scored")
 
 
 def test_stability_json_diagnostics(capsys, files):
     """The flow's certificate on the flow route; on the lattice route (here
     for a weight without the trace identity, where the flow does not run)
-    the search's counts and the inconclusive reasons, as ints and strings;
-    methods lists the random search only when it ran.  Every verdict has
-    the same keys; wall times are floats and are not compared."""
+    the lattice counts and the inconclusive reasons, as ints and strings;
+    methods lists the lattice after the flow only when that route ran.
+    Every verdict has the same keys; wall times are floats and are not
+    compared."""
     code, out, _ = run(capsys, "--output", "json", "stability", files["lam2.rep"],
                        "-w", "2; 1, 1, 1, 1")
     assert code == 0
@@ -205,23 +207,21 @@ def test_stability_json_diagnostics(capsys, files):
     assert all(diag[k] is None for k in LATTICE_COUNTS)
     assert set(diag["times_ms"]) == {"flow", "schur", "hessian"}
     assert all(type(v) is float for v in diag["times_ms"].values())
-    for extra, restarts, methods in (([], 200, ["lattice_exact", "randomized"]),
-                                     (["--restarts", "0"], 0, ["lattice_exact"])):
-        code, out, _ = run(capsys, "--output", "json", "stability", files["lam2.rep"],
-                           "-w", "3; 1, 1, 1, 1", *extra)
-        assert code == 0
-        payload = json.loads(out)
-        diag = payload["diagnostics"]
-        assert set(diag) == STABILITY_KEYS
-        assert payload["methods"] == methods
-        assert diag["route"] == "lattice"
-        assert diag["fallback_reasons"] == ["no_trace_identity"]
-        assert diag["flow_status"] is None
-        assert diag["restarts"] == restarts
-        assert diag["inconclusive_reasons"] == []
-        assert diag["lattice_scored"] == 4
-        assert diag["lattice_size"] == 6  # 0, the four lines and C^2
-        assert all(type(diag[k]) is int for k in LATTICE_COUNTS)
+    code, out, _ = run(capsys, "--output", "json", "stability", files["lam2.rep"],
+                       "-w", "3; 1, 1, 1, 1")
+    assert code == 0
+    payload = json.loads(out)
+    diag = payload["diagnostics"]
+    assert set(diag) == STABILITY_KEYS
+    assert payload["methods"] == ["lattice_exact"]
+    assert diag["route"] == "lattice"
+    assert diag["fallback_reasons"] == ["no_trace_identity"]
+    assert diag["flow_status"] is None
+    assert diag["inconclusive_reasons"] == []
+    assert diag["lattice_scored"] == 4
+    assert diag["lattice_size"] == 6  # 0, the four lines and C^2
+    assert all(type(diag[k]) is int for k in LATTICE_COUNTS)
+    assert set(diag["times_ms"]) == {"lattice", "schur"}
 
 
 def test_stability_json_lattice_size_null_on_overflow(capsys, tmp_path):
@@ -235,7 +235,7 @@ def test_stability_json_lattice_size_null_on_overflow(capsys, tmp_path):
     (tmp_path / "anti6.poset").write_text(fileio.serialize_poset(rep.poset))
     (tmp_path / "planted.rep").write_text(fileio.serialize_rep(rep, "anti6.poset"))
     code, out, _ = run(capsys, "--output", "json", "stability", str(tmp_path / "planted.rep"),
-                       "-w", "4; 1, 1, 1, 1, 1, 1", "--restarts", "0")
+                       "-w", "4; 1, 1, 1, 1, 1, 1")
     assert code == 0
     payload = json.loads(out)
     assert payload["classification"] == "unstable"
@@ -244,7 +244,7 @@ def test_stability_json_lattice_size_null_on_overflow(capsys, tmp_path):
     assert payload["diagnostics"]["lattice_scored"] > 400
     assert payload["diagnostics"]["inconclusive_reasons"] == []
     code, out, _ = run(capsys, "--output", "json", "stability", str(tmp_path / "planted.rep"),
-                       "-w", "3; 1, 1, 1, 1, 1, 1", "--restarts", "0")
+                       "-w", "3; 1, 1, 1, 1, 1, 1")
     assert code == 0
     payload = json.loads(out)
     diag = payload["diagnostics"]
@@ -327,6 +327,44 @@ def test_missing_file_exit_1(capsys, files):
     assert "error:" in err
 
 
+def _long_flags(parser: argparse.ArgumentParser) -> set[str]:
+    return {o for a in parser._actions for o in a.option_strings if o.startswith("--")}
+
+
+def test_readme_flags_match_the_parser():
+    """Every --flag in the README's "Command line" section exists: in the
+    command table and in example lines it is a global flag or a flag of
+    the subcommand named there, elsewhere a global flag or a flag of some
+    subcommand.  Every subcommand has a table row, and every option of a
+    subcommand appears in its row (by its long or its short name)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    global_flags = _long_flags(parser)
+    sub_flags = {name: _long_flags(sp) - global_flags for name, sp in commands.items()}
+    every_flag = global_flags.union(*sub_flags.values())
+    rows = {}
+    for line in section.splitlines():
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", line))
+        named = re.match(r"\| `([a-z-]+)|posetrep ([a-z][a-z-]*)", line)
+        if named:
+            command = named.group(1) or named.group(2)
+            assert flags <= global_flags | sub_flags[command], line
+            if named.group(1):
+                rows[command] = line
+        else:
+            assert flags <= every_flag, line
+    assert set(rows) == set(commands)
+    for name, sp in commands.items():
+        for action in sp._actions:
+            if not action.option_strings or set(action.option_strings) & (global_flags | {"-h"}):
+                continue
+            assert any(re.search(rf"(?<![\w-]){o}(?![\w-])", rows[name])
+                       for o in action.option_strings), (name, action.option_strings)
+
+
 def test_usage_errors_exit_1(capsys, files):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1
@@ -338,10 +376,16 @@ def test_usage_errors_exit_1(capsys, files):
     )
     assert code == 1
     assert "--use-flow" in err
+    # the lattice route runs no random search, so it takes no --restarts
+    code, out, err = run(
+        capsys, "stability", files["lam2.rep"], "-w", "2; 1, 1, 1, 1", "--restarts", "5"
+    )
+    assert (code, out) == (1, "")
+    assert "--restarts" in err
     proj = files["dir"] + "/sphere.proj"
     fileio.save_projection_system(pr.sphere_projection_system(0.6, 0.8, 0.0), proj, "anti4.poset")
     negative = [
-        ("--restarts", ["stability", files["lam2.rep"], "-w", "2; 1, 1, 1, 1", "--restarts", "-5"]),
+        ("--max-iter", ["stability", files["lam2.rep"], "-w", "2; 1, 1, 1, 1", "--max-iter", "-5"]),
         ("--max-len", ["invariants", proj, "--max-len", "-1"]),
     ]
     for flag, argv in negative:

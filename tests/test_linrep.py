@@ -401,7 +401,7 @@ def test_scores_match_per_element_oracle():
         if proper:
             # closed under cap, so the same closure as under the 512 of the
             # lattice route
-            v = _lattice_verdict(rep, w, pr.StabilityOptions(restarts=0))
+            v = _lattice_verdict(rep, w, pr.StabilityOptions())
             assert v.diagnostics["lattice_best"] == max(oracle_score(rep, w, q) for q in proper)
     assert compared > 300
 
@@ -463,7 +463,7 @@ def test_stability_stable_case():
     assert v.classification == pr.STABLE
     assert v.best_score == Fraction(-1)
     assert not v.inconclusive
-    assert "lattice_exact" in v.methods and "randomized" in v.methods
+    assert v.methods == ("lattice_exact",)
 
 
 def test_stability_unstable_witness_rechecks():
@@ -570,102 +570,88 @@ def test_lattice_overflow_keeps_best_member():
     assert len(dims) == 513 and dims == sorted(dims)
     for seed in range(4):
         rep, w = planted_line_rep(np.random.default_rng(seed))
-        # no random search: the witness comes from the partial lattice
-        v = _lattice_verdict(rep, w, pr.StabilityOptions(restarts=0))
+        # the witness comes from the partial lattice
+        v = _lattice_verdict(rep, w, pr.StabilityOptions())
         assert v.diagnostics["lattice_size"] is None
         assert v.classification == pr.UNSTABLE
         assert not v.inconclusive
         assert v.best_score == pr.subspace_score(rep, w, v.witness) >= 1
         # the flow's plateau certifies the same best score without a lattice
-        flow = pr.stability_check(rep, w, pr.StabilityOptions(restarts=0))
+        flow = pr.stability_check(rep, w)
         assert flow.diagnostics["route"] == "flow_unstable"
         assert flow.classification == pr.UNSTABLE and not flow.inconclusive
         assert flow.best_score == pr.subspace_score(rep, w, flow.witness) == v.best_score
     rep, w = five_planes(3)
-    v = _lattice_verdict(rep, w, pr.StabilityOptions(restarts=0))
+    v = _lattice_verdict(rep, w, pr.StabilityOptions())
     assert v.diagnostics["lattice_size"] is None
     assert v.classification == pr.STABLE and v.best_score < 0
     assert v.inconclusive
     # the flow certifies stable with a margin, and nothing is left open
-    v = pr.stability_check(rep, w, pr.StabilityOptions(restarts=0))
+    v = pr.stability_check(rep, w)
     assert v.classification == pr.STABLE and not v.inconclusive
     assert v.diagnostics["residual"] <= v.diagnostics["lambda_min"] / 4
 
 
 def test_generic_stable_reps_are_not_inconclusive():
-    """The random search scores above the lattice on generic reps (e.g. -5/2
-    against -3) without a change of sign; that changes no verdict."""
+    """Generic reps are stable and nothing is left open, on the flow route
+    and on the lattice route.  The lattice route's best score is the best
+    lattice member's, not a certified maximum: for five generic 2-planes in
+    C^4 with weight (5/2; 1, ..., 1) it is -3 (each plane), while a plane
+    that meets four of them in lines scores -1."""
     cases = [(pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT)]
     p = pr.primitive_poset(1, 1, 1, 1, 1)
     w = pr.Weight.from_entries(p, [Fraction(5, 2), 1, 1, 1, 1, 1])
     rng = np.random.default_rng(41)
     for _ in range(5):
         cases.append((pr.make_rep(p, 4, {e: random_complex(rng, 4, 2) for e in p.elements}), w))
-    for rep, w in cases:
-        v = pr.stability_check(rep, w)
-        assert v.classification == pr.STABLE
-        assert not v.inconclusive
-        assert "randomized_excess" not in v.diagnostics
-        assert v.diagnostics["rank_guard_stable"] is True
+    for i, (rep, w) in enumerate(cases):
+        for v in (pr.stability_check(rep, w), _lattice_verdict(rep, w, pr.StabilityOptions())):
+            assert v.classification == pr.STABLE
+            assert not v.inconclusive and v.diagnostics["inconclusive_reasons"] == []
+            assert v.diagnostics["rank_guard_stable"] is True
+        assert v.best_score == (-1 if i == 0 else -3)
 
 
 # ---------------------------------------------------------------------------
-# the randomized search: lock step against one restart at a time
+# the lattice route against the randomized search, one restart at a time
 
-def test_random_search_matches_per_restart_oracle():
-    """Best score, witness (bit for bit) and rank guard of the lock-step
-    search equal those of the search one restart at a time."""
-    from posetrep.linrep import _random_search, _Scorer
-
-    rng = np.random.default_rng(34)
-    cases = [((rep, _random_weight(rng, rep.poset)), ((0, 1, 200)[i % 3],))
-             for i, (rep, _) in enumerate(_lattice_cases(rng))]
-    every = (0, 1, 200)
-    cases += [(planted_line_rep(np.random.default_rng(seed)), every) for seed in range(4)]
-    cases += [((near_lines(), pr.Weight(1, {"a1": 1, "a2": 1})), every), (point_rep(), every)]
-    witnesses = moved = 0
-    for seed, ((rep, w), counts) in enumerate(cases):
-        for restarts in counts:
-            best, witness, guard = oracle_random_search(rep, w, seed, restarts)
-            got, got_guard, diag = _random_search(rep, _Scorer(rep, w, 1e-9), restarts, seed)
-            assert got_guard == guard
-            if best is None:
-                assert got is None
-                continue
-            assert got[0] == best
-            assert np.array_equal(got[1], witness)
-            witnesses += 1
-            moved += diag["saturated_moved"]
-    assert witnesses >= 50 and moved > 100
-    # stability_check reports the search; at 3e-9 the guard fires on the
-    # lattice member V_1
-    w = pr.Weight(1, {"a1": 1, "a2": 1})
-    v = pr.stability_check(near_lines(), w)
-    assert v.diagnostics["random_best"] == oracle_random_search(near_lines(), w, 0, 200)[0]
-    assert v.diagnostics["rank_guard_stable"] is False
-
-
-def test_random_search_batches_keep_the_first_maximum(monkeypatch):
-    """Restarts beyond one lock-step batch give the best score, witness and
-    rank guard of one restart at a time; batches of 7 split 200 restarts
-    into 29."""
-    from posetrep import linrep
-
-    monkeypatch.setattr(linrep, "_RESTART_BATCH", 7)
-    cases = [planted_line_rep(np.random.default_rng(seed)) for seed in range(2)]
-    cases += [(pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT), five_planes(2)]
+def test_lattice_route_never_trails_the_random_search_oracle():
+    """Wherever 200 random subspaces, each saturated and scored one at a
+    time, reach a score of 0 or more, the lattice route's best score is at
+    least as large, so such a search could never raise the sign of the
+    route's best score.  The inputs are the first 40 antichain reps of
+    seed 2026 (every other one bent toward a common line), the planted
+    line and 20 random nested reps; chi0 is one above the trace identity,
+    which leaves every score as it is."""
+    rng = np.random.default_rng(2026)
+    cases = [random_antichain_rep(rng, bent=i % 2 == 1) for i in range(40)]
+    cases.append(planted_line_rep(np.random.default_rng(0)))
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        p = random_poset(rng, int(rng.integers(1, 6)))
+        d0 = int(rng.integers(2, 6))
+        rep = random_nested_rep(rng, p, d0)
+        chi = {e: int(rng.integers(1, 4)) for e in p.elements}
+        total = sum(chi[e] * rep.dim(e) for e in p.elements)
+        cases.append((rep, pr.Weight(Fraction(total, d0) + 1, chi)))
+    reached = 0
     for seed, (rep, w) in enumerate(cases):
-        best, witness, guard = oracle_random_search(rep, w, seed, 200)
-        score = linrep._Scorer(rep, w, 1e-9)
-        got, got_guard, counts = linrep._random_search(rep, score, 200, seed)
-        assert got[0] == best and np.array_equal(got[1], witness)
-        assert got_guard == guard
-        assert counts["restarts"] == 200 and counts["saturation_rounds"] >= 29
+        best, _, _ = oracle_random_search(rep, w, seed, 200)
+        if best is None or best < 0:
+            continue
+        reached += 1
+        v = _lattice_verdict(rep, w, pr.StabilityOptions(seed=seed))
+        assert v.best_score is not None and v.best_score >= best
+        assert v.classification != pr.STABLE
+    assert reached >= 10
 
 
 def test_stability_svd_call_budget(monkeypatch):
-    """The search costs a number of SVD calls bounded by widths times
-    saturation rounds, however many restarts run; counts, not timings."""
+    """Scoring takes one SVD call per (basis width, span width), however
+    many bases are scored; a saturation round one per element and one for
+    the sum; counts, not timings."""
+    from posetrep import linrep
+
     calls = [0]
     svd = np.linalg.svd
 
@@ -678,46 +664,32 @@ def test_stability_svd_call_budget(monkeypatch):
     p = pr.primitive_poset(*[1] * 5)
     planes = pr.make_rep(p, 4, {e: random_complex(rng, 4, 2) for e in p.elements})
     cases = [(pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT),
-             (planes, pr.Weight(Fraction(5, 2), {e: 1 for e in p.elements}))]
+             (planes, pr.Weight(Fraction(5, 2), {e: 1 for e in p.elements})),
+             planted_line_rep(np.random.default_rng(0))]
     for rep, w in cases:
-        calls[0] = 0
-        _lattice_verdict(rep, w, pr.StabilityOptions(restarts=0))
-        lattice = calls[0]
         d0, n = rep.ambient_dim, len(rep.poset)
         widths = len({rep.dim(e) for e in rep.poset.elements})
-        for restarts in (50, 400):
+        bases = [random_subspace(rng, d0, k) for k in range(1, d0) for _ in range(50)]
+        score = linrep._Scorer(rep, w, 1e-9)
+        calls[0] = 0
+        score(bases)
+        assert calls[0] <= (d0 - 1) * widths
+        for q in bases[::10]:
             calls[0] = 0
-            v = _lattice_verdict(rep, w, pr.StabilityOptions(restarts=restarts))
-            rounds = v.diagnostics["saturation_rounds"]
-            assert 1 <= rounds <= d0
-            # per basis width the draws, per round and span width one full
-            # SVD and at most d0 null-space SVDs, and the scores; per round
-            # one SVD per width of a sum of intersections (at most n d0)
-            bound = (d0 - 1) * (1 + widths * (1 + rounds * (1 + d0))) + rounds * n * d0
-            assert calls[0] - lattice <= bound < 50
+            pr.saturate_subspace(rep, q)
+            assert calls[0] <= d0 * (n + 1)
 
 
 def test_methods_list_only_the_search_that_ran():
-    """No random search runs with restarts 0 or d0 = 1: methods lists the
-    lattice alone and diagnostics count 0 restarts.  The flow route lists
-    the flow alone; a fallback lists the flow first."""
-    for (rep, w), opts in (((pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT),
-                            pr.StabilityOptions(restarts=0)),
-                           (point_rep(), pr.StabilityOptions())):
-        v = _lattice_verdict(rep, w, opts)
-        assert v.methods == ("lattice_exact",)
-        assert v.diagnostics["restarts"] == 0
-        assert v.diagnostics["random_best"] is None
-        assert v.diagnostics["saturation_rounds"] == v.diagnostics["saturated_moved"] == 0
-        assert pr.stability_check(rep, w, opts).methods == ("flow",)
-    v = _lattice_verdict(pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT,
-                         pr.StabilityOptions(restarts=7))
-    assert v.methods == ("lattice_exact", "randomized")
-    assert v.diagnostics["restarts"] == 7
-    v = pr.stability_check(near_lines(), pr.Weight(1, {"a1": 1, "a2": 1}),
-                           pr.StabilityOptions(restarts=7))
-    assert v.methods == ("flow", "lattice_exact", "randomized")
-    assert v.diagnostics["restarts"] == 7
+    """The lattice route lists the lattice alone, also in C^1 where no
+    proper subspace exists; the flow route lists the flow alone; a
+    fallback lists the flow first, then the lattice."""
+    for rep, w in ((pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT), point_rep()):
+        assert _lattice_verdict(rep, w, pr.StabilityOptions()).methods == ("lattice_exact",)
+        assert pr.stability_check(rep, w).methods == ("flow",)
+    v = pr.stability_check(near_lines(), pr.Weight(1, {"a1": 1, "a2": 1}))
+    assert v.methods == ("flow", "lattice_exact")
+    assert {"flow", "lattice"} <= set(v.diagnostics["times_ms"])
 
 
 def test_stability_inconclusive_reasons():
@@ -726,7 +698,7 @@ def test_stability_inconclusive_reasons():
     v = pr.stability_check(near_lines(), w2)
     assert v.inconclusive and "rank_guard" in v.diagnostics["inconclusive_reasons"]
     rep, w = five_planes(3)
-    v = _lattice_verdict(rep, w, pr.StabilityOptions(restarts=0))
+    v = _lattice_verdict(rep, w, pr.StabilityOptions())
     assert v.inconclusive
     assert v.diagnostics["inconclusive_reasons"] == ["lattice_overflow"]
     assert v.diagnostics["lattice_scored"] > 0
@@ -734,6 +706,5 @@ def test_stability_inconclusive_reasons():
     assert not v.inconclusive and v.diagnostics["inconclusive_reasons"] == []
     # the four lines are the only proper members: sums are C^2
     assert v.diagnostics["lattice_scored"] == 4
-    assert v.diagnostics["saturation_rounds"] == 1
-    for key in ("lattice_scored", "saturation_rounds", "saturated_moved", "restarts"):
+    for key in ("lattice_scored", "lattice_size"):
         assert type(v.diagnostics[key]) is int

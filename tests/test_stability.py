@@ -2,8 +2,8 @@
 
 ``stability_check`` reads the verdict off the Kempf-Ness flow's limit with
 a certificate and falls back to the lattice route
-(``stability._lattice_verdict``: the lattice closure and the randomized
-search) when none closes.  These tests compare the two routes on seeded
+(``stability._lattice_verdict``: the lattice closure and the Schur test)
+when none closes.  These tests compare the two routes on seeded
 random reps, check each certificate on inputs of known class, and check
 the Hessian against the dense Kronecker oracle.
 """
@@ -163,7 +163,7 @@ def test_fallback_reasons():
     v = pr.stability_check(rep, pr.Weight(3, {e: 1 for e in rep.poset.elements}))
     assert v.diagnostics["route"] == "lattice"
     assert v.diagnostics["fallback_reasons"] == ["no_trace_identity"]
-    assert v.methods == ("lattice_exact", "randomized")
+    assert v.methods == ("lattice_exact",)
     assert v.diagnostics["flow_status"] is None
     e1 = np.array([[1.0], [0.0]], dtype=complex)
     near = np.array([[np.cos(3e-9)], [np.sin(3e-9)]], dtype=complex)
@@ -171,6 +171,33 @@ def test_fallback_reasons():
     v = pr.stability_check(lines, W_LINES)
     assert v.diagnostics["fallback_reasons"] == ["rank_guard"]
     assert v.methods[0] == "flow" and v.inconclusive
+
+
+def test_lattice_route_runs_the_schur_test_without_proper_members():
+    """With every V_e either 0 or V the lattice is {0, V}, and every score
+    is 0, but dim End = d0^2 > 1: the Schur test splits V into d0 lines,
+    each a stable summand of score 0.  So the lattice route is
+    polystable_not_stable with the trace identity and
+    semistable_not_polystable without it, with a score-0 witness, in C^2
+    and C^3, on an antichain and on a chain."""
+    anti, chain = pr.primitive_poset(1, 1, 1), pr.build_poset(["a", "b"], [("a", "b")])
+    for d0 in (2, 3):
+        full, zero = np.eye(d0, dtype=complex), np.zeros((d0, 0), dtype=complex)
+        cases = [(pr.make_rep(anti, d0, {"a1": full, "a2": zero, "a3": full}),
+                  {"a1": 1, "a2": 2, "a3": 3}, 4),
+                 (pr.make_rep(chain, d0, {"a": zero, "b": full}), {"a": 2, "b": 1}, 1)]
+        for rep, chi, chi0 in cases:
+            assert len(pr.endomorphism_algebra(rep)) == d0 * d0
+            for extra, expected in ((0, pr.POLYSTABLE_NOT_STABLE),
+                                    (1, pr.SEMISTABLE_NOT_POLYSTABLE)):
+                w = pr.Weight(chi0 + extra, chi)
+                assert w.trace_identity(rep) == (extra == 0)
+                v = _lattice_verdict(rep, w, pr.StabilityOptions())
+                assert v.diagnostics["lattice_scored"] == 0
+                assert v.classification == expected
+                assert v.best_score == 0 and not v.inconclusive
+                assert v.witness.shape == (d0, 1)
+                assert pr.subspace_score(rep, w, v.witness) == 0
 
 
 def _bent_lines(n: int, m: int, eps: float, seed: int):
@@ -202,7 +229,7 @@ def test_stall_reps_stay_stable_via_the_fallback():
         assert v.classification == pr.STABLE and not v.inconclusive
         assert v.diagnostics["route"] == "lattice"
         assert v.diagnostics["fallback_reasons"] == ["no_destabilizer"]
-        assert v.methods == ("flow", "lattice_exact", "randomized")
+        assert v.methods == ("flow", "lattice_exact")
 
 
 def test_sum_with_a_boundary_summand_is_not_polystable():
