@@ -336,7 +336,7 @@ def quiver_to_rep(qrep: QuiverRep, tol: float = 1e-9) -> SubspaceRep:
     for (s, t), m in qrep.maps.items():
         if m.shape != (qrep.dims[t], qrep.dims[s]):
             raise WrongShape(f"map for arrow {s}->{t} has shape {m.shape}")
-        if qrep.dims[s] and linalg.numerical_rank(m, tol) < qrep.dims[s]:
+        if qrep.dims[s] and linalg.rank_with_guard(m, tol)[0] < qrep.dims[s]:
             raise NotSubspaceRep(f"structure map for arrow {s} -> {t} is not injective")
     out = q.out_arrows()
     # composite[s][t]: one path s -> t and its map, the first one found
@@ -363,7 +363,7 @@ def quiver_to_rep(qrep: QuiverRep, tol: float = 1e-9) -> SubspaceRep:
         if ROOT not in composite[e]:
             raise WrongShape(f"vertex {e} has no path to the root")
         comp = composite[e][ROOT][1]
-        if qrep.dims[e] and linalg.numerical_rank(comp, tol) < qrep.dims[e]:
+        if qrep.dims[e] and linalg.rank_with_guard(comp, tol)[0] < qrep.dims[e]:
             raise NotSubspaceRep(f"composite map from {e} to the root drops rank")
         spans[e] = comp
     return make_rep(_poset_from_quiver(q), qrep.dims[ROOT], spans, tol=tol)

@@ -2,8 +2,8 @@
 
 Subcommands: hasse, kleiner, euler, dim-quotient, stability, solve,
 invariants, fourspace-sweep.  Global flags (before the subcommand, or after
-it) are --tol, --max-iter, --seed, --output; each falls back to the
-environment variables PRL_TOL, PRL_MAX_ITER, PRL_SEED, PRL_OUTPUT.
+it) are --tol, --max-iter, --output; each falls back to the environment
+variables PRL_TOL, PRL_MAX_ITER, PRL_OUTPUT.
 
 Exit codes: 0 success, 1 invalid input, 2 non-convergence,
 3 numerical breakdown.
@@ -192,7 +192,7 @@ def _route_text(diagnostics: dict) -> str:
 def _cmd_stability(args) -> int:
     rep, _ = fileio.load_rep(args.rep)
     w = fileio.parse_weight(args.weight, rep.poset)
-    opts = StabilityOptions(**_given(args, "tol", "seed"))
+    opts = StabilityOptions(**_given(args, "tol"))
     verdict = stability_check(rep, w, opts)
     lines = [
         f"classification: {verdict.classification}",
@@ -341,9 +341,7 @@ def _sweep_row(token: str, args, w) -> dict:
     row["a_sq"], row["b_sq"], row["c_sq"] = repr(t14), repr(t13), repr(t12)
     row["invariant_sum"] = repr(t14 + t13 + t12)
     try:
-        parts = decompose(
-            system.subspace_rep(tol=decomp_tol), tol=decomp_tol, **_given(args, "seed")
-        )
+        parts = decompose(system.subspace_rep(tol=decomp_tol), tol=decomp_tol)
         row["summands"] = str(len(parts))
     except PosetRepError:
         row["summands"] = ""
@@ -408,8 +406,6 @@ def _global_options() -> argparse.ArgumentParser:
                         "env PRL_TOL)")
     g.add_argument("--max-iter", type=nonnegative_int, default=argparse.SUPPRESS,
                    help="iteration cap for flows, >= 0 (env PRL_MAX_ITER)")
-    g.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                   help="random seed (env PRL_SEED)")
     g.add_argument("--output", choices=("text", "json"), default=argparse.SUPPRESS,
                    help="report format (env PRL_OUTPUT)")
     return par
@@ -491,8 +487,6 @@ def _fill_globals(args) -> None:
         args.tol = _env_default("TOL", finite_positive_float, None)
     if not hasattr(args, "max_iter"):
         args.max_iter = _env_default("MAX_ITER", nonnegative_int, None)
-    if not hasattr(args, "seed"):
-        args.seed = _env_default("SEED", int, None)
     if not hasattr(args, "output"):
         args.output = _env_default("OUTPUT", _output_choice, "text")
 

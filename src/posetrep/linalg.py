@@ -26,11 +26,14 @@ def singular_values(m: np.ndarray) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def numerical_rank(m: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    s = singular_values(as_complex(m))
-    if s.size == 0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+def _guard_ranks(s: np.ndarray, tol: float) -> np.ndarray:
+    """Ranks at 0.1*tol, tol and 10*tol times the largest singular value,
+    for singular values s in descending order along the last axis (the
+    other axes broadcast), as a new last axis of length 3.  Rank falls as
+    the cut rises, so the three agree exactly when the first and the last
+    do: that is the rank guard."""
+    cuts = np.multiply.outer(s[..., 0], tol * _GUARD_FACTORS)
+    return (s[..., None, :] > cuts[..., :, None]).sum(axis=-1)
 
 
 def rank_with_guard(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[int, bool]:
@@ -39,8 +42,8 @@ def rank_with_guard(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[int, bool]
     s = singular_values(as_complex(m))
     if s.size == 0:
         return 0, True
-    ranks = {int(np.count_nonzero(s > f * tol * s[0])) for f in (1.0, 10.0, 0.1)}
-    return int(np.count_nonzero(s > tol * s[0])), len(ranks) == 1
+    low, rank, high = _guard_ranks(s, tol).tolist()
+    return rank, low == high
 
 
 def orthonormal_columns(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -101,10 +104,8 @@ def null_space_with_guard(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.n
     if m.shape[0] == 0:
         return np.eye(m.shape[1], dtype=complex), True
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    smax = s[0] if s.size else 0.0
-    ranks = [int(np.count_nonzero(s > f * tol * smax)) if smax > 0 else 0
-             for f in _GUARD_FACTORS]
-    return vh[ranks[1]:].conj().T, ranks[0] == ranks[2]
+    low, rank, high = _guard_ranks(s, tol).tolist()
+    return vh[rank:].conj().T, low == high
 
 
 def subspace_intersections(
@@ -148,9 +149,7 @@ def subspace_intersections(
             _, s, vh = np.linalg.svd(m, full_matrices=True)
         else:
             s = np.linalg.svd(m, compute_uv=False)
-        # ranks at 0.1*tol, tol and 10*tol, in one comparison
-        cuts = np.multiply.outer(s[..., 0], tol * _GUARD_FACTORS)
-        ranks = (s[..., None, :] > cuts[..., :, None]).sum(axis=-1)
+        ranks = _guard_ranks(s, tol)
         guard = ranks[..., 0] == ranks[..., 2]
         dims = a + b - ranks[..., 1]
         if bases:

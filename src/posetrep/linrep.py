@@ -18,7 +18,7 @@ certificate does not close.  The saturation K -> sum_i (V_i /\ K)
 (``saturate_subspace``) never lowers f, which is supermodular on the
 subspace lattice.  The endomorphism algebra (``endomorphism_algebra``) is
 the Schur test of the stable verdict and the source of direct-sum splits
-(``split_along``, ``decompose``).
+(``generic_split``, ``decompose``).
 """
 
 from __future__ import annotations
@@ -254,7 +254,10 @@ def _endomorphisms(rep: SubspaceRep, tol: float) -> tuple[list[np.ndarray], bool
 class Decomposition(NamedTuple):
     summands: list[SubspaceRep]
     embeddings: list[np.ndarray]
-    diagnostics: dict
+
+
+#: draws of a generic endomorphism per split at most
+_SPLIT_DRAWS = 4
 
 
 def _eig_clusters(values: np.ndarray) -> list[list[int]]:
@@ -305,73 +308,63 @@ def _restrict_to_block(rep: SubspaceRep, block: np.ndarray, tol: float) -> Subsp
     return sub
 
 
-def split_along(
-    rep: SubspaceRep, f: np.ndarray, tol: float = DEFAULT_TOL
+def generic_split(
+    rep: SubspaceRep, ends: list[np.ndarray], tol: float = DEFAULT_TOL
 ) -> list[tuple[np.ndarray, SubspaceRep]] | None:
     """The direct-sum split of the representation along the generalized
-    eigenspaces of an endomorphism f: (block, summand) pairs, each block an
-    isometric embedding of the summand's ambient space, or None when the
-    split is not clean (one eigenvalue cluster, a block whose
-    intersections do not form a representation, or dim V_e not the sum of
-    the summands' dimensions for some e)."""
-    blocks = _generalized_eigenspaces(f, tol)
-    if blocks is None:
-        return None
-    pieces = []
-    for block in blocks:
-        piece = _restrict_to_block(rep, block, tol)
-        if piece is None:
-            return None
-        pieces.append((block, piece))
-    for e in rep.poset.elements:
-        if sum(p.dim(e) for _, p in pieces) != rep.dim(e):
-            return None
-    return pieces
+    eigenspaces of a generic element f of the span of ``ends``, a basis of
+    its endomorphism algebra: (block, summand) pairs, each block an
+    isometric embedding of the summand's ambient space.  The spectral
+    projections of f are polynomials in f, so they map every V_e into
+    itself, and V_e is the sum of its intersections with the blocks.
 
-
-def decompose_full(rep: SubspaceRep, seed: int = 0, tol: float = DEFAULT_TOL) -> Decomposition:
-    """Split into indecomposable summands; deterministic given the seed.
-
-    Samples a random endomorphism, splits the ambient space along its
-    generalized eigenspaces (their spectral projections commute with every
-    V_e, see ``split_along``), and recurses until each block has a
-    one-dimensional endomorphism algebra or refuses to split further.
-    Returns the summands together with isometric embeddings of their
-    ambient spaces.
+    f is drawn up to _SPLIT_DRAWS times from a generator fixed at seed 0,
+    so the split is deterministic.  A draw does not split cleanly when f
+    has one eigenvalue cluster, when the intersections with a block do not
+    form a representation, or when dim V_e is not the sum of the summands'
+    dimensions for some e; None when no draw does.
     """
-    rng = np.random.default_rng(seed)
-    diagnostics = {"samples": 0, "failed_splits": 0}
+    rng = np.random.default_rng(0)
+    for _ in range(_SPLIT_DRAWS):
+        coeff = linalg.random_complex(rng, len(ends))
+        blocks = _generalized_eigenspaces(sum(c * b for c, b in zip(coeff, ends)), tol)
+        if blocks is None:
+            continue
+        pieces = [_restrict_to_block(rep, block, tol) for block in blocks]
+        if all(p is not None for p in pieces) and all(
+            sum(p.dim(e) for p in pieces) == rep.dim(e) for e in rep.poset.elements
+        ):
+            return list(zip(blocks, pieces))
+    return None
+
+
+def decompose_full(rep: SubspaceRep, tol: float = DEFAULT_TOL) -> Decomposition:
+    """Split into indecomposable summands.
+
+    Splits along a generic endomorphism (``generic_split``) and recurses
+    until each block has a one-dimensional endomorphism algebra or refuses
+    to split further.  Deterministic: every split draws from the same
+    fixed generator.  Returns the summands together with isometric
+    embeddings of their ambient spaces.
+    """
 
     def rec(sub: SubspaceRep) -> list[tuple[SubspaceRep, np.ndarray]]:
         d = sub.ambient_dim
         if d == 0:
             return []
         basis = endomorphism_algebra(sub, tol)
-        if len(basis) <= 1:
+        pieces = generic_split(sub, basis, tol) if len(basis) > 1 else None
+        if pieces is None:
             return [(sub, np.eye(d, dtype=complex))]
-        for _ in range(4):
-            diagnostics["samples"] += 1
-            coeff = linalg.random_complex(rng, len(basis))
-            pieces = split_along(sub, sum(c * b for c, b in zip(coeff, basis)), tol)
-            if pieces is None:
-                diagnostics["failed_splits"] += 1
-                continue
-            out = []
-            for block, piece in pieces:
-                for leaf, emb in rec(piece):
-                    out.append((leaf, block @ emb))
-            return out
-        return [(sub, np.eye(d, dtype=complex))]
+        return [(leaf, block @ emb) for block, piece in pieces for leaf, emb in rec(piece)]
 
     result = rec(rep)
-    return Decomposition(
-        [s for s, _ in result], [m for _, m in result], diagnostics
-    )
+    return Decomposition([s for s, _ in result], [m for _, m in result])
 
 
-def decompose(rep: SubspaceRep, seed: int = 0, tol: float = DEFAULT_TOL) -> list[SubspaceRep]:
+def decompose(rep: SubspaceRep, tol: float = DEFAULT_TOL) -> list[SubspaceRep]:
     """Indecomposable direct summands of the representation."""
-    return decompose_full(rep, seed=seed, tol=tol).summands
+    return decompose_full(rep, tol=tol).summands
 
 
 # ---------------------------------------------------------------------------

@@ -33,16 +33,15 @@ f(K) sqrt(d0 / (k (d0 - k)))).  So with r the flow's final residual:
   positive once r < lambda_min / 4, and mu has a zero in that ball: the
   representation is polystable, and with End = C stable.  At the boundary
   of the four-line family r / lambda_min tends to 1 / sqrt(8), above 1/4.
-- converged, dim End > 1: the L-eigenvectors of the dim End - 1 smallest
-  eigenvalues span the Hermitian endomorphisms of g V at the limit.  A
-  seeded generic combination x of them, pulled back to g^-1 x g and
-  projected onto the linear-side algebra End (exact), splits V along its
-  eigenspaces (``linrep.split_along``); every summand is classified on its
-  own, moved into the frame of the limit first, where its flow starts at
-  the restricted, nearly orthoscalar system.  ``polystable_not_stable``
-  when all are (poly)stable, with the first summand's embedding as the
-  score-0 witness; the equal slopes are the trace identity of each
-  summand, checked exactly.
+- converged, dim End > 1: V splits along the generalized eigenspaces of
+  a generic element of End (``linrep.generic_split``, the split that
+  ``linrep.decompose_full`` recurses on), a linear-side decision.  Every
+  summand is moved into the frame of the limit, where its own flow starts
+  at the restricted, nearly orthoscalar system, and classified on its own
+  (``_classify_summands``, King's rule, as on the lattice route).
+  ``polystable_not_stable`` when all are (poly)stable, with the first
+  summand's embedding as the score-0 witness; the equal slopes are the
+  trace identity of each summand, checked exactly.
 - converged, dim End = 1, lambda_min not clear of r: semistable, because
   r is below 2 / (den sqrt(d0)), the least dual bound of a positive
   score.  The nested eigenspaces of the near-kernel direction of L, pulled
@@ -118,7 +117,6 @@ SNAP_ROUNDS = 100
 @dataclass
 class StabilityOptions:
     tol: float = DEFAULT_TOL
-    seed: int = 0
 
 
 @dataclass
@@ -315,26 +313,18 @@ def _plateau_certificate(rep, w, score, at, residual, diagnostics):
     return "flow_unstable", UNSTABLE, at[best[0]][1], Fraction(best[1], den), False
 
 
-def _split_route(rep, w, opts, score, g, kernel, ends, diagnostics):
-    """Split along a generic Hermitian endomorphism of the limit and
-    classify every summand."""
-    d0 = rep.ambient_dim
-    rng = np.random.default_rng(opts.seed)
-    x = _hermitian(kernel @ linalg.random_complex(rng, kernel.shape[1]), d0)
-    y = np.linalg.solve(g, x @ g)
-    f = sum(np.vdot(b, y) * b for b in ends)
-    pieces = linrep.split_along(rep, f, opts.tol)
-    if pieces is None:
-        raise _Fallback("split_failed")
-    # each summand in the frame of the limit, g B = Q R: R maps it onto the
-    # restricted, nearly orthoscalar system, where its own flow starts
-    verdicts = [stability_check(piece.transformed(np.linalg.qr(g @ block)[1], opts.tol),
-                                w, opts)
-                for block, piece in pieces]
+def _classify_summands(summands, w, opts, diagnostics):
+    """King's rule on the direct summands of a split: the sum is
+    ``polystable_not_stable`` when every summand is (poly)stable and
+    ``semistable_not_polystable`` when every summand is semistable; None
+    otherwise.  Each summand is classified on its own, and
+    ``diagnostics["summands"]`` gets its dims, classification and route.
+    The second value says whether any summand's verdict is inconclusive."""
+    verdicts = [stability_check(s, w, opts) for s in summands]
     diagnostics["summands"] = [
-        {"dims": list(piece.dim_vector()), "classification": v.classification,
+        {"dims": list(s.dim_vector()), "classification": v.classification,
          "route": v.diagnostics["route"]}
-        for (_, piece), v in zip(pieces, verdicts)
+        for s, v in zip(summands, verdicts)
     ]
     classes = {v.classification for v in verdicts}
     if classes <= {STABLE, POLYSTABLE_NOT_STABLE}:
@@ -342,12 +332,26 @@ def _split_route(rep, w, opts, score, g, kernel, ends, diagnostics):
     elif classes <= {STABLE, POLYSTABLE_NOT_STABLE, SEMISTABLE_NOT_POLYSTABLE}:
         classification = SEMISTABLE_NOT_POLYSTABLE
     else:
+        classification = None
+    return classification, any(v.inconclusive for v in verdicts)
+
+
+def _split_route(rep, w, opts, score, g, ends, diagnostics):
+    """Split along a generic endomorphism and classify every summand."""
+    pieces = linrep.generic_split(rep, ends, opts.tol)
+    if pieces is None:
+        raise _Fallback("split_failed")
+    # each summand in the frame of the limit, g B = Q R: R maps it onto the
+    # restricted, nearly orthoscalar system, where its own flow starts
+    classification, inconclusive = _classify_summands(
+        [piece.transformed(np.linalg.qr(g @ block)[1], opts.tol) for block, piece in pieces],
+        w, opts, diagnostics)
+    if classification is None:
         raise _Fallback("summand_not_semistable")
     witness = pieces[0][0]
     num, guard = score([witness])[0]
     if num != 0 or not guard:
         raise _Fallback("split_failed")
-    inconclusive = any(v.inconclusive for v in verdicts)
     return "flow_split", classification, witness, Fraction(0), inconclusive
 
 
@@ -388,8 +392,7 @@ def _flow_route(rep, w, opts, diagnostics, times):
         raise _Fallback("semistability_uncertified")
     if len(ends) > 1:
         with _timed(times, "split"):
-            return _split_route(rep, w, opts, score, g, vectors[:, : len(ends) - 1],
-                                ends, diagnostics)
+            return _split_route(rep, w, opts, score, g, ends, diagnostics)
     if residual <= MARGIN_FACTOR * values[0]:
         return "flow_stable", STABLE, None, None, False
     with _timed(times, "candidates"):
@@ -455,7 +458,8 @@ def stability_check(
     (None for ``stable``).  ``diagnostics`` also gives the flow's status, iterations
     and residual, lambda_min, the dimension of End (``end_dim``), the dual
     bound and the gap (residual minus dual bound), the HN type
-    (``hn_dims`` and ``hn_slopes``), and the wall time of each method in
+    (``hn_dims`` and ``hn_slopes``), the dims, classification and route
+    of each summand of a split (``summands``), and the wall time of each method in
     ms (``times_ms``: flow, schur, hessian, candidates, split,
     lattice).  ``inconclusive`` is set only by the lattice route (see
     ``_lattice_verdict``), or when the classification of a summand was.
@@ -527,8 +531,10 @@ def _lattice_verdict(
     scored too; when there are two or more, their scores sum to 0, so one
     of them reaches it.  A best score of 0 with the trace identity is split
     along the same decomposition into indecomposables (computed once per
-    verdict): ``polystable_not_stable`` when every summand is classified
-    (poly)stable on its own, else ``semistable_not_polystable`` (an
+    verdict): ``polystable_not_stable`` when there are two or more and
+    every one is classified (poly)stable on its own
+    (``_classify_summands``, as on the split route, with the summands in
+    ``diagnostics["summands"]``), else ``semistable_not_polystable`` (an
     indecomposable representation with a score-0 subspace is not
     polystable).  Without the trace identity the verdict is
     ``semistable_not_polystable`` unless a positive score is found.
@@ -569,7 +575,7 @@ def _lattice_verdict(
     dec = None
     if (best is None or best[0] < 0) and d0 > 1:
         with _timed(times, "schur"):
-            dec = linrep.decompose_full(rep, seed=opts.seed, tol=tol)
+            dec = linrep.decompose_full(rep, tol=tol)
         if len(dec.embeddings) > 1:
             summand_scored = score(dec.embeddings)
             guard_ok = guard_ok and all(g for _, g in summand_scored)
@@ -588,16 +594,12 @@ def _lattice_verdict(
         witness = best[1]
     elif not trace_ok:
         classification = SEMISTABLE_NOT_POLYSTABLE
-        diagnostics["trace_identity_failure"] = True
         if best is not None and best[0] == 0:
             witness = best[1]
     elif best is not None and best[0] == 0:
-        summands = (dec or linrep.decompose_full(rep, seed=opts.seed, tol=tol)).summands
-        diagnostics["summand_dims"] = [s.dim_vector() for s in summands]
-        poly = len(summands) > 1 and all(
-            stability_check(s, w, opts).classification in (STABLE, POLYSTABLE_NOT_STABLE)
-            for s in summands
-        )
+        summands = (dec or linrep.decompose_full(rep, tol=tol)).summands
+        poly = len(summands) > 1 and _classify_summands(
+            summands, w, opts, diagnostics)[0] == POLYSTABLE_NOT_STABLE
         classification = POLYSTABLE_NOT_STABLE if poly else SEMISTABLE_NOT_POLYSTABLE
         witness = best[1]
     else:

@@ -382,6 +382,13 @@ def test_usage_errors_exit_1(capsys, files):
     )
     assert (code, out) == (1, "")
     assert "--restarts" in err
+    # every split draws from a fixed generator, so there is no seed to set
+    stability = ["stability", files["lam2.rep"], "-w", "2; 1, 1, 1, 1"]
+    code, out, _ = run(capsys, "--seed", "7", *stability)
+    assert (code, out) == (1, "")
+    code, out, err = run(capsys, *stability, "--seed", "7")
+    assert (code, out) == (1, "")
+    assert "--seed" in err
     proj = files["dir"] + "/sphere.proj"
     fileio.save_projection_system(pr.sphere_projection_system(0.6, 0.8, 0.0), proj, "anti4.poset")
     negative = [
@@ -606,7 +613,7 @@ def test_env_max_iter_limits_flow(capsys, files, tmp_path, monkeypatch):
 
 
 def test_cli_deterministic_output(capsys, files):
-    argv = ["stability", files["lam2.rep"], "-w", "2; 1, 1, 1, 1", "--seed", "7"]
+    argv = ["stability", files["lam2.rep"], "-w", "2; 1, 1, 1, 1"]
     _, out1, _ = run(capsys, *argv)
     _, out2, _ = run(capsys, *argv)
     assert out1 == out2

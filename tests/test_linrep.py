@@ -205,13 +205,13 @@ def test_decompose_direct_sum_recovers_blocks(rng):
     a = pr.four_lines_rep(2 + 1j)
     b = pr.four_lines_rep(-3 + 2j)
     s = pr.direct_sum(a, b)
-    parts = pr.decompose(s, seed=4)
+    parts = pr.decompose(s)
     assert sorted(p.ambient_dim for p in parts) == [2, 2]
 
 
 def test_decompose_full_embeddings_cover_ambient():
     rep = two_lines()
-    dec = pr.decompose_full(rep, seed=2)
+    dec = pr.decompose_full(rep)
     total = np.concatenate(dec.embeddings, axis=1)
     assert np.linalg.matrix_rank(total) == rep.ambient_dim
     for sub, emb in zip(dec.summands, dec.embeddings):
@@ -220,8 +220,8 @@ def test_decompose_full_embeddings_cover_ambient():
 
 def test_decompose_deterministic():
     rep = two_lines()
-    a = pr.decompose(rep, seed=3)
-    b = pr.decompose(rep, seed=3)
+    a = pr.decompose(rep)
+    b = pr.decompose(rep)
     assert len(a) == len(b)
     for x, y in zip(a, b):
         for e in rep.poset.elements:
@@ -640,7 +640,7 @@ def test_lattice_route_never_trails_the_random_search_oracle():
         if best is None or best < 0:
             continue
         reached += 1
-        v = _lattice_verdict(rep, w, pr.StabilityOptions(seed=seed))
+        v = _lattice_verdict(rep, w, pr.StabilityOptions())
         assert v.best_score is not None and v.best_score >= best
         assert v.classification != pr.STABLE
     assert reached >= 10

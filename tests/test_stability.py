@@ -63,7 +63,8 @@ def test_block_sums_are_never_stable():
     """Block sums of stable reps of one slope are polystable, split on the
     flow route into the summands (each certified stable): four lines in C^2
     with four others or with themselves (dim End = 4), three such, and two
-    sets of five 2-planes in C^4."""
+    sets of five 2-planes in C^4.  The lattice route splits them too, into
+    summands of the same dims and classes."""
     rng = np.random.default_rng(36)
     p4, p5 = pr.primitive_poset(1, 1, 1, 1), pr.primitive_poset(*[1] * 5)
     w4, w5 = pr.FOURSPACE_WEIGHT, pr.Weight(Fraction(5, 2), {e: 1 for e in p5.elements})
@@ -82,6 +83,12 @@ def test_block_sums_are_never_stable():
             assert len(summands) == parts
             assert all(s["classification"] == pr.STABLE for s in summands)
             assert v.best_score == 0 == pr.subspace_score(rep, w, v.witness)
+            # the lattice route splits and classifies with the same helpers
+            lattice = _lattice_verdict(rep, w, pr.StabilityOptions())
+            assert lattice.classification == pr.POLYSTABLE_NOT_STABLE
+            assert sorted((s["dims"], s["classification"])
+                          for s in lattice.diagnostics["summands"]) == sorted(
+                (s["dims"], s["classification"]) for s in summands)
 
 
 def test_hessian_matches_dense_oracle():
