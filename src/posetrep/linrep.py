@@ -110,19 +110,17 @@ def make_rep(
     unknown = set(spans) - set(poset.elements)
     if unknown:
         raise WrongShape(f"spans given for unknown elements {sorted(unknown)}")
-    cleaned: dict[str, np.ndarray] = {}
-    for e in poset.elements:
-        raw = linalg.as_complex(spans.get(e, np.zeros((ambient_dim, 0))))
+    raws = [linalg.as_complex(spans.get(e, np.zeros((ambient_dim, 0))))
+            for e in poset.elements]
+    for e, raw in zip(poset.elements, raws):
         if raw.shape[0] != ambient_dim:
             raise WrongShape(f"span for {e!r} has {raw.shape[0]} rows, ambient is {ambient_dim}")
-        if raw.shape[1]:
-            cleaned[e] = linalg.orthonormal_columns(raw, tol)
-            if cleaned[e].shape[1] < raw.shape[1]:
-                raise RankDeficient(
-                    f"span for {e!r} has rank below its {raw.shape[1]} columns"
-                )
-        else:
-            cleaned[e] = np.zeros((ambient_dim, 0), dtype=complex)
+    # one batched SVD per span width, bit for bit orthonormal_columns of each
+    bases = _per_width(lambda stack: linalg.orthonormal_stack(stack, tol), raws)
+    cleaned = dict(zip(poset.elements, bases))
+    for e, raw in zip(poset.elements, raws):
+        if cleaned[e].shape[1] < raw.shape[1]:
+            raise RankDeficient(f"span for {e!r} has rank below its {raw.shape[1]} columns")
     for a, b in poset.pairs:
         res = linalg.inclusion_residual(cleaned[a], cleaned[b])
         if res > tol:

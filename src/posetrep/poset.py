@@ -29,6 +29,18 @@ def _check_name(name: str) -> str:
     return name
 
 
+def _checked_elements(elements: tuple[str, ...]) -> set[str]:
+    """The set of the element ids; InvalidElement on a malformed id and
+    DuplicateElement on a repeated one."""
+    seen: set[str] = set()
+    for e in elements:
+        _check_name(e)
+        if e in seen:
+            raise DuplicateElement(f"element {e!r} listed twice")
+        seen.add(e)
+    return seen
+
+
 class Poset:
     """Immutable finite poset.
 
@@ -42,12 +54,7 @@ class Poset:
 
     def __init__(self, elements: Iterable[str], pairs: Iterable[tuple[str, str]]):
         elements = tuple(elements)
-        seen = set()
-        for e in elements:
-            _check_name(e)
-            if e in seen:
-                raise DuplicateElement(f"element {e!r} listed twice")
-            seen.add(e)
+        seen = _checked_elements(elements)
         pairs = frozenset(pairs)
         below: dict[str, set[str]] = {e: set() for e in elements}
         above: dict[str, set[str]] = {e: set() for e in elements}
@@ -64,6 +71,23 @@ class Poset:
                     raise CycleError(f"cycle through {a!r} and {b!r}")
                 if c not in above[a]:
                     raise ValueError("order pairs are not transitively closed")
+        self._fill(elements, pairs, below, above)
+
+    @classmethod
+    def _closed(cls, elements: tuple[str, ...], above: dict[str, set[str]]) -> "Poset":
+        """The poset of checked element ids and an order that is already
+        transitively closed and acyclic, given as the set above each
+        element; no check is repeated."""
+        below: dict[str, set[str]] = {e: set() for e in elements}
+        for a in elements:
+            for b in above[a]:
+                below[b].add(a)
+        pairs = frozenset((a, b) for a in elements for b in above[a])
+        p = object.__new__(cls)
+        p._fill(elements, pairs, below, above)
+        return p
+
+    def _fill(self, elements, pairs, below, above) -> None:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "_below", below)
@@ -152,11 +176,13 @@ def build_poset(elements: Iterable[str], covers: Iterable[tuple[str, str]]) -> P
     """Build a poset from element ids and generating pairs a < b.
 
     The pairs need not be covering pairs; the transitive closure is taken.
-    The element ids and the closed order are validated by :class:`Poset`:
-    CycleError when the closure forces x < x, DuplicateElement on repeated
-    ids, InvalidElement on a malformed id.
+    InvalidElement on a malformed id or an unknown cover endpoint,
+    DuplicateElement on repeated ids, CycleError when the closure forces
+    x < x.  The closure is checked for cycles here, so the poset is built
+    without the second pass of the :class:`Poset` constructor's checks.
     """
     elements = tuple(elements)
+    _checked_elements(elements)
     succ: dict[str, set[str]] = {e: set() for e in elements}
     for a, b in covers:
         if a not in succ or b not in succ:
@@ -167,7 +193,10 @@ def build_poset(elements: Iterable[str], covers: Iterable[tuple[str, str]]) -> P
         for a in elements:
             if k in succ[a]:
                 succ[a] |= succ[k]
-    return Poset(elements, ((a, b) for a in elements for b in succ[a]))
+    for a in elements:
+        if a in succ[a]:
+            raise CycleError(f"cycle through {a!r}")
+    return Poset._closed(elements, succ)
 
 
 @dataclass(frozen=True)

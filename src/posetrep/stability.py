@@ -10,7 +10,9 @@ Kempf-Ness potential that the flow's Newton steps apply; each term is the
 projector onto the part of x off the diagonal blocks of P_e, so L is
 positive semidefinite, and its kernel on Hermitian x is the Hermitian
 endomorphisms of g V.  On trace-zero Hermitian x at the limit it gives the
-margin lambda_min.
+margin lambda_min.  At a zero of mu that kernel is the Hermitian part of
+End, so a margin that survives the way to the zero certifies End = C
+without the Schur test.
 
 Each route states its certificate.  A score f(K) (``linrep._Scorer``) is
 an integer over the common denominator den = d0 lcm(weight denominators),
@@ -24,6 +26,27 @@ one-parameter subgroup of the flag gives
 with equality in the infimum exactly for the HN filtration (for one step,
 f(K) sqrt(d0 / (k (d0 - k)))).  So with r the flow's final residual:
 
+- converged, d0 > 1, r below the floor 2 / (den sqrt(d0)) (the least dual
+  bound of a positive score), and one Cholesky of L - s(r) on the
+  trace-zero matrices succeeds (``_positive_beyond``): ``stable`` with no
+  Schur test, End = C certified and ``lambda_min`` the lower bound
+  s(r) = max(16 r, (32 sum_e chi_e r^2 / 9)^(1/3)).  Why: by the next
+  bullet, mu has a zero g* = exp(t* y) g, |y|_F = 1, with
+  t* <= -ln(1 - 4 r / lambda) / 4 <= r / (lambda - 4 r), lambda the least
+  trace-zero eigenvalue of L at g.  For a unit trace-zero Hermitian x,
+  <x, L x> = sum_e chi_e |[P_e, x]|_F^2 is the squared norm of the tuple
+  (sqrt(chi_e) [P_e, x])_e.  Along the geodesic dP_e/dt = B_e + B_e* with
+  B_e = (I - P_e) y P_e, whose eigenvalues spread over 2 |B_e|_op <=
+  sqrt(2), since |y|_F^2 >= |B_e|_F^2 + |B_e*|_F^2; so |[dP_e/dt, x]|_F
+  <= sqrt(2), and sqrt(lambda) falls by at most sqrt(2 sum chi) t*.  With
+  lambda > 16 r, t* <= 4 r / (3 lambda), and lambda^(3/2) >
+  (4/3) sqrt(2 sum chi) r keeps L positive on the trace-zero matrices at
+  g*.  There End(g* V) is closed under adjoints (an orthoscalar system)
+  and its Hermitian part is the kernel of L: so End = C, and the
+  representation is polystable and indecomposable, that is stable.  The
+  Cholesky runs at s(r) plus the rounding a successful factorization can
+  hide, 2 d0^4 eps (sum chi + 1).  When it fails, the bullets below
+  decide with the Schur test and the spectrum of the same L.
 - converged, dim End = 1 and r <= lambda_min / 4: ``stable``, margin
   lambda_min.  Along a unit geodesic t -> exp(t x) g the second derivative
   h(t) = sum_e chi_e |[P_e(t), x]|_F^2 of the potential obeys
@@ -147,26 +170,66 @@ def _timed(times: dict[str, float], method: str):
 # ---------------------------------------------------------------------------
 # the flow route
 
-def _hessian(p: np.ndarray, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of L on the trace-zero
-    matrices at the projector stack p.
+def _hessian(p: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """L on all complex d0 x d0 matrices at the projector stack p, as a
+    d0^2 x d0^2 matrix on row-major vec(x), with the identity shifted.
 
-    L acts on all complex d0 x d0 matrices, self-adjoint for the Frobenius
-    product and commuting with x -> x*, so its spectrum there is that on
-    the Hermitian matrices; the eigenvectors are row-major vec(x).  The
-    identity is an exact zero of L; shifting it to sum chi + 1, above the
-    norm sum chi of L, leaves the d0^2 - 1 trace-zero eigenvalues first.
+    L is self-adjoint for the Frobenius product and commutes with
+    x -> x*, so its spectrum here is that on the Hermitian matrices.  The
+    identity is an exact zero of L; the shift adds sum chi + 1, above the
+    norm sum chi of L, on its line, which leaves the d0^2 - 1 trace-zero
+    eigenvalues first.
     """
     d0 = p.shape[1]
     s = np.tensordot(chi, p, axes=1)
-    eye = np.eye(d0)
-    # row-major vec(a x b) = (a kron b^T) vec(x); the last term is
-    # sum_e chi_e P_e kron P_e^T, entry [(i, l), (j, k)] = P[i, j] P[k, l]
-    quad = np.tensordot(chi[:, None, None] * p, p, axes=(0, 0)).transpose(0, 3, 1, 2)
-    lmat = np.kron(s, eye) + np.kron(eye, s.T) - 2 * quad.reshape(d0 * d0, d0 * d0)
-    u = eye.reshape(-1) / sqrt(d0)
-    values, vectors = np.linalg.eigh(lmat + (chi.sum() + 1) * np.outer(u, u))
+    idx = np.arange(d0)
+    # row-major vec(a x b) = (a kron b^T) vec(x), so L = s kron I + I kron s^T
+    # - 2 sum_e chi_e P_e kron P_e^T with s = sum_e chi_e P_e; held as
+    # L[i, l, j, k] for row (i, l) and column (j, k), the terms are
+    # s[i, j] [l = k], [i = j] s[k, l] and P[i, j] P[k, l].  The last is,
+    # for each (i, l), the product of the d0 x n matrix [j, e] of
+    # -2 chi_e P_e[i, j] and the n x d0 matrix [e, k] of P_e[k, l]: one
+    # batched matmul writes L in this layout.
+    left = (-2 * chi[:, None, None] * p).transpose(1, 2, 0)
+    lmat = np.matmul(left[:, None], p.transpose(2, 0, 1)[None])
+    lmat[:, idx, :, idx] += s
+    lmat[idx, :, idx, :] += s.T
+    # (sum chi + 1) u u^T with u = vec(I) / sqrt(d0)
+    u = 1 / sqrt(d0)
+    lmat[idx[:, None], idx[:, None], idx, idx] += (chi.sum() + 1) * (u * u)
+    return lmat.reshape(d0 * d0, d0 * d0)
+
+
+def _spectrum(lmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of L on the trace-zero
+    matrices, from the shifted matrix of ``_hessian``."""
+    values, vectors = np.linalg.eigh(lmat)
     return values[:-1], vectors[:, :-1]
+
+
+def _stable_bound(residual: float, chi: np.ndarray) -> float:
+    """s(r) = max(16 r, (32 sum chi r^2 / 9)^(1/3)): lambda_min above it at
+    the limit keeps L positive on the trace-zero matrices at the zero of mu
+    that the residual r puts nearby (see the module docstring)."""
+    return max(16 * residual, (32 * float(chi.sum()) * residual**2 / 9) ** (1 / 3))
+
+
+def _positive_beyond(lmat: np.ndarray, bound: float, chi: np.ndarray) -> bool:
+    """Whether L exceeds bound on the trace-zero matrices, from one Cholesky
+    of the shifted L less bound plus the rounding a successful Cholesky can
+    hide.  A factorization that runs to completion is exact for A + dA with
+    |dA| <= n (n + 1) eps |A| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, Thm 10.3), below 2 n^2 eps (sum chi + 1) for the order
+    n = d0^2 and |A| <= sum chi + 1."""
+    n = len(lmat)
+    rounding = 2 * n * n * np.finfo(float).eps * (float(chi.sum()) + 1)
+    shifted = lmat.copy()
+    shifted.flat[:: n + 1] -= bound + rounding
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _hermitian(v: np.ndarray, d0: int) -> np.ndarray:
@@ -361,30 +424,36 @@ def _flow_route(rep, w, opts, diagnostics, times):
     d0 = rep.ambient_dim
     with _timed(times, "flow"):
         try:
-            _, report = moment.kempf_ness_flow(rep, w)
+            system, report = moment.kempf_ness_flow(rep, w)
         except NumericalBreakdown:
             raise _Fallback("flow_breakdown") from None
     diagnostics.update(flow_status=report.status, flow_iterations=report.iterations,
                        residual=report.residual)
     score = linrep._Scorer(rep, w, opts.tol)
-    mmap = moment._MomentMap(rep, w)
     if report.status != "converged":
-        return _plateau_route(rep, w, opts, score, mmap, report, diagnostics, times)
+        return _plateau_route(rep, w, opts, score, report, diagnostics, times)
 
     g, residual = report.final_metric, report.residual
     diagnostics.update(hn_dims=[d0], hn_slopes=[str(w.slope(rep))])
+    # the least dual bound a positive score can give, f sqrt(d0 / (k (d0 - k)))
+    # at f = 1 / den and k = d0 / 2; the residual must stay below it
+    floor = 2 / (score.den * sqrt(d0))
+    diagnostics.update(dual_bound=floor, gap=residual - floor)
+    chi = np.array([float(w.chi[e]) for e in rep.poset.elements])
+    with _timed(times, "hessian"):
+        lmat = _hessian(np.stack(list(system.projections.values())), chi)
+        bound = _stable_bound(residual, chi)
+        certified = d0 > 1 and residual < floor and _positive_beyond(lmat, bound, chi)
+    if certified:
+        diagnostics.update(end_dim=1, lambda_min=bound)
+        return "flow_stable", STABLE, None, None, False
     with _timed(times, "schur"):
         ends, end_guard = linrep._endomorphisms(rep, opts.tol)
     diagnostics["end_dim"] = len(ends)
     if not end_guard:
         raise _Fallback("rank_guard")
     with _timed(times, "hessian"):
-        values, vectors = _hessian(mmap(g)[0], mmap.chi)
-    # the least dual bound a positive score can give, f sqrt(d0 / (k (d0 - k)))
-    # at f = 1 / den and k = d0 / 2; the residual must stay below it
-    floor = 2 / (score.den * sqrt(d0))
-    diagnostics["dual_bound"] = floor
-    diagnostics["gap"] = residual - floor
+        values, vectors = _spectrum(lmat)
     if d0 == 1:
         return "flow_stable", STABLE, None, None, False
     diagnostics["lambda_min"] = float(values[0])
@@ -408,12 +477,12 @@ def _flow_route(rep, w, opts, diagnostics, times):
     raise _Fallback("no_zero_witness")
 
 
-def _plateau_route(rep, w, opts, score, mmap, report, diagnostics, times):
+def _plateau_route(rep, w, opts, score, report, diagnostics, times):
     """The plateau's certificate at the flow's final metric and, when a
     positive score leaves the gap open (the stall test can stop a plateau
     well above the HN norm), once more after one more run of the flow from
     that metric."""
-    g = report.final_metric
+    g, mmap = report.final_metric, moment._MomentMap(rep, w)
     with _timed(times, "candidates"):
         try:
             return _unstable_route(rep, w, score, g, mmap(g)[1], report.residual, diagnostics)
@@ -456,12 +525,15 @@ def stability_check(
     the best candidate's score, which is not certified to be the maximum
     (see ``_lattice_verdict``).  ``witness`` is a subspace of that score
     (None for ``stable``).  ``diagnostics`` also gives the flow's status, iterations
-    and residual, lambda_min, the dimension of End (``end_dim``), the dual
-    bound and the gap (residual minus dual bound), the HN type
+    and residual, lambda_min (on ``flow_stable`` certified by the Cholesky
+    alone, the lower bound s(r) of the module docstring; else the least
+    trace-zero eigenvalue of L), the dimension of End (``end_dim``), the
+    dual bound and the gap (residual minus dual bound), the HN type
     (``hn_dims`` and ``hn_slopes``), the dims, classification and route
-    of each summand of a split (``summands``), and the wall time of each method in
-    ms (``times_ms``: flow, schur, hessian, candidates, split,
-    lattice).  ``inconclusive`` is set only by the lattice route (see
+    of each summand of a split (``summands``), and the wall time of each
+    method in ms (``times_ms``: flow, schur, hessian, candidates, split,
+    lattice; flow and hessian alone when the Cholesky certifies
+    ``stable``).  ``inconclusive`` is set only by the lattice route (see
     ``_lattice_verdict``), or when the classification of a summand was.
 
     The verdict "stable" requires the weighted trace identity

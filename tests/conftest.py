@@ -10,7 +10,8 @@ and the stability score by pairwise closure and one intersection SVD per
 element, the randomized destabilizer search one restart at a time, the
 endomorphism algebra by an SVD of the Kronecker system, the moment map by
 one SVD per element, the Hessian of the Newton step as a dense Kronecker
-matrix, the trace words by one product per word from scratch, and a
+matrix, the stable margin by both of these (the Schur test and a full
+eigh), the trace words by one product per word from scratch, and a
 fixed-step reference flow with its own projector and moment computations.
 """
 
@@ -437,6 +438,17 @@ def oracle_hessian(projs: dict, w) -> np.ndarray:
         q = np.eye(len(p)) - p
         total = total + float(w.chi[e]) * (np.kron(p.T, q) + np.kron(q.T, p))
     return total
+
+
+def oracle_stable_margin(rep, w, projs: dict) -> tuple[int, float]:
+    """The Schur route of the stable certificate: dim End from the
+    Kronecker system (``oracle_endomorphism_dim``) and lambda_min, the
+    least trace-zero eigenvalue of the dense Kronecker Hessian
+    (``oracle_hessian``) at the projectors, from a full eigh with the
+    identity's zero dropped.  With dim End = 1, a residual r <= lambda_min / 4
+    puts a zero of mu nearby, and the representation is stable."""
+    values = np.linalg.eigvalsh(oracle_hessian(projs, w))
+    return oracle_endomorphism_dim(rep), float(values[1])
 
 
 def oracle_unitary_invariants(ps, max_len: int = 4):

@@ -205,7 +205,7 @@ def test_stability_json_diagnostics(capsys, files):
     assert diag["hn_dims"] == [2] and diag["hn_slopes"] == ["2"]
     assert diag["inconclusive_reasons"] == []
     assert all(diag[k] is None for k in LATTICE_COUNTS)
-    assert set(diag["times_ms"]) == {"flow", "schur", "hessian"}
+    assert set(diag["times_ms"]) == {"flow", "hessian"}
     assert all(type(v) is float for v in diag["times_ms"].values())
     code, out, _ = run(capsys, "--output", "json", "stability", files["lam2.rep"],
                        "-w", "3; 1, 1, 1, 1")

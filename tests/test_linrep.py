@@ -89,6 +89,25 @@ def test_make_rep_rejects_wrong_shapes():
     assert rep.dim_vector() == (2, 0)
 
 
+def test_make_rep_bases_equal_orthonormal_columns_bit_for_bit():
+    """make_rep orthonormalizes the spans of one width in one batched SVD;
+    each basis is the per-matrix orthonormal_columns bit for bit, with
+    widths 0 to 3 mixed in one poset, an omitted element and an explicit
+    width-0 span."""
+    from posetrep.linalg import orthonormal_columns
+
+    rng = np.random.default_rng(44)
+    p = pr.primitive_poset(*[1] * 9)
+    widths = (1, 2, 0, 3, 2, 1, 2, 0, 3)
+    spans = {e: random_complex(rng, 5, k) for e, k in zip(p.elements, widths)}
+    del spans["a8"]
+    rep = pr.make_rep(p, 5, spans)
+    assert rep.dim_vector() == (5,) + widths
+    for e in p.elements:
+        want = orthonormal_columns(spans.get(e, np.zeros((5, 0))))
+        assert rep.spans[e].dtype == want.dtype and np.array_equal(rep.spans[e], want), e
+
+
 def test_direct_sum_block_structure():
     a = two_lines()
     b = two_lines(E2, E1)

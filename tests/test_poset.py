@@ -45,6 +45,24 @@ def test_build_poset_rejects_cycles():
         pr.build_poset(["a"], [("a", "a")])
 
 
+def test_build_poset_matches_the_checked_constructor():
+    """build_poset checks its own closure and skips the constructor's
+    checks; the poset it builds is the one the checked constructor builds
+    from the same closed pairs, order sets included, and a cycle through
+    three elements is still a CycleError."""
+    rng = np.random.default_rng(45)
+    for n in range(7):
+        names = [f"x{i}" for i in rng.permutation(n)]
+        covers = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
+                  if rng.random() < 0.4]
+        p = pr.build_poset(names, covers)
+        q = pr.Poset(names, p.pairs)
+        assert p.elements == q.elements and p.pairs == q.pairs
+        assert p._below == q._below and p._above == q._above
+    with pytest.raises(pr.CycleError):
+        pr.build_poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+
+
 def test_build_poset_rejects_unknown_cover_endpoints():
     with pytest.raises(pr.InvalidElement):
         pr.build_poset(["a"], [("a", "z")])

@@ -4,19 +4,26 @@
 a certificate and falls back to the lattice route
 (``stability._lattice_verdict``: the lattice closure and the Schur test)
 when none closes.  These tests compare the two routes on seeded
-random reps, check each certificate on inputs of known class, and check
-the Hessian against the dense Kronecker oracle.
+random reps, check each certificate on inputs of known class, check the
+Hessian against the dense Kronecker oracle, and check the Cholesky
+certificate of ``stable`` against the Schur route it replaced.
 """
 
 from fractions import Fraction
+from math import sqrt
 
 import numpy as np
 
 import posetrep as pr
 from posetrep import moment, stability
-from posetrep.linalg import random_complex, subspace_intersection
+from posetrep.linalg import herm_expm, random_complex, subspace_intersection
 from posetrep.stability import _lattice_verdict
-from conftest import oracle_hessian, planted_line_rep, random_antichain_rep
+from conftest import (
+    oracle_hessian,
+    oracle_stable_margin,
+    planted_line_rep,
+    random_antichain_rep,
+)
 
 W_LINES = pr.Weight(1, {"a1": 1, "a2": 1})
 
@@ -103,7 +110,7 @@ def test_hessian_matches_dense_oracle():
         g = np.eye(d0) + 0.3 * random_complex(rng, d0, d0)
         mmap = moment._MomentMap(rep, w)
         p, _ = mmap(g)
-        values, vectors = stability._hessian(p, mmap.chi)
+        values, vectors = stability._spectrum(stability._hessian(p, mmap.chi))
         dense = oracle_hessian(dict(zip(rep.poset.elements, p)), w)
         want = np.linalg.eigvalsh(dense)
         assert abs(want[0]) < 1e-12
@@ -117,8 +124,8 @@ def test_hessian_matches_dense_oracle():
 
 
 def test_stable_margin_and_boundary():
-    """Generic four lines: residual within a quarter of lambda_min, so the
-    flow certifies stable.  At lambda in {0, 1, inf} lambda_min shrinks
+    """Generic four lines: the Cholesky certifies stable, with lambda_min
+    the bound s(r), which leaves the residual within a quarter of it.  At lambda in {0, 1, inf} lambda_min shrinks
     with the residual, at r / lambda_min near 1/sqrt(8) > 1/4: the
     boundary route, with a score-0 line as witness."""
     for lam in (2, -1, 0.5, 3 + 4j, 1e-7):
@@ -136,6 +143,83 @@ def test_stable_margin_and_boundary():
         assert 0.3 < d["residual"] / d["lambda_min"] < 0.4
         assert v.witness.shape == (2, 1)
         assert pr.subspace_score(rep, pr.FOURSPACE_WEIGHT, v.witness) == 0
+
+
+def test_flow_stable_verdicts_hold_against_the_oracle():
+    """Generic reps in C^2..C^10 (n k-planes, k <= d0 / 2, n k >= 2 d0,
+    weights 1-3): every one is certified stable by the Cholesky alone,
+    with no Schur test.  The oracle route it replaces agrees: dim End = 1
+    from the Kronecker system, and the dense trace-zero lambda_min at the
+    limit is at least the reported bound, which itself clears the
+    residual by the old margin."""
+    rng = np.random.default_rng(46)
+    for d0 in range(2, 11):
+        for _ in range(3):
+            k = int(rng.integers(1, d0 // 2 + 1))
+            n = -(-2 * d0 // k) + int(rng.integers(0, 3))
+            p = pr.primitive_poset(*[1] * n)
+            chi = {e: int(rng.integers(1, 4)) for e in p.elements}
+            rep = pr.make_rep(p, d0, {e: random_complex(rng, d0, k) for e in p.elements})
+            w = pr.Weight(Fraction(sum(chi.values()) * k, d0), chi)
+            v = pr.stability_check(rep, w)
+            d = v.diagnostics
+            assert v.classification == pr.STABLE and d["route"] == "flow_stable"
+            assert set(d["times_ms"]) == {"flow", "hessian"} and d["end_dim"] == 1
+            system, _ = pr.kempf_ness_flow(rep, w)
+            end_dim, lam = oracle_stable_margin(rep, w, system.projections)
+            assert end_dim == 1
+            assert lam >= d["lambda_min"] > 0
+            assert d["residual"] <= stability.MARGIN_FACTOR * d["lambda_min"]
+
+
+def test_sqrt_lambda_min_is_lipschitz_along_geodesics():
+    """The step of the stable bound: along t -> exp(t y) g, |y|_F = 1, the
+    square root of the least trace-zero eigenvalue of L moves by at most
+    sqrt(2 sum chi) t, for random y and for y the eigenvector of that
+    eigenvalue."""
+    rng = np.random.default_rng(48)
+    for i in range(16):
+        rep, w = random_antichain_rep(rng, bent=i % 2 == 1)
+        d0 = rep.ambient_dim
+        mmap = moment._MomentMap(rep, w)
+        g = np.eye(d0) + 0.3 * random_complex(rng, d0, d0)
+        values, vectors = stability._spectrum(stability._hessian(mmap(g)[0], mmap.chi))
+        z = random_complex(rng, d0, d0)
+        for y in (z + z.conj().T, stability._hermitian(vectors[:, 0], d0)):
+            y = y - np.trace(y) / d0 * np.eye(d0)
+            y /= np.linalg.norm(y)
+            for t in (1e-3, 1e-2, 0.1, 0.5):
+                p = mmap(herm_expm(t * y) @ g)[0]
+                moved = stability._spectrum(stability._hessian(p, mmap.chi))[0][0]
+                step = abs(sqrt(max(moved, 0)) - sqrt(max(values[0], 0)))
+                assert step <= sqrt(2 * mmap.chi.sum()) * t
+
+
+def test_certificate_fails_where_the_limit_is_not_stable():
+    """The Cholesky of L less s(r) fails at the flow's limit on equal-slope
+    sums of isomorphic and of non-isomorphic stables (where L has a
+    kernel) and on the four lines at lambda in {0, 1, inf} (where
+    lambda_min shrinks with the residual); there the Schur test and the
+    spectrum decide, as before."""
+    rng = np.random.default_rng(47)
+    p4, p5 = pr.primitive_poset(1, 1, 1, 1), pr.primitive_poset(*[1] * 5)
+    w4, w5 = pr.FOURSPACE_WEIGHT, pr.Weight(Fraction(5, 2), {e: 1 for e in p5.elements})
+    a, b = (pr.make_rep(p4, 2, {e: random_complex(rng, 2, 1) for e in p4.elements})
+            for _ in range(2))
+    c, d = (pr.make_rep(p5, 4, {e: random_complex(rng, 4, 2) for e in p5.elements})
+            for _ in range(2))
+    cases = [(pr.direct_sum(a, a), w4), (pr.direct_sum(a, b), w4),
+             (pr.direct_sum(c, c), w5), (pr.direct_sum(c, d), w5)]
+    cases += [(pr.four_lines_rep(lam), w4) for lam in pr.EXCEPTIONAL_LAMBDAS]
+    for rep, w in cases:
+        system, report = pr.kempf_ness_flow(rep, w)
+        assert report.status == "converged"
+        chi = np.array([float(w.chi[e]) for e in rep.poset.elements])
+        lmat = stability._hessian(np.stack(list(system.projections.values())), chi)
+        bound = stability._stable_bound(report.residual, chi)
+        assert not stability._positive_beyond(lmat, bound, chi)
+        v = pr.stability_check(rep, w)
+        assert v.classification != pr.STABLE and "schur" in v.diagnostics["times_ms"]
 
 
 def test_plateau_certificate_and_snap():
