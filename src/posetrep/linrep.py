@@ -35,7 +35,6 @@ from . import linalg
 from .errors import (
     LatticeTooLarge,
     NestingViolation,
-    PosetMismatch,
     RankDeficient,
     WrongShape,
 )
@@ -128,21 +127,6 @@ def make_rep(
                 f"V_{a} is not contained in V_{b} (residual {res:.2e} > {tol:.0e})"
             )
     return SubspaceRep(poset, ambient_dim, cleaned)
-
-
-def direct_sum(a: SubspaceRep, b: SubspaceRep) -> SubspaceRep:
-    """Block-diagonal direct sum over a common poset."""
-    if a.poset != b.poset:
-        raise PosetMismatch("direct sum requires representations of the same poset")
-    d = a.ambient_dim + b.ambient_dim
-    spans = {}
-    for e in a.poset.elements:
-        qa, qb = a.spans[e], b.spans[e]
-        q = np.zeros((d, qa.shape[1] + qb.shape[1]), dtype=complex)
-        q[: a.ambient_dim, : qa.shape[1]] = qa
-        q[a.ambient_dim :, qa.shape[1] :] = qb
-        spans[e] = q
-    return SubspaceRep(a.poset, d, spans)
 
 
 # ---------------------------------------------------------------------------

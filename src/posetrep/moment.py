@@ -459,32 +459,6 @@ def kempf_ness_flow(
     return mmap.system(projs), report
 
 
-def hopf_normal_form(ps: ProjectionSystem, tol: float = 1e-6) -> dict[str, np.ndarray]:
-    """Isometry normal form A_e = sqrt(chi_e/chi0) Q_e of an orthoscalar system.
-
-    Q_e is an orthonormal basis of range(P_e); the output satisfies
-    A_e^* A_e = (chi_e/chi0) I and sum_e A_e A_e^* = I.  CheckFailed when the
-    input is not orthoscalar at tol or the output fails its own checks.
-    """
-    report = orthoscalar_check(ps, tol)
-    if not report.passed:
-        raise CheckFailed(f"input system is not orthoscalar at {tol:.0e}: {report.as_dict()}")
-    d0 = ps.ambient_dim
-    chi = ps.weight.normalized(ps.poset)
-    out: dict[str, np.ndarray] = {}
-    total = np.zeros((d0, d0), dtype=complex)
-    for e in ps.poset.elements:
-        a = np.sqrt(chi[e]) * ps.range_basis(e)
-        gram_dev = np.linalg.norm(a.conj().T @ a - chi[e] * np.eye(ps.ranks[e]))
-        if gram_dev > tol:
-            raise CheckFailed(f"normal form for {e!r} fails its Gram identity")
-        out[e] = a
-        total += a @ a.conj().T
-    if np.linalg.norm(total - np.eye(d0)) > tol:
-        raise CheckFailed("normal form blocks do not resolve the identity")
-    return out
-
-
 #: Most products that one matmul of unitary_invariants forms at a time.
 _WORD_BATCH = 64
 

@@ -312,27 +312,6 @@ def hasse_quiver(p: Poset) -> Quiver:
     return Quiver(p.elements + (ROOT,), tuple(arrows)).validate()
 
 
-class PrimitivityResult(NamedTuple):
-    primitive: bool
-    profile: tuple[int, ...] | None
-
-
-def is_primitive(p: Poset) -> PrimitivityResult:
-    """Test whether the poset is a disjoint union of chains.
-
-    Returns the chain-length profile sorted ascending when it is.  Equivalent
-    to the covering quiver being star shaped: every non-root vertex then has
-    exactly one outgoing arrow and at most one incoming arrow.
-    """
-    profile = []
-    for comp in connected_components(p.elements, p.pairs):
-        for a, b in combinations(comp, 2):
-            if not p.comparable(a, b):
-                return PrimitivityResult(False, None)
-        profile.append(len(comp))
-    return PrimitivityResult(True, tuple(sorted(profile)))
-
-
 def primitive_poset(*chain_lengths: int) -> Poset:
     """Disjoint union of chains with the given lengths.
 
@@ -351,13 +330,6 @@ def primitive_poset(*chain_lengths: int) -> Poset:
         elements.extend(chain)
         covers.extend(zip(chain, chain[1:]))
     return build_poset(elements, covers)
-
-
-def n_poset() -> Poset:
-    """The four-element zigzag: n1 < n2, n3 < n2, n3 < n4."""
-    return build_poset(
-        ["n1", "n2", "n3", "n4"], [("n1", "n2"), ("n3", "n2"), ("n3", "n4")]
-    )
 
 
 def n4_poset() -> Poset:

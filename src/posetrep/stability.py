@@ -26,11 +26,14 @@ one-parameter subgroup of the flag gives
 with equality in the infimum exactly for the HN filtration (for one step,
 f(K) sqrt(d0 / (k (d0 - k)))).  So with r the flow's final residual:
 
-- converged, d0 > 1, r below the floor 2 / (den sqrt(d0)) (the least dual
-  bound of a positive score), and one Cholesky of L - s(r) on the
-  trace-zero matrices succeeds (``_positive_beyond``): ``stable`` with no
-  Schur test, End = C certified and ``lambda_min`` the lower bound
-  s(r) = max(16 r, (32 sum_e chi_e r^2 / 9)^(1/3)).  Why: by the next
+- converged, r below the floor 2 / (den sqrt(d0)) (the least dual bound
+  of a positive score), and one Cholesky of L - s(r) on the trace-zero
+  matrices succeeds (``_positive_beyond``): ``stable`` with no Schur test,
+  End = C certified and ``lambda_min`` the lower bound
+  s(r) = max(16 r, (32 sum_e chi_e r^2 / 9)^(1/3)).  In C^1 the trace-zero
+  matrices are {0}, and the Cholesky of the 1 x 1 shifted L certifies
+  ``stable`` vacuously, as it should: C^1 has no proper nonzero subspace.
+  Why, for d0 > 1: by the next
   bullet, mu has a zero g* = exp(t* y) g, |y|_F = 1, with
   t* <= -ln(1 - 4 r / lambda) / 4 <= r / (lambda - 4 r), lambda the least
   trace-zero eigenvalue of L at g.  For a unit trace-zero Hermitian x,
@@ -94,9 +97,23 @@ candidate is snapped and scored as well.  Everything else falls back to the
 lattice route (``_lattice_verdict``: the maximum of f over the lattice
 generated by the V_e, with the Schur test), with the reason in
 ``diagnostics["fallback_reasons"]``: a gap that stays open, a flow that
-breaks down, a weight without the trace identity, a boundary without a
-score-0 witness, a split that does not close, a dimension of End that
+breaks down, a converged residual not below the floor, a boundary without
+a score-0 witness, a split that does not close, a dimension of End that
 hangs on the tolerance.
+
+A weight without the trace identity sum_e chi_e d_e = chi0 d0 has no zero
+of mu to flow to, but semistability does not see chi0: the score
+f(K) = sum_e chi_e dim(V_e /\ K) - sigma dim K depends only on the chi_e
+and the slope sigma = sum_e chi_e d_e / d0 (King 1994).  chi0 only decides
+whether an orthoscalar form exists, the linear-unitary correspondence.  So
+such a weight is classified at its slope weight (sigma; chi), which has
+the identity, by any of the routes above: ``unstable`` stays, with the
+same witness and best score, and every other class reads
+``semistable_not_polystable`` (a ``stable`` one with best score None, as
+the flow scores no subspace).  sigma = 0 leaves no slope weight; then
+every V_e is 0 and every score 0, and the closed form answers
+(``zero_slope``): ``semistable_not_polystable`` with best score 0 and a
+coordinate line as witness, or with neither in C^1.
 """
 
 from __future__ import annotations
@@ -436,14 +453,17 @@ def _flow_route(rep, w, opts, diagnostics, times):
     g, residual = report.final_metric, report.residual
     diagnostics.update(hn_dims=[d0], hn_slopes=[str(w.slope(rep))])
     # the least dual bound a positive score can give, f sqrt(d0 / (k (d0 - k)))
-    # at f = 1 / den and k = d0 / 2; the residual must stay below it
+    # at f = 1 / den and k = d0 / 2; every route below needs the residual
+    # under it
     floor = 2 / (score.den * sqrt(d0))
     diagnostics.update(dual_bound=floor, gap=residual - floor)
+    if residual >= floor:
+        raise _Fallback("semistability_uncertified")
     chi = np.array([float(w.chi[e]) for e in rep.poset.elements])
     with _timed(times, "hessian"):
         lmat = _hessian(np.stack(list(system.projections.values())), chi)
         bound = _stable_bound(residual, chi)
-        certified = d0 > 1 and residual < floor and _positive_beyond(lmat, bound, chi)
+        certified = _positive_beyond(lmat, bound, chi)
     if certified:
         diagnostics.update(end_dim=1, lambda_min=bound)
         return "flow_stable", STABLE, None, None, False
@@ -454,11 +474,7 @@ def _flow_route(rep, w, opts, diagnostics, times):
         raise _Fallback("rank_guard")
     with _timed(times, "hessian"):
         values, vectors = _spectrum(lmat)
-    if d0 == 1:
-        return "flow_stable", STABLE, None, None, False
     diagnostics["lambda_min"] = float(values[0])
-    if residual >= floor:
-        raise _Fallback("semistability_uncertified")
     if len(ends) > 1:
         with _timed(times, "split"):
             return _split_route(rep, w, opts, score, g, ends, diagnostics)
@@ -511,8 +527,8 @@ def stability_check(
     ``diagnostics["route"]`` names it (``flow_stable``, ``flow_split``,
     ``flow_boundary``, ``flow_unstable``).  When no certificate closes, the
     lattice route decides (``route`` is ``lattice``, and
-    ``fallback_reasons`` says why: ``no_trace_identity``,
-    ``flow_breakdown``, ``no_destabilizer``, ``flag_not_nested``,
+    ``fallback_reasons`` says why: ``flow_breakdown``,
+    ``no_destabilizer``, ``flag_not_nested``,
     ``gap_open``, ``dual_above_residual``, ``no_zero_witness``,
     ``split_failed``, ``summand_not_semistable``,
     ``semistability_uncertified`` or ``rank_guard``).  ``methods`` lists
@@ -536,25 +552,29 @@ def stability_check(
     ``stable``).  ``inconclusive`` is set only by the lattice route (see
     ``_lattice_verdict``), or when the classification of a summand was.
 
-    The verdict "stable" requires the weighted trace identity
-    sum chi_e d_e = chi0 d0; without it the flow has no zero to reach and
-    the lattice route decides.
+    The verdicts ``stable`` and ``polystable_not_stable`` require the
+    weighted trace identity sum chi_e d_e = chi0 d0.  Without it the
+    verdict is the one at the slope weight (sigma; chi), the same routes
+    and diagnostics, with every class but ``unstable`` read as
+    ``semistable_not_polystable`` (best score None where that verdict was
+    ``stable``); sigma = 0 has the closed form of the module docstring
+    (route ``zero_slope``, no method runs).  ``trace_identity`` is false.
     """
     opts = opts or StabilityOptions()
     w.aligned(rep.poset)
     if rep.ambient_dim == 0:
         raise WrongShape("stability of the zero representation is undefined")
     times: dict[str, float] = {}
+    sigma = w.slope(rep)
     diagnostics: dict = {
-        "sigma": str(w.slope(rep)), "fallback_reasons": [], "flow_status": None,
+        "sigma": str(sigma), "fallback_reasons": [], "flow_status": None,
         "flow_iterations": None, "residual": None, "lambda_min": None, "end_dim": None,
         "dual_bound": None, "gap": None, "hn_dims": None, "hn_slopes": None,
         "times_ms": times,
     }
-    trace_ok = w.trace_identity(rep)
+    if not w.trace_identity(rep):
+        return _off_slope(rep, w, sigma, opts, diagnostics)
     try:
-        if not trace_ok:
-            raise _Fallback("no_trace_identity")
         route, classification, witness, best, inconclusive = _flow_route(
             rep, w, opts, diagnostics, times)
     except _Fallback as reason:
@@ -575,7 +595,31 @@ def stability_check(
         methods=("flow",),
         inconclusive=inconclusive,
         best_score=best,
-        trace_identity=trace_ok,
+        trace_identity=True,
+        diagnostics=diagnostics,
+    )
+
+
+def _off_slope(rep, w, sigma, opts, diagnostics):
+    """The verdict for a weight without the trace identity: the one at the
+    slope weight (sigma; chi), with every class but ``unstable`` read as
+    ``semistable_not_polystable``; at sigma = 0 the closed form."""
+    if sigma > 0:
+        verdict = stability_check(rep, Weight(sigma, w.chi), opts)
+        if verdict.classification != UNSTABLE:
+            verdict.classification = SEMISTABLE_NOT_POLYSTABLE
+        verdict.trace_identity = False
+        return verdict
+    # every V_e is 0, so every score is 0
+    d0 = rep.ambient_dim
+    diagnostics.update(route="zero_slope", inconclusive_reasons=[], rank_guard_stable=True)
+    return StabilityVerdict(
+        classification=SEMISTABLE_NOT_POLYSTABLE,
+        witness=np.eye(d0, 1, dtype=complex) if d0 > 1 else None,
+        methods=(),
+        inconclusive=False,
+        best_score=Fraction(0) if d0 > 1 else None,
+        trace_identity=False,
         diagnostics=diagnostics,
     )
 
@@ -608,8 +652,8 @@ def _lattice_verdict(
     (``_classify_summands``, as on the split route, with the summands in
     ``diagnostics["summands"]``), else ``semistable_not_polystable`` (an
     indecomposable representation with a score-0 subspace is not
-    polystable).  Without the trace identity the verdict is
-    ``semistable_not_polystable`` unless a positive score is found.
+    polystable).  ``stability_check`` calls it only with a weight that has
+    the trace identity.
 
     When the lattice overflows the default cap of ``subspace_lattice`` (512
     members), the members found before the overflow are scored as a
@@ -625,7 +669,6 @@ def _lattice_verdict(
     proper members scored and ``lattice_best`` is the best of their scores.
     """
     d0, tol = rep.ambient_dim, opts.tol
-    trace_ok = w.trace_identity(rep)
     diagnostics: dict = {"sigma": str(w.slope(rep))}
     times: dict[str, float] = {}
 
@@ -664,10 +707,6 @@ def _lattice_verdict(
     if best is not None and best[0] > 0:
         classification = UNSTABLE
         witness = best[1]
-    elif not trace_ok:
-        classification = SEMISTABLE_NOT_POLYSTABLE
-        if best is not None and best[0] == 0:
-            witness = best[1]
     elif best is not None and best[0] == 0:
         summands = (dec or linrep.decompose_full(rep, tol=tol)).summands
         poly = len(summands) > 1 and _classify_summands(
@@ -684,6 +723,6 @@ def _lattice_verdict(
         methods=("lattice_exact",),
         inconclusive=bool(reasons),
         best_score=None if best is None else best[0],
-        trace_identity=trace_ok,
+        trace_identity=w.trace_identity(rep),
         diagnostics=diagnostics,
     )

@@ -503,6 +503,24 @@ def reference_flow(rep, w, steps: int = 4000, eta: float = 0.05):
 
 
 # ---------------------------------------------------------------------------
+# builders
+
+def direct_sum(a, b):
+    """Block-diagonal direct sum of two reps of one poset."""
+    if a.poset != b.poset:
+        raise pr.PosetMismatch("direct sum requires representations of the same poset")
+    d = a.ambient_dim + b.ambient_dim
+    spans = {}
+    for e in a.poset.elements:
+        qa, qb = a.spans[e], b.spans[e]
+        q = np.zeros((d, qa.shape[1] + qb.shape[1]), dtype=complex)
+        q[: a.ambient_dim, : qa.shape[1]] = qa
+        q[a.ambient_dim :, qa.shape[1] :] = qb
+        spans[e] = q
+    return pr.SubspaceRep(a.poset, d, spans)
+
+
+# ---------------------------------------------------------------------------
 # randomized helpers
 
 def planted_line_rep(rng: np.random.Generator):
@@ -539,6 +557,17 @@ def random_antichain_rep(rng: np.random.Generator, bent: bool):
     chi = {e: int(rng.integers(1, 4)) for e in p.elements}
     rep = pr.make_rep(p, d0, spans)
     return rep, pr.Weight(Fraction(sum(chi[e] * rep.dim(e) for e in p.elements), d0), chi)
+
+
+def random_nested_input(rng: np.random.Generator):
+    """A random poset on 1..5 elements, d0 in 2..5, a random nested rep and
+    weights chi_e in {1, 2, 3}; with the slope sum chi_e d_e / d0, the chi0
+    of the trace identity (0 when every V_e is 0)."""
+    p = random_poset(rng, int(rng.integers(1, 6)))
+    d0 = int(rng.integers(2, 6))
+    rep = random_nested_rep(rng, p, d0)
+    chi = {e: int(rng.integers(1, 4)) for e in p.elements}
+    return rep, chi, Fraction(sum(chi[e] * rep.dim(e) for e in p.elements), d0)
 
 
 def random_poset(rng: np.random.Generator, n: int, density: float = 0.4) -> pr.Poset:

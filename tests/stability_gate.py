@@ -4,10 +4,11 @@ The inputs are
 
 - 300 antichain reps, ``random_antichain_rep(np.random.default_rng(2026),
   bent=i % 2 == 1)``;
-- 150 nested reps of one ``np.random.default_rng(7)``: a random poset on
-  1..5 elements, d0 in 2..5, ``random_nested_rep`` and weights chi_e in
-  1..3, each at the chi0 of the trace identity (where that is positive) and
-  at chi0 + 1 (293 inputs);
+- 150 nested reps of one ``np.random.default_rng(7)``
+  (``random_nested_input``: a random poset on 1..5 elements, d0 in 2..5,
+  ``random_nested_rep`` and weights chi_e in 1..3), each at the chi0 of
+  the trace identity (where that is positive) and at chi0 + 1 (293
+  inputs);
 - every ``stability`` op of the benchmark's seeds 1, 3 and 7, run through
   the CLI in process (``--output json``).
 
@@ -26,7 +27,7 @@ exits 1 on any difference in classification or certified best score, and
     PYTHONPATH=src python tests/stability_gate.py --record    # rewrite the record
 
 pytest does not collect this file (no ``test_`` prefix); a run takes about
-15 s on one core.
+20 s on one core.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import json
 import sys
 import tempfile
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,7 @@ sys.path[:0] = [str(HERE), str(HERE.parent / "bench")]
 
 import posetrep as pr  # noqa: E402
 from posetrep.cli import main as cli_main  # noqa: E402
-from conftest import random_antichain_rep, random_nested_rep, random_poset  # noqa: E402
+from conftest import random_antichain_rep, random_nested_input  # noqa: E402
 
 BENCH_SEEDS = (1, 3, 7)
 #: listed when they change, as information only
@@ -69,11 +69,7 @@ def _library_inputs():
         yield f"antichain/{i}", random_antichain_rep(rng, bent=i % 2 == 1)
     rng = np.random.default_rng(7)
     for i in range(150):
-        p = random_poset(rng, int(rng.integers(1, 6)))
-        d0 = int(rng.integers(2, 6))
-        rep = random_nested_rep(rng, p, d0)
-        chi = {e: int(rng.integers(1, 4)) for e in p.elements}
-        chi0 = Fraction(sum(chi[e] * rep.dim(e) for e in p.elements), d0)
+        rep, chi, chi0 = random_nested_input(rng)
         if chi0 > 0:
             yield f"nested/{i}", (rep, pr.Weight(chi0, chi))
         yield f"nested/{i}+1", (rep, pr.Weight(chi0 + 1, chi))

@@ -12,7 +12,8 @@ import posetrep as pr
 from posetrep import fileio
 from posetrep.cli import build_parser, main
 from posetrep.linalg import random_subspace
-from conftest import planted_line_rep
+from posetrep.stability import _lattice_verdict
+from conftest import planted_line_rep, random_antichain_rep
 
 
 def run(capsys, *argv):
@@ -185,8 +186,8 @@ LATTICE_COUNTS = ("lattice_size", "lattice_scored")
 
 def test_stability_json_diagnostics(capsys, files):
     """The flow's certificate on the flow route; on the lattice route (here
-    for a weight without the trace identity, where the flow does not run)
-    the lattice counts and the inconclusive reasons, as ints and strings;
+    for two lines 3e-9 apart, where dim End hangs on the tolerance) the
+    lattice counts and the inconclusive reasons, as ints and strings;
     methods lists the lattice after the flow only when that route ran.
     Every verdict has the same keys; wall times are floats and are not
     compared."""
@@ -207,52 +208,69 @@ def test_stability_json_diagnostics(capsys, files):
     assert all(diag[k] is None for k in LATTICE_COUNTS)
     assert set(diag["times_ms"]) == {"flow", "hessian"}
     assert all(type(v) is float for v in diag["times_ms"].values())
-    code, out, _ = run(capsys, "--output", "json", "stability", files["lam2.rep"],
-                       "-w", "3; 1, 1, 1, 1")
+    near = files["dir"] + "/near.rep"
+    Path(near).write_text("poset p11.poset\nambient 2\n"
+                          "span a1 cols 1\n1.0+0.0j\n0.0+0.0j\n"
+                          "span a2 cols 1\n1.0+0.0j\n3e-09+0.0j\n")
+    code, out, _ = run(capsys, "--output", "json", "stability", near, "-w", "1; 1, 1")
     assert code == 0
     payload = json.loads(out)
     diag = payload["diagnostics"]
     assert set(diag) == STABILITY_KEYS
-    assert payload["methods"] == ["lattice_exact"]
+    assert payload["methods"] == ["flow", "lattice_exact"] and payload["inconclusive"]
     assert diag["route"] == "lattice"
-    assert diag["fallback_reasons"] == ["no_trace_identity"]
-    assert diag["flow_status"] is None
-    assert diag["inconclusive_reasons"] == []
-    assert diag["lattice_scored"] == 4
-    assert diag["lattice_size"] == 6  # 0, the four lines and C^2
+    assert diag["fallback_reasons"] == ["rank_guard"]
+    assert diag["flow_status"] == "converged"
+    assert diag["inconclusive_reasons"] == ["rank_guard"]
+    assert diag["lattice_scored"] == 2
+    assert diag["lattice_size"] == 4  # 0, the two lines and C^2
     assert all(type(diag[k]) is int for k in LATTICE_COUNTS)
-    assert set(diag["times_ms"]) == {"lattice", "schur"}
+    assert set(diag["times_ms"]) == {"flow", "hessian", "schur", "lattice"}
 
 
 def test_stability_json_lattice_size_null_on_overflow(capsys, tmp_path):
-    """The planted line: on the lattice route (chi0 = 4 breaks the trace
-    identity and leaves every score as it is) the lattice overflows its
-    cap, so lattice_size is null, and the line among the members found
-    before it certifies instability without an inconclusive reason.  With
-    the trace identity the flow's plateau certifies it, with the HN type
-    of the line: slopes 4 and 8/3 against sigma = 3."""
-    rep, _ = planted_line_rep(np.random.default_rng(0))
-    (tmp_path / "anti6.poset").write_text(fileio.serialize_poset(rep.poset))
-    (tmp_path / "planted.rep").write_text(fileio.serialize_rep(rep, "anti6.poset"))
-    code, out, _ = run(capsys, "--output", "json", "stability", str(tmp_path / "planted.rep"),
-                       "-w", "4; 1, 1, 1, 1, 1, 1")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["classification"] == "unstable"
-    assert payload["diagnostics"]["route"] == "lattice"
-    assert payload["diagnostics"]["lattice_size"] is None
-    assert payload["diagnostics"]["lattice_scored"] > 400
-    assert payload["diagnostics"]["inconclusive_reasons"] == []
-    code, out, _ = run(capsys, "--output", "json", "stability", str(tmp_path / "planted.rep"),
-                       "-w", "3; 1, 1, 1, 1, 1, 1")
+    """Rep 9 of the seeded antichain sequence (six subspaces of C^6): the
+    flow's flag finds no destabilizer, and on the lattice route the
+    lattice overflows its cap, so lattice_size is null and the verdict
+    inconclusive.  On the planted line the lattice overflows too, and the
+    line among the members found before the cap certifies instability
+    without an inconclusive reason.  Through the CLI the flow's plateau
+    certifies the planted line, with the HN type of the line (slopes 4 and
+    8/3 against sigma = 3), at chi0 = 3 and at chi0 = 4, which breaks the
+    trace identity and is read at the slope weight."""
+    rng = np.random.default_rng(2026)
+    for i in range(10):
+        rep, w = random_antichain_rep(rng, bent=i % 2 == 1)
+    (tmp_path / "anti.poset").write_text(fileio.serialize_poset(rep.poset))
+    (tmp_path / "rep9.rep").write_text(fileio.serialize_rep(rep, "anti.poset"))
+    weight = "; ".join([str(w.chi0), ", ".join(str(w.chi[e]) for e in rep.poset.elements)])
+    code, out, _ = run(capsys, "--output", "json", "stability", str(tmp_path / "rep9.rep"),
+                       "-w", weight)
     assert code == 0
     payload = json.loads(out)
     diag = payload["diagnostics"]
-    assert payload["classification"] == "unstable" and payload["best_score"] == "1"
-    assert diag["route"] == "flow_unstable" and diag["flow_status"] == "plateau"
-    assert diag["lattice_size"] is None and diag["lattice_scored"] is None
-    assert diag["hn_dims"] == [1, 3] and diag["hn_slopes"] == ["4", "8/3"]
-    assert abs(diag["gap"]) < 1e-6 and diag["inconclusive_reasons"] == []
+    assert diag["route"] == "lattice" and diag["fallback_reasons"] == ["no_destabilizer"]
+    assert diag["lattice_size"] is None and type(diag["lattice_scored"]) is int
+    assert payload["inconclusive"] and diag["inconclusive_reasons"] == ["lattice_overflow"]
+    rep, w = planted_line_rep(np.random.default_rng(0))
+    v = _lattice_verdict(rep, w, pr.StabilityOptions())
+    assert v.classification == pr.UNSTABLE and v.best_score == 1
+    assert v.diagnostics["lattice_size"] is None and v.diagnostics["lattice_scored"] > 400
+    assert not v.inconclusive and v.diagnostics["inconclusive_reasons"] == []
+    (tmp_path / "anti6.poset").write_text(fileio.serialize_poset(rep.poset))
+    (tmp_path / "planted.rep").write_text(fileio.serialize_rep(rep, "anti6.poset"))
+    for chi0, identity in (("3", True), ("4", False)):
+        code, out, _ = run(capsys, "--output", "json", "stability",
+                           str(tmp_path / "planted.rep"), "-w", chi0 + "; 1, 1, 1, 1, 1, 1")
+        assert code == 0
+        payload = json.loads(out)
+        diag = payload["diagnostics"]
+        assert payload["classification"] == "unstable" and payload["best_score"] == "1"
+        assert payload["trace_identity"] is identity
+        assert diag["route"] == "flow_unstable" and diag["flow_status"] == "plateau"
+        assert diag["lattice_size"] is None and diag["lattice_scored"] is None
+        assert diag["hn_dims"] == [1, 3] and diag["hn_slopes"] == ["4", "8/3"]
+        assert abs(diag["gap"]) < 1e-6 and diag["inconclusive_reasons"] == []
 
 
 def test_solve_writes_outputs(capsys, files, tmp_path):

@@ -188,9 +188,10 @@ def test_rep_parse_errors(tmp_path):
 
 
 def test_rep_round_trip_random(tmp_path, rng):
-    write(tmp_path, "p.poset", fileio.serialize_poset(pr.n_poset()))
+    zigzag = pr.build_poset(["n1", "n2", "n3", "n4"], [("n1", "n2"), ("n3", "n2"), ("n3", "n4")])
+    write(tmp_path, "p.poset", fileio.serialize_poset(zigzag))
     for _ in range(5):
-        rep = random_nested_rep(rng, pr.n_poset(), 3)
+        rep = random_nested_rep(rng, zigzag, 3)
         text = fileio.serialize_rep(rep, "p.poset")
         loaded, _ = fileio.parse_rep(text, base_dir=str(tmp_path))
         for e in rep.poset.elements:

@@ -7,6 +7,7 @@ import posetrep as pr
 from posetrep.linalg import random_complex, random_subspace, same_subspace
 from posetrep.stability import _lattice_verdict
 from conftest import (
+    direct_sum,
     oracle_endomorphism_dim,
     oracle_random_search,
     oracle_saturate,
@@ -111,12 +112,12 @@ def test_make_rep_bases_equal_orthonormal_columns_bit_for_bit():
 def test_direct_sum_block_structure():
     a = two_lines()
     b = two_lines(E2, E1)
-    s = pr.direct_sum(a, b)
+    s = direct_sum(a, b)
     assert s.ambient_dim == 4
     assert s.dim_vector() == (4, 2, 2)
     other = pr.make_rep(pr.primitive_poset(1), 1, {"a1": np.ones((1, 1), dtype=complex)})
     with pytest.raises(pr.PosetMismatch):
-        pr.direct_sum(a, other)
+        direct_sum(a, other)
 
 
 def test_transformed_keeps_dims():
@@ -192,7 +193,7 @@ def test_endomorphism_dims_match_kronecker_oracle():
         d = int(rng.integers(2, 4))
         a = pr.make_rep(p, d, {e: random_complex(rng, d, 1) for e in p.elements})
         b = pr.make_rep(p, d, {e: random_complex(rng, d, 1) for e in p.elements})
-        cases += [pr.direct_sum(a, b), pr.direct_sum(a, a), pr.direct_sum(pr.direct_sum(a, b), a)]
+        cases += [direct_sum(a, b), direct_sum(a, a), direct_sum(direct_sum(a, b), a)]
     dims = []
     for rep in cases:
         basis = pr.endomorphism_algebra(rep)
@@ -223,7 +224,7 @@ def test_decompose_indecomposable():
 def test_decompose_direct_sum_recovers_blocks(rng):
     a = pr.four_lines_rep(2 + 1j)
     b = pr.four_lines_rep(-3 + 2j)
-    s = pr.direct_sum(a, b)
+    s = direct_sum(a, b)
     parts = pr.decompose(s)
     assert sorted(p.ambient_dim for p in parts) == [2, 2]
 
@@ -304,7 +305,7 @@ def _lattice_cases(rng):
         da, db = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         parts = [pr.make_rep(p, d, {e: random_complex(rng, d, int(rng.integers(0, d + 1)))
                                     for e in p.elements}) for d in (da, db)]
-        cases.append((pr.direct_sum(*parts), 30))
+        cases.append((direct_sum(*parts), 30))
     for _ in range(14):
         p = random_poset(rng, int(rng.integers(2, 6)))
         cases.append((random_nested_rep(rng, p, int(rng.integers(1, 7))), 30))

@@ -334,28 +334,7 @@ def test_flow_iteration_budget(rng):
 
 
 # ---------------------------------------------------------------------------
-# normal form and invariants
-
-def test_hopf_normal_form_identities():
-    system, _ = pr.kempf_ness_flow(pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT)
-    mats = pr.hopf_normal_form(system)
-    d0 = system.ambient_dim
-    total = sum(m @ m.conj().T for m in mats.values())
-    assert np.linalg.norm(total - np.eye(d0)) < 1e-8
-    normalized = system.weight.normalized(system.poset)
-    for e, m in mats.items():
-        gram = m.conj().T @ m
-        assert np.linalg.norm(gram - normalized[e] * np.eye(gram.shape[0])) < 1e-8
-
-
-def test_hopf_normal_form_rejects_non_orthoscalar():
-    p = pr.primitive_poset(1, 1)
-    w = pr.Weight(1, {"a1": 1, "a2": 1})
-    projs = {"a1": E1 @ E1.conj().T, "a2": E1 @ E1.conj().T}
-    ps = pr.ProjectionSystem(p, w, projs, {"a1": 1, "a2": 1})
-    with pytest.raises(pr.CheckFailed):
-        pr.hopf_normal_form(ps)
-
+# invariants
 
 def test_unitary_invariants_cyclic_keys_and_invariance(rng):
     ps = perp_system()

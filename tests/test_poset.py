@@ -153,21 +153,12 @@ def test_primitive_poset_shape():
         pr.primitive_poset(0)
 
 
-def test_is_primitive():
-    assert pr.is_primitive(pr.primitive_poset(2, 3)).primitive
-    res = pr.is_primitive(pr.n_poset())
-    assert not res.primitive
-    assert pr.is_primitive(pr.build_poset([], [])).primitive
-
-
-def test_n_poset_is_the_zigzag():
-    p = pr.n_poset()
-    assert set(p.covers()) == {("n1", "n2"), ("n3", "n2"), ("n3", "n4")}
-
-
 def test_n4_poset_components():
+    """The zigzag n1 < n2 > n3 < n4 beside the chain c1 < ... < c4."""
     p = pr.n4_poset()
     assert len(p) == 8
+    assert set(p.covers()) == {("n1", "n2"), ("n3", "n2"), ("n3", "n4"),
+                               ("c1", "c2"), ("c2", "c3"), ("c3", "c4")}
     assert ("c1", "c4") in p.pairs
     assert not p.comparable("n1", "c1")
 

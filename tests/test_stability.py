@@ -3,10 +3,12 @@
 ``stability_check`` reads the verdict off the Kempf-Ness flow's limit with
 a certificate and falls back to the lattice route
 (``stability._lattice_verdict``: the lattice closure and the Schur test)
-when none closes.  These tests compare the two routes on seeded
+when none closes; a weight without the trace identity takes the verdict of
+its slope weight.  These tests compare the two routes on seeded
 random reps, check each certificate on inputs of known class, check the
-Hessian against the dense Kronecker oracle, and check the Cholesky
-certificate of ``stable`` against the Schur route it replaced.
+Hessian against the dense Kronecker oracle, check the Cholesky
+certificate of ``stable`` against the Schur route it replaced, and check
+the slope-weight reduction against the lattice route.
 """
 
 from fractions import Fraction
@@ -19,10 +21,12 @@ from posetrep import moment, stability
 from posetrep.linalg import herm_expm, random_complex, subspace_intersection
 from posetrep.stability import _lattice_verdict
 from conftest import (
+    direct_sum,
     oracle_hessian,
     oracle_stable_margin,
     planted_line_rep,
     random_antichain_rep,
+    random_nested_input,
 )
 
 W_LINES = pr.Weight(1, {"a1": 1, "a2": 1})
@@ -80,9 +84,9 @@ def test_block_sums_are_never_stable():
                 for _ in range(2))
         c, d = (pr.make_rep(p5, 4, {e: random_complex(rng, 4, 2) for e in p5.elements})
                 for _ in range(2))
-        for rep, w, parts in ((pr.direct_sum(a, b), w4, 2), (pr.direct_sum(a, a), w4, 2),
-                              (pr.direct_sum(pr.direct_sum(a, b), a), w4, 3),
-                              (pr.direct_sum(c, d), w5, 2)):
+        for rep, w, parts in ((direct_sum(a, b), w4, 2), (direct_sum(a, a), w4, 2),
+                              (direct_sum(direct_sum(a, b), a), w4, 3),
+                              (direct_sum(c, d), w5, 2)):
             v = pr.stability_check(rep, w)
             assert v.classification == pr.POLYSTABLE_NOT_STABLE
             assert v.diagnostics["route"] == "flow_split" and not v.inconclusive
@@ -208,8 +212,8 @@ def test_certificate_fails_where_the_limit_is_not_stable():
             for _ in range(2))
     c, d = (pr.make_rep(p5, 4, {e: random_complex(rng, 4, 2) for e in p5.elements})
             for _ in range(2))
-    cases = [(pr.direct_sum(a, a), w4), (pr.direct_sum(a, b), w4),
-             (pr.direct_sum(c, c), w5), (pr.direct_sum(c, d), w5)]
+    cases = [(direct_sum(a, a), w4), (direct_sum(a, b), w4),
+             (direct_sum(c, c), w5), (direct_sum(c, d), w5)]
     cases += [(pr.four_lines_rep(lam), w4) for lam in pr.EXCEPTIONAL_LAMBDAS]
     for rep, w in cases:
         system, report = pr.kempf_ness_flow(rep, w)
@@ -247,15 +251,17 @@ def test_plateau_certificate_and_snap():
 
 
 def test_fallback_reasons():
-    """Without the trace identity the flow does not run; near two lines at
-    3e-9 the dimension of End hangs on the tolerance; in both cases the
-    lattice route decides and says so."""
+    """A weight without the trace identity falls back no more: the four
+    lines at chi0 = 3 take the flow route of their slope weight 2, with no
+    reason.  Near two lines at 3e-9 the dimension of End hangs on the
+    tolerance; the lattice route decides and says so."""
     rep = pr.four_lines_rep(2)
     v = pr.stability_check(rep, pr.Weight(3, {e: 1 for e in rep.poset.elements}))
-    assert v.diagnostics["route"] == "lattice"
-    assert v.diagnostics["fallback_reasons"] == ["no_trace_identity"]
-    assert v.methods == ("lattice_exact",)
-    assert v.diagnostics["flow_status"] is None
+    assert v.classification == pr.SEMISTABLE_NOT_POLYSTABLE and not v.trace_identity
+    assert v.diagnostics["route"] == "flow_stable"
+    assert v.diagnostics["fallback_reasons"] == []
+    assert v.methods == ("flow",) and v.diagnostics["flow_status"] == "converged"
+    assert v.best_score is None and v.witness is None
     e1 = np.array([[1.0], [0.0]], dtype=complex)
     near = np.array([[np.cos(3e-9)], [np.sin(3e-9)]], dtype=complex)
     lines = pr.make_rep(pr.primitive_poset(1, 1), 2, {"a1": e1, "a2": near})
@@ -268,9 +274,10 @@ def test_lattice_route_runs_the_schur_test_without_proper_members():
     """With every V_e either 0 or V the lattice is {0, V}, and every score
     is 0, but dim End = d0^2 > 1: the Schur test splits V into d0 lines,
     each a stable summand of score 0.  So the lattice route is
-    polystable_not_stable with the trace identity and
-    semistable_not_polystable without it, with a score-0 witness, in C^2
-    and C^3, on an antichain and on a chain."""
+    polystable_not_stable with the trace identity, with a score-0 witness,
+    in C^2 and C^3, on an antichain and on a chain; ``stability_check``
+    agrees, and without the trace identity it answers
+    semistable_not_polystable from the slope weight."""
     anti, chain = pr.primitive_poset(1, 1, 1), pr.build_poset(["a", "b"], [("a", "b")])
     for d0 in (2, 3):
         full, zero = np.eye(d0, dtype=complex), np.zeros((d0, 0), dtype=complex)
@@ -279,12 +286,14 @@ def test_lattice_route_runs_the_schur_test_without_proper_members():
                  (pr.make_rep(chain, d0, {"a": zero, "b": full}), {"a": 2, "b": 1}, 1)]
         for rep, chi, chi0 in cases:
             assert len(pr.endomorphism_algebra(rep)) == d0 * d0
-            for extra, expected in ((0, pr.POLYSTABLE_NOT_STABLE),
-                                    (1, pr.SEMISTABLE_NOT_POLYSTABLE)):
-                w = pr.Weight(chi0 + extra, chi)
-                assert w.trace_identity(rep) == (extra == 0)
-                v = _lattice_verdict(rep, w, pr.StabilityOptions())
-                assert v.diagnostics["lattice_scored"] == 0
+            w = pr.Weight(chi0, chi)
+            assert w.trace_identity(rep)
+            v = _lattice_verdict(rep, w, pr.StabilityOptions())
+            assert v.diagnostics["lattice_scored"] == 0
+            for v, expected in ((v, pr.POLYSTABLE_NOT_STABLE),
+                                (pr.stability_check(rep, w), pr.POLYSTABLE_NOT_STABLE),
+                                (pr.stability_check(rep, pr.Weight(chi0 + 1, chi)),
+                                 pr.SEMISTABLE_NOT_POLYSTABLE)):
                 assert v.classification == expected
                 assert v.best_score == 0 and not v.inconclusive
                 assert v.witness.shape == (d0, 1)
@@ -328,9 +337,9 @@ def test_sum_with_a_boundary_summand_is_not_polystable():
     the flow route; that summand is semistable_not_polystable, so the sum
     is too (dim End = 2, or 4 for two boundary copies)."""
     boundary, generic = pr.four_lines_rep(0), pr.four_lines_rep(2 + 1j)
-    for rep, end_dim in ((pr.direct_sum(boundary, generic), 2),
-                         (pr.direct_sum(generic, boundary), 2),
-                         (pr.direct_sum(boundary, boundary), 4)):
+    for rep, end_dim in ((direct_sum(boundary, generic), 2),
+                         (direct_sum(generic, boundary), 2),
+                         (direct_sum(boundary, boundary), 4)):
         v = pr.stability_check(rep, pr.FOURSPACE_WEIGHT)
         assert v.classification == pr.SEMISTABLE_NOT_POLYSTABLE
         assert v.diagnostics["route"] == "flow_split"
@@ -357,3 +366,108 @@ def test_plateau_continues_once_when_the_gap_is_open():
     assert d["residual"] < 0.4473 and 0 <= d["gap"] < 1e-4
     assert v.best_score == Fraction(2, 5) == pr.subspace_score(rep, w, v.witness)
     assert v.best_score == _lattice_verdict(rep, w, pr.StabilityOptions()).best_score
+
+
+# ---------------------------------------------------------------------------
+# weights without the trace identity: the verdict at the slope weight
+
+def test_off_slope_weight_takes_the_slope_weights_verdict():
+    """On 40 nested reps of random posets, built as in the stability gate,
+    the verdict at (sigma + 1; chi) is the verdict at the slope weight
+    (sigma; chi) with every class but unstable read as
+    semistable_not_polystable: same best score, witness and route, and
+    trace_identity false.  The lattice route at (sigma; chi), an
+    independent oracle, gives the same split into unstable and not
+    unstable, and the same best score on every unstable verdict."""
+    rng = np.random.default_rng(7)
+    classes = set()
+    for _ in range(40):
+        rep, chi, sigma = random_nested_input(rng)
+        at = pr.stability_check(rep, pr.Weight(sigma, chi))
+        off = pr.stability_check(rep, pr.Weight(sigma + 1, chi))
+        classes.add(at.classification)
+        assert at.trace_identity and not off.trace_identity
+        mapped = pr.UNSTABLE if at.classification == pr.UNSTABLE else pr.SEMISTABLE_NOT_POLYSTABLE
+        assert off.classification == mapped
+        assert off.best_score == at.best_score
+        assert (off.witness is None) == (at.witness is None)
+        if at.witness is not None:
+            assert np.array_equal(off.witness, at.witness)
+        assert off.diagnostics["route"] == at.diagnostics["route"]
+        assert off.diagnostics["sigma"] == str(sigma)
+        lattice = _lattice_verdict(rep, pr.Weight(sigma, chi), pr.StabilityOptions())
+        assert (lattice.classification == pr.UNSTABLE) == (off.classification == pr.UNSTABLE)
+        if off.classification == pr.UNSTABLE:
+            assert off.best_score == lattice.best_score
+    assert {pr.UNSTABLE, pr.POLYSTABLE_NOT_STABLE, pr.STABLE} <= classes
+
+
+def test_zero_slope_closed_form():
+    """sigma = 0 leaves no slope weight: every V_e is 0 and every score 0.
+    In C^3 the verdict is semistable_not_polystable with best score 0 and a
+    coordinate line as witness; in C^1 with neither.  No method runs."""
+    p = pr.primitive_poset(1, 2)
+    w = pr.Weight(1, {"a1": 1, "a2": 2, "a3": 3})
+    for d0 in (1, 3):
+        rep = pr.make_rep(p, d0, {e: np.zeros((d0, 0), dtype=complex) for e in p.elements})
+        v = pr.stability_check(rep, w)
+        assert v.classification == pr.SEMISTABLE_NOT_POLYSTABLE
+        assert v.diagnostics["route"] == "zero_slope" and v.diagnostics["sigma"] == "0"
+        assert v.methods == () and not v.inconclusive and not v.trace_identity
+        assert v.diagnostics["fallback_reasons"] == [] and v.diagnostics["times_ms"] == {}
+        if d0 == 1:
+            assert v.best_score is None and v.witness is None
+        else:
+            assert v.best_score == 0 and v.witness.shape == (3, 1)
+            assert pr.subspace_score(rep, w, v.witness) == 0
+
+
+def test_five_planes_off_slope_report_no_best_score():
+    """Five generic 2-planes in C^4 at chi0 = 5/2 + 1: the slope weight's
+    flow certifies stable, so the verdict is semistable_not_polystable with
+    best score None.  The lattice route's best member, a plane, scores -3,
+    which is not the maximum: a plane meeting four of the five in lines
+    scores -1."""
+    rng = np.random.default_rng(41)
+    p = pr.primitive_poset(*[1] * 5)
+    rep = pr.make_rep(p, 4, {e: random_complex(rng, 4, 2) for e in p.elements})
+    chi = {e: 1 for e in p.elements}
+    v = pr.stability_check(rep, pr.Weight(Fraction(7, 2), chi))
+    assert v.classification == pr.SEMISTABLE_NOT_POLYSTABLE
+    assert v.diagnostics["route"] == "flow_stable"
+    assert v.best_score is None and v.witness is None
+    lattice = _lattice_verdict(rep, pr.Weight(Fraction(5, 2), chi), pr.StabilityOptions())
+    assert lattice.classification == pr.STABLE and lattice.best_score == -3
+
+
+def test_cholesky_certifies_c1_vacuously(monkeypatch):
+    """A C^1 rep with the trace identity: the trace-zero matrices are {0},
+    so the Cholesky of the 1 x 1 shifted L certifies stable with no Schur
+    test, lambda_min the bound s(r) and dim End 1.  A converged residual
+    not below the floor 2 / den (as rounding leaves it for weights of
+    denominator 3^40) falls back before any route reads the empty
+    trace-zero spectrum, and the lattice route answers stable."""
+    p = pr.primitive_poset(1, 1)
+    rep = pr.make_rep(p, 1, {"a1": np.ones((1, 1), dtype=complex),
+                             "a2": np.zeros((1, 0), dtype=complex)})
+    w = pr.Weight(2, {"a1": 2, "a2": 3})
+    v = pr.stability_check(rep, w)
+    d = v.diagnostics
+    assert v.classification == pr.STABLE and d["route"] == "flow_stable"
+    assert set(d["times_ms"]) == {"flow", "hessian"} and d["end_dim"] == 1
+    chi = np.array([2.0, 3.0])
+    assert d["lambda_min"] == stability._stable_bound(d["residual"], chi)
+    flow = moment.kempf_ness_flow
+
+    def rounded(rep, w):
+        system, report = flow(rep, w)
+        report.residual = 1e-15
+        return system, report
+
+    monkeypatch.setattr(moment, "kempf_ness_flow", rounded)
+    tiny = Fraction(1, 3**40)
+    v = pr.stability_check(rep, pr.Weight(tiny, {"a1": tiny, "a2": 3}))
+    d = v.diagnostics
+    assert v.classification == pr.STABLE and d["route"] == "lattice"
+    assert d["fallback_reasons"] == ["semistability_uncertified"]
+    assert d["residual"] >= d["dual_bound"]
