@@ -153,6 +153,12 @@ def test_primitive_poset_shape():
         pr.primitive_poset(0)
 
 
+def test_n_poset_is_the_zigzag():
+    """The n-component of n4_poset is the zigzag n1 < n2 > n3 < n4."""
+    p = restrict(pr.n4_poset(), ("n1", "n2", "n3", "n4"))
+    assert set(p.covers()) == {("n1", "n2"), ("n3", "n2"), ("n3", "n4")}
+
+
 def test_n4_poset_components():
     """The zigzag n1 < n2 > n3 < n4 beside the chain c1 < ... < c4."""
     p = pr.n4_poset()
