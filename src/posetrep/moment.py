@@ -459,10 +459,6 @@ def kempf_ness_flow(
     return mmap.system(projs), report
 
 
-#: Most products that one matmul of unitary_invariants forms at a time.
-_WORD_BATCH = 64
-
-
 def unitary_invariants(
     ps: ProjectionSystem, max_len: int = 4
 ) -> dict[tuple[str, ...], complex]:
@@ -473,56 +469,38 @@ def unitary_invariants(
     (length, word) order.  These traces separate unitary equivalence classes
     of projection families.
 
-    The keys are the necklaces, generated level by level as prenecklaces
-    with their period p (Fredricksen-Kessler-Maiorana; Ruskey-Savage-Wang,
-    J. Algorithms 13, 1992): w.i is a prenecklace iff i >= w[-p], its period
-    stays p when i = w[-p] and becomes its length otherwise, and it is a
-    necklace iff the period divides the length.  The products of a level are
-    formed from their prefixes' products, one batched ``prods[src] @ P_i``
-    per letter i in stacks of at most ``_WORD_BATCH``; the last level keeps
-    only the traces of its necklaces.  Each product is thus built left to
-    right from the identity, one factor at a time, as a word's product
-    formed from scratch, so keys, order and values are the same bit for bit.
+    A word is numbered by its letters' indices read as base-n digits, first
+    letter most significant, so lexicographic order is numeric order.  The
+    products of every word of length up to ceil(max_len / 2) are built by
+    batched matmul over the projector stack, in that numbering.  A word of
+    length m splits into halves U of length a = ceil(m / 2) and V of length
+    m - a, and tr(U V) = sum_ij U_ij V_ji = <vec U, vec V^T>, so one matmul
+    of the vectorized half-word products gives the trace of every word of
+    length m at its own number.  The keys are the numbers no larger than
+    any of their rotations.  The values are the left-to-right products'
+    traces up to rounding.
     """
     elems = ps.poset.elements
     names = np.array(elems, dtype=object)
-    projs = [ps.projections[e] for e in elems]
-    n = len(elems)
+    n, d0 = len(elems), ps.ambient_dim
+    projs = np.array([ps.projections[e] for e in elems], dtype=complex).reshape(n, d0, d0)
+    # prods[k][x]: the product of the word of length k numbered x
+    prods = [np.eye(d0, dtype=complex)[None]]
+    for k in range((max_len + 1) // 2):
+        prods.append((prods[k][:, None] @ projs[None]).reshape(n ** (k + 1), d0, d0))
     out: dict[tuple[str, ...], complex] = {}
-    # the prenecklaces of the current length in lexicographic order: letters,
-    # period, first letter w[-p] a child may take, product (the empty word
-    # has period 1 and takes every letter)
-    words = np.zeros((1, 0), dtype=int)
-    period = np.ones(1, dtype=int)
-    first = np.zeros(1, dtype=int)
-    prods = np.eye(ps.ambient_dim, dtype=complex)[None]
-    for length in range(1, max_len + 1):
-        last = length == max_len
-        # children w.i for i = first..n-1, parent-major, so again in order
-        counts = n - first
-        parent = np.repeat(np.arange(len(words)), counts)
-        offset = np.cumsum(counts) - counts
-        letter = first[parent] + np.arange(len(parent)) - offset[parent]
-        words = np.column_stack([words[parent], letter])
-        period = np.where(letter == first[parent], period[parent], length)
-        necklace = length % period == 0
-        built = necklace | (not last)
-        traces = np.zeros(len(words), dtype=complex)
-        nxt = None if last else np.empty((len(words),) + prods.shape[1:], dtype=complex)
-        for i in range(n):
-            dest = np.flatnonzero(built & (letter == i))
-            for lo in range(0, len(dest), _WORD_BATCH):
-                chunk = dest[lo:lo + _WORD_BATCH]
-                m = prods[parent[chunk]] @ projs[i]
-                traces[chunk] = np.trace(m, axis1=1, axis2=2)
-                if not last:
-                    nxt[chunk] = m
-        keys = map(tuple, names[words[necklace]].tolist())
-        out.update(zip(keys, traces[necklace].tolist()))
-        if last:
-            break
-        prods = nxt
-        first = words[np.arange(len(words)), length - period]
+    for m in range(1, max_len + 1):
+        a, b = (m + 1) // 2, m // 2
+        left = prods[a].reshape(n ** a, d0 * d0)
+        right = prods[b].transpose(0, 2, 1).reshape(n ** b, d0 * d0)
+        traces = (left @ right.T).reshape(n ** m)
+        x = np.arange(n ** m)
+        necklace = np.ones(n ** m, dtype=bool)
+        for r in range(1, m):
+            tail = n ** (m - r)
+            necklace &= x <= x % tail * n ** r + x // tail
+        letters = x[necklace, None] // n ** np.arange(m - 1, -1, -1) % n
+        out.update(zip(zip(*names[letters].T.tolist()), traces[necklace].tolist()))
     return out
 
 

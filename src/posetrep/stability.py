@@ -27,7 +27,9 @@ with equality in the infimum exactly for the HN filtration (for one step,
 f(K) sqrt(d0 / (k (d0 - k)))).  So with r the flow's final residual:
 
 - converged, r below the floor 2 / (den sqrt(d0)) (the least dual bound
-  of a positive score), and one Cholesky of L - s(r) on the trace-zero
+  of a positive score; the flow runs to the tolerance 1e-8 times the least
+  chi_e below 1, since r scales with the weight and the floor falls with
+  it), and one Cholesky of L - s(r) on the trace-zero
   matrices succeeds (``_positive_beyond``): ``stable`` with no Schur test,
   End = C certified and ``lambda_min`` the lower bound
   s(r) = max(16 r, (32 sum_e chi_e r^2 / 9)^(1/3)).  In C^1 the trace-zero
@@ -435,13 +437,22 @@ def _split_route(rep, w, opts, score, g, ends, diagnostics):
     return "flow_split", classification, witness, Fraction(0), inconclusive
 
 
+def _flow_options(w: Weight) -> moment.FlowOptions:
+    """The flow's options with its tolerance scaled by the least chi_e
+    below 1: the flow is scale-equivariant, so a weight and its multiples
+    stop at residuals in proportion, and integer weights keep the default."""
+    flow = moment.FlowOptions()
+    flow.tol *= min([1, *w.chi.values()])
+    return flow
+
+
 def _flow_route(rep, w, opts, diagnostics, times):
     """Route, classification, witness, best score and inconclusive flag
     from the flow limit; raises _Fallback when no certificate closes."""
     d0 = rep.ambient_dim
     with _timed(times, "flow"):
         try:
-            system, report = moment.kempf_ness_flow(rep, w)
+            system, report = moment.kempf_ness_flow(rep, w, _flow_options(w))
         except NumericalBreakdown:
             raise _Fallback("flow_breakdown") from None
     diagnostics.update(flow_status=report.status, flow_iterations=report.iterations,
@@ -507,7 +518,8 @@ def _plateau_route(rep, w, opts, score, report, diagnostics, times):
                 raise
     with _timed(times, "flow"):
         try:
-            _, more = moment.kempf_ness_flow(rep.transformed(g, opts.tol), w)
+            _, more = moment.kempf_ness_flow(rep.transformed(g, opts.tol), w,
+                                             _flow_options(w))
         except (NumericalBreakdown, RankDeficient, NestingViolation):
             raise _Fallback("gap_open") from None
     g = more.final_metric @ g

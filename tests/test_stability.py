@@ -440,6 +440,25 @@ def test_five_planes_off_slope_report_no_best_score():
     assert lattice.classification == pr.STABLE and lattice.best_score == -3
 
 
+def test_flow_route_is_scale_invariant():
+    """A weight and its multiples take one route: the four lines at
+    lambda = 2 with every chi_e = s and chi0 = 2 s take ``flow_stable`` at
+    s = 1, 1/3^20 and 1/3^30, where the floor 2 / (den sqrt d0) falls far
+    below the default tolerance 1e-8, because the flow's tolerance scales
+    with the least chi_e below 1; the residual scales with s."""
+    rep = pr.four_lines_rep(2)
+    residuals = []
+    for s in (1, Fraction(1, 3**20), Fraction(1, 3**30)):
+        w = pr.Weight(2 * s, {e: s for e in rep.poset.elements})
+        v = pr.stability_check(rep, w)
+        d = v.diagnostics
+        assert v.classification == pr.STABLE and d["route"] == "flow_stable", s
+        assert d["fallback_reasons"] == [] and d["residual"] < d["dual_bound"]
+        assert d["flow_iterations"] <= 4
+        residuals.append(d["residual"] / s)
+    assert max(residuals) < 1e-8
+
+
 def test_cholesky_certifies_c1_vacuously(monkeypatch):
     """A C^1 rep with the trace identity: the trace-zero matrices are {0},
     so the Cholesky of the 1 x 1 shifted L certifies stable with no Schur
@@ -459,8 +478,8 @@ def test_cholesky_certifies_c1_vacuously(monkeypatch):
     assert d["lambda_min"] == stability._stable_bound(d["residual"], chi)
     flow = moment.kempf_ness_flow
 
-    def rounded(rep, w):
-        system, report = flow(rep, w)
+    def rounded(rep, w, opts=None):
+        system, report = flow(rep, w, opts)
         report.residual = 1e-15
         return system, report
 
