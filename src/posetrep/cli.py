@@ -173,13 +173,13 @@ def _cmd_dim_quotient(args) -> int:
 # linear-representation subcommands
 
 #: stability_check diagnostics emitted under --output json: the route and
-#: the reasons it fell back to the lattice; the flow's status, iterations
-#: and residual, lambda_min, dim End, the dual bound, the gap and the HN
-#: type; the lattice counts and the inconclusive reasons; and
+#: the reasons it fell back to the lattice; the flow's status, iterations,
+#: step trials and residual, lambda_min, dim End, the dual bound, the gap
+#: and the HN type; the lattice counts and the inconclusive reasons; and
 #: the wall time of each method in ms.  A key the route did not set is null.
 _STABILITY_DIAGNOSTICS = ("route", "fallback_reasons", "flow_status", "flow_iterations",
-                         "residual", "lambda_min", "end_dim", "dual_bound", "gap",
-                         "hn_dims", "hn_slopes", "lattice_size", "lattice_scored",
+                         "flow_trials", "residual", "lambda_min", "end_dim", "dual_bound",
+                         "gap", "hn_dims", "hn_slopes", "lattice_size", "lattice_scored",
                          "inconclusive_reasons", "times_ms")
 
 
@@ -246,9 +246,10 @@ def _cmd_solve(args) -> int:
             system, prefix + ".proj", os.path.relpath(poset_abs, out_dir)
         )
         written.append(prefix + ".proj")
-    # the file keeps the final metric and the history; stdout drops them
-    payload.pop("final_metric", None)
-    payload.pop("history", None)
+    # the file keeps the final metric and the per-iteration lists; stdout
+    # drops them
+    for key in ("final_metric", "history", "steps", "trials"):
+        payload.pop(key, None)
     payload["files"] = written
     _emit(
         args,
@@ -351,12 +352,15 @@ def _sweep_row(token: str, args, w) -> dict:
 def _cmd_fourspace_sweep(args) -> int:
     tokens = [tok.strip() for tok in args.lambdas.split(",") if tok.strip()]
     w = FOURSPACE_WEIGHT if args.chi is None else fileio.parse_weight(args.chi, FOUR_ANTICHAIN)
+    rows = (_sweep_row(token, args, w) for token in tokens)
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
-        writer = csv.DictWriter(out, fieldnames=_SWEEP_COLUMNS)
-        writer.writeheader()
-        for token in tokens:
-            writer.writerow(_sweep_row(token, args, w))
+        if args.output == "json":
+            out.write(json.dumps(list(rows), indent=2) + "\n")
+        else:
+            writer = csv.DictWriter(out, fieldnames=_SWEEP_COLUMNS)
+            writer.writeheader()
+            writer.writerows(rows)
     finally:
         if args.out:
             out.close()
@@ -468,11 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_invariants)
 
     sp = sub.add_parser("fourspace-sweep", parents=[common],
-                        help="flow the four-line family over a lambda grid, CSV out")
+                        help="flow the four-line family over a lambda grid, CSV "
+                             "(or JSON with --output json) out")
     sp.add_argument("--lambdas", required=True,
                     help="comma-separated lambda values; 'inf' for the line <e2>")
     sp.add_argument("--chi", help="weight (default: the four-line weight)")
-    sp.add_argument("--out", help="CSV path (default: stdout)")
+    sp.add_argument("--out", help="output path (default: stdout)")
     sp.set_defaults(func=_cmd_fourspace_sweep)
 
     return parser

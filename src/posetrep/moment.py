@@ -12,11 +12,14 @@ the gradient of the Kempf-Ness potential, which is geodesically convex
 along g <- exp(t x) g, and its Hessian is
 L(x) = sum_e chi_e (x P_e + P_e x - 2 P_e x P_e).  The flow takes damped
 Newton steps: x solves L(x) = -mu inexactly by conjugate gradients, one
-batched product over the projector stack per CG step, and the damping
-backtracks on the squared residual F(g) = ||mu(g)||_F^2, which falls
-quadratically near a zero.  The infimum of F over the orbit is zero
-exactly on the semistable classes, and it is attained (by an orthoscalar
-representative) exactly on the polystable ones.  So a converged run
+batched product over the projector stack per CG step, to a relative
+accuracy that tightens from 1/2 to 1/10 once full steps halve the residual.
+The damping starts from twice the last accepted step, so a run of short
+steps does not search down from 1 every time, and it is tested on the
+squared residual F(g) = ||mu(g)||_F^2, which falls quadratically near a
+zero.  The infimum of F over the orbit is zero exactly on the semistable
+classes, and it is attained (by an orthoscalar representative) exactly
+on the polystable ones.  So a converged run
 certifies polystability only while the metric condition number stays
 bounded: a condition that keeps growing as the residual falls means the
 flow is approaching the boundary of the orbit, as it does for strictly
@@ -264,6 +267,8 @@ class FlowReport:
     step: float  # last accepted damping t in (0, 1]; 0 when none was accepted
     condition: float
     history: list[float] = field(default_factory=list)
+    steps: list[float] = field(default_factory=list)  # accepted t per iteration, 0 when none
+    trials: list[int] = field(default_factory=list)  # step trials per iteration
     final_metric: np.ndarray | None = None
 
     def as_dict(self) -> dict:
@@ -284,27 +289,30 @@ class FlowReport:
             "step": self.step,
             "condition": self.condition,
             "history": list(self.history),
+            "steps": list(self.steps),
+            "trials": list(self.trials),
             "final_metric": metric,
         }
 
 
 def _newton_direction(
-    mmap: _MomentMap, p: np.ndarray, mu: np.ndarray
+    mmap: _MomentMap, p: np.ndarray, mu: np.ndarray, eta: float = 0.5
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
     """Conjugate gradients on L(x) = -mu over Hermitian x, from x = 0.
 
-    Stops once |L(x) + mu| <= min(1/2, sqrt|mu|) |mu| (an inexact Newton
-    step whose accuracy grows as mu shrinks) or after d0^2 products (the
-    real dimension of the Hermitian matrices).  It also stops, keeping the
-    current x, before a direction of no curvature or a step that would
-    leave the trust region |x|_F <= MAX_STEP: when mu has a part along the
-    flat stabilizer directions (a direct sum of unequal slopes) that part
-    cannot be solved for, and CG would otherwise run off along it.  A
-    first step that leaves the region is cut to its boundary instead, so
-    the direction is zero only when mu meets no curvature at all.  Returns
-    x, L(x), the squared gradient norm 4 sum_e chi_e |(I - P_e) mu P_e|_F^2
-    (twice the curvature along mu, read off the first product) and the
-    number of products.
+    Stops once |L(x) + mu| <= min(eta, sqrt|mu|) |mu| (an inexact Newton
+    step whose accuracy grows as mu shrinks; the flow's forcing term eta is
+    1/10 once its Newton steps converge and 1/2 before) or after d0^2
+    products (the real dimension of the Hermitian matrices).  It also
+    stops, keeping the current x, before a direction of no curvature or a
+    step that would leave the trust region |x|_F <= MAX_STEP: when mu has a
+    part along the flat stabilizer directions (a direct sum of unequal
+    slopes) that part cannot be solved for, and CG would otherwise run off
+    along it.  A first step that leaves the region is cut to its boundary
+    instead, so the direction is zero only when mu meets no curvature at
+    all.  Returns x, L(x), the squared gradient norm
+    4 sum_e chi_e |(I - P_e) mu P_e|_F^2 (twice the curvature along mu,
+    read off the first product) and the number of products.
     """
     d0 = len(mu)
     x = np.zeros_like(mu)
@@ -313,7 +321,7 @@ def _newton_direction(
     d = r.copy()
     rr = _inner(r, r)
     norm = np.sqrt(rr)
-    target = min(0.5, np.sqrt(norm)) * norm
+    target = min(eta, np.sqrt(norm)) * norm
     grad_sq = 0.0
     # a curvature below the rounding noise of R_e along d reads as flat
     floor = float(np.sum(mmap.chi)) * (16 * d0 * np.finfo(float).eps) ** 2
@@ -350,22 +358,33 @@ def kempf_ness_flow(
     The direction x is an inexact Newton step on the Kempf-Ness potential:
     conjugate gradients on L(x) = -mu, with L the Hessian of
     ``_MomentMap.hessian``, each product a few batched matmuls over the
-    projector stack (see ``_newton_direction``).  The damping t starts at 1
-    in every iteration and halves until the Armijo test
-    F(t) < F + ARMIJO_C t s holds, with the slope s = 2 Re tr(mu L(x))
-    (about -2F, so F falls quadratically near a zero of mu), for at most
-    MAX_TRIALS trials.  Stops with status converged when the residual
-    drops below tol; plateau when no trial is accepted or the residual is
-    above STALL_FACTOR times its value STALL_WINDOW iterations earlier; and
-    max_iter otherwise.  The weighted trace identity is required up front
-    (NoTraceIdentity), and the metric condition number is capped at
-    COND_CAP (NumericalBreakdown).
+    projector stack (see ``_newton_direction``).  Its forcing term eta is
+    1/10 after a full step (t = 1) that at least halved the residual, where
+    Newton has taken hold, and 1/2 otherwise (Eisenstat and Walker, SIAM J.
+    Sci. Comput. 17, 1996).  The damping t must pass the Armijo test
+    F(t) < F + ARMIJO_C t s, with the slope s = 2 Re tr(mu L(x)) (about
+    -2F, so F falls quadratically near a zero of mu).  The first trial is
+    at t = min(1, 2 t_prev), t_prev the last accepted step (1 in the first
+    iteration).  A first trial that fails halves t until the test holds.
+    One below 1 that holds doubles t while the test holds, up to 1, and
+    the largest t that held is taken; but after an iteration that had to
+    halve, the first trial is taken as it is.  Otherwise, on the plateau
+    of an unstable input, the accepted steps swing between about 1/16 and
+    1/64 and each iteration makes three to four trials, against about two.
+    A run whose steps all hold at 1/2 or more takes full steps only.  An
+    iteration makes at most MAX_TRIALS trials.  Stops with status
+    converged when the residual drops below tol; plateau when no trial is
+    accepted or the residual is above STALL_FACTOR times its value
+    STALL_WINDOW iterations earlier; and max_iter otherwise.  The weighted
+    trace identity is required up front (NoTraceIdentity), and the metric
+    condition number is capped at COND_CAP (NumericalBreakdown).
 
     Each step trial costs one Hermitian exponential, one moment-map
     evaluation (one batched QR per span width, see ``_MomentMap``) and one
     SVD of the candidate metric, whose singular values give both the
     spectral-norm normalization and the condition number checked against
-    COND_CAP.
+    COND_CAP.  The report lists the accepted t (0 when none) and the
+    trials of each iteration.
 
     Returns the projection system of the final metric when converged, else
     None, together with the full report.
@@ -387,9 +406,14 @@ def kempf_ness_flow(
     residual = float(np.linalg.norm(mu))
     condition = 1.0
     history = [residual]
+    steps: list[float] = []
+    trials: list[int] = []
     grad_norm = 0.0
     step = 0.0
-    attempts = hvp = 0
+    # the damping of the next first trial, whether the last iteration had to
+    # halve it, and the forcing term of the next direction
+    t_first, halved, eta = 1.0, False, 0.5
+    hvp = 0
     status = "max_iter"
     iterations = 0
 
@@ -398,31 +422,45 @@ def kempf_ness_flow(
             status = "converged"
             iterations -= 1
             break
-        x, lx, grad_sq, products = _newton_direction(mmap, projs, mu)
+        x, lx, grad_sq, products = _newton_direction(mmap, projs, mu, eta)
         hvp += products
         grad_norm = np.sqrt(grad_sq)
         f_old = residual * residual
         slope = 2.0 * _inner(mu, lx)
-        accepted = False
-        t = 1.0
+        best = None
+        t, grow, tried = t_first, False, 0
         # a direction of no descent (x = 0 when mu meets no curvature) gets
         # no trial, and the iteration ends the run as a plateau
-        for _ in range(MAX_TRIALS if slope < 0 else 0):
-            attempts += 1
+        for tried in range(1, (MAX_TRIALS if slope < 0 else 0) + 1):
             cand = linalg.herm_expm(t * x) @ g
             # s[0] is the spectral norm and s[0] / s[-1] the condition
             s = np.linalg.svd(cand, compute_uv=False)
             cand = cand / s[0]
             cprojs, cmu = mmap(cand)
             cres = float(np.linalg.norm(cmu))
-            if cres * cres < f_old + ARMIJO_C * t * slope:
-                accepted = True
+            passed = cres * cres < f_old + ARMIJO_C * t * slope
+            if passed:
+                best = t, cand, s, cprojs, cmu, cres
+            if tried == 1:
+                # doubling follows only a first trial that held, after an
+                # iteration that did not halve
+                grow = passed and t < 1 and not halved
+            if grow and passed and t < 1:
+                t *= 2.0
+            elif passed or grow:
                 break
-            t *= 0.5
+            else:
+                t *= 0.5
+        trials.append(tried)
+        halved = tried > 1 and not grow
+        accepted = best is not None
         if accepted:
-            g, projs, mu, residual = cand, cprojs, cmu, cres
+            t, g, s, projs, mu, cres = best
+            eta = 0.1 if t == 1 and cres <= 0.5 * residual else 0.5
+            residual = cres
             condition = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
-            step = t
+            step, t_first = t, min(1.0, 2.0 * t)
+        steps.append(t if accepted else 0.0)
         history.append(residual)
         if condition > COND_CAP:
             raise NumericalBreakdown(
@@ -445,13 +483,15 @@ def kempf_ness_flow(
     report = FlowReport(
         status=status,
         iterations=iterations,
-        attempts=attempts,
+        attempts=sum(trials),
         hvp=hvp,
         residual=residual,
         gradient_norm=float(grad_norm),
         step=step,
         condition=linalg.condition_number(g),
         history=history,
+        steps=steps,
+        trials=trials,
         final_metric=g,
     )
     if status != "converged":

@@ -456,7 +456,7 @@ def _flow_route(rep, w, opts, diagnostics, times):
         except NumericalBreakdown:
             raise _Fallback("flow_breakdown") from None
     diagnostics.update(flow_status=report.status, flow_iterations=report.iterations,
-                       residual=report.residual)
+                       flow_trials=report.attempts, residual=report.residual)
     score = linrep._Scorer(rep, w, opts.tol)
     if report.status != "converged":
         return _plateau_route(rep, w, opts, score, report, diagnostics, times)
@@ -524,7 +524,8 @@ def _plateau_route(rep, w, opts, score, report, diagnostics, times):
             raise _Fallback("gap_open") from None
     g = more.final_metric @ g
     diagnostics.update(flow_status=more.status, residual=more.residual,
-                       flow_iterations=report.iterations + more.iterations)
+                       flow_iterations=report.iterations + more.iterations,
+                       flow_trials=report.attempts + more.attempts)
     with _timed(times, "candidates"):
         return _unstable_route(rep, w, score, g, mmap(g)[1], more.residual, diagnostics)
 
@@ -580,9 +581,9 @@ def stability_check(
     sigma = w.slope(rep)
     diagnostics: dict = {
         "sigma": str(sigma), "fallback_reasons": [], "flow_status": None,
-        "flow_iterations": None, "residual": None, "lambda_min": None, "end_dim": None,
-        "dual_bound": None, "gap": None, "hn_dims": None, "hn_slopes": None,
-        "times_ms": times,
+        "flow_iterations": None, "flow_trials": None, "residual": None,
+        "lambda_min": None, "end_dim": None, "dual_bound": None, "gap": None,
+        "hn_dims": None, "hn_slopes": None, "times_ms": times,
     }
     if not w.trace_identity(rep):
         return _off_slope(rep, w, sigma, opts, diagnostics)

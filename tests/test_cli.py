@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import posetrep as pr
-from posetrep import fileio
+from posetrep import cli, fileio
 from posetrep.cli import build_parser, main
 from posetrep.linalg import random_subspace
 from posetrep.stability import _lattice_verdict
@@ -178,8 +178,8 @@ def test_stability_json_round_trip(capsys, files):
 
 
 #: the diagnostics keys of every stability verdict under --output json
-STABILITY_KEYS = {"route", "fallback_reasons", "flow_status", "flow_iterations", "residual",
-                  "lambda_min", "end_dim", "dual_bound", "gap", "hn_dims", "hn_slopes",
+STABILITY_KEYS = {"route", "fallback_reasons", "flow_status", "flow_iterations", "flow_trials",
+                  "residual", "lambda_min", "end_dim", "dual_bound", "gap", "hn_dims", "hn_slopes",
                   "lattice_size", "lattice_scored", "inconclusive_reasons", "times_ms"}
 LATTICE_COUNTS = ("lattice_size", "lattice_scored")
 
@@ -499,6 +499,27 @@ def test_fourspace_sweep_csv(capsys, files, tmp_path):
     bogus = rows[2]
     assert bogus["status"] == "error:invalid-lambda"
     assert bogus["residual"] == ""
+
+
+def test_fourspace_sweep_json_rows(capsys, tmp_path):
+    """--output json writes a list of row objects with the CSV columns as
+    keys, in column order, and the CSV's string values, to stdout or to
+    --out."""
+    grid = "2, inf, zzz"
+    code, out, _ = run(capsys, "fourspace-sweep", "--lambdas", grid)
+    assert code == 0
+    csv_rows = list(csv.DictReader(io.StringIO(out)))
+    code, out, _ = run(capsys, "--output", "json", "fourspace-sweep", "--lambdas", grid)
+    assert code == 0
+    rows = json.loads(out)
+    assert rows == csv_rows
+    assert all(list(row) == list(cli._SWEEP_COLUMNS) for row in rows)
+    assert [row["status"] for row in rows] == ["converged", "converged", "error:invalid-lambda"]
+    out_path = tmp_path / "sweep.json"
+    code, out, _ = run(capsys, "fourspace-sweep", "--lambdas", grid, "--output", "json",
+                       "--out", str(out_path))
+    assert code == 0 and out == ""
+    assert json.loads(out_path.read_text()) == rows
 
 
 def test_fourspace_sweep_stdout_header(capsys):

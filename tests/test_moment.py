@@ -265,6 +265,52 @@ def test_flow_plateau_on_planted_line(rng):
         assert report.condition < moment.COND_CAP
 
 
+def test_flow_plateau_trials_and_hn_type():
+    """The planted line on seeds 0-3 under the remembered step: the run
+    still ends with a plateau at the HN type, the spectrum of mu at the
+    final metric being the slopes (4, 8/3) less chi0 = 3 with
+    multiplicities (1, 3), and the line search spends at most three trials
+    per iteration there (about five when every iteration started at 1)."""
+    for seed in range(4):
+        rep, w = planted_line_rep(np.random.default_rng(seed))
+        _, report = pr.kempf_ness_flow(rep, w)
+        assert report.status == "plateau"
+        spectrum = np.linalg.eigvalsh(pr.moment_value(rep, report.final_metric, w))[::-1]
+        assert np.allclose(spectrum, [1, -1 / 3, -1 / 3, -1 / 3], atol=1e-3)
+        assert report.attempts <= 3 * report.iterations
+        assert all(0 < t <= 1 for t in report.steps)
+
+
+def test_flow_generic_takes_every_first_trial(rng):
+    """On generic stable reps every iteration accepts its first trial, a
+    full step, and the telemetry has one entry per iteration."""
+    for n, d0, k in ((5, 4, 2), (8, 6, 3), (10, 16, 8)):
+        p = pr.primitive_poset(*[1] * n)
+        rep = pr.make_rep(p, d0, {e: random_subspace(rng, d0, k) for e in p.elements})
+        w = pr.Weight(Fraction(n * k, d0), {e: 1 for e in p.elements})
+        _, report = pr.kempf_ness_flow(rep, w)
+        assert report.status == "converged"
+        assert report.trials == [1] * report.iterations
+        assert report.steps == [1.0] * report.iterations
+        assert report.attempts == report.iterations
+
+
+def test_flow_telemetry_lengths(rng):
+    """len(steps) == len(trials) == iterations however the run ends: at
+    max_iter, at a plateau, converged, and with no iteration at all."""
+    rep, w = _mixed_width_rep(rng)
+    cases = [(rep, w, pr.FlowOptions(max_iter=3)), (rep, w, pr.FlowOptions(max_iter=0)),
+             (*planted_line_rep(rng), pr.FlowOptions()),
+             (pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT, pr.FlowOptions()),
+             (two_lines(), pr.Weight(1, {"a1": 1, "a2": 1}), pr.FlowOptions())]
+    for rep, w, opts in cases:
+        _, report = pr.kempf_ness_flow(rep, w, opts)
+        assert len(report.steps) == len(report.trials) == report.iterations
+        assert sum(report.trials) == report.attempts
+        assert len(report.history) == report.iterations + 1
+    assert report.iterations == 0 and report.status == "converged"
+
+
 def test_newton_direction_meets_forcing_bound(rng):
     """The CG direction against the dense Hessian L, on antichains with mixed
     widths (zero and full included), weights other than 1 and metrics of
@@ -272,7 +318,8 @@ def test_newton_direction_meets_forcing_bound(rng):
     a descent direction for F, and the reported L(x) is L applied to x.
     Where mu lies in the range of L and the exact Newton step L^+(-mu) fits
     the trust region (CG iterates grow in norm towards it): x meets the
-    forcing bound |L(x) + mu| <= min(1/2, sqrt|mu|) |mu|."""
+    forcing bound |L(x) + mu| <= min(eta, sqrt|mu|) |mu|, at the default
+    eta = 1/2 and at the tight eta = 1/10."""
 
     def vec(m):
         return m.reshape(-1, order="F")
@@ -306,6 +353,9 @@ def test_newton_direction_meets_forcing_bound(rng):
             continue
         checked += 1
         bound = min(0.5, np.sqrt(residual)) * residual
+        assert np.linalg.norm(dense @ vec(x) + vec(want_mu)) <= bound * (1 + 1e-9)
+        x = moment._newton_direction(mmap, p_stack, mu, eta=0.1)[0]
+        bound = min(0.1, np.sqrt(residual)) * residual
         assert np.linalg.norm(dense @ vec(x) + vec(want_mu)) <= bound * (1 + 1e-9)
     assert checked >= 25
 
