@@ -173,10 +173,10 @@ def _cmd_dim_quotient(args) -> int:
 # linear-representation subcommands
 
 #: stability_check diagnostics emitted under --output json: the route and
-#: the reasons it fell back to the lattice; the flow's status, iterations,
-#: step trials and residual, lambda_min, dim End, the dual bound, the gap
-#: and the HN type; the lattice counts and the inconclusive reasons; and
-#: the wall time of each method in ms.  A key the route did not set is null.
+#: why it fell back to the lattice; the flow's status, iterations, trials
+#: and residual, lambda_min, dim End, the dual bound and gap (information
+#: only), the HN type (on every flow_unstable verdict); the lattice counts,
+#: inconclusive reasons and times in ms.  A key the route did not set is null.
 _STABILITY_DIAGNOSTICS = ("route", "fallback_reasons", "flow_status", "flow_iterations",
                          "flow_trials", "residual", "lambda_min", "end_dim", "dual_bound",
                          "gap", "hn_dims", "hn_slopes", "lattice_size", "lattice_scored",

@@ -76,19 +76,20 @@ f(K) sqrt(d0 / (k (d0 - k)))).  So with r the flow's final residual:
   back by g^-1 and scored exactly, give a score-0 witness:
   ``semistable_not_polystable`` (indecomposable and not stable).
 - plateau (or the iteration cap): the nested top-k eigenspaces of mu(g),
-  pulled back by g^-1 and scored exactly, form a flag; the upper concave
-  hull H of its points (k, f(K_k)) gives the dual bound D = |H|.  The HN
-  polygon P majorizes every point (dim K, f(K)) and so H, its maximum is
-  the largest score of all subspaces, and r^2 >= |P|^2 >= D^2 +
-  |(P - H)'|^2 (H' falls).  Were max P above max H, P - H would reach
-  1 / den at a vertex of P, and |(P - H)'|^2 >= 4 / (den^2 d0).  So with
-  r^2 - D^2 below that, a positive maximum of f on H is ``unstable``
-  with the largest score of all subspaces.  Below 1 / (den^2 lcm(1..d0)),
-  the spacing of the sums of c^2 / n that |P|^2 and D^2 are, H is P: its
-  pieces are the HN type (``hn_dims``, ``hn_slopes``; None otherwise).
-  When a positive score leaves the gap open (the stall test can stop a
-  plateau well above the HN norm), the flow runs once more from the
-  plateau's metric, and the certificate is tried again at its end.
+  pulled back by g^-1 and scored exactly, form a flag; the vertices of the
+  upper concave hull H of its points (k, f(K_k)) give a filtration
+  0 < K_1 < ... < K_m = V with strictly falling slopes sigma + c_j / n_j.
+  The HN filtration is the only one whose subquotients are semistable with
+  strictly falling slopes (King 1994; Reineke, Invent. Math. 152, 2003).
+  So once each subquotient K_j / K_(j-1), moved into the plateau's frame
+  (``_pieces``), has a flow at its own slope that converges below its
+  least positive dual bound 2 / (den_j sqrt(n_j)), or has slope 0, H is
+  the HN polygon: its positive maximum is the largest score of all
+  subspaces, ``unstable``, and its pieces are the HN type (``hn_dims``,
+  ``hn_slopes``).  A subquotient the flow does not certify is classified
+  by ``stability_check``; its destabilizer, lifted into V, scores above H
+  and joins the candidates, for at most d0 rounds.  D = |H| and the gap
+  r - D are reported for information only.
 
 A candidate subspace whose rank guard fails (``linalg.subspace_intersections``:
 an intersection dimension changes between 0.1 tol and 10 tol, as when the
@@ -98,9 +99,10 @@ takes no part.  When the raw candidates leave a certificate open, every
 candidate is snapped and scored as well.  Everything else falls back to the
 lattice route (``_lattice_verdict``: the maximum of f over the lattice
 generated by the V_e, with the Schur test), with the reason in
-``diagnostics["fallback_reasons"]``: a gap that stays open, a flow that
-breaks down, a converged residual not below the floor, a boundary without
-a score-0 witness, a split that does not close, a dimension of End that
+``diagnostics["fallback_reasons"]``: a flow that breaks down, a converged
+residual not below the floor, a plateau flag without a positive score or
+not nested, a subquotient that stays uncertified, a boundary without a
+score-0 witness, a split that does not close, a dimension of End that
 hangs on the tolerance.
 
 A weight without the trace identity sum_e chi_e d_e = chi0 d0 has no zero
@@ -123,19 +125,13 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, sqrt
+from math import sqrt
 from time import perf_counter
 
 import numpy as np
 
 from . import linalg, linrep, moment
-from .errors import (
-    LatticeTooLarge,
-    NestingViolation,
-    NumericalBreakdown,
-    RankDeficient,
-    WrongShape,
-)
+from .errors import LatticeTooLarge, NumericalBreakdown, WrongShape
 from .linrep import DEFAULT_TOL, SubspaceRep, Weight
 
 STABLE = "stable"
@@ -343,11 +339,10 @@ def _hull(points: dict[int, int], d0: int) -> list[tuple[int, int]]:
     return hull
 
 
-def _unstable_route(rep, w, score, g, mu, residual, diagnostics):
-    """The plateau certificate: the flag of mu(g)'s top eigenspaces, its
-    dual bound, the gap to the residual and the HN type; with the raw flag
-    first and, when that leaves the certificate open, with every member
-    snapped as well."""
+def _unstable_route(rep, w, opts, score, g, mu, residual, diagnostics):
+    """The plateau certificate from the flag of mu(g)'s top eigenspaces:
+    with the raw flag first and, when that leaves the certificate open,
+    with every member snapped as well."""
     flag = _flag(g, mu)
     # the best candidate of each dimension (a snapped one may be smaller
     # than its place in the flag)
@@ -358,41 +353,97 @@ def _unstable_route(rep, w, score, g, mu, residual, diagnostics):
             if k not in at or num > at[k][0]:
                 at[k] = (num, q)
         try:
-            return _plateau_certificate(rep, w, score, at, residual, diagnostics)
+            return _plateau_certificate(rep, w, opts, score, g, at, residual, diagnostics)
         except _Fallback:
             if snap:
                 raise
 
 
-def _plateau_certificate(rep, w, score, at, residual, diagnostics):
-    """Unstable with the largest score of all subspaces, from the hull of
-    the candidates' points, or _Fallback; the HN type when the hull is
-    certified to be the HN polygon."""
-    d0, den = rep.ambient_dim, score.den
-    hull = _hull({k: num for k, (num, _) in at.items()}, d0)
-    d2 = sum(Fraction((y1 - y0) ** 2, x1 - x0) for (x0, y0), (x1, y1) in zip(hull, hull[1:]))
-    d2 /= den * den
-    diagnostics["dual_bound"] = sqrt(d2)
-    diagnostics["gap"] = residual - sqrt(d2)
-    best = max(hull[1:-1], key=lambda pt: pt[1], default=None)
-    if best is None or best[1] <= 0:
-        raise _Fallback("no_destabilizer")
-    # candidates of different places need not be nested; the bound needs a
-    # filtration
-    chain = [at[k][1] for k, _ in hull[1:-1]]
-    if any(linalg.inclusion_residual(a, b) > score.tol for a, b in zip(chain, chain[1:])):
-        raise _Fallback("flag_not_nested")
-    excess = residual * residual - float(d2)
-    if excess < -1e-9 * residual * residual:
-        raise _Fallback("dual_above_residual")
-    if excess >= 4 / (den * den * d0):
-        raise _Fallback("gap_open")
-    if excess < 1 / (den * den * lcm(*range(1, d0 + 1))):
-        sigma = w.slope(rep)
-        diagnostics["hn_dims"] = [x1 - x0 for (x0, _), (x1, _) in zip(hull, hull[1:])]
-        diagnostics["hn_slopes"] = [str(sigma + Fraction(y1 - y0, den * (x1 - x0)))
-                                    for (x0, y0), (x1, y1) in zip(hull, hull[1:])]
-    return "flow_unstable", UNSTABLE, at[best[0]][1], Fraction(best[1], den), False
+def _pieces(rep, g, chain, tol):
+    """(u_j, R_jj, K_j / K_(j-1)) for the flag 0 < K_1 < ... < K_m = V of
+    the bases ``chain`` (K_1 .. K_(m-1)): u_j the orthonormal complement of
+    K_(j-1) in K_j, and the subquotient the V_e /\\ K_j projected onto u_j,
+    of rank dim(V_e /\\ K_j) - dim(V_e /\\ K_(j-1)), moved by the block R_jj
+    of g [u_1 .. u_m] = Q R into the frame of g (as a summand of a split)."""
+    d0 = rep.ambient_dim
+    u = np.zeros((d0, 0), dtype=complex)
+    for kj in chain + [np.eye(d0)]:
+        v = np.linalg.svd(kj - u @ (u.conj().T @ kj))[0]
+        u = np.hstack([u, v[:, : kj.shape[1] - u.shape[1]]])
+    r = np.linalg.qr(g @ u)[1]
+    cuts = [0] + [k.shape[1] for k in chain] + [d0]
+    # V_e /\ K_j, one batched intersection per span width and proper K_j
+    meets = [{e: q[:, :0] for e, q in rep.spans.items()}]
+    for k in cuts[1:-1]:
+        meets.append({})
+        for idx, spans in linrep._width_groups(rep):
+            _, guard, bases = linalg.subspace_intersections(spans, u[:, :k], tol)
+            if not guard.all():
+                raise _Fallback("piece_unstable")
+            meets[-1].update(zip((rep.poset.elements[i] for i in idx), bases))
+    meets.append(rep.spans)
+    pieces = []
+    for a, b, lo, hi in zip(cuts, cuts[1:], meets, meets[1:]):
+        rjj, uj = r[a:b, a:b], u[:, a:b]
+        # the top left singular vectors of R_jj u_j* (V_e /\ K_j), one SVD per width
+        lefts = linrep._per_width(lambda m: np.linalg.svd(m)[0],
+                                  [rjj @ (uj.conj().T @ q) for q in hi.values()])
+        spans = {e: v[:, : q.shape[1] - lo[e].shape[1]] for (e, q), v in zip(hi.items(), lefts)}
+        pieces.append((uj, rjj, SubspaceRep(rep.poset, b - a, spans)))
+    return pieces
+
+
+def _plateau_certificate(rep, w, opts, score, g, at, residual, diagnostics):
+    """Unstable with the largest score of all subspaces and the HN type,
+    once every piece of the hull's flag is certified semistable at its own
+    slope, or _Fallback.  A piece that is not gives its destabilizer,
+    lifted into V, as one more candidate, for at most d0 rounds."""
+    d0, den, tol = rep.ambient_dim, score.den, opts.tol
+    for _ in range(d0):
+        hull = _hull({k: num for k, (num, _) in at.items()}, d0)
+        dual = sqrt(sum(Fraction((y1 - y0) ** 2, x1 - x0)
+                        for (x0, y0), (x1, y1) in zip(hull, hull[1:]))) / den
+        diagnostics.update(dual_bound=dual, gap=residual - dual)
+        best = max(hull[1:-1], key=lambda pt: pt[1], default=None)
+        if best is None or best[1] <= 0:
+            raise _Fallback("no_destabilizer")
+        # candidates of different places need not be nested; pieces need a flag
+        chain = [at[k][1] for k, _ in hull[1:-1]]
+        if any(linalg.inclusion_residual(a, b) > tol for a, b in zip(chain, chain[1:])):
+            raise _Fallback("flag_not_nested")
+        pieces = _pieces(rep, g, chain, tol)
+        bad = next((j for j, (_, _, p) in enumerate(pieces) if not _semistable(p, w)), None)
+        if bad is None:
+            diagnostics.update(hn_dims=[p.ambient_dim for _, _, p in pieces],
+                               hn_slopes=[str(w.slope(p)) for _, _, p in pieces])
+            return "flow_unstable", UNSTABLE, at[best[0]][1], Fraction(best[1], den), False
+        u, rjj, piece = pieces[bad]
+        verdict = stability_check(piece, Weight(w.slope(piece), w.chi), opts)
+        if verdict.classification != UNSTABLE:
+            raise _Fallback("piece_unstable")
+        # K_(j-1) and the piece's destabilizer, pulled back out of the frame
+        lift = np.hstack([p[0] for p in pieces[:bad]]
+                         + [u @ np.linalg.solve(rjj, verdict.witness)])
+        for num, q in _scores(rep, score, [np.linalg.qr(lift)[0]], False):
+            if q.shape[1] not in at or num > at[q.shape[1]][0]:
+                at[q.shape[1]] = (num, q)
+    raise _Fallback("piece_unstable")
+
+
+def _semistable(piece, w):
+    """Whether the piece's flow at its slope sigma converges below
+    2 / (den sqrt(n)), the least dual bound of a positive score on C^n;
+    sigma = 0 (every score is 0) and n = 1 (no proper subspace) are
+    semistable outright."""
+    sigma = w.slope(piece)
+    if sigma == 0 or piece.ambient_dim == 1:
+        return True
+    pw = Weight(sigma, w.chi)
+    tol = 2 / (linrep._Scorer(piece, pw, DEFAULT_TOL).den * sqrt(piece.ambient_dim))
+    try:
+        return moment.kempf_ness_flow(piece, pw, moment.FlowOptions(tol))[1].status == "converged"
+    except NumericalBreakdown:
+        return False
 
 
 def _classify_summands(summands, w, opts, diagnostics):
@@ -459,7 +510,10 @@ def _flow_route(rep, w, opts, diagnostics, times):
                        flow_trials=report.attempts, residual=report.residual)
     score = linrep._Scorer(rep, w, opts.tol)
     if report.status != "converged":
-        return _plateau_route(rep, w, opts, score, report, diagnostics, times)
+        g = report.final_metric
+        with _timed(times, "candidates"):
+            return _unstable_route(rep, w, opts, score, g, moment._MomentMap(rep, w)(g)[1],
+                                   report.residual, diagnostics)
 
     g, residual = report.final_metric, report.residual
     diagnostics.update(hn_dims=[d0], hn_slopes=[str(w.slope(rep))])
@@ -504,32 +558,6 @@ def _flow_route(rep, w, opts, diagnostics, times):
     raise _Fallback("no_zero_witness")
 
 
-def _plateau_route(rep, w, opts, score, report, diagnostics, times):
-    """The plateau's certificate at the flow's final metric and, when a
-    positive score leaves the gap open (the stall test can stop a plateau
-    well above the HN norm), once more after one more run of the flow from
-    that metric."""
-    g, mmap = report.final_metric, moment._MomentMap(rep, w)
-    with _timed(times, "candidates"):
-        try:
-            return _unstable_route(rep, w, score, g, mmap(g)[1], report.residual, diagnostics)
-        except _Fallback as reason:
-            if str(reason) != "gap_open":
-                raise
-    with _timed(times, "flow"):
-        try:
-            _, more = moment.kempf_ness_flow(rep.transformed(g, opts.tol), w,
-                                             _flow_options(w))
-        except (NumericalBreakdown, RankDeficient, NestingViolation):
-            raise _Fallback("gap_open") from None
-    g = more.final_metric @ g
-    diagnostics.update(flow_status=more.status, residual=more.residual,
-                       flow_iterations=report.iterations + more.iterations,
-                       flow_trials=report.attempts + more.attempts)
-    with _timed(times, "candidates"):
-        return _unstable_route(rep, w, score, g, mmap(g)[1], more.residual, diagnostics)
-
-
 def stability_check(
     rep: SubspaceRep, w: Weight, opts: StabilityOptions | None = None
 ) -> StabilityVerdict:
@@ -541,9 +569,8 @@ def stability_check(
     ``flow_boundary``, ``flow_unstable``).  When no certificate closes, the
     lattice route decides (``route`` is ``lattice``, and
     ``fallback_reasons`` says why: ``flow_breakdown``,
-    ``no_destabilizer``, ``flag_not_nested``,
-    ``gap_open``, ``dual_above_residual``, ``no_zero_witness``,
-    ``split_failed``, ``summand_not_semistable``,
+    ``no_destabilizer``, ``flag_not_nested``, ``piece_unstable``,
+    ``no_zero_witness``, ``split_failed``, ``summand_not_semistable``,
     ``semistability_uncertified`` or ``rank_guard``).  ``methods`` lists
     ``flow`` first whenever the flow ran.
 
@@ -557,8 +584,9 @@ def stability_check(
     and residual, lambda_min (on ``flow_stable`` certified by the Cholesky
     alone, the lower bound s(r) of the module docstring; else the least
     trace-zero eigenvalue of L), the dimension of End (``end_dim``), the
-    dual bound and the gap (residual minus dual bound), the HN type
-    (``hn_dims`` and ``hn_slopes``), the dims, classification and route
+    dual bound and the gap (residual minus dual bound; information only),
+    the HN type (``hn_dims`` and ``hn_slopes``, on every ``flow_unstable``
+    verdict), the dims, classification and route
     of each summand of a split (``summands``), and the wall time of each
     method in ms (``times_ms``: flow, schur, hessian, candidates, split,
     lattice; flow and hessian alone when the Cholesky certifies

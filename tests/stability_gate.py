@@ -19,9 +19,9 @@ best score is compared wherever the recorded route certifies it, that is
 everywhere but on a ``stable`` verdict of the lattice route (the best
 lattice member's score, not a certified maximum).  A changed route,
 inconclusive flag, fallback reason or uncertified score is listed as
-information.  The script
-exits 1 on any difference in classification or certified best score, and
-0 otherwise.
+information.  The script exits 1 on any difference in classification or
+certified best score, and when more verdicts take the lattice route than
+in the record (the fallback count is a ratchet); 0 otherwise.
 
     PYTHONPATH=src python tests/stability_gate.py             # compare
     PYTHONPATH=src python tests/stability_gate.py --record    # rewrite the record
@@ -147,7 +147,10 @@ def main(argv=None) -> int:
             print(f"changed {e['id']}: " + " ".join(str(want[k]) for k in INFO) + " -> "
                   + " ".join(str(e[k]) for k in INFO))
     print(f"{len(entries)} verdicts, {bad} differences in classification or best score")
-    return 1 if bad else 0
+    lattice = sum(e["route"] == "lattice" for e in entries)
+    allowed = sum(e["route"] == "lattice" for e in recorded.values())
+    print(f"{lattice} lattice verdicts, {allowed} in the record")
+    return 1 if bad or lattice > allowed else 0
 
 
 if __name__ == "__main__":

@@ -36,11 +36,11 @@ def test_flow_route_matches_lattice_route():
     """On 40 seeded antichain reps (C^2..C^6, weights 1-3, every other one
     bent toward a common line) the verdict is the lattice route's, and an
     unstable verdict of the flow has the lattice's best score; the flow's
-    certificates leave nothing inconclusive.  The plateau's HN type, when
-    certified, has pieces of falling slopes that fill V; among these reps
-    are three-step types and certified maximal scores whose HN type is
-    not.  Where the flow's certificate does not close, the lattice route
-    decides and its verdict is returned as is."""
+    certificates leave nothing inconclusive.  Every ``flow_unstable``
+    verdict carries its HN type, pieces of falling slopes that fill V; among
+    these reps are two- and three-step types.  Where the flow's certificate
+    does not close, the lattice route decides and its verdict is returned
+    as is."""
     rng = np.random.default_rng(2026)
     routes, hn_steps = set(), set()
     for i in range(40):
@@ -62,12 +62,12 @@ def test_flow_route_matches_lattice_route():
         assert pr.subspace_score(rep, w, v.witness) == v.best_score
         if route == "flow_unstable":
             dims, slopes = v.diagnostics["hn_dims"], v.diagnostics["hn_slopes"]
-            hn_steps.add(None if dims is None else len(dims))
-            if dims is not None:
-                assert sum(dims) == rep.ambient_dim
-                assert [Fraction(x) for x in slopes] == sorted(map(Fraction, slopes), reverse=True)
+            hn_steps.add(len(dims))
+            assert sum(dims) == rep.ambient_dim
+            assert [Fraction(x) for x in slopes] == sorted(map(Fraction, slopes), reverse=True)
+            assert len(set(slopes)) == len(slopes)
     assert {"flow_stable", "flow_unstable", "flow_boundary", "lattice"} <= routes
-    assert {None, 2, 3} <= hn_steps
+    assert {2, 3} <= hn_steps
 
 
 def test_block_sums_are_never_stable():
@@ -348,24 +348,80 @@ def test_sum_with_a_boundary_summand_is_not_polystable():
         assert "flow_boundary" in routes and len(routes) == 2
 
 
-def test_plateau_continues_once_when_the_gap_is_open():
-    """Rep 11 of the seeded antichain sequence (C^5): the flow stalls at
-    residual 0.756 while its flag's best line (score 2/5) bounds the HN
-    norm by 0.447, too far to certify the maximal score.  One more run of
-    the flow from the plateau's metric brings the residual to the bound,
-    and the certificate closes with the lattice route's best score."""
+def _seeded_antichain(i: int):
+    """Rep i of the seeded antichain sequence of the stability gate."""
     rng = np.random.default_rng(2026)
-    for i in range(12):
-        rep, w = random_antichain_rep(rng, bent=i % 2 == 1)
+    for j in range(i + 1):
+        rep, w = random_antichain_rep(rng, bent=j % 2 == 1)
+    return rep, w
+
+
+def test_plateau_certifies_on_its_first_plateau():
+    """Rep 11 of the seeded antichain sequence (C^5): the flow stalls at
+    residual 0.756, far above the dual bound 0.447 of its flag's best line
+    (score 2/5).  The pieces of the hull's flag, that line and the quotient
+    C^4, are each certified semistable at their own slopes 8 and 15/2, so
+    the hull is the HN polygon: unstable from the first plateau, with no
+    second flow run and the lattice route's best score."""
+    rep, w = _seeded_antichain(11)
     _, report = pr.kempf_ness_flow(rep, w)
     assert report.status == "plateau" and report.residual > 0.75
     v = pr.stability_check(rep, w)
     d = v.diagnostics
     assert d["route"] == "flow_unstable" and d["fallback_reasons"] == []
-    assert d["flow_iterations"] > report.iterations
-    assert d["residual"] < 0.4473 and 0 <= d["gap"] < 1e-4
+    assert d["flow_iterations"] == report.iterations and d["residual"] == report.residual
+    assert d["gap"] > 0.3
+    assert d["hn_dims"] == [1, 4] and d["hn_slopes"] == ["8", "15/2"]
     assert v.best_score == Fraction(2, 5) == pr.subspace_score(rep, w, v.witness)
     assert v.best_score == _lattice_verdict(rep, w, pr.StabilityOptions()).best_score
+
+
+def test_an_uncertified_piece_refines_the_flag(monkeypatch):
+    """Rep 108 of the seeded antichain sequence (C^6): the flow does not
+    certify some piece of the plateau's flag.  That piece's own
+    destabilizer, lifted into V, joins the candidates, and the hull taken
+    again is the HN polygon: type (1, 3, 1, 1) with slopes 5, 13/3, 4 and
+    3, and best score 4/3, the lattice route's."""
+    rep, w = _seeded_antichain(108)
+    semistable, uncertified = stability._semistable, []
+
+    def spy(piece, pw):
+        ok = semistable(piece, pw)
+        if not ok:
+            uncertified.append(piece.ambient_dim)
+        return ok
+
+    monkeypatch.setattr(stability, "_semistable", spy)
+    v = pr.stability_check(rep, w)
+    d = v.diagnostics
+    assert uncertified
+    assert d["route"] == "flow_unstable" and d["fallback_reasons"] == []
+    assert d["hn_dims"] == [1, 3, 1, 1] and d["hn_slopes"] == ["5", "13/3", "4", "3"]
+    assert v.best_score == Fraction(4, 3) == pr.subspace_score(rep, w, v.witness)
+    assert v.best_score == _lattice_verdict(rep, w, pr.StabilityOptions()).best_score
+
+
+def test_hn_type_of_a_sum_of_stables_of_unequal_slope():
+    """The four lines at lambda = 2 (C^2, slope 2) plus four generic lines
+    in C^3 (slope 4/3), both stable: with weight (8/5; 1, 1, 1, 1) the sum
+    is unstable in either order.  Its HN filtration is the summand of
+    larger slope, then V: type (2, 3) with the summands' slopes, and the
+    witness is that summand, of score 4 - 2 * 8/5 = 4/5."""
+    lines, rng = pr.four_lines_rep(2), np.random.default_rng(5)
+    p = lines.poset
+    generic = pr.make_rep(p, 3, {e: random_complex(rng, 3, 1) for e in p.elements})
+    ones = {e: 1 for e in p.elements}
+    assert pr.stability_check(lines, pr.Weight(2, ones)).classification == pr.STABLE
+    assert pr.stability_check(generic, pr.Weight(Fraction(4, 3), ones)).classification == pr.STABLE
+    for rep, block in ((direct_sum(lines, generic), slice(0, 2)),
+                       (direct_sum(generic, lines), slice(3, 5))):
+        v = pr.stability_check(rep, pr.Weight(Fraction(8, 5), ones))
+        d = v.diagnostics
+        assert d["route"] == "flow_unstable" and d["fallback_reasons"] == []
+        assert d["hn_dims"] == [2, 3] and d["hn_slopes"] == ["2", "4/3"]
+        assert v.best_score == Fraction(4, 5) and v.witness.shape == (5, 2)
+        outside = np.delete(v.witness, block, axis=0)
+        assert np.linalg.norm(outside) < 1e-8
 
 
 # ---------------------------------------------------------------------------
