@@ -62,15 +62,16 @@ class ProjectionSystem:
             return p.shape[0]
         return 0
 
-    def range_basis(self, e: str) -> np.ndarray:
-        """Orthonormal basis of range(P_e): the eigenvectors of the rank_e
-        largest eigenvalues."""
-        w, v = np.linalg.eigh(self.projections[e])
-        return v[:, np.argsort(w)[::-1][: self.ranks[e]]]
-
     def subspace_rep(self, tol: float = 1e-8) -> SubspaceRep:
-        """Representation spanned by the projection ranges (rank many columns)."""
-        spans = {e: self.range_basis(e) for e in self.poset.elements}
+        """Representation spanned by the projection ranges: for each P_e the
+        eigenvectors of its rank_e largest eigenvalues, from one ``eigh``
+        batched over the projections."""
+        elements = self.poset.elements
+        spans = {}
+        if elements:
+            _, vecs = np.linalg.eigh(np.stack([self.projections[e] for e in elements]))
+            # eigh sorts ascending, so the range is spanned by the last columns
+            spans = {e: v[:, ::-1][:, : self.ranks[e]] for e, v in zip(elements, vecs)}
         return make_rep(self.poset, self.ambient_dim, spans, tol=tol)
 
     def sphere_coordinates(self) -> tuple[float, float, float]:
@@ -147,14 +148,22 @@ def orthoscalar_check(ps: ProjectionSystem, tol: float = 1e-8) -> CheckReport:
 
 class _MomentMap:
     """mu(g) = sum_e chi_e P_{g V_e} - chi0 I for one representation and
-    weight, with one batched QR per span width.
+    weight: lines in closed form, one batched QR per wider span width.
 
-    The projectors come as one (n, d0, d0) stack in poset order.  For the
-    elements of one width (``linrep._width_groups``) P = Q Q*, with Q from
-    one QR of g V_e batched over the group.  Along the flow g is invertible
-    with bounded condition, so g V_e keeps the column rank of V_e and no
-    rank cut is needed; the Gram route M (M* M)^-1 M* would square the
-    condition number.  Width-0 elements have the zero projector.
+    The projectors come as one (n, d0, d0) stack in poset order, one group
+    of elements of equal width (``linrep._width_groups``) at a time.  A line
+    has P = v v* / |v|^2 with v = g V_e, batched over the group.  A wider
+    span has P = Q Q*, with Q from one QR of g V_e batched over the group.
+    Along the flow g is invertible with bounded condition, so g V_e keeps
+    the column rank of V_e and no rank cut is needed; the Gram route
+    M (M* M)^-1 M* would square the condition number, while for a line
+    |v|^2 is a sum of squares and loses nothing.  Width-0 elements have the
+    zero projector.
+
+    ``scale`` = min(1, least chi_e) is the scale of the weight, which the
+    Newton direction's forcing term measures mu against, and ``floor`` the
+    curvature per unit |x|^2 below the rounding noise of R_e, where a
+    direction reads as flat.
     """
 
     def __init__(self, rep: SubspaceRep, w: Weight):
@@ -165,14 +174,21 @@ class _MomentMap:
         self.chi = np.array([float(w.chi[e]) for e in elements])
         self.shift = -float(w.chi0) * np.eye(d0, dtype=complex)
         self.groups = [(idx, stack) for idx, stack in _width_groups(rep) if stack.shape[2]]
+        self.scale = min([1.0, *self.chi])
+        self.floor = float(np.sum(self.chi)) * (16 * d0 * np.finfo(float).eps) ** 2
 
     def __call__(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The projector stack and mu(g)."""
         n, d0 = len(self.chi), len(self.shift)
         p = np.zeros((n, d0, d0), dtype=complex)
         for idx, stack in self.groups:
-            q = np.linalg.qr(g @ stack)[0]
-            p[idx] = q @ q.conj().swapaxes(1, 2)
+            v = g @ stack
+            if stack.shape[2] == 1:
+                vh = v.conj().swapaxes(1, 2)
+                p[idx] = (v @ vh) / (vh @ v).real
+            else:
+                q = np.linalg.qr(v)[0]
+                p[idx] = q @ q.conj().swapaxes(1, 2)
         return p, self._weighted_sum(p) + self.shift
 
     def _weighted_sum(self, stack: np.ndarray) -> np.ndarray:
@@ -300,10 +316,13 @@ def _newton_direction(
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
     """Conjugate gradients on L(x) = -mu over Hermitian x, from x = 0.
 
-    Stops once |L(x) + mu| <= min(eta, sqrt|mu|) |mu| (an inexact Newton
-    step whose accuracy grows as mu shrinks; the flow's forcing term eta is
-    1/10 once its Newton steps converge and 1/2 before) or after d0^2
-    products (the real dimension of the Hermitian matrices).  It also
+    Stops once |L(x) + mu| <= min(eta, sqrt(|mu| / c)) |mu| (an inexact
+    Newton step whose accuracy grows as mu shrinks; the flow's forcing term
+    eta is 1/10 once its Newton steps converge and 1/2 before) or after
+    d0^2 products (the real dimension of the Hermitian matrices).  The
+    scale c = min(1, least chi_e) (``_MomentMap.scale``) makes the test
+    invariant under scaling the weight, under which x does not change, and
+    leaves it as it was for weights of at least 1.  It also
     stops, keeping the current x, before a direction of no curvature or a
     step that would leave the trust region |x|_F <= MAX_STEP: when mu has a
     part along the flat stabilizer directions (a direct sum of unequal
@@ -321,24 +340,23 @@ def _newton_direction(
     d = r.copy()
     rr = _inner(r, r)
     norm = np.sqrt(rr)
-    target = min(eta, np.sqrt(norm)) * norm
+    target = min(eta, np.sqrt(norm / mmap.scale)) * norm
     grad_sq = 0.0
-    # a curvature below the rounding noise of R_e along d reads as flat
-    floor = float(np.sum(mmap.chi)) * (16 * d0 * np.finfo(float).eps) ** 2
     for k in range(d0 * d0):
         ld, curvature = mmap.hessian(p, d)
         dd = _inner(d, d)
         if k == 0:
             grad_sq = 2.0 * curvature
-        if curvature <= floor * dd:
+        if curvature <= mmap.floor * dd:
             break
         a = rr / curvature
-        if _inner(x + a * d, x + a * d) > MAX_STEP * MAX_STEP:
+        x_next = x + a * d
+        if _inner(x_next, x_next) > MAX_STEP * MAX_STEP:
             if k == 0:
                 a = MAX_STEP / np.sqrt(dd)
                 x, lx = a * d, a * ld
             break
-        x += a * d
+        x = x_next
         lx += a * ld
         r -= a * ld
         rr_next = _inner(r, r)
@@ -361,7 +379,10 @@ def kempf_ness_flow(
     projector stack (see ``_newton_direction``).  Its forcing term eta is
     1/10 after a full step (t = 1) that at least halved the residual, where
     Newton has taken hold, and 1/2 otherwise (Eisenstat and Walker, SIAM J.
-    Sci. Comput. 17, 1996).  The damping t must pass the Armijo test
+    Sci. Comput. 17, 1996); |mu| enters the forcing relative to the scale
+    min(1, least chi_e) of the weight, so a weight and its multiples take
+    the same steps and residuals in proportion (with tol scaled alike).
+    The damping t must pass the Armijo test
     F(t) < F + ARMIJO_C t s, with the slope s = 2 Re tr(mu L(x)) (about
     -2F, so F falls quadratically near a zero of mu).  The first trial is
     at t = min(1, 2 t_prev), t_prev the last accepted step (1 in the first
@@ -380,11 +401,13 @@ def kempf_ness_flow(
     condition number is capped at COND_CAP (NumericalBreakdown).
 
     Each step trial costs one Hermitian exponential, one moment-map
-    evaluation (one batched QR per span width, see ``_MomentMap``) and one
-    SVD of the candidate metric, whose singular values give both the
-    spectral-norm normalization and the condition number checked against
-    COND_CAP.  The report lists the accepted t (0 when none) and the
-    trials of each iteration.
+    evaluation (lines in closed form and one batched QR per wider span
+    width, see ``_MomentMap``) and one SVD of the candidate metric, whose
+    singular values give both the spectral-norm normalization and the
+    condition number checked against COND_CAP; the reported condition is
+    that of the last accepted trial (1 at g = I), with no SVD of its own.
+    The report lists the accepted t (0 when none) and the trials of each
+    iteration.
 
     Returns the projection system of the final metric when converged, else
     None, together with the full report.
@@ -488,7 +511,7 @@ def kempf_ness_flow(
         residual=residual,
         gradient_norm=float(grad_norm),
         step=step,
-        condition=linalg.condition_number(g),
+        condition=condition,
         history=history,
         steps=steps,
         trials=trials,
