@@ -204,10 +204,7 @@ def _cmd_stability(args) -> int:
     ]
     witness = None
     if verdict.witness is not None:
-        witness = [
-            [fileio.format_complex(z) for z in row]
-            for row in verdict.witness.tolist()
-        ]
+        witness = fileio.format_complex_rows(verdict.witness)
         lines.append(f"witness_dim: {verdict.witness.shape[1]}")
     _emit(
         args,
@@ -271,7 +268,7 @@ def _cmd_invariants(args) -> int:
     ps, _ = fileio.load_projection_system(args.projections)
     check = orthoscalar_check(ps, **_given(args, "tol"))
     traces = unitary_invariants(ps, **_given(args, "max_len"))
-    values = {word: fileio.format_complex(val) for word, val in traces.items()}
+    values = dict(zip(traces, fileio.format_complexes(list(traces.values()))))
     text = ""
     if args.output != "json":
         # the listing sorts the words by name; JSON output has no use for it

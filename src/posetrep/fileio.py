@@ -4,6 +4,14 @@ projection systems, and flow reports.
 All serializers are canonical and deterministic, so serialize(parse(s)) is
 byte-stable for files this package wrote.  Complex entries are written as
 ``re+imj`` with full float precision (repr round-trip).
+
+Complex text has one writer and one reader.  The writer,
+:func:`format_complexes`, takes every entry of a file or payload in one
+call and, from a few dozen entries on, turns each distinct float into text
+once; :func:`format_complex` is its one-entry case.  The text is the same
+as writing one entry at a time.  The reader parses a matrix block in one
+call and reads it again token by token only to report, or accept, what
+that call rejects.
 """
 
 from __future__ import annotations
@@ -24,11 +32,45 @@ from .poset import Poset, build_poset
 # ---------------------------------------------------------------------------
 # scalars
 
+#: Fewest entries for which :func:`format_complexes` sorts out the distinct
+#: floats; below it the per-entry formula is cheaper than the sort.
+_DISTINCT_MIN = 32
+
+
 def format_complex(z: complex) -> str:
-    z = complex(z)
-    re, im = float(z.real), float(z.imag)
-    sign = "+" if (im >= 0 or im != im) else "-"
-    return f"{re!r}{sign}{abs(im)!r}j"
+    """The text of one complex number; see :func:`format_complexes`."""
+    return format_complexes((z,))[0]
+
+
+def format_complexes(a) -> list[str]:
+    """The text ``re+imj`` of every entry of ``a``, in C order.
+
+    Each part is the shortest text that reads back to the same float
+    (``repr``), and the sign is ``-`` only for a negative imaginary part,
+    so an imaginary -0.0 or NaN is written ``+0.0j`` or ``+nanj``.  From
+    ``_DISTINCT_MIN`` entries on, each distinct float among the real parts
+    and the imaginary magnitudes is turned into text once, keyed by its bit
+    pattern, so -0.0 and 0.0 stay apart and each NaN keeps its own key.  A
+    Hermitian matrix holds about half as many distinct floats as entries.
+    """
+    z = np.asarray(a, dtype=complex).ravel()
+    if z.size < _DISTINCT_MIN:
+        return [
+            f"{re!r}{'-' if im < 0 else '+'}{abs(im)!r}j"
+            for re, im in zip(z.real.tolist(), z.imag.tolist())
+        ]
+    n, im = z.size, z.imag
+    parts = np.concatenate((z.real, np.abs(im)))
+    distinct, at = np.unique(parts.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    signs = np.where(im < 0, "-", "+").astype(object)
+    return (texts[at[:n]] + signs + texts[at[n:]] + "j").tolist()
+
+
+def format_complex_rows(m: np.ndarray) -> list[list[str]]:
+    """The entries of a 2-D array as text, one list per row."""
+    texts, ncols = format_complexes(m), m.shape[1]
+    return [texts[i * ncols : (i + 1) * ncols] for i in range(m.shape[0])]
 
 
 def parse_complex(token: str, line: int | None = None) -> complex:
@@ -161,11 +203,33 @@ def serialize_weight(w: Weight, poset: Poset) -> str:
 # ---------------------------------------------------------------------------
 # matrices
 
-def _format_matrix(m: np.ndarray) -> list[str]:
-    return [", ".join(format_complex(z) for z in row) for row in m.tolist()]
+def _format_blocks(mats: list[np.ndarray]) -> list[list[str]]:
+    """The text rows of each matrix, from one :func:`format_complexes` call
+    over all their entries; a matrix without entries has no rows."""
+    texts = format_complexes(np.concatenate([m.ravel() for m in mats])) if mats else []
+    blocks, at = [], 0
+    for m in mats:
+        step = max(m.shape[1], 1)
+        blocks.append([", ".join(texts[i : i + step]) for i in range(at, at + m.size, step)])
+        at += m.size
+    return blocks
 
 
 def _parse_rows(lines, start: int, nrows: int, ncols: int) -> tuple[np.ndarray, int]:
+    """The ``nrows`` x ``ncols`` block starting at ``lines[start]``, and the
+    index after it.  The block is parsed in one call; when that fails, or a
+    row has the wrong number of commas, or the file ends inside the block,
+    it is read again row by row to raise the error at its line, or to
+    accept the tokens ``complex`` refuses but :func:`parse_complex` takes
+    (inner spaces, as in ``1 + 2j``)."""
+    rows = [line for _, line in lines[start : start + nrows]]
+    if len(rows) == nrows and [line.count(",") for line in rows] == [ncols - 1] * nrows:
+        try:
+            m = np.fromiter(map(complex, ",".join(rows).split(",")), complex, nrows * ncols)
+        except ValueError:
+            pass
+        else:
+            return m.reshape(nrows, ncols), start + nrows
     rows = []
     idx = start
     while len(rows) < nrows:
@@ -252,11 +316,10 @@ def _read_blocks(
 
 def serialize_rep(rep: SubspaceRep, poset_path: str) -> str:
     lines = [f"poset {poset_path}", f"ambient {rep.ambient_dim}"]
-    for e in rep.poset.elements:
-        q = rep.spans[e]
+    spans = [rep.spans[e] for e in rep.poset.elements]
+    for e, q, rows in zip(rep.poset.elements, spans, _format_blocks(spans)):
         lines.append(f"span {e} cols {q.shape[1]}")
-        if q.shape[1]:
-            lines.extend(_format_matrix(q))
+        lines.extend(rows)
     return "\n".join(lines) + "\n"
 
 
@@ -298,9 +361,10 @@ def serialize_projection_system(ps: ProjectionSystem, poset_path: str) -> str:
         f"ambient {ps.ambient_dim}",
         f"weight {serialize_weight(ps.weight, ps.poset)}",
     ]
-    for e in ps.poset.elements:
+    projections = [ps.projections[e] for e in ps.poset.elements]
+    for e, rows in zip(ps.poset.elements, _format_blocks(projections)):
         lines.append(f"projection {e} rank {ps.ranks[e]}")
-        lines.extend(_format_matrix(ps.projections[e]))
+        lines.extend(rows)
     return "\n".join(lines) + "\n"
 
 

@@ -288,13 +288,11 @@ class FlowReport:
     final_metric: np.ndarray | None = None
 
     def as_dict(self) -> dict:
-        from .fileio import format_complex
+        from .fileio import format_complex_rows
 
         metric = None
         if self.final_metric is not None:
-            metric = [
-                [format_complex(z) for z in row] for row in self.final_metric.tolist()
-            ]
+            metric = format_complex_rows(self.final_metric)
         return {
             "status": self.status,
             "iterations": self.iterations,

@@ -11,8 +11,9 @@ element, the randomized destabilizer search one restart at a time, the
 endomorphism algebra by an SVD of the Kronecker system, the moment map by
 one SVD per element, the Hessian of the Newton step as a dense Kronecker
 matrix, the stable margin by both of these (the Schur test and a full
-eigh), the trace words by one product per word from scratch, and a
-fixed-step reference flow with its own projector and moment computations.
+eigh), the trace words by one product per word from scratch, a
+fixed-step reference flow with its own projector and moment computations,
+and complex text written and read one entry at a time.
 """
 
 from __future__ import annotations
@@ -647,6 +648,45 @@ def random_nested_rep(rng: np.random.Generator, p: pr.Poset, d0: int):
             )
         spans[e] = base
     return pr.make_rep(p, d0, spans)
+
+
+# ---------------------------------------------------------------------------
+# complex text one entry at a time (independent of fileio's bulk codec)
+
+def oracle_format_complex(z) -> str:
+    z = complex(z)
+    re, im = float(z.real), float(z.imag)
+    sign = "+" if (im >= 0 or im != im) else "-"
+    return f"{re!r}{sign}{abs(im)!r}j"
+
+
+def oracle_format_matrix(m) -> list[str]:
+    """The text rows of a matrix block, one repr pair per entry."""
+    return [", ".join(oracle_format_complex(z) for z in row) for row in np.asarray(m).tolist()]
+
+
+def oracle_parse_rows(lines, start: int, nrows: int, ncols: int):
+    """A matrix block read row by row and token by token from ``lines``
+    (pairs of line number and stripped text); returns it and the index
+    after it, or raises the ParseError of the first bad row."""
+    rows = []
+    idx = start
+    while len(rows) < nrows:
+        if idx >= len(lines):
+            raise pr.ParseError(f"unexpected end of file, expected {nrows} matrix rows")
+        lineno, line = lines[idx]
+        idx += 1
+        entries = []
+        for tok in line.split(","):
+            try:
+                entries.append(complex(tok.strip().replace(" ", "")))
+            except ValueError:
+                raise pr.ParseError(f"bad complex number {tok!r}", lineno) from None
+        if len(entries) != ncols:
+            raise pr.ParseError(f"expected {ncols} entries, got {len(entries)}", lineno)
+        rows.append(entries)
+    m = np.array(rows, dtype=complex) if rows else np.zeros((0, ncols), dtype=complex)
+    return m, idx
 
 
 @pytest.fixture

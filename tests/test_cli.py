@@ -13,7 +13,7 @@ from posetrep import cli, fileio
 from posetrep.cli import build_parser, main
 from posetrep.linalg import random_subspace
 from posetrep.stability import _lattice_verdict
-from conftest import planted_line_rep, random_antichain_rep
+from conftest import oracle_format_complex, planted_line_rep, random_antichain_rep
 
 
 def run(capsys, *argv):
@@ -435,6 +435,48 @@ def test_invariants_on_solution(capsys, files, tmp_path):
     # Four rank-one projections obeying sum chi_e P_e = chi0 I trace to
     # chi0 * d0 = 4 in total.
     assert abs(total - 4.0) < 1e-8
+
+
+@pytest.mark.parametrize("d0", [1, 2, 16])
+def test_invariants_json_values_match_per_entry_oracle(capsys, tmp_path, d0):
+    """The JSON invariants are the per-entry text of the trace words, key
+    for key, on seeded systems of eight elements with rank-0 projections
+    among them."""
+    rng = np.random.default_rng(d0)
+    p = pr.primitive_poset(*[1] * 8)
+    ranks = {e: int(rng.integers(0, d0 + 1)) for e in p.elements}
+    projs = {}
+    for e in p.elements:
+        q = random_subspace(rng, d0, ranks[e])
+        projs[e] = q @ q.conj().T
+    ps = pr.ProjectionSystem(p, pr.Weight(1, {e: 1 for e in p.elements}), projs, ranks)
+    (tmp_path / "anti8.poset").write_text(fileio.serialize_poset(p))
+    proj = str(tmp_path / "eight.proj")
+    fileio.save_projection_system(ps, proj, "anti8.poset")
+    code, out, _ = run(capsys, "--output", "json", "invariants", proj)
+    assert code == 0
+    loaded, _ = fileio.load_projection_system(proj)
+    expected = {" ".join(word): oracle_format_complex(val)
+                for word, val in pr.unitary_invariants(loaded).items()}
+    assert json.loads(out)["invariants"] == expected
+    assert len(expected) == 8 + 36 + 176 + 1044
+
+
+def test_stability_json_witness_matches_per_entry_oracle(capsys, tmp_path):
+    """The witness of the planted line, as the CLI prints it, is the
+    per-entry text of the verdict's witness."""
+    rep, _ = planted_line_rep(np.random.default_rng(0))
+    (tmp_path / "anti6.poset").write_text(fileio.serialize_poset(rep.poset))
+    path = str(tmp_path / "planted.rep")
+    (tmp_path / "planted.rep").write_text(fileio.serialize_rep(rep, "anti6.poset"))
+    code, out, _ = run(capsys, "--output", "json", "stability", path, "-w", "3; 1, 1, 1, 1, 1, 1")
+    assert code == 0
+    loaded, _ = fileio.load_rep(path)
+    verdict = pr.stability_check(loaded, fileio.parse_weight("3; 1, 1, 1, 1, 1, 1", loaded.poset))
+    assert verdict.witness is not None
+    assert json.loads(out)["witness"] == [
+        [oracle_format_complex(z) for z in row] for row in verdict.witness.tolist()
+    ]
 
 
 def test_invariants_text_and_json_agree(capsys, tmp_path):

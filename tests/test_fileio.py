@@ -1,3 +1,5 @@
+import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 import posetrep as pr
 from posetrep import fileio
-from conftest import random_nested_rep, random_poset
+from posetrep.linalg import random_subspace
+from conftest import (
+    oracle_format_complex,
+    oracle_format_matrix,
+    oracle_parse_rows,
+    random_nested_rep,
+    random_poset,
+)
 
 
 def write(tmp_path, name, text):
@@ -27,6 +36,150 @@ def test_format_complex_round_trip():
 def test_parse_complex_reports_line():
     with pytest.raises(pr.ParseError, match="line 7"):
         fileio.parse_complex("nope", line=7)
+
+
+# ---------------------------------------------------------------------------
+# the bulk complex codec against the per-entry oracles
+
+#: signed zeros, NaNs of both signs, infinities, subnormals, the edges of
+#: repr's switch to exponent notation and a value with a short repr
+SPECIAL_FLOATS = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+                  -5e-324, 1e-310, 2.2250738585072014e-308, 1e-5, 1e16, 0.1, 1.0)
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+
+
+def read_back(a: np.ndarray) -> np.ndarray:
+    """What the text of ``a`` reads as: the real part bit for bit, the sign
+    of zero included; the imaginary part too, except that -0.0 is written
+    ``+0.0j``; and every NaN as the NaN that ``nan`` parses to."""
+    re, im = a.real.copy(), a.imag.copy()
+    re[np.isnan(re)] = np.nan
+    im[np.isnan(im)] = np.nan
+    im[im == 0] = 0.0
+    out = np.empty_like(a)
+    out.real, out.imag = re, im
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(FLOATS, FLOATS), max_size=40), st.integers(0, 3))
+def test_format_complexes_matches_per_entry(pairs, repeats):
+    """Sizes on both sides of the distinct-float threshold, with conjugate
+    pairs and repeated entries; the text reads back bit for bit."""
+    z = np.array([complex(x, y) for x, y in pairs], dtype=complex)
+    a = np.concatenate([z, z.conj()] + [z] * repeats)
+    texts = fileio.format_complexes(a)
+    assert texts == [fileio.format_complex(v) for v in a]
+    assert texts == [oracle_format_complex(v) for v in a.tolist()]
+    assert fileio.format_complexes(a.reshape(-1, 1)) == texts
+    got, _ = fileio._parse_rows(list(enumerate(texts, start=1)), 0, a.size, 1)
+    assert np.array_equal(got.ravel().view(np.int64), read_back(a).view(np.int64))
+
+
+ROW_TOKENS = st.sampled_from(["1.0+0.0j", "-0.0+2.5j", "nan+infj", " 3e-05-1.0j",
+                              "1 + 2j", "( 1+2j )", "2", "", "x", "1.0+0.0j 2.0"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3),
+       st.lists(st.lists(ROW_TOKENS, min_size=1, max_size=4), max_size=4))
+def test_parse_rows_matches_row_by_row_oracle(nrows, ncols, rows):
+    """The same matrix, or the same error at the same line, as reading the
+    block token by token: bad tokens, wrong entry counts, a block cut short
+    and inner spaces."""
+    lines = [(3 * i + 5, ", ".join(row).strip() or "?") for i, row in enumerate(rows)]
+
+    def outcome(parse):
+        try:
+            m, idx = parse(lines, 0, nrows, ncols)
+        except pr.ParseError as exc:
+            return str(exc)
+        return m.shape, m.view(np.int64).tobytes(), idx
+
+    assert outcome(fileio._parse_rows) == outcome(oracle_parse_rows)
+
+
+def oracle_rep_text(rep, poset_path: str) -> str:
+    lines = [f"poset {poset_path}", f"ambient {rep.ambient_dim}"]
+    for e in rep.poset.elements:
+        q = rep.spans[e]
+        lines.append(f"span {e} cols {q.shape[1]}")
+        if q.shape[1]:
+            lines += oracle_format_matrix(q)
+    return "\n".join(lines) + "\n"
+
+
+def oracle_projection_text(ps, poset_path: str) -> str:
+    lines = [f"poset {poset_path}", f"ambient {ps.ambient_dim}",
+             f"weight {fileio.serialize_weight(ps.weight, ps.poset)}"]
+    for e in ps.poset.elements:
+        lines.append(f"projection {e} rank {ps.ranks[e]}")
+        lines += oracle_format_matrix(ps.projections[e])
+    return "\n".join(lines) + "\n"
+
+
+def oracle_blocks(text: str, square: bool) -> list[np.ndarray]:
+    """Every matrix block of a file this package wrote, read by the oracle."""
+    lines = [(i, raw.strip()) for i, raw in enumerate(text.splitlines(), start=1) if raw.strip()]
+    d0 = int(lines[1][1].split()[1])
+    blocks = []
+    for idx, (_, line) in enumerate(lines):
+        parts = line.split()
+        if parts[0] in ("span", "projection"):
+            ncols = d0 if square else int(parts[3])
+            blocks.append(oracle_parse_rows(lines, idx + 1, d0, ncols)[0] if ncols
+                          else np.zeros((d0, 0), dtype=complex))
+    return blocks
+
+
+def seeded_reps_and_systems(rng):
+    """Reps and projection systems on five incomparable elements, with
+    zero-width spans (rank-0 projections) among them, at d0 = 0, 1, 2, 16."""
+    p = pr.primitive_poset(*[1] * 5)
+    for d0 in (0, 1, 2, 16):
+        ranks = {e: int(rng.integers(0, d0 + 1)) for e in p.elements}
+        ranks[p.elements[0]] = 0
+        spans = {e: random_subspace(rng, d0, k) for e, k in ranks.items()}
+        rep = pr.make_rep(p, d0, spans)
+        projs = {e: q @ q.conj().T for e, q in spans.items()}
+        weight = pr.Weight(Fraction(5, 2), {e: Fraction(1, 2) for e in p.elements})
+        yield rep, pr.ProjectionSystem(p, weight, projs, ranks)
+
+
+def test_serializers_match_per_entry_oracle(tmp_path, rng):
+    write(tmp_path, "p.poset", fileio.serialize_poset(pr.primitive_poset(*[1] * 5)))
+    for rep, ps in seeded_reps_and_systems(rng):
+        text = fileio.serialize_rep(rep, "p.poset")
+        assert text == oracle_rep_text(rep, "p.poset")
+        loaded, _ = fileio.parse_rep(text, base_dir=str(tmp_path))
+        for e, block in zip(rep.poset.elements, oracle_blocks(text, square=False)):
+            assert loaded.spans[e].tobytes() == block.tobytes() == rep.spans[e].tobytes()
+        text = fileio.serialize_projection_system(ps, "p.poset")
+        assert text == oracle_projection_text(ps, "p.poset")
+        loaded, _ = fileio.parse_projection_system(text, base_dir=str(tmp_path))
+        for e, block in zip(ps.poset.elements, oracle_blocks(text, square=True)):
+            assert loaded.projections[e].tobytes() == block.tobytes()
+            assert block.tobytes() == ps.projections[e].tobytes()
+    # a poset without elements: no blocks, so no entries to write
+    empty = pr.build_poset([], [])
+    rep = pr.make_rep(empty, 2, {})
+    assert fileio.serialize_rep(rep, "e.poset") == oracle_rep_text(rep, "e.poset")
+    ps = pr.ProjectionSystem(empty, pr.Weight(Fraction(1), {}), {}, {})
+    assert fileio.serialize_projection_system(ps, "e.poset") == oracle_projection_text(ps, "e.poset")
+
+
+@pytest.mark.parametrize("d0", [1, 2, 16, None])
+def test_report_json_matches_per_entry_oracle(d0):
+    rng = np.random.default_rng(d0)
+    metric = None if d0 is None else rng.standard_normal((d0, d0)) + 1j * rng.standard_normal((d0, d0))
+    report = pr.FlowReport(status="converged", iterations=3, attempts=4, hvp=5, residual=1e-9,
+                           gradient_norm=2e-9, step=1.0, condition=1.5, history=[0.5, 1e-9],
+                           steps=[1.0, 1.0], trials=[1, 1], final_metric=metric)
+    payload = report.as_dict()
+    payload["final_metric"] = None if d0 is None else [
+        [oracle_format_complex(z) for z in row] for row in metric.tolist()
+    ]
+    assert fileio.report_to_json(report) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +338,58 @@ def test_rep_parse_errors(tmp_path):
         fileio.parse_rep(good.replace("1.0+0.0j", "1.0+0.0j, 2.0+0.0j"), base_dir=str(tmp_path))
     with pytest.raises(OSError):
         fileio.parse_rep("poset missing.poset\nambient 2\n", base_dir=str(tmp_path))
+
+
+def block_file(kind: str, rows: list[str]) -> str:
+    """A .rep or .proj text on {a1, a2} in C^3 whose first block is
+    ``rows`` (three rows of two entries for a span, of three for a
+    projection); the rows start on line 6, behind a comment and a blank."""
+    if kind == "rep":
+        head = "poset p.poset\nambient 3\n# spans\n\nspan a1 cols 2\n"
+        tail = "span a2 cols 0\n"
+    else:
+        head = "poset p.poset\nambient 3\nweight 1; 1, 1\n\nprojection a1 rank 1\n"
+        tail = "projection a2 rank 0\n" + "0.0+0.0j, 0.0+0.0j, 0.0+0.0j\n" * 3
+    return head + "\n".join(rows) + "\n" + tail
+
+
+def parse_block_file(kind: str, text: str, base_dir: str) -> np.ndarray:
+    if kind == "rep":
+        return fileio.parse_rep(text, base_dir=base_dir)[0].spans["a1"]
+    return fileio.parse_projection_system(text, base_dir=base_dir)[0].projections["a1"]
+
+
+@pytest.mark.parametrize("kind", ["rep", "proj"])
+def test_block_parse_errors_name_their_row(tmp_path, kind):
+    """A bad token in the k-th row of a block is reported at that row's
+    line, and so is a row with the wrong entry count; entries with inner
+    spaces still parse, to the same matrix as without them."""
+    write(tmp_path, "p.poset", "elem a1\nelem a2\n")
+    ncols = 2 if kind == "rep" else 3
+    rows = [", ".join("1.0+0.0j" if j == i else "0.0+0.0j" for j in range(ncols))
+            for i in range(3)]
+    base = parse_block_file(kind, block_file(kind, rows), str(tmp_path))
+    for k in range(3):
+        bad = list(rows)
+        bad[k] = rows[k].rpartition(", ")[0] + ", 0.0+zj"
+        with pytest.raises(pr.ParseError, match=rf"^line {6 + k}: bad complex number ' 0.0\+zj'$"):
+            parse_block_file(kind, block_file(kind, bad), str(tmp_path))
+        for extra in (-1, 1):
+            bad = list(rows)
+            bad[k] = ", ".join(["0.0+0.0j"] * (ncols + extra))
+            with pytest.raises(pr.ParseError,
+                               match=rf"^line {6 + k}: expected {ncols} entries, got {ncols + extra}$"):
+                parse_block_file(kind, block_file(kind, bad), str(tmp_path))
+        spaced = list(rows)
+        spaced[k] = spaced[k].replace("+", " + ")
+        got = parse_block_file(kind, block_file(kind, spaced), str(tmp_path))
+        assert got.tobytes() == base.tobytes()
+    # one row too many entries and the next one too few: each row is counted
+    bad = list(rows)
+    bad[0] += ", 1.0+0.0j"
+    bad[1] = ", ".join(["0.0+0.0j"] * (ncols - 1))
+    with pytest.raises(pr.ParseError, match=rf"^line 6: expected {ncols} entries, got {ncols + 1}$"):
+        parse_block_file(kind, block_file(kind, bad), str(tmp_path))
 
 
 def test_rep_round_trip_random(tmp_path, rng):
