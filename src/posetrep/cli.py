@@ -6,7 +6,7 @@ it) are --tol, --max-iter, --output; each falls back to the environment
 variables PRL_TOL, PRL_MAX_ITER, PRL_OUTPUT.
 
 Exit codes: 0 success, 1 invalid input, 2 non-convergence,
-3 numerical breakdown.
+3 a singular metric or a failed orthoscalar check.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .bound_quiver import (
 from .errors import (
     CheckFailed,
     NoTraceIdentity,
-    NumericalBreakdown,
     PosetRepError,
     SingularMetric,
 )
@@ -46,8 +45,6 @@ from .moment import FlowOptions, kempf_ness_flow, orthoscalar_check, unitary_inv
 # hasse_quiver stays a name of this module: bench/tracer.py patches it here.
 from .poset import hasse_quiver, is_representation_finite  # noqa: F401
 from .stability import StabilityOptions, stability_check
-
-_BREAKDOWN = (NumericalBreakdown, SingularMetric, CheckFailed)
 
 
 class _UsageError(Exception):
@@ -172,20 +169,19 @@ def _cmd_dim_quotient(args) -> int:
 # ---------------------------------------------------------------------------
 # linear-representation subcommands
 
-#: stability_check diagnostics emitted under --output json: the route and
-#: why it fell back to the lattice; the flow's status, iterations, trials
-#: and residual, lambda_min, dim End, the dual bound and gap (information
-#: only), the HN type (on every flow_unstable verdict); the lattice counts,
-#: inconclusive reasons and times in ms.  A key the route did not set is null.
-_STABILITY_DIAGNOSTICS = ("route", "fallback_reasons", "flow_status", "flow_iterations",
-                         "flow_trials", "residual", "lambda_min", "end_dim", "dual_bound",
-                         "gap", "hn_dims", "hn_slopes", "lattice_size", "lattice_scored",
+#: stability_check diagnostics emitted under --output json: the route; the
+#: flow's status, iterations, trials and residual, lambda_min, dim End, the
+#: dual bound and gap (information only), the HN type (on every
+#: flow_unstable verdict); why the certificate did not close (on an
+#: uncertified verdict) and times in ms.  A key the route did not set is null.
+_STABILITY_DIAGNOSTICS = ("route", "flow_status", "flow_iterations", "flow_trials", "residual",
+                         "lambda_min", "end_dim", "dual_bound", "gap", "hn_dims", "hn_slopes",
                          "inconclusive_reasons", "times_ms")
 
 
 def _route_text(diagnostics: dict) -> str:
-    """The route, with the reasons in parentheses when it fell back."""
-    reasons = diagnostics["fallback_reasons"]
+    """The route, with the reasons in parentheses when it is uncertified."""
+    reasons = diagnostics["inconclusive_reasons"]
     return diagnostics["route"] + (f" ({', '.join(reasons)})" if reasons else "")
 
 
@@ -326,9 +322,6 @@ def _sweep_row(token: str, args, w) -> dict:
         )
     except NoTraceIdentity:
         row["status"] = "error:trace-identity"
-        return row
-    except _BREAKDOWN:
-        row["status"] = "error:breakdown"
         return row
     row["status"] = report.status
     row["residual"] = repr(report.residual)
@@ -509,7 +502,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _BREAKDOWN as exc:
+    except (SingularMetric, CheckFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (PosetRepError, OSError, ValueError) as exc:

@@ -61,10 +61,6 @@ class NoTraceIdentity(PosetRepError):
     """sum(chi_i d_i) != chi0 d0, so no weighted projection identity exists."""
 
 
-class NumericalBreakdown(PosetRepError):
-    """The flow metric became too ill-conditioned to continue."""
-
-
 class CheckFailed(PosetRepError):
     """A projection system failed its consistency checks."""
 

@@ -11,14 +11,14 @@ for proper nonzero subspaces K.  The representation is slope stable when
 f(K) < 0 for every such K, semistable when f never becomes positive.  Scores
 are computed in exact rational arithmetic from numerically determined
 intersection dimensions (``_Scorer``).  ``posetrep.stability`` classifies
-from the Kempf-Ness flow and scores here only the subspaces the flow's
-limit points to.  The lattice closure generated by the V_e
-(``subspace_lattice``) is its fallback, for the inputs where the flow's
-certificate does not close.  The saturation K -> sum_i (V_i /\ K)
-(``saturate_subspace``) never lowers f, which is supermodular on the
-subspace lattice.  The endomorphism algebra (``endomorphism_algebra``) is
-the Schur test of the stable verdict and the source of direct-sum splits
-(``generic_split``, ``decompose``).
+from the Kempf-Ness flow alone and scores here only the subspaces the
+flow's limit points to.  The lattice closure generated by the V_e
+(``subspace_lattice``) and the saturation K -> sum_i (V_i /\ K)
+(``saturate_subspace``, which never lowers f, supermodular on the subspace
+lattice) take no part in a verdict; they remain for direct use.  The
+endomorphism algebra (``endomorphism_algebra``) is the Schur test of the
+stable verdict and the source of direct-sum splits (``generic_split``,
+``decompose``).
 """
 
 from __future__ import annotations
@@ -585,15 +585,6 @@ class _Scorer:
             return zip((self.numerator(d, width) for d in dims), guard.tolist())
 
         return _per_width(stack, bases)
-
-    def best(
-        self, scored: list[tuple[int, bool]], bases: list[np.ndarray]
-    ) -> tuple[Fraction, np.ndarray] | None:
-        """The first basis of largest score, with its score."""
-        if not scored:
-            return None
-        i = max(range(len(scored)), key=lambda j: scored[j][0])
-        return Fraction(scored[i][0], self.den), bases[i]
 
 
 def subspace_score(

@@ -39,7 +39,6 @@ from . import linalg
 from .errors import (
     CheckFailed,
     NoTraceIdentity,
-    NumericalBreakdown,
     SingularMetric,
     WrongShape,
 )
@@ -262,7 +261,8 @@ MAX_STEP = 10.0
 #: its value STALL_WINDOW iterations earlier
 STALL_WINDOW = 20
 STALL_FACTOR = 0.5
-#: largest metric condition number before NumericalBreakdown
+#: largest metric condition number: a run whose metric passes it stops
+#: with a plateau
 COND_CAP = 1e12
 
 
@@ -393,10 +393,11 @@ def kempf_ness_flow(
     A run whose steps all hold at 1/2 or more takes full steps only.  An
     iteration makes at most MAX_TRIALS trials.  Stops with status
     converged when the residual drops below tol; plateau when no trial is
-    accepted or the residual is above STALL_FACTOR times its value
-    STALL_WINDOW iterations earlier; and max_iter otherwise.  The weighted
-    trace identity is required up front (NoTraceIdentity), and the metric
-    condition number is capped at COND_CAP (NumericalBreakdown).
+    accepted, the residual is above STALL_FACTOR times its value
+    STALL_WINDOW iterations earlier, or the metric condition number
+    passes COND_CAP (the metric degenerates, as on an unstable class); and
+    max_iter otherwise.  The weighted trace identity is required up front
+    (NoTraceIdentity).
 
     Each step trial costs one Hermitian exponential, one moment-map
     evaluation (lines in closed form and one batched QR per wider span
@@ -483,12 +484,7 @@ def kempf_ness_flow(
             step, t_first = t, min(1.0, 2.0 * t)
         steps.append(t if accepted else 0.0)
         history.append(residual)
-        if condition > COND_CAP:
-            raise NumericalBreakdown(
-                f"metric condition number exceeded {COND_CAP:.0e} "
-                f"at residual {residual:.3e}"
-            )
-        stalled = (
+        stalled = condition > COND_CAP or (
             len(history) > STALL_WINDOW
             and residual > STALL_FACTOR * history[-1 - STALL_WINDOW]
         )

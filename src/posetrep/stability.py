@@ -66,7 +66,7 @@ f(K) sqrt(d0 / (k (d0 - k)))).  So with r the flow's final residual:
   ``linrep.decompose_full`` recurses on), a linear-side decision.  Every
   summand is moved into the frame of the limit, where its own flow starts
   at the restricted, nearly orthoscalar system, and classified on its own
-  (``_classify_summands``, King's rule, as on the lattice route).
+  (``_classify_summands``, King's rule).
   ``polystable_not_stable`` when all are (poly)stable, with the first
   summand's embedding as the score-0 witness; the equal slopes are the
   trace identity of each summand, checked exactly.
@@ -75,7 +75,9 @@ f(K) sqrt(d0 / (k (d0 - k)))).  So with r the flow's final residual:
   score.  The nested eigenspaces of the near-kernel direction of L, pulled
   back by g^-1 and scored exactly, give a score-0 witness:
   ``semistable_not_polystable`` (indecomposable and not stable).
-- plateau (or the iteration cap): the nested top-k eigenspaces of mu(g),
+- plateau (a stall, or a metric condition past ``moment.COND_CAP``) or
+  the iteration cap, with the residual not below the floor: the nested
+  top-k eigenspaces of mu(g),
   pulled back by g^-1 and scored exactly, form a flag; the vertices of the
   upper concave hull H of its points (k, f(K_k)) give a filtration
   0 < K_1 < ... < K_m = V with strictly falling slopes sigma + c_j / n_j.
@@ -87,23 +89,28 @@ f(K) sqrt(d0 / (k (d0 - k)))).  So with r the flow's final residual:
   the HN polygon: its positive maximum is the largest score of all
   subspaces, ``unstable``, and its pieces are the HN type (``hn_dims``,
   ``hn_slopes``).  A subquotient the flow does not certify is classified
-  by ``stability_check``; its destabilizer, lifted into V, scores above H
-  and joins the candidates, for at most d0 rounds.  D = |H| and the gap
-  r - D are reported for information only.
+  by ``stability_check``, moved on by the metric its flow stopped at so
+  that its second flow starts where the first left off; its destabilizer,
+  lifted into V, scores above H and joins the candidates, for at most d0
+  rounds.  D = |H| and the gap r - D are reported for information only.
+  When no candidate of the flag scores above 0, the flow runs once more on
+  g V from where it stopped (a stable class near an unstable one can
+  stall on the way), and the metrics compose: the verdict is read off the
+  second limit by the bullets above and this one.
+
+A run that stops short of its tolerance with the residual below the floor
+2 / (den sqrt(d0)) takes the converged bullets: weak duality certifies
+semistability at any g, not only at a limit.
 
 A candidate subspace whose rank guard fails (``linalg.subspace_intersections``:
 an intersection dimension changes between 0.1 tol and 10 tol, as when the
 flow leaves the planted line of four planes 3e-10 off them) is snapped onto
 the V_e it nearly meets (``_snap``) and scored again; one that still fails
 takes no part.  When the raw candidates leave a certificate open, every
-candidate is snapped and scored as well.  Everything else falls back to the
-lattice route (``_lattice_verdict``: the maximum of f over the lattice
-generated by the V_e, with the Schur test), with the reason in
-``diagnostics["fallback_reasons"]``: a flow that breaks down, a converged
-residual not below the floor, a plateau flag without a positive score or
-not nested, a subquotient that stays uncertified, a boundary without a
-score-0 witness, a split that does not close, a dimension of End that
-hangs on the tolerance.
+candidate is snapped and scored as well.  Where no certificate closes, the
+verdict is the flow's own reading of the candidates it scored
+(``_reading``), route ``uncertified`` and ``inconclusive``, with the reason
+in ``diagnostics["inconclusive_reasons"]`` (see ``stability_check``).
 
 A weight without the trace identity sum_e chi_e d_e = chi0 d0 has no zero
 of mu to flow to, but semistability does not see chi0: the score
@@ -131,7 +138,7 @@ from time import perf_counter
 import numpy as np
 
 from . import linalg, linrep, moment
-from .errors import LatticeTooLarge, NumericalBreakdown, WrongShape
+from .errors import WrongShape
 from .linrep import DEFAULT_TOL, SubspaceRep, Weight
 
 STABLE = "stable"
@@ -169,7 +176,13 @@ class StabilityVerdict:
 
 
 class _Fallback(Exception):
-    """The flow's certificate does not close; the argument says why."""
+    """The flow's certificate does not close; the argument says why, and
+    ``candidates`` holds the (score numerator, basis) pairs the route
+    scored on the way."""
+
+    def __init__(self, reason: str, candidates=()):
+        super().__init__(reason)
+        self.candidates = list(candidates)
 
 
 @contextmanager
@@ -354,8 +367,9 @@ def _unstable_route(rep, w, opts, score, g, mu, residual, diagnostics):
                 at[k] = (num, q)
         try:
             return _plateau_certificate(rep, w, opts, score, g, at, residual, diagnostics)
-        except _Fallback:
+        except _Fallback as exc:
             if snap:
+                exc.candidates = list(at.values())
                 raise
 
 
@@ -396,8 +410,9 @@ def _pieces(rep, g, chain, tol):
 def _plateau_certificate(rep, w, opts, score, g, at, residual, diagnostics):
     """Unstable with the largest score of all subspaces and the HN type,
     once every piece of the hull's flag is certified semistable at its own
-    slope, or _Fallback.  A piece that is not gives its destabilizer,
-    lifted into V, as one more candidate, for at most d0 rounds."""
+    slope, or _Fallback.  A piece that is not is classified from the
+    metric its flow stopped at, and its destabilizer, lifted into V, is
+    one more candidate, for at most d0 rounds."""
     d0, den, tol = rep.ambient_dim, score.den, opts.tol
     for _ in range(d0):
         hull = _hull({k: num for k, (num, _) in at.items()}, d0)
@@ -412,38 +427,49 @@ def _plateau_certificate(rep, w, opts, score, g, at, residual, diagnostics):
         if any(linalg.inclusion_residual(a, b) > tol for a, b in zip(chain, chain[1:])):
             raise _Fallback("flag_not_nested")
         pieces = _pieces(rep, g, chain, tol)
-        bad = next((j for j, (_, _, p) in enumerate(pieces) if not _semistable(p, w)), None)
-        if bad is None:
+        for bad, (u, rjj, piece) in enumerate(pieces):
+            ok, gp = _semistable(piece, w)
+            if not ok:
+                break
+        else:
             diagnostics.update(hn_dims=[p.ambient_dim for _, _, p in pieces],
                                hn_slopes=[str(w.slope(p)) for _, _, p in pieces])
             return "flow_unstable", UNSTABLE, at[best[0]][1], Fraction(best[1], den), False
-        u, rjj, piece = pieces[bad]
-        verdict = stability_check(piece, Weight(w.slope(piece), w.chi), opts)
+        # the piece moved on by its flow's last metric gp, where a second
+        # flow starts as the first one left off
+        verdict = stability_check(_moved(piece, gp), Weight(w.slope(piece), w.chi), opts)
         if verdict.classification != UNSTABLE:
             raise _Fallback("piece_unstable")
-        # K_(j-1) and the piece's destabilizer, pulled back out of the frame
+        # K_(j-1) and the piece's destabilizer, pulled back out of both frames
         lift = np.hstack([p[0] for p in pieces[:bad]]
-                         + [u @ np.linalg.solve(rjj, verdict.witness)])
+                         + [u @ np.linalg.solve(gp @ rjj, verdict.witness)])
         for num, q in _scores(rep, score, [np.linalg.qr(lift)[0]], False):
             if q.shape[1] not in at or num > at[q.shape[1]][0]:
                 at[q.shape[1]] = (num, q)
     raise _Fallback("piece_unstable")
 
 
+def _moved(rep, g):
+    """g V for a flow to start from where another stopped: orthonormal
+    bases of the g V_e from QR, with no rank cut, since g is invertible and
+    may be as ill-conditioned as ``moment.COND_CAP`` allows."""
+    return SubspaceRep(rep.poset, rep.ambient_dim,
+                       {e: np.linalg.qr(g @ q)[0] for e, q in rep.spans.items()})
+
+
 def _semistable(piece, w):
     """Whether the piece's flow at its slope sigma converges below
-    2 / (den sqrt(n)), the least dual bound of a positive score on C^n;
-    sigma = 0 (every score is 0) and n = 1 (no proper subspace) are
-    semistable outright."""
+    2 / (den sqrt(n)), the least dual bound of a positive score on C^n,
+    and the metric the flow stopped at (None when none runs); sigma = 0
+    (every score is 0) and n = 1 (no proper subspace) are semistable
+    outright."""
     sigma = w.slope(piece)
     if sigma == 0 or piece.ambient_dim == 1:
-        return True
+        return True, None
     pw = Weight(sigma, w.chi)
     tol = 2 / (linrep._Scorer(piece, pw, DEFAULT_TOL).den * sqrt(piece.ambient_dim))
-    try:
-        return moment.kempf_ness_flow(piece, pw, moment.FlowOptions(tol))[1].status == "converged"
-    except NumericalBreakdown:
-        return False
+    report = moment.kempf_ness_flow(piece, pw, moment.FlowOptions(tol))[1]
+    return report.status == "converged", report.final_metric
 
 
 def _classify_summands(summands, w, opts, diagnostics):
@@ -479,12 +505,12 @@ def _split_route(rep, w, opts, score, g, ends, diagnostics):
     classification, inconclusive = _classify_summands(
         [piece.transformed(np.linalg.qr(g @ block)[1], opts.tol) for block, piece in pieces],
         w, opts, diagnostics)
-    if classification is None:
-        raise _Fallback("summand_not_semistable")
     witness = pieces[0][0]
     num, guard = score([witness])[0]
-    if num != 0 or not guard:
-        raise _Fallback("split_failed")
+    if classification is None or num != 0 or not guard:
+        # the summands' embeddings; where their slopes differ, one scores above 0
+        raise _Fallback("summand_not_semistable" if classification is None else "split_failed",
+                        _scores(rep, score, [block for block, _ in pieces], False))
     return "flow_split", classification, witness, Fraction(0), inconclusive
 
 
@@ -497,36 +523,47 @@ def _flow_options(w: Weight) -> moment.FlowOptions:
     return flow
 
 
-def _flow_route(rep, w, opts, diagnostics, times):
+def _flow_route(rep, w, opts, score, diagnostics, times):
     """Route, classification, witness, best score and inconclusive flag
     from the flow limit; raises _Fallback when no certificate closes."""
     d0 = rep.ambient_dim
-    with _timed(times, "flow"):
-        try:
-            system, report = moment.kempf_ness_flow(rep, w, _flow_options(w))
-        except NumericalBreakdown:
-            raise _Fallback("flow_breakdown") from None
-    diagnostics.update(flow_status=report.status, flow_iterations=report.iterations,
-                       flow_trials=report.attempts, residual=report.residual)
-    score = linrep._Scorer(rep, w, opts.tol)
-    if report.status != "converged":
-        g = report.final_metric
-        with _timed(times, "candidates"):
-            return _unstable_route(rep, w, opts, score, g, moment._MomentMap(rep, w)(g)[1],
-                                   report.residual, diagnostics)
-
-    g, residual = report.final_metric, report.residual
-    diagnostics.update(hn_dims=[d0], hn_slopes=[str(w.slope(rep))])
     # the least dual bound a positive score can give, f sqrt(d0 / (k (d0 - k)))
-    # at f = 1 / den and k = d0 / 2; every route below needs the residual
-    # under it
+    # at f = 1 / den and k = d0 / 2: a residual under it certifies
+    # semistability at any g, and every route after the flow loop needs it
     floor = 2 / (score.den * sqrt(d0))
-    diagnostics.update(dual_bound=floor, gap=residual - floor)
+    g = np.eye(d0, dtype=complex)
+    iterations = trials = 0
+    for rerun in (False, True):
+        # a rerun starts where the first run's plateau left off: its flow
+        # on g V from I, and the metrics compose
+        with _timed(times, "flow"):
+            system, report = moment.kempf_ness_flow(
+                _moved(rep, g) if rerun else rep, w, _flow_options(w))
+        g = report.final_metric @ g
+        iterations, trials = iterations + report.iterations, trials + report.attempts
+        diagnostics.update(flow_status=report.status, flow_iterations=iterations,
+                           flow_trials=trials, residual=report.residual)
+        if report.status == "converged" or report.residual < floor:
+            break
+        with _timed(times, "candidates"):
+            try:
+                return _unstable_route(rep, w, opts, score, g, moment._MomentMap(rep, w)(g)[1],
+                                       report.residual, diagnostics)
+            except _Fallback as exc:
+                if rerun or str(exc) != "no_destabilizer":
+                    raise
+
+    residual = report.residual
+    diagnostics.update(hn_dims=[d0], hn_slopes=[str(w.slope(rep))],
+                       dual_bound=floor, gap=residual - floor)
     if residual >= floor:
         raise _Fallback("semistability_uncertified")
     chi = np.array([float(w.chi[e]) for e in rep.poset.elements])
     with _timed(times, "hessian"):
-        lmat = _hessian(np.stack(list(system.projections.values())), chi)
+        # the projectors at g (a run stopped below the floor returns none)
+        p = (np.stack(list(system.projections.values())) if system
+             else moment._MomentMap(rep, w)(g)[0])
+        lmat = _hessian(p, chi)
         bound = _stable_bound(residual, chi)
         certified = _positive_beyond(lmat, bound, chi)
     if certified:
@@ -555,7 +592,18 @@ def _flow_route(rep, w, opts, diagnostics, times):
             zero = next((q for num, q in scored if num == 0), None)
             if zero is not None:
                 return "flow_boundary", SEMISTABLE_NOT_POLYSTABLE, zero, Fraction(0), False
-    raise _Fallback("no_zero_witness")
+    raise _Fallback("no_zero_witness", scored)
+
+
+def _reading(candidates, den):
+    """Classification, witness and best score from the scored candidates
+    where no certificate closes: ``unstable`` with the best positive score
+    (a lower bound on the maximum), else ``semistable_not_polystable`` with
+    a score-0 candidate, else ``stable``."""
+    num, q = max(candidates, key=lambda c: c[0], default=(-1, None))
+    if num < 0:
+        return STABLE, None, None
+    return UNSTABLE if num > 0 else SEMISTABLE_NOT_POLYSTABLE, q, Fraction(num, den)
 
 
 def stability_check(
@@ -563,35 +611,36 @@ def stability_check(
 ) -> StabilityVerdict:
     """Classify the representation for the given weight.
 
-    The Kempf-Ness flow runs first, and the verdict is read off its limit
-    with the certificate of one of the routes of the module docstring;
+    The Kempf-Ness flow runs, and the verdict is read off its limit with
+    the certificate of one of the routes of the module docstring;
     ``diagnostics["route"]`` names it (``flow_stable``, ``flow_split``,
     ``flow_boundary``, ``flow_unstable``).  When no certificate closes, the
-    lattice route decides (``route`` is ``lattice``, and
-    ``fallback_reasons`` says why: ``flow_breakdown``,
-    ``no_destabilizer``, ``flag_not_nested``, ``piece_unstable``,
-    ``no_zero_witness``, ``split_failed``, ``summand_not_semistable``,
-    ``semistability_uncertified`` or ``rank_guard``).  ``methods`` lists
-    ``flow`` first whenever the flow ran.
+    route is ``uncertified``, the verdict is the flow's own reading from
+    the candidates it scored, ``inconclusive`` is set, and
+    ``inconclusive_reasons`` says why: ``no_destabilizer``,
+    ``flag_not_nested``, ``piece_unstable``, ``no_zero_witness``,
+    ``split_failed``, ``summand_not_semistable``,
+    ``semistability_uncertified`` or ``rank_guard``.  ``methods`` is
+    ``("flow",)`` whenever the flow ran.
 
     ``best_score`` is the largest score of a proper subspace when the route
     certifies it: the witness's score for ``unstable``, 0 for the
-    semistable classes, and None for ``stable`` from the flow, which
-    scores no subspace.  On a ``stable`` verdict of the lattice route it is
-    the best candidate's score, which is not certified to be the maximum
-    (see ``_lattice_verdict``).  ``witness`` is a subspace of that score
-    (None for ``stable``).  ``diagnostics`` also gives the flow's status, iterations
-    and residual, lambda_min (on ``flow_stable`` certified by the Cholesky
-    alone, the lower bound s(r) of the module docstring; else the least
-    trace-zero eigenvalue of L), the dimension of End (``end_dim``), the
-    dual bound and the gap (residual minus dual bound; information only),
-    the HN type (``hn_dims`` and ``hn_slopes``, on every ``flow_unstable``
-    verdict), the dims, classification and route
-    of each summand of a split (``summands``), and the wall time of each
-    method in ms (``times_ms``: flow, schur, hessian, candidates, split,
-    lattice; flow and hessian alone when the Cholesky certifies
-    ``stable``).  ``inconclusive`` is set only by the lattice route (see
-    ``_lattice_verdict``), or when the classification of a summand was.
+    semistable classes, and None for ``stable``, where the flow certifies
+    no subspace's score.  On an ``uncertified`` verdict it is the best
+    candidate's score, a lower bound on the maximum.  ``witness`` is a
+    subspace of that score (None for ``stable``).  ``diagnostics`` also
+    gives the flow's status, iterations, step trials (summed over a second
+    run) and residual, lambda_min (on ``flow_stable`` certified by the
+    Cholesky alone, the lower bound s(r) of the module docstring; else the
+    least trace-zero eigenvalue of L), the dimension of End (``end_dim``),
+    the dual bound and the gap (residual minus dual bound; information
+    only), the HN type (``hn_dims`` and ``hn_slopes``, on every
+    ``flow_unstable`` verdict), the dims, classification and route of each
+    summand of a split (``summands``), and the wall time of each method in
+    ms (``times_ms``: flow, schur, hessian, candidates, split; flow and
+    hessian alone when the Cholesky certifies ``stable``).
+    ``inconclusive`` is set on an ``uncertified`` verdict, or when the
+    classification of a summand was.
 
     The verdicts ``stable`` and ``polystable_not_stable`` require the
     weighted trace identity sum chi_e d_e = chi0 d0.  Without it the
@@ -608,28 +657,23 @@ def stability_check(
     times: dict[str, float] = {}
     sigma = w.slope(rep)
     diagnostics: dict = {
-        "sigma": str(sigma), "fallback_reasons": [], "flow_status": None,
+        "sigma": str(sigma), "flow_status": None,
         "flow_iterations": None, "flow_trials": None, "residual": None,
         "lambda_min": None, "end_dim": None, "dual_bound": None, "gap": None,
         "hn_dims": None, "hn_slopes": None, "times_ms": times,
     }
     if not w.trace_identity(rep):
         return _off_slope(rep, w, sigma, opts, diagnostics)
+    score = linrep._Scorer(rep, w, opts.tol)
     try:
         route, classification, witness, best, inconclusive = _flow_route(
-            rep, w, opts, diagnostics, times)
-    except _Fallback as reason:
-        diagnostics["fallback_reasons"].append(str(reason))
-        verdict = _lattice_verdict(rep, w, opts)
-        verdict.diagnostics.update(
-            {k: v for k, v in diagnostics.items() if k not in verdict.diagnostics})
-        verdict.diagnostics["times_ms"].update(times)
-        verdict.diagnostics["route"] = "lattice"
-        if "flow" in times:
-            verdict.methods = ("flow",) + verdict.methods
-        return verdict
-    diagnostics.update(route=route, inconclusive_reasons=[],
-                       rank_guard_stable=True)
+            rep, w, opts, score, diagnostics, times)
+        reasons = []
+    except _Fallback as exc:
+        route, inconclusive, reasons = "uncertified", True, [str(exc)]
+        classification, witness, best = _reading(exc.candidates, score.den)
+    diagnostics.update(route=route, inconclusive_reasons=reasons,
+                       rank_guard_stable="rank_guard" not in reasons)
     return StabilityVerdict(
         classification=classification,
         witness=witness,
@@ -661,109 +705,5 @@ def _off_slope(rep, w, sigma, opts, diagnostics):
         inconclusive=False,
         best_score=Fraction(0) if d0 > 1 else None,
         trace_identity=False,
-        diagnostics=diagnostics,
-    )
-
-
-# ---------------------------------------------------------------------------
-# the lattice route
-
-def _lattice_verdict(
-    rep: SubspaceRep, w: Weight, opts: StabilityOptions
-) -> StabilityVerdict:
-    """The classification by the lattice and the Schur test alone.
-
-    The candidates are the proper members of the lattice generated by the
-    V_e (``linrep.subspace_lattice``; exact given the numerically decided
-    intersection dimensions), scored in one batch per dimension.  The
-    lattice need not hold a maximizer of the score, so on a ``stable``
-    verdict ``best_score`` is the best candidate's score, not a certified
-    maximum: on five generic 2-planes in C^4 with weight (5/2; 1, ..., 1)
-    it is -3 (a plane), while a plane that meets four of them in lines
-    scores -1.
-
-    Schur: a stable representation has End = C.  When no candidate reaches
-    0 (or the lattice has no proper member, as when every V_e is 0 or V)
-    and d0 > 1, the summand embeddings of ``linrep.decompose_full`` are
-    scored too; when there are two or more, their scores sum to 0, so one
-    of them reaches it.  A best score of 0 with the trace identity is split
-    along the same decomposition into indecomposables (computed once per
-    verdict): ``polystable_not_stable`` when there are two or more and
-    every one is classified (poly)stable on its own
-    (``_classify_summands``, as on the split route, with the summands in
-    ``diagnostics["summands"]``), else ``semistable_not_polystable`` (an
-    indecomposable representation with a score-0 subspace is not
-    polystable).  ``stability_check`` calls it only with a weight that has
-    the trace identity.
-
-    When the lattice overflows the default cap of ``subspace_lattice`` (512
-    members), the members found before the overflow are scored as a
-    complete lattice would be (``diagnostics["lattice_size"]`` is None).  A
-    positive best score is a certificate of instability either way, so the
-    overflow sets ``inconclusive`` only when the best score is 0 or less.
-    ``inconclusive`` is also set when a rank guard fails: for some scored
-    K, some [V_e, -K] has a different rank at 0.1*tol, tol or 10*tol, so an
-    intersection dimension hangs on the tolerance
-    (``diagnostics["rank_guard_stable"]``).
-    ``diagnostics["inconclusive_reasons"]`` lists which of these fired, as
-    ``rank_guard`` and ``lattice_overflow``; ``lattice_scored`` counts the
-    proper members scored and ``lattice_best`` is the best of their scores.
-    """
-    d0, tol = rep.ambient_dim, opts.tol
-    diagnostics: dict = {"sigma": str(w.slope(rep))}
-    times: dict[str, float] = {}
-
-    score = linrep._Scorer(rep, w, tol)
-    with _timed(times, "lattice"):
-        try:
-            members = linrep.subspace_lattice(rep, tol)
-            diagnostics["lattice_size"] = len(members)
-        except LatticeTooLarge as exc:
-            members = exc.members
-            diagnostics["lattice_size"] = None
-        members = [q for q in members if 0 < q.shape[1] < d0]
-        scored = score(members)
-        best = score.best(scored, members)
-    diagnostics["lattice_scored"] = len(members)
-    diagnostics["lattice_best"] = None if best is None else best[0]
-    guard_ok = all(g for _, g in scored)
-
-    dec = None
-    if (best is None or best[0] < 0) and d0 > 1:
-        with _timed(times, "schur"):
-            dec = linrep.decompose_full(rep, tol=tol)
-        if len(dec.embeddings) > 1:
-            summand_scored = score(dec.embeddings)
-            guard_ok = guard_ok and all(g for _, g in summand_scored)
-            top = score.best(summand_scored, dec.embeddings)
-            if best is None or top[0] > best[0]:
-                best = top
-    diagnostics["rank_guard_stable"] = guard_ok
-    reasons = [] if guard_ok else ["rank_guard"]
-    if diagnostics["lattice_size"] is None and (best is None or best[0] <= 0):
-        reasons.append("lattice_overflow")
-    diagnostics["inconclusive_reasons"] = reasons
-
-    witness: np.ndarray | None = None
-    if best is not None and best[0] > 0:
-        classification = UNSTABLE
-        witness = best[1]
-    elif best is not None and best[0] == 0:
-        summands = (dec or linrep.decompose_full(rep, tol=tol)).summands
-        poly = len(summands) > 1 and _classify_summands(
-            summands, w, opts, diagnostics)[0] == POLYSTABLE_NOT_STABLE
-        classification = POLYSTABLE_NOT_STABLE if poly else SEMISTABLE_NOT_POLYSTABLE
-        witness = best[1]
-    else:
-        classification = STABLE
-
-    diagnostics["times_ms"] = times
-    return StabilityVerdict(
-        classification=classification,
-        witness=witness,
-        methods=("lattice_exact",),
-        inconclusive=bool(reasons),
-        best_score=None if best is None else best[0],
-        trace_identity=w.trace_identity(rep),
         diagnostics=diagnostics,
     )

@@ -7,7 +7,8 @@ a hard-coded critical list, the commutativity ideal by listing every path,
 the bound-quiver invariants by exact rational elimination on the path
 space, the inverse Cartan matrix by back substitution, the subspace lattice
 and the stability score by pairwise closure and one intersection SVD per
-element, the randomized destabilizer search one restart at a time, the
+element, a stability classification by the lattice and the Schur test on
+top of them, the randomized destabilizer search one restart at a time, the
 endomorphism algebra by an SVD of the Kronecker system, the moment map by
 one SVD per element, the Hessian of the Newton step as a dense Kronecker
 matrix, the stable margin by both of these (the Schur test and a full
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -320,6 +322,59 @@ def oracle_subspace_lattice(rep, tol: float = 1e-9, cap: int = 512):
                 grew = add(oracle_intersection(a, b, tol)) | grew
     members.sort(key=lambda q: q.shape[1])
     return members
+
+
+class OracleVerdict(NamedTuple):
+    classification: str
+    best_score: Fraction | None
+    witness: np.ndarray | None
+    scored: int  # proper lattice members scored
+    overflow: bool  # the closure overflowed its cap
+    summands: list  # (dims, classification) of each summand at a best score of 0
+
+
+def oracle_lattice_verdict(rep, w, tol: float = 1e-9, cap: int = 512) -> OracleVerdict:
+    """The classification by the lattice generated by the V_e and the Schur
+    test, a route independent of the flow.
+
+    The best score (``oracle_score``) over the proper members of
+    ``oracle_subspace_lattice`` (on an overflow, the members found before
+    the cap) and, when none reaches 0 and d0 > 1, over the summand
+    embeddings of ``decompose_full`` as well: a stable representation has
+    End = C, and the summands' scores sum to 0.  Above 0: ``unstable``, the
+    best member a witness.  At 0: ``polystable_not_stable`` when there are
+    two or more summands and each is stable by this rule, else
+    ``semistable_not_polystable``.  Below 0, or with nothing to score:
+    ``stable``.  The lattice need not hold a maximizer of the score, so a
+    ``stable`` verdict's best score is the best member's, not a certified
+    maximum, and after an overflow only a positive best score certifies
+    anything.  The trace identity is not checked."""
+    d0 = rep.ambient_dim
+    try:
+        members, overflow = oracle_subspace_lattice(rep, tol, cap), False
+    except pr.LatticeTooLarge as exc:
+        members, overflow = exc.members, True
+    proper = [q for q in members if 0 < q.shape[1] < d0]
+    scored = [(oracle_score(rep, w, q, tol), q) for q in proper]
+    dec = None
+    if d0 > 1 and all(s < 0 for s, _ in scored):
+        dec = pr.decompose_full(rep, tol)
+        if len(dec.embeddings) > 1:
+            scored += [(oracle_score(rep, w, q, tol), q) for q in dec.embeddings]
+    best, witness = max(scored, key=lambda c: c[0], default=(None, None))
+    summands = []
+    if best is None or best < 0:
+        classification, witness = pr.STABLE, None
+    elif best > 0:
+        classification = pr.UNSTABLE
+    else:
+        dec = dec or pr.decompose_full(rep, tol)
+        if len(dec.summands) > 1:
+            summands = [(list(s.dim_vector()), oracle_lattice_verdict(s, w, tol, cap).classification)
+                        for s in dec.summands]
+        poly = bool(summands) and all(c == pr.STABLE for _, c in summands)
+        classification = pr.POLYSTABLE_NOT_STABLE if poly else pr.SEMISTABLE_NOT_POLYSTABLE
+    return OracleVerdict(classification, best, witness, len(proper), overflow, summands)
 
 
 def oracle_endomorphism_dim(rep, tol: float = 1e-9) -> int:

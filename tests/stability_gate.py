@@ -13,21 +13,21 @@ The inputs are
   the CLI in process (``--output json``).
 
 Each goes through ``stability_check``.  The script prints the tallies of
-routes and fallback reasons, then compares classification and best score
-with ``tests/data/stability_gate.json`` and lists every difference.  The
-best score is compared wherever the recorded route certifies it, that is
-everywhere but on a ``stable`` verdict of the lattice route (the best
-lattice member's score, not a certified maximum).  A changed route,
-inconclusive flag, fallback reason or uncertified score is listed as
-information.  The script exits 1 on any difference in classification or
-certified best score, and when more verdicts take the lattice route than
-in the record (the fallback count is a ratchet); 0 otherwise.
+routes and of the reasons of uncertified verdicts, then compares
+classification and best score with ``tests/data/stability_gate.json`` and
+lists every difference.  The best score is compared wherever the recorded
+route certifies it, that is everywhere but on an ``uncertified`` verdict
+(the best candidate's score, a lower bound at most).  A changed route,
+inconclusive flag, reason or uncertified score is listed as information.
+The script exits 1 on any difference in classification or certified best
+score, and when more verdicts are ``uncertified`` than in the record (the
+count is a ratchet); 0 otherwise.
 
     PYTHONPATH=src python tests/stability_gate.py             # compare
     PYTHONPATH=src python tests/stability_gate.py --record    # rewrite the record
 
 pytest does not collect this file (no ``test_`` prefix); a run takes about
-20 s on one core.
+6 s on one core.
 """
 
 from __future__ import annotations
@@ -53,14 +53,15 @@ from conftest import random_antichain_rep, random_nested_input  # noqa: E402
 
 BENCH_SEEDS = (1, 3, 7)
 #: listed when they change, as information only
-INFO = ("best_score", "inconclusive", "route", "fallback_reasons")
+INFO = ("best_score", "inconclusive", "route", "inconclusive_reasons")
 
 
 def _entry(key: str, v: pr.StabilityVerdict) -> dict:
     d = v.diagnostics
     return {"id": key, "classification": v.classification,
             "best_score": None if v.best_score is None else str(v.best_score),
-            "inconclusive": v.inconclusive, "route": d["route"], "fallback_reasons": list(d["fallback_reasons"])}
+            "inconclusive": v.inconclusive, "route": d["route"],
+            "inconclusive_reasons": list(d["inconclusive_reasons"])}
 
 
 def _library_inputs():
@@ -91,7 +92,7 @@ def _bench_entries(seed: int, workdir: str) -> list[dict]:
         out.append({"id": f"bench/{seed}/{k}", "classification": payload["classification"],
                     "best_score": payload["best_score"],
                     "inconclusive": payload["inconclusive"], "route": d["route"],
-                    "fallback_reasons": d["fallback_reasons"]})
+                    "inconclusive_reasons": d["inconclusive_reasons"]})
     return out
 
 
@@ -107,11 +108,11 @@ def _tallies(entries: list[dict]) -> None:
     for group in ("antichain", "nested", "bench"):
         part = [e for e in entries if e["id"].startswith(group + "/")]
         routes = Counter(e["route"] for e in part)
-        reasons = Counter(r for e in part for r in e["fallback_reasons"])
+        reasons = Counter(r for e in part for r in e["inconclusive_reasons"])
         print(f"{group}: {len(part)} inputs")
-        print("  routes:   " + ", ".join(f"{k} {n}" for k, n in sorted(routes.items())))
-        print("  fallback: " + (", ".join(f"{k} {n}" for k, n in sorted(reasons.items()))
-                                or "none"))
+        print("  routes:      " + ", ".join(f"{k} {n}" for k, n in sorted(routes.items())))
+        print("  uncertified: " + (", ".join(f"{k} {n}" for k, n in sorted(reasons.items()))
+                                   or "none"))
 
 
 def main(argv=None) -> int:
@@ -135,9 +136,9 @@ def main(argv=None) -> int:
         want = recorded.get(e["id"])
         if want is None:
             continue
-        # a stable verdict of the lattice route carries the best lattice
-        # member's score, which it does not certify to be the maximum
-        certified = not (want["route"] == "lattice" and want["classification"] == "stable")
+        # an uncertified verdict carries its best candidate's score, which
+        # it does not certify to be the maximum
+        certified = want["route"] != "uncertified"
         if e["classification"] != want["classification"] or (
                 certified and e["best_score"] != want["best_score"]):
             bad += 1
@@ -147,10 +148,10 @@ def main(argv=None) -> int:
             print(f"changed {e['id']}: " + " ".join(str(want[k]) for k in INFO) + " -> "
                   + " ".join(str(e[k]) for k in INFO))
     print(f"{len(entries)} verdicts, {bad} differences in classification or best score")
-    lattice = sum(e["route"] == "lattice" for e in entries)
-    allowed = sum(e["route"] == "lattice" for e in recorded.values())
-    print(f"{lattice} lattice verdicts, {allowed} in the record")
-    return 1 if bad or lattice > allowed else 0
+    uncertified = sum(e["route"] == "uncertified" for e in entries)
+    allowed = sum(e["route"] == "uncertified" for e in recorded.values())
+    print(f"{uncertified} uncertified verdicts, {allowed} in the record")
+    return 1 if bad or uncertified > allowed else 0
 
 
 if __name__ == "__main__":

@@ -12,8 +12,12 @@ import posetrep as pr
 from posetrep import cli, fileio
 from posetrep.cli import build_parser, main
 from posetrep.linalg import random_subspace
-from posetrep.stability import _lattice_verdict
-from conftest import oracle_format_complex, planted_line_rep, random_antichain_rep
+from conftest import (
+    oracle_format_complex,
+    oracle_lattice_verdict,
+    planted_line_rep,
+    random_antichain_rep,
+)
 
 
 def run(capsys, *argv):
@@ -178,19 +182,17 @@ def test_stability_json_round_trip(capsys, files):
 
 
 #: the diagnostics keys of every stability verdict under --output json
-STABILITY_KEYS = {"route", "fallback_reasons", "flow_status", "flow_iterations", "flow_trials",
-                  "residual", "lambda_min", "end_dim", "dual_bound", "gap", "hn_dims", "hn_slopes",
-                  "lattice_size", "lattice_scored", "inconclusive_reasons", "times_ms"}
-LATTICE_COUNTS = ("lattice_size", "lattice_scored")
+STABILITY_KEYS = {"route", "flow_status", "flow_iterations", "flow_trials", "residual",
+                  "lambda_min", "end_dim", "dual_bound", "gap", "hn_dims", "hn_slopes",
+                  "inconclusive_reasons", "times_ms"}
 
 
 def test_stability_json_diagnostics(capsys, files):
-    """The flow's certificate on the flow route; on the lattice route (here
-    for two lines 3e-9 apart, where dim End hangs on the tolerance) the
-    lattice counts and the inconclusive reasons, as ints and strings;
-    methods lists the lattice after the flow only when that route ran.
-    Every verdict has the same keys; wall times are floats and are not
-    compared."""
+    """The flow's certificate on the flow route; on an uncertified verdict
+    (here for two lines 3e-9 apart, where dim End hangs on the tolerance)
+    the reason, as a string, and the inconclusive flag.  methods is the
+    flow alone either way.  Every verdict has the same keys; wall times are
+    floats and are not compared."""
     code, out, _ = run(capsys, "--output", "json", "stability", files["lam2.rep"],
                        "-w", "2; 1, 1, 1, 1")
     assert code == 0
@@ -198,14 +200,13 @@ def test_stability_json_diagnostics(capsys, files):
     diag = payload["diagnostics"]
     assert set(diag) == STABILITY_KEYS
     assert payload["methods"] == ["flow"]
-    assert diag["route"] == "flow_stable" and diag["fallback_reasons"] == []
+    assert diag["route"] == "flow_stable" and not payload["inconclusive"]
     assert diag["flow_status"] == "converged" and type(diag["flow_iterations"]) is int
     assert diag["end_dim"] == 1
     assert 0 <= diag["residual"] <= diag["lambda_min"] / 4
     assert diag["gap"] < 0 < diag["dual_bound"]  # no positive score can exist
     assert diag["hn_dims"] == [2] and diag["hn_slopes"] == ["2"]
     assert diag["inconclusive_reasons"] == []
-    assert all(diag[k] is None for k in LATTICE_COUNTS)
     assert set(diag["times_ms"]) == {"flow", "hessian"}
     assert all(type(v) is float for v in diag["times_ms"].values())
     near = files["dir"] + "/near.rep"
@@ -217,27 +218,26 @@ def test_stability_json_diagnostics(capsys, files):
     payload = json.loads(out)
     diag = payload["diagnostics"]
     assert set(diag) == STABILITY_KEYS
-    assert payload["methods"] == ["flow", "lattice_exact"] and payload["inconclusive"]
-    assert diag["route"] == "lattice"
-    assert diag["fallback_reasons"] == ["rank_guard"]
+    assert payload["methods"] == ["flow"] and payload["inconclusive"]
+    assert diag["route"] == "uncertified"
     assert diag["flow_status"] == "converged"
     assert diag["inconclusive_reasons"] == ["rank_guard"]
-    assert diag["lattice_scored"] == 2
-    assert diag["lattice_size"] == 4  # 0, the two lines and C^2
-    assert all(type(diag[k]) is int for k in LATTICE_COUNTS)
-    assert set(diag["times_ms"]) == {"flow", "hessian", "schur", "lattice"}
+    assert set(diag["times_ms"]) == {"flow", "hessian", "schur"}
+    code, out, _ = run(capsys, "stability", near, "-w", "1; 1, 1")
+    assert code == 0 and out.splitlines()[-1] == "route: uncertified (rank_guard)"
 
 
-def test_stability_json_lattice_size_null_on_overflow(capsys, tmp_path):
-    """Rep 9 of the seeded antichain sequence (six subspaces of C^6): the
-    flow's flag finds no destabilizer, and on the lattice route the
-    lattice overflows its cap, so lattice_size is null and the verdict
-    inconclusive.  On the planted line the lattice overflows too, and the
-    line among the members found before the cap certifies instability
-    without an inconclusive reason.  Through the CLI the flow's plateau
-    certifies the planted line, with the HN type of the line (slopes 4 and
-    8/3 against sigma = 3), at chi0 = 3 and at chi0 = 4, which breaks the
-    trace identity and is read at the slope weight."""
+def test_stability_json_certifies_where_the_lattice_overflowed(capsys, tmp_path):
+    """Rep 9 of the seeded antichain sequence (six subspaces of C^6), whose
+    lattice overflows 512 members: the flow stops on a plateau with its
+    residual below the least bound a positive score would give, so it is
+    semistable, and the near-kernel direction of the Hessian gives a
+    score-0 witness: certified, not inconclusive.  The planted line's
+    lattice overflows too, and the line, among the members found before
+    the cap, scores 1.  Through the CLI the flow's plateau certifies the
+    planted line, with the HN type of the line (slopes 4 and 8/3 against
+    sigma = 3), at chi0 = 3 and at chi0 = 4, which breaks the trace
+    identity and is read at the slope weight."""
     rng = np.random.default_rng(2026)
     for i in range(10):
         rep, w = random_antichain_rep(rng, bent=i % 2 == 1)
@@ -249,14 +249,16 @@ def test_stability_json_lattice_size_null_on_overflow(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     diag = payload["diagnostics"]
-    assert diag["route"] == "lattice" and diag["fallback_reasons"] == ["no_destabilizer"]
-    assert diag["lattice_size"] is None and type(diag["lattice_scored"]) is int
-    assert payload["inconclusive"] and diag["inconclusive_reasons"] == ["lattice_overflow"]
+    assert payload["classification"] == "semistable_not_polystable"
+    assert payload["best_score"] == "0" and not payload["inconclusive"]
+    assert diag["route"] == "flow_boundary" and diag["flow_status"] == "plateau"
+    assert diag["residual"] < diag["dual_bound"] and diag["inconclusive_reasons"] == []
+    assert pr.subspace_score(rep, w, np.array(
+        [[fileio.parse_complex(z) for z in row] for row in payload["witness"]])) == 0
     rep, w = planted_line_rep(np.random.default_rng(0))
-    v = _lattice_verdict(rep, w, pr.StabilityOptions())
-    assert v.classification == pr.UNSTABLE and v.best_score == 1
-    assert v.diagnostics["lattice_size"] is None and v.diagnostics["lattice_scored"] > 400
-    assert not v.inconclusive and v.diagnostics["inconclusive_reasons"] == []
+    lattice = oracle_lattice_verdict(rep, w, cap=64)
+    assert lattice.overflow
+    assert lattice.classification == pr.UNSTABLE and lattice.best_score == 1
     (tmp_path / "anti6.poset").write_text(fileio.serialize_poset(rep.poset))
     (tmp_path / "planted.rep").write_text(fileio.serialize_rep(rep, "anti6.poset"))
     for chi0, identity in (("3", True), ("4", False)):
@@ -268,7 +270,6 @@ def test_stability_json_lattice_size_null_on_overflow(capsys, tmp_path):
         assert payload["classification"] == "unstable" and payload["best_score"] == "1"
         assert payload["trace_identity"] is identity
         assert diag["route"] == "flow_unstable" and diag["flow_status"] == "plateau"
-        assert diag["lattice_size"] is None and diag["lattice_scored"] is None
         assert diag["hn_dims"] == [1, 3] and diag["hn_slopes"] == ["4", "8/3"]
         assert abs(diag["gap"]) < 1e-6 and diag["inconclusive_reasons"] == []
 

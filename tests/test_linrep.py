@@ -5,10 +5,10 @@ import pytest
 
 import posetrep as pr
 from posetrep.linalg import random_complex, random_subspace, same_subspace
-from posetrep.stability import _lattice_verdict
 from conftest import (
     direct_sum,
     oracle_endomorphism_dim,
+    oracle_lattice_verdict,
     oracle_random_search,
     oracle_saturate,
     oracle_score,
@@ -404,8 +404,11 @@ def _random_weight(rng, p):
 
 
 def test_scores_match_per_element_oracle():
-    """subspace_score and the lattice maximum of stability_check against one
-    intersection SVD per element and rational sums."""
+    """subspace_score, one basis at a time, and the scorer on all proper
+    lattice members in one batch against one intersection SVD per element
+    and rational sums."""
+    from posetrep import linrep
+
     rng = np.random.default_rng(32)
     compared = 0
     for rep, cap in _lattice_cases(rng):
@@ -419,10 +422,9 @@ def test_scores_match_per_element_oracle():
             assert pr.subspace_score(rep, w, q) == oracle_score(rep, w, q)
             compared += 1
         if proper:
-            # closed under cap, so the same closure as under the 512 of the
-            # lattice route
-            v = _lattice_verdict(rep, w, pr.StabilityOptions())
-            assert v.diagnostics["lattice_best"] == max(oracle_score(rep, w, q) for q in proper)
+            score = linrep._Scorer(rep, w, 1e-9)
+            batch = [Fraction(num, score.den) for num, _ in score(proper)]
+            assert batch == [oracle_score(rep, w, q) for q in proper]
     assert compared > 300
 
 
@@ -479,11 +481,9 @@ def test_stability_stable_case():
     # the flow certifies it and scores no subspace
     assert v.methods == ("flow",) and v.diagnostics["route"] == "flow_stable"
     assert v.best_score is None and v.witness is None
-    v = _lattice_verdict(pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT, pr.StabilityOptions())
+    v = oracle_lattice_verdict(pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT)
     assert v.classification == pr.STABLE
     assert v.best_score == Fraction(-1)
-    assert not v.inconclusive
-    assert v.methods == ("lattice_exact",)
 
 
 def test_stability_unstable_witness_rechecks():
@@ -528,7 +528,7 @@ def test_stability_agrees_with_flow():
 
 def test_stability_exceptional_lambdas():
     """Indecomposable (dim End = 1) with a score-0 line: semistable, not
-    polystable, on the flow route and on the lattice route."""
+    polystable, on the flow route and by the lattice oracle."""
     for lam in pr.EXCEPTIONAL_LAMBDAS:
         rep = pr.four_lines_rep(lam)
         assert len(pr.endomorphism_algebra(rep)) == 1
@@ -536,7 +536,7 @@ def test_stability_exceptional_lambdas():
         assert v.classification == pr.SEMISTABLE_NOT_POLYSTABLE
         assert v.diagnostics["route"] == "flow_boundary"
         assert v.best_score == 0 == pr.subspace_score(rep, pr.FOURSPACE_WEIGHT, v.witness)
-        v = _lattice_verdict(rep, pr.FOURSPACE_WEIGHT, pr.StabilityOptions())
+        v = oracle_lattice_verdict(rep, pr.FOURSPACE_WEIGHT)
         assert v.classification == pr.SEMISTABLE_NOT_POLYSTABLE
 
 
@@ -581,8 +581,10 @@ def test_score_after_saturation_uses_its_own_tolerance():
 def test_lattice_overflow_keeps_best_member():
     """Four of six 2-planes in C^4 through one planted line: the closure
     overflows its cap, but the line, an intersection of two planes, is
-    found before it and scores +1, a certificate of instability.  A
-    generic stable rep whose lattice overflows stays inconclusive."""
+    found before it and scores +1, a certificate of instability, which the
+    lattice oracle reads off the partial lattice.  A generic stable rep
+    whose lattice overflows proves nothing on the lattice.  The flow
+    certifies both without one."""
     rep, _ = planted_line_rep(np.random.default_rng(0))
     with pytest.raises(pr.LatticeTooLarge) as info:
         pr.subspace_lattice(rep)
@@ -591,10 +593,8 @@ def test_lattice_overflow_keeps_best_member():
     for seed in range(4):
         rep, w = planted_line_rep(np.random.default_rng(seed))
         # the witness comes from the partial lattice
-        v = _lattice_verdict(rep, w, pr.StabilityOptions())
-        assert v.diagnostics["lattice_size"] is None
-        assert v.classification == pr.UNSTABLE
-        assert not v.inconclusive
+        v = oracle_lattice_verdict(rep, w, cap=64)
+        assert v.overflow and v.classification == pr.UNSTABLE
         assert v.best_score == pr.subspace_score(rep, w, v.witness) >= 1
         # the flow's plateau certifies the same best score without a lattice
         flow = pr.stability_check(rep, w)
@@ -602,10 +602,8 @@ def test_lattice_overflow_keeps_best_member():
         assert flow.classification == pr.UNSTABLE and not flow.inconclusive
         assert flow.best_score == pr.subspace_score(rep, w, flow.witness) == v.best_score
     rep, w = five_planes(3)
-    v = _lattice_verdict(rep, w, pr.StabilityOptions())
-    assert v.diagnostics["lattice_size"] is None
-    assert v.classification == pr.STABLE and v.best_score < 0
-    assert v.inconclusive
+    v = oracle_lattice_verdict(rep, w, cap=64)
+    assert v.overflow and v.classification == pr.STABLE and v.best_score < 0
     # the flow certifies stable with a margin, and nothing is left open
     v = pr.stability_check(rep, w)
     assert v.classification == pr.STABLE and not v.inconclusive
@@ -613,11 +611,11 @@ def test_lattice_overflow_keeps_best_member():
 
 
 def test_generic_stable_reps_are_not_inconclusive():
-    """Generic reps are stable and nothing is left open, on the flow route
-    and on the lattice route.  The lattice route's best score is the best
-    lattice member's, not a certified maximum: for five generic 2-planes in
-    C^4 with weight (5/2; 1, ..., 1) it is -3 (each plane), while a plane
-    that meets four of them in lines scores -1."""
+    """Generic reps are stable and nothing is left open on the flow route;
+    the lattice oracle agrees.  Its best score is the best lattice
+    member's, not a certified maximum: for five generic 2-planes in C^4
+    with weight (5/2; 1, ..., 1) it is -3 (each plane), while a plane that
+    meets four of them in lines scores -1."""
     cases = [(pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT)]
     p = pr.primitive_poset(1, 1, 1, 1, 1)
     w = pr.Weight.from_entries(p, [Fraction(5, 2), 1, 1, 1, 1, 1])
@@ -625,24 +623,27 @@ def test_generic_stable_reps_are_not_inconclusive():
     for _ in range(5):
         cases.append((pr.make_rep(p, 4, {e: random_complex(rng, 4, 2) for e in p.elements}), w))
     for i, (rep, w) in enumerate(cases):
-        for v in (pr.stability_check(rep, w), _lattice_verdict(rep, w, pr.StabilityOptions())):
-            assert v.classification == pr.STABLE
-            assert not v.inconclusive and v.diagnostics["inconclusive_reasons"] == []
-            assert v.diagnostics["rank_guard_stable"] is True
+        v = pr.stability_check(rep, w)
+        assert v.classification == pr.STABLE
+        assert not v.inconclusive and v.diagnostics["inconclusive_reasons"] == []
+        assert v.diagnostics["rank_guard_stable"] is True
+        v = oracle_lattice_verdict(rep, w)
+        assert v.classification == pr.STABLE and not v.overflow
         assert v.best_score == (-1 if i == 0 else -3)
 
 
 # ---------------------------------------------------------------------------
-# the lattice route against the randomized search, one restart at a time
+# the lattice route (now the lattice oracle) and the flow against the
+# randomized search, one restart at a time
 
 def test_lattice_route_never_trails_the_random_search_oracle():
     """Wherever 200 random subspaces, each saturated and scored one at a
-    time, reach a score of 0 or more, the lattice route's best score is at
-    least as large, so such a search could never raise the sign of the
-    route's best score.  The inputs are the first 40 antichain reps of
-    seed 2026 (every other one bent toward a common line), the planted
-    line and 20 random nested reps; chi0 is one above the trace identity,
-    which leaves every score as it is."""
+    time, reach a score of 0 or more, the lattice oracle's best score and
+    the flow's certified best score are at least as large, so such a search
+    could never raise the sign of either.  The inputs are the first 40
+    antichain reps of seed 2026 (every other one bent toward a common
+    line), the planted line and 20 random nested reps; chi0 is one above
+    the trace identity, which leaves every score as it is."""
     rng = np.random.default_rng(2026)
     cases = [random_antichain_rep(rng, bent=i % 2 == 1) for i in range(40)]
     cases.append(planted_line_rep(np.random.default_rng(0)))
@@ -660,9 +661,9 @@ def test_lattice_route_never_trails_the_random_search_oracle():
         if best is None or best < 0:
             continue
         reached += 1
-        v = _lattice_verdict(rep, w, pr.StabilityOptions())
-        assert v.best_score is not None and v.best_score >= best
-        assert v.classification != pr.STABLE
+        for v in (oracle_lattice_verdict(rep, w, cap=64), pr.stability_check(rep, w)):
+            assert v.best_score is not None and v.best_score >= best
+            assert v.classification != pr.STABLE
     assert reached >= 10
 
 
@@ -701,30 +702,23 @@ def test_stability_svd_call_budget(monkeypatch):
 
 
 def test_methods_list_only_the_search_that_ran():
-    """The lattice route lists the lattice alone, also in C^1 where no
-    proper subspace exists; the flow route lists the flow alone; a
-    fallback lists the flow first, then the lattice."""
-    for rep, w in ((pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT), point_rep()):
-        assert _lattice_verdict(rep, w, pr.StabilityOptions()).methods == ("lattice_exact",)
-        assert pr.stability_check(rep, w).methods == ("flow",)
-    v = pr.stability_check(near_lines(), pr.Weight(1, {"a1": 1, "a2": 1}))
-    assert v.methods == ("flow", "lattice_exact")
-    assert {"flow", "lattice"} <= set(v.diagnostics["times_ms"])
+    """The flow is the only method, also in C^1 where no proper subspace
+    exists, and on an uncertified verdict; no lattice time is kept."""
+    for rep, w in ((pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT), point_rep(),
+                   (near_lines(), pr.Weight(1, {"a1": 1, "a2": 1}))):
+        v = pr.stability_check(rep, w)
+        assert v.methods == ("flow",) and "lattice" not in v.diagnostics["times_ms"]
+    assert v.diagnostics["route"] == "uncertified"
 
 
 def test_stability_inconclusive_reasons():
-    """Each reason names the flag it raised; counts are ints."""
+    """The reason names the certificate that did not close, and only an
+    uncertified verdict has one: near two lines the dimension of End
+    hangs on the tolerance; five 3-planes in C^5, whose lattice overflows,
+    and the four lines are certified with none."""
     w2 = pr.Weight(1, {"a1": 1, "a2": 1})
     v = pr.stability_check(near_lines(), w2)
-    assert v.inconclusive and "rank_guard" in v.diagnostics["inconclusive_reasons"]
-    rep, w = five_planes(3)
-    v = _lattice_verdict(rep, w, pr.StabilityOptions())
-    assert v.inconclusive
-    assert v.diagnostics["inconclusive_reasons"] == ["lattice_overflow"]
-    assert v.diagnostics["lattice_scored"] > 0
-    v = _lattice_verdict(pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT, pr.StabilityOptions())
-    assert not v.inconclusive and v.diagnostics["inconclusive_reasons"] == []
-    # the four lines are the only proper members: sums are C^2
-    assert v.diagnostics["lattice_scored"] == 4
-    for key in ("lattice_scored", "lattice_size"):
-        assert type(v.diagnostics[key]) is int
+    assert v.inconclusive and v.diagnostics["inconclusive_reasons"] == ["rank_guard"]
+    for rep, w in (five_planes(3), (pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT)):
+        v = pr.stability_check(rep, w)
+        assert not v.inconclusive and v.diagnostics["inconclusive_reasons"] == []

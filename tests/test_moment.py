@@ -243,11 +243,19 @@ def test_flow_plateau_on_coincident_lines():
     assert report.residual > 1.0
 
 
-def test_flow_breakdown_on_tiny_condition_cap(monkeypatch):
+def test_flow_plateau_on_tiny_condition_cap(monkeypatch):
+    """A metric condition past COND_CAP ends the run as a plateau at the
+    metric just accepted: with the cap just above 1, after the first
+    iteration, which is the first iteration of the uncapped run."""
     rep = pr.four_lines_rep(2)
+    _, free = pr.kempf_ness_flow(rep, pr.FOURSPACE_WEIGHT)
     monkeypatch.setattr(moment, "COND_CAP", 1.0 + 1e-9)
-    with pytest.raises(pr.NumericalBreakdown):
-        pr.kempf_ness_flow(rep, pr.FOURSPACE_WEIGHT)
+    system, report = pr.kempf_ness_flow(rep, pr.FOURSPACE_WEIGHT)
+    assert system is None and report.status == "plateau"
+    assert report.iterations == 1 and report.history == free.history[:2]
+    assert report.residual == free.history[1] > free.residual
+    assert report.condition > moment.COND_CAP
+    assert report.condition == pytest.approx(np.linalg.cond(report.final_metric), rel=1e-9)
 
 
 def test_flow_deterministic_reports():

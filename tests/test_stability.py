@@ -1,64 +1,68 @@
-"""The flow-first stability classifier against the lattice route.
+"""The flow's stability classifier against the lattice oracle.
 
 ``stability_check`` reads the verdict off the Kempf-Ness flow's limit with
-a certificate and falls back to the lattice route
-(``stability._lattice_verdict``: the lattice closure and the Schur test)
-when none closes; a weight without the trace identity takes the verdict of
-its slope weight.  These tests compare the two routes on seeded
-random reps, check each certificate on inputs of known class, check the
-Hessian against the dense Kronecker oracle, check the Cholesky
+a certificate, and returns the flow's own reading, marked uncertified and
+inconclusive, when none closes; a weight without the trace identity takes
+the verdict of its slope weight.  These tests compare it on seeded random
+reps with ``oracle_lattice_verdict`` (the lattice closure and the Schur
+test, in ``conftest``), check each certificate on inputs of known class,
+check the Hessian against the dense Kronecker oracle, check the Cholesky
 certificate of ``stable`` against the Schur route it replaced, and check
-the slope-weight reduction against the lattice route.
+the slope-weight reduction against the lattice oracle.
 """
 
 from fractions import Fraction
 from math import sqrt
 
 import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import posetrep as pr
 from posetrep import moment, stability
 from posetrep.linalg import herm_expm, random_complex, subspace_intersection
-from posetrep.stability import _lattice_verdict
 from conftest import (
     direct_sum,
     oracle_hessian,
+    oracle_lattice_verdict,
     oracle_stable_margin,
     planted_line_rep,
     random_antichain_rep,
     random_nested_input,
+    random_unitary,
 )
 
 W_LINES = pr.Weight(1, {"a1": 1, "a2": 1})
+#: the lattice oracle's cap: its pairwise closure takes seconds at 512
+#: members, and every verdict compared here is decided within 64
+CAP = 64
 
 
 def test_flow_route_matches_lattice_route():
     """On 40 seeded antichain reps (C^2..C^6, weights 1-3, every other one
-    bent toward a common line) the verdict is the lattice route's, and an
-    unstable verdict of the flow has the lattice's best score; the flow's
-    certificates leave nothing inconclusive.  Every ``flow_unstable``
-    verdict carries its HN type, pieces of falling slopes that fill V; among
-    these reps are two- and three-step types.  Where the flow's certificate
-    does not close, the lattice route decides and its verdict is returned
-    as is."""
+    bent toward a common line) the verdict is the lattice oracle's, and a
+    verdict of the flow that scores a subspace has the lattice's best score
+    (at least that, where the closure overflowed its cap); every verdict is
+    certified, none inconclusive.  Every ``flow_unstable`` verdict carries
+    its HN type, pieces of falling slopes that fill V; among these reps are
+    two- and three-step types."""
     rng = np.random.default_rng(2026)
     routes, hn_steps = set(), set()
     for i in range(40):
         rep, w = random_antichain_rep(rng, bent=i % 2 == 1)
         v = pr.stability_check(rep, w)
-        lattice = _lattice_verdict(rep, w, pr.StabilityOptions())
+        lattice = oracle_lattice_verdict(rep, w, cap=CAP)
         route = v.diagnostics["route"]
         routes.add(route)
         assert v.classification == lattice.classification, (i, route)
-        if route == "lattice":
-            assert v.diagnostics["fallback_reasons"]
-            assert v.best_score == lattice.best_score
-            continue
-        assert not v.inconclusive and v.diagnostics["fallback_reasons"] == []
+        assert not v.inconclusive and v.diagnostics["inconclusive_reasons"] == []
         if v.classification == pr.STABLE:
             assert v.witness is None and v.best_score is None
             continue
-        assert v.best_score == lattice.best_score
+        if lattice.overflow:
+            assert v.best_score >= lattice.best_score
+        else:
+            assert v.best_score == lattice.best_score
         assert pr.subspace_score(rep, w, v.witness) == v.best_score
         if route == "flow_unstable":
             dims, slopes = v.diagnostics["hn_dims"], v.diagnostics["hn_slopes"]
@@ -66,7 +70,7 @@ def test_flow_route_matches_lattice_route():
             assert sum(dims) == rep.ambient_dim
             assert [Fraction(x) for x in slopes] == sorted(map(Fraction, slopes), reverse=True)
             assert len(set(slopes)) == len(slopes)
-    assert {"flow_stable", "flow_unstable", "flow_boundary", "lattice"} <= routes
+    assert {"flow_stable", "flow_unstable", "flow_boundary"} <= routes
     assert {2, 3} <= hn_steps
 
 
@@ -74,7 +78,7 @@ def test_block_sums_are_never_stable():
     """Block sums of stable reps of one slope are polystable, split on the
     flow route into the summands (each certified stable): four lines in C^2
     with four others or with themselves (dim End = 4), three such, and two
-    sets of five 2-planes in C^4.  The lattice route splits them too, into
+    sets of five 2-planes in C^4.  The lattice oracle splits them too, into
     summands of the same dims and classes."""
     rng = np.random.default_rng(36)
     p4, p5 = pr.primitive_poset(1, 1, 1, 1), pr.primitive_poset(*[1] * 5)
@@ -94,11 +98,9 @@ def test_block_sums_are_never_stable():
             assert len(summands) == parts
             assert all(s["classification"] == pr.STABLE for s in summands)
             assert v.best_score == 0 == pr.subspace_score(rep, w, v.witness)
-            # the lattice route splits and classifies with the same helpers
-            lattice = _lattice_verdict(rep, w, pr.StabilityOptions())
+            lattice = oracle_lattice_verdict(rep, w, cap=CAP)
             assert lattice.classification == pr.POLYSTABLE_NOT_STABLE
-            assert sorted((s["dims"], s["classification"])
-                          for s in lattice.diagnostics["summands"]) == sorted(
+            assert sorted(lattice.summands) == sorted(
                 (s["dims"], s["classification"]) for s in summands)
 
 
@@ -147,6 +149,32 @@ def test_stable_margin_and_boundary():
         assert 0.3 < d["residual"] / d["lambda_min"] < 0.4
         assert v.witness.shape == (2, 1)
         assert pr.subspace_score(rep, pr.FOURSPACE_WEIGHT, v.witness) == 0
+
+
+def test_margin_branch_certifies_where_the_cholesky_cannot(monkeypatch):
+    """The four lines at lambda = 1e-7 and 1e-6 (two of them nearly one
+    line): lambda_min at the limit, about 4 lambda, is below the Cholesky's
+    bound s(r), so the Cholesky fails and the Schur test runs.  dim End = 1
+    and r <= lambda_min / 4 (MARGIN_FACTOR) certify stable; with that
+    branch off no certificate closes, so it is the only one these inputs
+    have."""
+    chi = np.ones(4)
+    for lam in (1e-7, 1e-6):
+        rep = pr.four_lines_rep(lam)
+        system, report = pr.kempf_ness_flow(rep, pr.FOURSPACE_WEIGHT)
+        lmat = stability._hessian(np.stack(list(system.projections.values())), chi)
+        assert not stability._positive_beyond(
+            lmat, stability._stable_bound(report.residual, chi), chi)
+        v = pr.stability_check(rep, pr.FOURSPACE_WEIGHT)
+        d = v.diagnostics
+        assert v.classification == pr.STABLE and d["route"] == "flow_stable"
+        assert not v.inconclusive and "schur" in d["times_ms"] and d["end_dim"] == 1
+        assert d["residual"] <= stability.MARGIN_FACTOR * d["lambda_min"]
+        assert d["lambda_min"] < stability._stable_bound(d["residual"], chi)
+    monkeypatch.setattr(stability, "MARGIN_FACTOR", 0.0)
+    for lam in (1e-7, 1e-6):
+        v = pr.stability_check(pr.four_lines_rep(lam), pr.FOURSPACE_WEIGHT)
+        assert v.diagnostics["route"] == "uncertified" and v.inconclusive
 
 
 def test_flow_stable_verdicts_hold_against_the_oracle():
@@ -250,30 +278,33 @@ def test_plateau_certificate_and_snap():
     assert pr.subspace_score(rep, w, snapped) == 1
 
 
-def test_fallback_reasons():
-    """A weight without the trace identity falls back no more: the four
-    lines at chi0 = 3 take the flow route of their slope weight 2, with no
-    reason.  Near two lines at 3e-9 the dimension of End hangs on the
-    tolerance; the lattice route decides and says so."""
+def test_uncertified_reasons():
+    """A weight without the trace identity is certified like any other: the
+    four lines at chi0 = 3 take the flow route of their slope weight 2,
+    with no reason.  Near two lines at 3e-9 the dimension of End hangs on
+    the tolerance: no certificate closes, and the verdict says so, with the
+    flow's own reading (no candidate was scored, so ``stable``)."""
     rep = pr.four_lines_rep(2)
     v = pr.stability_check(rep, pr.Weight(3, {e: 1 for e in rep.poset.elements}))
     assert v.classification == pr.SEMISTABLE_NOT_POLYSTABLE and not v.trace_identity
     assert v.diagnostics["route"] == "flow_stable"
-    assert v.diagnostics["fallback_reasons"] == []
+    assert v.diagnostics["inconclusive_reasons"] == []
     assert v.methods == ("flow",) and v.diagnostics["flow_status"] == "converged"
     assert v.best_score is None and v.witness is None
     e1 = np.array([[1.0], [0.0]], dtype=complex)
     near = np.array([[np.cos(3e-9)], [np.sin(3e-9)]], dtype=complex)
     lines = pr.make_rep(pr.primitive_poset(1, 1), 2, {"a1": e1, "a2": near})
     v = pr.stability_check(lines, W_LINES)
-    assert v.diagnostics["fallback_reasons"] == ["rank_guard"]
-    assert v.methods[0] == "flow" and v.inconclusive
+    d = v.diagnostics
+    assert d["route"] == "uncertified" and d["inconclusive_reasons"] == ["rank_guard"]
+    assert v.methods == ("flow",) and v.inconclusive and not d["rank_guard_stable"]
+    assert v.classification == pr.STABLE and v.best_score is None
 
 
 def test_lattice_route_runs_the_schur_test_without_proper_members():
     """With every V_e either 0 or V the lattice is {0, V}, and every score
     is 0, but dim End = d0^2 > 1: the Schur test splits V into d0 lines,
-    each a stable summand of score 0.  So the lattice route is
+    each a stable summand of score 0.  So the lattice oracle is
     polystable_not_stable with the trace identity, with a score-0 witness,
     in C^2 and C^3, on an antichain and on a chain; ``stability_check``
     agrees, and without the trace identity it answers
@@ -288,10 +319,11 @@ def test_lattice_route_runs_the_schur_test_without_proper_members():
             assert len(pr.endomorphism_algebra(rep)) == d0 * d0
             w = pr.Weight(chi0, chi)
             assert w.trace_identity(rep)
-            v = _lattice_verdict(rep, w, pr.StabilityOptions())
-            assert v.diagnostics["lattice_scored"] == 0
-            for v, expected in ((v, pr.POLYSTABLE_NOT_STABLE),
-                                (pr.stability_check(rep, w), pr.POLYSTABLE_NOT_STABLE),
+            lattice = oracle_lattice_verdict(rep, w)
+            assert lattice.scored == 0 and len(lattice.summands) == d0
+            assert lattice.classification == pr.POLYSTABLE_NOT_STABLE
+            assert lattice.best_score == 0 == pr.subspace_score(rep, w, lattice.witness)
+            for v, expected in ((pr.stability_check(rep, w), pr.POLYSTABLE_NOT_STABLE),
                                 (pr.stability_check(rep, pr.Weight(chi0 + 1, chi)),
                                  pr.SEMISTABLE_NOT_POLYSTABLE)):
                 assert v.classification == expected
@@ -315,21 +347,22 @@ def _bent_lines(n: int, m: int, eps: float, seed: int):
     return pr.make_rep(p, 2, spans), pr.Weight(Fraction(n, 2), {e: 1 for e in p.elements})
 
 
-def test_stall_reps_stay_stable_via_the_fallback():
+def test_stall_reps_certify_stable_on_a_second_run():
     """Lines within 1.4e-6, 3.7e-6 and 4.3e-6 of a common line: the flow
-    hovers near the norm of the unstable class nearby (about 0.70 and 0.85)
-    and stops on a plateau after 20-22 iterations.  No flag candidate
-    scores above 0, so the lattice route decides: stable, not
-    inconclusive."""
+    hovers near the norm of the unstable class nearby (0.54 to 0.85) and
+    stops on a plateau after 21-22 iterations.  No flag candidate scores
+    above 0, so the flow runs again from the plateau's metric, converges
+    within 6 more iterations, and the Cholesky certifies stable."""
     for n, m, eps, seed in ((5, 3, 1.4e-6, 2), (7, 4, 3.7e-6, 1), (5, 3, 4.3e-6, 3)):
         rep, w = _bent_lines(n, m, eps, seed)
         _, report = pr.kempf_ness_flow(rep, w)
         assert report.status == "plateau" and report.iterations <= 25
         v = pr.stability_check(rep, w)
+        d = v.diagnostics
         assert v.classification == pr.STABLE and not v.inconclusive
-        assert v.diagnostics["route"] == "lattice"
-        assert v.diagnostics["fallback_reasons"] == ["no_destabilizer"]
-        assert v.methods == ("flow", "lattice_exact")
+        assert d["route"] == "flow_stable" and d["flow_status"] == "converged"
+        assert report.iterations < d["flow_iterations"] <= report.iterations + 6
+        assert v.methods == ("flow",) and d["end_dim"] == 1
 
 
 def test_sum_with_a_boundary_summand_is_not_polystable():
@@ -362,43 +395,87 @@ def test_plateau_certifies_on_its_first_plateau():
     (score 2/5).  The pieces of the hull's flag, that line and the quotient
     C^4, are each certified semistable at their own slopes 8 and 15/2, so
     the hull is the HN polygon: unstable from the first plateau, with no
-    second flow run and the lattice route's best score."""
+    second flow run and the lattice oracle's best score."""
     rep, w = _seeded_antichain(11)
     _, report = pr.kempf_ness_flow(rep, w)
     assert report.status == "plateau" and report.residual > 0.75
     v = pr.stability_check(rep, w)
     d = v.diagnostics
-    assert d["route"] == "flow_unstable" and d["fallback_reasons"] == []
+    assert d["route"] == "flow_unstable" and d["inconclusive_reasons"] == []
     assert d["flow_iterations"] == report.iterations and d["residual"] == report.residual
     assert d["gap"] > 0.3
     assert d["hn_dims"] == [1, 4] and d["hn_slopes"] == ["8", "15/2"]
     assert v.best_score == Fraction(2, 5) == pr.subspace_score(rep, w, v.witness)
-    assert v.best_score == _lattice_verdict(rep, w, pr.StabilityOptions()).best_score
+    assert v.best_score == oracle_lattice_verdict(rep, w, cap=CAP).best_score
+
+
+def test_a_flow_stopped_at_the_condition_cap_certifies_unstable():
+    """Input 43 of the seeded nested sequence (a 3-plane and a 2-plane of
+    C^4): the flow's metric passes COND_CAP after 20 iterations, which ends
+    the run as a plateau at that metric, and the plateau's flag certifies
+    unstable from there, with HN type (1, 1, 2) and the lattice oracle's
+    best score."""
+    rng = np.random.default_rng(7)
+    for _ in range(44):
+        rep, chi, chi0 = random_nested_input(rng)
+    w = pr.Weight(chi0, chi)
+    _, report = pr.kempf_ness_flow(rep, w)
+    assert report.status == "plateau" and report.condition > moment.COND_CAP
+    v = pr.stability_check(rep, w)
+    d = v.diagnostics
+    assert d["route"] == "flow_unstable" and d["flow_iterations"] == report.iterations
+    assert d["hn_dims"] == [1, 1, 2] and not v.inconclusive
+    assert v.best_score == Fraction(5, 2) == pr.subspace_score(rep, w, v.witness)
+    assert v.best_score == oracle_lattice_verdict(rep, w).best_score
+
+
+def test_a_second_run_starts_from_an_ill_conditioned_plateau():
+    """Rep 281 of the antichain sequence of seed 99 (C^5): the flow stalls
+    after 27 iterations at a metric of condition 3e9, and the plateau's
+    flag holds no destabilizer.  That metric squashes a 3-plane below the
+    rank tolerance, so ``transformed`` refuses g V; the second run starts
+    from the QR bases of the g V_e instead and certifies unstable, with
+    HN type (4, 1) and the lattice oracle's best score 1/5."""
+    rng = np.random.default_rng(99)
+    for i in range(282):
+        rep, w = random_antichain_rep(rng, bent=i % 2 == 1)
+    _, report = pr.kempf_ness_flow(rep, w)
+    assert report.status == "plateau" and report.condition > 1e9
+    with pytest.raises(pr.RankDeficient):
+        rep.transformed(report.final_metric)
+    v = pr.stability_check(rep, w)
+    d = v.diagnostics
+    assert d["route"] == "flow_unstable" and d["flow_iterations"] > report.iterations
+    assert d["hn_dims"] == [4, 1] and not v.inconclusive
+    assert v.best_score == Fraction(1, 5) == pr.subspace_score(rep, w, v.witness)
+    assert v.best_score == oracle_lattice_verdict(rep, w, cap=CAP).best_score
 
 
 def test_an_uncertified_piece_refines_the_flag(monkeypatch):
     """Rep 108 of the seeded antichain sequence (C^6): the flow does not
-    certify some piece of the plateau's flag.  That piece's own
+    certify some piece of the plateau's flag.  That piece, moved on by the
+    metric its flow stopped at, is classified from there; its own
     destabilizer, lifted into V, joins the candidates, and the hull taken
     again is the HN polygon: type (1, 3, 1, 1) with slopes 5, 13/3, 4 and
-    3, and best score 4/3, the lattice route's."""
+    3, and best score 4/3, the lattice oracle's."""
     rep, w = _seeded_antichain(108)
     semistable, uncertified = stability._semistable, []
 
     def spy(piece, pw):
-        ok = semistable(piece, pw)
+        ok, metric = semistable(piece, pw)
         if not ok:
             uncertified.append(piece.ambient_dim)
-        return ok
+            assert metric.shape == (piece.ambient_dim,) * 2
+        return ok, metric
 
     monkeypatch.setattr(stability, "_semistable", spy)
     v = pr.stability_check(rep, w)
     d = v.diagnostics
     assert uncertified
-    assert d["route"] == "flow_unstable" and d["fallback_reasons"] == []
+    assert d["route"] == "flow_unstable" and d["inconclusive_reasons"] == []
     assert d["hn_dims"] == [1, 3, 1, 1] and d["hn_slopes"] == ["5", "13/3", "4", "3"]
     assert v.best_score == Fraction(4, 3) == pr.subspace_score(rep, w, v.witness)
-    assert v.best_score == _lattice_verdict(rep, w, pr.StabilityOptions()).best_score
+    assert v.best_score == oracle_lattice_verdict(rep, w, cap=CAP).best_score
 
 
 def test_hn_type_of_a_sum_of_stables_of_unequal_slope():
@@ -417,7 +494,7 @@ def test_hn_type_of_a_sum_of_stables_of_unequal_slope():
                        (direct_sum(generic, lines), slice(3, 5))):
         v = pr.stability_check(rep, pr.Weight(Fraction(8, 5), ones))
         d = v.diagnostics
-        assert d["route"] == "flow_unstable" and d["fallback_reasons"] == []
+        assert d["route"] == "flow_unstable" and d["inconclusive_reasons"] == []
         assert d["hn_dims"] == [2, 3] and d["hn_slopes"] == ["2", "4/3"]
         assert v.best_score == Fraction(4, 5) and v.witness.shape == (5, 2)
         outside = np.delete(v.witness, block, axis=0)
@@ -432,9 +509,9 @@ def test_off_slope_weight_takes_the_slope_weights_verdict():
     the verdict at (sigma + 1; chi) is the verdict at the slope weight
     (sigma; chi) with every class but unstable read as
     semistable_not_polystable: same best score, witness and route, and
-    trace_identity false.  The lattice route at (sigma; chi), an
-    independent oracle, gives the same split into unstable and not
-    unstable, and the same best score on every unstable verdict."""
+    trace_identity false.  The lattice oracle at (sigma; chi) gives the
+    same split into unstable and not unstable, and the same best score on
+    every unstable verdict."""
     rng = np.random.default_rng(7)
     classes = set()
     for _ in range(40):
@@ -451,7 +528,7 @@ def test_off_slope_weight_takes_the_slope_weights_verdict():
             assert np.array_equal(off.witness, at.witness)
         assert off.diagnostics["route"] == at.diagnostics["route"]
         assert off.diagnostics["sigma"] == str(sigma)
-        lattice = _lattice_verdict(rep, pr.Weight(sigma, chi), pr.StabilityOptions())
+        lattice = oracle_lattice_verdict(rep, pr.Weight(sigma, chi), cap=CAP)
         assert (lattice.classification == pr.UNSTABLE) == (off.classification == pr.UNSTABLE)
         if off.classification == pr.UNSTABLE:
             assert off.best_score == lattice.best_score
@@ -470,7 +547,7 @@ def test_zero_slope_closed_form():
         assert v.classification == pr.SEMISTABLE_NOT_POLYSTABLE
         assert v.diagnostics["route"] == "zero_slope" and v.diagnostics["sigma"] == "0"
         assert v.methods == () and not v.inconclusive and not v.trace_identity
-        assert v.diagnostics["fallback_reasons"] == [] and v.diagnostics["times_ms"] == {}
+        assert v.diagnostics["inconclusive_reasons"] == [] and v.diagnostics["times_ms"] == {}
         if d0 == 1:
             assert v.best_score is None and v.witness is None
         else:
@@ -481,7 +558,7 @@ def test_zero_slope_closed_form():
 def test_five_planes_off_slope_report_no_best_score():
     """Five generic 2-planes in C^4 at chi0 = 5/2 + 1: the slope weight's
     flow certifies stable, so the verdict is semistable_not_polystable with
-    best score None.  The lattice route's best member, a plane, scores -3,
+    best score None.  The lattice oracle's best member, a plane, scores -3,
     which is not the maximum: a plane meeting four of the five in lines
     scores -1."""
     rng = np.random.default_rng(41)
@@ -492,7 +569,7 @@ def test_five_planes_off_slope_report_no_best_score():
     assert v.classification == pr.SEMISTABLE_NOT_POLYSTABLE
     assert v.diagnostics["route"] == "flow_stable"
     assert v.best_score is None and v.witness is None
-    lattice = _lattice_verdict(rep, pr.Weight(Fraction(5, 2), chi), pr.StabilityOptions())
+    lattice = oracle_lattice_verdict(rep, pr.Weight(Fraction(5, 2), chi))
     assert lattice.classification == pr.STABLE and lattice.best_score == -3
 
 
@@ -509,7 +586,7 @@ def test_flow_route_is_scale_invariant():
         v = pr.stability_check(rep, w)
         d = v.diagnostics
         assert v.classification == pr.STABLE and d["route"] == "flow_stable", s
-        assert d["fallback_reasons"] == [] and d["residual"] < d["dual_bound"]
+        assert d["inconclusive_reasons"] == [] and d["residual"] < d["dual_bound"]
         assert d["flow_iterations"] <= 4
         residuals.append(d["residual"] / s)
     assert max(residuals) < 1e-8
@@ -520,8 +597,9 @@ def test_cholesky_certifies_c1_vacuously(monkeypatch):
     so the Cholesky of the 1 x 1 shifted L certifies stable with no Schur
     test, lambda_min the bound s(r) and dim End 1.  A converged residual
     not below the floor 2 / den (as rounding leaves it for weights of
-    denominator 3^40) falls back before any route reads the empty
-    trace-zero spectrum, and the lattice route answers stable."""
+    denominator 3^40) leaves the verdict uncertified before any route reads
+    the empty trace-zero spectrum: stable, from no candidate, and
+    inconclusive."""
     p = pr.primitive_poset(1, 1)
     rep = pr.make_rep(p, 1, {"a1": np.ones((1, 1), dtype=complex),
                              "a2": np.zeros((1, 0), dtype=complex)})
@@ -543,6 +621,56 @@ def test_cholesky_certifies_c1_vacuously(monkeypatch):
     tiny = Fraction(1, 3**40)
     v = pr.stability_check(rep, pr.Weight(tiny, {"a1": tiny, "a2": 3}))
     d = v.diagnostics
-    assert v.classification == pr.STABLE and d["route"] == "lattice"
-    assert d["fallback_reasons"] == ["semistability_uncertified"]
+    assert v.classification == pr.STABLE and d["route"] == "uncertified" and v.inconclusive
+    assert d["inconclusive_reasons"] == ["semistability_uncertified"]
     assert d["residual"] >= d["dual_bound"]
+
+
+# ---------------------------------------------------------------------------
+# metamorphic properties: the verdict does not see the frame or the scale
+
+def _seeded_input(seed: int):
+    """An antichain rep (bent toward a common line for every other odd
+    seed) or, for even seeds, a nested rep of a random poset at the chi0 of
+    its trace identity (1 where every V_e is 0), with the generator left
+    after it."""
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        rep, w = random_antichain_rep(rng, bent=seed % 4 == 1)
+    else:
+        rep, chi, chi0 = random_nested_input(rng)
+        w = pr.Weight(chi0 if chi0 > 0 else 1, chi)
+    return rng, rep, w
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_gauge_keeps_the_verdict(seed):
+    """g V, for a random g of condition at most 10, has the classification
+    and best score of V: the scores, and so the classes, are invariants of
+    the GL-orbit.  Compared wherever both verdicts are certified; V's
+    verdict is in almost every example."""
+    rng, rep, w = _seeded_input(seed)
+    d0 = rep.ambient_dim
+    v = pr.stability_check(rep, w)
+    assume(not v.inconclusive)
+    g = random_unitary(rng, d0) @ np.diag(10 ** rng.uniform(0, 1, d0)) @ random_unitary(rng, d0)
+    assert np.linalg.cond(g) <= 10 * (1 + 1e-12)
+    moved = pr.stability_check(rep.transformed(g), w)
+    if not moved.inconclusive:
+        assert (moved.classification, moved.best_score) == (v.classification, v.best_score)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([Fraction(2), Fraction(1, 3)]))
+def test_scaling_keeps_the_verdict(seed, c):
+    """The weight times 2 or 1/3 gives the same classification, with the
+    best score times the same factor: every score scales with the weight,
+    and the flow is scale-equivariant."""
+    _, rep, w = _seeded_input(seed)
+    v = pr.stability_check(rep, w)
+    assume(not v.inconclusive)
+    scaled = pr.stability_check(rep, pr.Weight(w.chi0 * c, {e: x * c for e, x in w.chi.items()}))
+    assert not scaled.inconclusive
+    assert scaled.classification == v.classification
+    assert scaled.best_score == (None if v.best_score is None else v.best_score * c)
