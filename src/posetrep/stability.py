@@ -503,7 +503,7 @@ def _split_route(rep, w, opts, score, g, ends, diagnostics):
     # each summand in the frame of the limit, g B = Q R: R maps it onto the
     # restricted, nearly orthoscalar system, where its own flow starts
     classification, inconclusive = _classify_summands(
-        [piece.transformed(np.linalg.qr(g @ block)[1], opts.tol) for block, piece in pieces],
+        [_moved(piece, np.linalg.qr(g @ block)[1]) for block, piece in pieces],
         w, opts, diagnostics)
     witness = pieces[0][0]
     num, guard = score([witness])[0]

@@ -350,19 +350,12 @@ def test_lattice_matches_pairwise_oracle():
     assert overflows >= 3
 
 
-def test_lattice_batching_edges(monkeypatch):
-    """The chunked closure against the pairwise oracle where the batching
-    has edges: C^1; a zero-width and a full-width span, so that a width
-    group holds 0 or d0 columns; two elements with one span, and a third
-    line at 0.8 tol from it (its Frobenius residual is above tol^2 / 4, so
-    only same_subspace decides it), all met within the first chunk;
-    passes of more pairs than one
-    chunk (7 generic lines in C^3, a planted rep), at caps that overflow
-    inside a chunk.  With the default chunk and prefilter stacks, and with
-    chunks of 1 and 5 pairs whose prefilter screens one and a few
-    candidates at a time."""
-    from posetrep import linrep
-
+def test_lattice_edges():
+    """The closure against the pairwise oracle at its edges: C^1; a
+    zero-width and a full-width span; two elements with one span, and a
+    third line at 0.8 tol from it, which same_subspace merges with it; a
+    pass of many pairs (7 generic lines in C^3, a planted rep) at caps that
+    overflow in the middle of a pass."""
     rng = np.random.default_rng(33)
     line, other = random_subspace(rng, 4, 2).T[:, :, None]
     spans = {"a1": np.zeros((4, 0), dtype=complex), "a2": random_complex(rng, 4, 4),
@@ -375,16 +368,13 @@ def test_lattice_batching_edges(monkeypatch):
     cases = [(point_rep()[0], 512), (edges, 512), (lines, 38), (lines, 47), (lines, 56),
              (planted, 60), (planted, 101)]
     assert len(pr.subspace_lattice(edges)) == 5  # 0, the line, the plane, their sum, V
-    for chunk, entries in ((1, 1), (5, 64), (linrep._PAIR_CHUNK, linrep._SCREEN_ENTRIES)):
-        monkeypatch.setattr(linrep, "_PAIR_CHUNK", chunk)
-        monkeypatch.setattr(linrep, "_SCREEN_ENTRIES", entries)
-        assert sum(_assert_same_closure(rep, cap) for rep, cap in cases) == 5
+    assert sum(_assert_same_closure(rep, cap) for rep, cap in cases) == 5
 
 
 def test_lattice_keeps_planes_just_beyond_tolerance():
-    """Two planes of C^4 at one principal angle of 1.2 tol: |M - Q Q* M|_F^2
-    passes the prefilter bound 2 tol^2 but the spectral residual is above
-    tol, so both stay members, as in the pairwise closure."""
+    """Two planes of C^4 at one principal angle of 1.2 tol: the spectral
+    residual of each against the other is above tol, so same_subspace keeps
+    them apart and both stay members, as in the pairwise closure."""
     theta = 1.2e-9
     e = np.eye(4, dtype=complex)
     tilted = np.stack([e[:, 0], np.cos(theta) * e[:, 1] + np.sin(theta) * e[:, 2]], axis=1)
