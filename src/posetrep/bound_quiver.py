@@ -27,7 +27,6 @@ from . import linalg
 from .errors import (
     NotHasseQuiver,
     NotSubspaceRep,
-    PosetMismatch,
     RelationViolation,
     WrongShape,
 )

@@ -5,8 +5,7 @@ invariants, fourspace-sweep.  Global flags (before the subcommand, or after
 it) are --tol, --max-iter, --output; each falls back to the environment
 variables PRL_TOL, PRL_MAX_ITER, PRL_OUTPUT.
 
-Exit codes: 0 success, 1 invalid input, 2 non-convergence,
-3 a singular metric or a failed orthoscalar check.
+Exit codes: 0 success, 1 invalid input, 2 non-convergence.
 """
 
 from __future__ import annotations
@@ -20,19 +19,14 @@ import os
 import sys
 from typing import Sequence
 
-from . import fileio
+from . import fileio, linrep
 from .bound_quiver import (
     assignment_report,
     bound_quiver_of,
     euler_form,
     quotient_dim_lower_bound,
 )
-from .errors import (
-    CheckFailed,
-    NoTraceIdentity,
-    PosetRepError,
-    SingularMetric,
-)
+from .errors import NoTraceIdentity, PosetRepError
 from .families import (
     FOUR_ANTICHAIN,
     FOURSPACE_WEIGHT,
@@ -40,7 +34,8 @@ from .families import (
     is_exceptional,
     parse_lambda,
 )
-from .linrep import decompose
+# decompose stays a name of this module: bench/tracer.py patches it here.
+from .linrep import decompose  # noqa: F401
 from .moment import FlowOptions, kempf_ness_flow, orthoscalar_check, unitary_invariants
 # hasse_quiver stays a name of this module: bench/tracer.py patches it here.
 from .poset import hasse_quiver, is_representation_finite  # noqa: F401
@@ -311,15 +306,10 @@ def _sweep_row(token: str, args, w) -> dict:
     except PosetRepError:
         row["status"] = "error:invalid-lambda"
         return row
-    exceptional = is_exceptional(lam)
-    row["exceptional"] = "yes" if exceptional else "no"
-    # At a boundary point the two coalescing lines of the limit meet at an
-    # angle of order sqrt(residual), so decompose needs a wider tolerance.
-    decomp_tol = 1e-2 if exceptional else 1e-6
+    row["exceptional"] = "yes" if is_exceptional(lam) else "no"
+    rep = four_lines_rep(lam)
     try:
-        system, report = kempf_ness_flow(
-            four_lines_rep(lam), w, FlowOptions(**_given(args, "tol", "max_iter"))
-        )
+        system, report = kempf_ness_flow(rep, w, FlowOptions(**_given(args, "tol", "max_iter")))
     except NoTraceIdentity:
         row["status"] = "error:trace-identity"
         return row
@@ -331,11 +321,12 @@ def _sweep_row(token: str, args, w) -> dict:
     t14, t13, t12 = system.sphere_coordinates()
     row["a_sq"], row["b_sq"], row["c_sq"] = repr(t14), repr(t13), repr(t12)
     row["invariant_sum"] = repr(t14 + t13 + t12)
-    try:
-        parts = decompose(system.subspace_rep(tol=decomp_tol), tol=decomp_tol)
-        row["summands"] = str(len(parts))
-    except PosetRepError:
-        row["summands"] = ""
+    # The limit is the orthoscalar form of the polystable associated graded
+    # (King 1994).  In C^2 every proper subspace is a line and only the V_e
+    # score above -sigma, so it is one summand iff the lines are stable, and
+    # two (a score-0 line and its quotient) otherwise.
+    scores = linrep._Scorer(rep, w, linrep.DEFAULT_TOL)(list(rep.spans.values()))
+    row["summands"] = "1" if all(num < 0 for num, _ in scores) else "2"
     return row
 
 
@@ -502,9 +493,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SingularMetric, CheckFailed) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (PosetRepError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

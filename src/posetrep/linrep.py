@@ -37,9 +37,8 @@ from .errors import (
     RankDeficient,
     WrongShape,
 )
+from .linalg import DEFAULT_TOL
 from .poset import Poset, connected_components
-
-DEFAULT_TOL = 1e-9
 
 
 class SubspaceRep:
@@ -156,10 +155,6 @@ class Weight:
         if missing or len(self.chi) != len(poset):
             raise WrongShape(f"weight does not match poset elements (missing {missing})")
         return self
-
-    def normalized(self, poset: Poset) -> dict[str, float]:
-        """chi_e / chi0 as floats, for the numeric modules."""
-        return {e: float(self.chi[e] / self.chi0) for e in poset.elements}
 
     def common_integer(self, poset: Poset) -> tuple[int, dict[str, int]]:
         """Scale to a common denominator: integer weights with the same ratios."""

@@ -14,7 +14,8 @@ one SVD per element, the Hessian of the Newton step as a dense Kronecker
 matrix, the stable margin by both of these (the Schur test and a full
 eigh), the trace words by one product per word from scratch, a
 fixed-step reference flow with its own projector and moment computations,
-and complex text written and read one entry at a time.
+the four-line sweep's summand count by decomposing the flow's numerical
+limit, and complex text written and read one entry at a time.
 """
 
 from __future__ import annotations
@@ -556,6 +557,20 @@ def reference_flow(rep, w, steps: int = 4000, eta: float = 0.05):
         g = g / np.linalg.norm(g, 2)
     residual = float(np.linalg.norm(mu))
     return projs, residual
+
+
+def oracle_sweep_summands(lam, w) -> int | None:
+    """The summand count of the four lines' flow limit by decomposing the
+    limit itself: the ranges of its projections split at tolerance 1e-6,
+    or 1e-2 at a boundary point, where the two coalescing lines of the
+    limit meet at an angle of order sqrt(residual).  The tolerances fit
+    the weight (2; 1, 1, 1, 1) only.  None when the flow does not
+    converge."""
+    system, _ = pr.kempf_ness_flow(pr.four_lines_rep(lam), w)
+    if system is None:
+        return None
+    tol = 1e-2 if pr.is_exceptional(lam) else 1e-6
+    return len(pr.decompose(system.subspace_rep(tol=tol), tol=tol))
 
 
 # ---------------------------------------------------------------------------

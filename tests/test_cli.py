@@ -1,12 +1,16 @@
 import argparse
+import cmath
+import contextlib
 import csv
 import io
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import posetrep as pr
 from posetrep import cli, fileio
@@ -15,6 +19,7 @@ from posetrep.linalg import random_subspace
 from conftest import (
     oracle_format_complex,
     oracle_lattice_verdict,
+    oracle_sweep_summands,
     planted_line_rep,
     random_antichain_rep,
 )
@@ -595,6 +600,77 @@ def test_fourspace_sweep_bad_chi_writes_no_csv(capsys, tmp_path):
         assert "error:" in err
         assert out == ""
         assert not out_path.exists()
+
+
+def sweep_row(token, chi=None) -> dict:
+    """The row of one lambda; stdout is captured here, since a hypothesis
+    test cannot use the capsys fixture."""
+    weight = ["--chi", chi] if chi else []
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["fourspace-sweep", f"--lambdas={token}", *weight]) == 0
+    return next(csv.DictReader(io.StringIO(out.getvalue())))
+
+
+def test_fourspace_sweep_summands_follow_the_line_scores():
+    """summands is 1 exactly when the four lines are stable for the weight,
+    whatever the weight: a line of score 0 splits the limit in two."""
+    cases = [
+        # V4 carries half the weight: score 0 at every lambda, split
+        ("3; 1, 1, 1, 3", "2", "2"),
+        ("3; 1, 1, 1, 3", "0.5+0.5i", "2"),
+        # V1 carries half the weight, and V3 = V4 carries less
+        ("3; 3, 1, 1, 1", "1", "2"),
+        # V1 = V4 scores 1 + 1/2 - 7/4 < 0: stable at an exceptional point
+        ("7/4; 1, 1, 1, 1/2", "0", "1"),
+        # V1 and V4 meet within the rank tolerance, so V1 scores 0
+        (None, "1e-10", "2"),
+    ]
+    for chi, token, summands in cases:
+        row = sweep_row(token, chi)
+        assert (row["status"], row["summands"]) == ("converged", summands), (chi, token, row)
+
+
+_SWEEP_WEIGHTS = ("2; 1, 1, 1, 1", "3; 1, 1, 1, 3", "3; 3, 1, 1, 1", "7/4; 1, 1, 1, 1/2")
+
+
+@st.composite
+def sweep_lambdas(draw) -> str:
+    """A lambda token: generic (modulus 10^-1..10, argument at least 0.3
+    from the real axis's positive side), 10^-1..10^-8 from a boundary
+    point, or a boundary point."""
+    kind = draw(st.sampled_from(("generic", "near", "exceptional")))
+    if kind == "exceptional":
+        return draw(st.sampled_from(("0", "1", "inf")))
+    if kind == "generic":
+        lam = 10 ** draw(st.floats(-1, 1)) * cmath.exp(1j * draw(st.floats(0.3, 2 * math.pi - 0.3)))
+    else:
+        distance = 10 ** -draw(st.floats(1, 8))
+        phase = cmath.exp(1j * draw(st.floats(0, 2 * math.pi)))
+        base = draw(st.sampled_from((0.0, 1.0, math.inf)))
+        lam = phase / distance if base == math.inf else base + distance * phase
+    return f"{lam.real!r}{'+' if lam.imag >= 0 else '-'}{abs(lam.imag)!r}i"
+
+
+@settings(max_examples=100, deadline=None)
+@given(sweep_lambdas(), st.sampled_from(_SWEEP_WEIGHTS))
+@example("2", "3; 1, 1, 1, 3")
+@example("0.5+0.5i", "3; 1, 1, 1, 3")
+@example("1e-4+1e-4i", "2; 1, 1, 1, 1")
+def test_fourspace_sweep_summands_match_the_stability_class(token, chi):
+    """On a converged row, summands is 1 exactly when stability_check calls
+    the lines stable (where its verdict is certified); for the default
+    weight it also matches the count of the decomposed numerical limit."""
+    row = sweep_row(token, chi)
+    if row["status"] != "converged":
+        return
+    lam = pr.parse_lambda(token)
+    w = fileio.parse_weight(chi, pr.FOUR_ANTICHAIN)
+    verdict = pr.stability_check(pr.four_lines_rep(lam), w)
+    if not verdict.inconclusive:
+        assert (row["summands"] == "1") == (verdict.classification == pr.STABLE), verdict
+    if chi == _SWEEP_WEIGHTS[0]:
+        assert row["summands"] == str(oracle_sweep_summands(lam, w))
 
 
 def test_fourspace_sweep_trace_identity_error_row(capsys):

@@ -145,7 +145,6 @@ def test_weight_derived_quantities():
     p = pr.primitive_poset(1, 1)
     w = pr.Weight.from_entries(p, ["2", "1/2", "3/2"])
     assert w.chi0 == 2
-    assert w.normalized(p) == {"a1": 0.25, "a2": 0.75}
     chi0, chi = w.common_integer(p)
     assert (chi0, chi["a1"], chi["a2"]) == (4, 1, 3)
 
