@@ -1,6 +1,6 @@
-"""The stability gate: every verdict on a fixed set of inputs against a record.
+"""The stability gate: every verdict on fixed sets of inputs against a record.
 
-The inputs are
+The gate section's inputs are
 
 - 300 antichain reps, ``random_antichain_rep(np.random.default_rng(2026),
   bent=i % 2 == 1)``;
@@ -12,22 +12,30 @@ The inputs are
 - every ``stability`` op of the benchmark's seeds 1, 3 and 7, run through
   the CLI in process (``--output json``).
 
-Each goes through ``stability_check``.  The script prints the tallies of
-routes and of the reasons of uncertified verdicts, then compares
-classification and best score with ``tests/data/stability_gate.json`` and
-lists every difference.  The best score is compared wherever the recorded
+The held-out section's inputs are drawn the same way from other seeds: 600
+antichain reps of ``np.random.default_rng(99)`` and the nested inputs of
+150 reps of ``np.random.default_rng(100)`` (892 inputs).  No change to the
+routes is tuned on them; they check that what holds on the gate holds off
+it.
+
+Each goes through ``stability_check``.  For each section the script prints
+the tallies of routes and of the reasons of uncertified verdicts, then
+compares classification and best score with the section's record
+(``tests/data/stability_gate.json``, ``tests/data/stability_heldout.json``)
+and lists every difference.  The best score is compared wherever the recorded
 route certifies it, that is everywhere but on an ``uncertified`` verdict
 (the best candidate's score, a lower bound at most).  A changed route,
 inconclusive flag, reason or uncertified score is listed as information.
 The script exits 1 on any difference in classification or certified best
-score, and when more verdicts are ``uncertified`` than in the record (the
-count is a ratchet); 0 otherwise.
+score, and when a section has more ``uncertified`` verdicts than its record
+(each section's count is its own ratchet); 0 otherwise.
 
-    PYTHONPATH=src python tests/stability_gate.py             # compare
-    PYTHONPATH=src python tests/stability_gate.py --record    # rewrite the record
+    PYTHONPATH=src python tests/stability_gate.py                      # compare both
+    PYTHONPATH=src python tests/stability_gate.py --section held-out   # one section
+    PYTHONPATH=src python tests/stability_gate.py --record             # rewrite the records
 
-pytest does not collect this file (no ``test_`` prefix); a run takes about
-6 s on one core.
+pytest does not collect this file (no ``test_`` prefix); the gate section
+takes about 7 s on one core, the held-out section about 12 s.
 """
 
 from __future__ import annotations
@@ -44,7 +52,8 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve().parent
-RECORD = HERE / "data" / "stability_gate.json"
+RECORDS = {"gate": HERE / "data" / "stability_gate.json",
+           "held-out": HERE / "data" / "stability_heldout.json"}
 sys.path[:0] = [str(HERE), str(HERE.parent / "bench")]
 
 import posetrep as pr  # noqa: E402
@@ -64,16 +73,16 @@ def _entry(key: str, v: pr.StabilityVerdict) -> dict:
             "inconclusive_reasons": list(d["inconclusive_reasons"])}
 
 
-def _library_inputs():
-    rng = np.random.default_rng(2026)
-    for i in range(300):
-        yield f"antichain/{i}", random_antichain_rep(rng, bent=i % 2 == 1)
-    rng = np.random.default_rng(7)
+def _library_inputs(prefix: str, antichains: int, antichain_seed: int, nested_seed: int):
+    rng = np.random.default_rng(antichain_seed)
+    for i in range(antichains):
+        yield f"{prefix}antichain/{i}", random_antichain_rep(rng, bent=i % 2 == 1)
+    rng = np.random.default_rng(nested_seed)
     for i in range(150):
         rep, chi, chi0 = random_nested_input(rng)
         if chi0 > 0:
-            yield f"nested/{i}", (rep, pr.Weight(chi0, chi))
-        yield f"nested/{i}+1", (rep, pr.Weight(chi0 + 1, chi))
+            yield f"{prefix}nested/{i}", (rep, pr.Weight(chi0, chi))
+        yield f"{prefix}nested/{i}+1", (rep, pr.Weight(chi0 + 1, chi))
 
 
 def _bench_entries(seed: int, workdir: str) -> list[dict]:
@@ -96,17 +105,27 @@ def _bench_entries(seed: int, workdir: str) -> list[dict]:
     return out
 
 
-def run_gate() -> list[dict]:
-    entries = [_entry(key, pr.stability_check(rep, w)) for key, (rep, w) in _library_inputs()]
-    with tempfile.TemporaryDirectory() as workdir:
-        for seed in BENCH_SEEDS:
-            entries += _bench_entries(seed, workdir)
+def run_section(section: str) -> list[dict]:
+    if section == "held-out":
+        inputs = _library_inputs("held-out/", 600, 99, 100)
+    else:
+        inputs = _library_inputs("", 300, 2026, 7)
+    entries = [_entry(key, pr.stability_check(rep, w)) for key, (rep, w) in inputs]
+    if section == "gate":
+        with tempfile.TemporaryDirectory() as workdir:
+            for seed in BENCH_SEEDS:
+                entries += _bench_entries(seed, workdir)
     return entries
 
 
+def _group(key: str) -> str:
+    """The id less its numbers: ``held-out/nested/3+1`` -> ``held-out/nested``."""
+    return "/".join(part for part in key.split("/") if not part[0].isdigit())
+
+
 def _tallies(entries: list[dict]) -> None:
-    for group in ("antichain", "nested", "bench"):
-        part = [e for e in entries if e["id"].startswith(group + "/")]
+    for group in dict.fromkeys(_group(e["id"]) for e in entries):
+        part = [e for e in entries if _group(e["id"]) == group]
         routes = Counter(e["route"] for e in part)
         reasons = Counter(r for e in part for r in e["inconclusive_reasons"])
         print(f"{group}: {len(part)} inputs")
@@ -115,19 +134,9 @@ def _tallies(entries: list[dict]) -> None:
                                    or "none"))
 
 
-def main(argv=None) -> int:
-    par = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    par.add_argument("--record", action="store_true",
-                     help="write the verdicts to the record instead of comparing")
-    args = par.parse_args(argv)
-    entries = run_gate()
-    _tallies(entries)
-    if args.record:
-        RECORD.parent.mkdir(exist_ok=True)
-        RECORD.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
-        print(f"recorded {len(entries)} verdicts")
-        return 0
-    recorded = {e["id"]: e for e in json.loads(RECORD.read_text())}
+def compare(entries: list[dict], record: Path) -> bool:
+    """Print the differences from the record; whether the section passes."""
+    recorded = {e["id"]: e for e in json.loads(record.read_text())}
     bad = 0
     if set(recorded) != {e["id"] for e in entries}:
         print("the inputs differ from the record's")
@@ -151,7 +160,29 @@ def main(argv=None) -> int:
     uncertified = sum(e["route"] == "uncertified" for e in entries)
     allowed = sum(e["route"] == "uncertified" for e in recorded.values())
     print(f"{uncertified} uncertified verdicts, {allowed} in the record")
-    return 1 if bad or uncertified > allowed else 0
+    return not bad and uncertified <= allowed
+
+
+def main(argv=None) -> int:
+    par = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    par.add_argument("--record", action="store_true",
+                     help="write the verdicts to the record instead of comparing")
+    par.add_argument("--section", choices=sorted(RECORDS), action="append",
+                     help="run this section only (repeatable; default: both)")
+    args = par.parse_args(argv)
+    ok = True
+    for section in args.section or list(RECORDS):
+        print(f"== {section}")
+        entries = run_section(section)
+        _tallies(entries)
+        record = RECORDS[section]
+        if args.record:
+            record.parent.mkdir(exist_ok=True)
+            record.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
+            print(f"recorded {len(entries)} verdicts")
+        else:
+            ok = compare(entries, record) and ok
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
