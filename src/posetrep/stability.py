@@ -52,6 +52,16 @@ f(K) sqrt(d0 / (k (d0 - k)))).  So with r the flow's final residual:
   Cholesky runs at s(r) plus the rounding a successful factorization can
   hide, 2 d0^4 eps (sum chi + 1).  When it fails, the bullets below
   decide with the Schur test and the spectrum of the same L.
+  Since the certificate holds at any g with r below the floor, the
+  Cholesky is tried first at the loose tolerance EARLY = 1e-2, scaled as
+  the full one and kept below the floor: on generic planes it closes there
+  after about 4 iterations, against 7 to reach 1e-8.  On that route
+  ``residual`` and ``flow_iterations`` are the loose run's, and
+  ``lambda_min`` is s(r) at its residual.  A loose run that never meets
+  its tolerance (a plateau, or the iteration cap) has taken the full run's
+  iterates, and is the full run; one that meets it and does not certify
+  gives way to the full run from I, so every other verdict is read off
+  the full run alone.
 - converged, dim End = 1 and r <= lambda_min / 4: ``stable``, margin
   lambda_min.  Along a unit geodesic t -> exp(t x) g the second derivative
   h(t) = sum_e chi_e |[P_e(t), x]|_F^2 of the potential obeys
@@ -157,6 +167,9 @@ SNAP_FACTOR = 1e6
 SNAP_EXACT = 1e-14
 #: alternating-projection rounds of a snap at most
 SNAP_ROUNDS = 100
+#: the flow runs first to this tolerance, scaled as the full one and kept
+#: below the floor, where one Cholesky may already certify ``stable``
+EARLY = 1e-2
 
 
 @dataclass
@@ -514,31 +527,73 @@ def _split_route(rep, w, opts, score, g, ends, diagnostics):
     return "flow_split", classification, witness, Fraction(0), inconclusive
 
 
-def _flow_options(w: Weight) -> moment.FlowOptions:
-    """The flow's options with its tolerance scaled by the least chi_e
+def _flow_options(w: Weight, tol: float = moment.FlowOptions.tol) -> moment.FlowOptions:
+    """The flow's options with the tolerance tol scaled by the least chi_e
     below 1: the flow is scale-equivariant, so a weight and its multiples
-    stop at residuals in proportion, and integer weights keep the default."""
-    flow = moment.FlowOptions()
-    flow.tol *= min([1, *w.chi.values()])
-    return flow
+    stop at residuals in proportion, and integer weights keep tol."""
+    return moment.FlowOptions(tol * min([1, *w.chi.values()]))
+
+
+def _cholesky_stable(p, residual, chi, times):
+    """L at the projector stack p, and the bound s(r) when one Cholesky of
+    L - s(r) certifies ``stable`` (else None)."""
+    with _timed(times, "hessian"):
+        lmat = _hessian(p, chi)
+        bound = _stable_bound(residual, chi)
+        return lmat, bound if _positive_beyond(lmat, bound, chi) else None
+
+
+def _semistable_diagnostics(rep, w, floor, diagnostics):
+    """The HN type [d0] and the dual bound of a flow that ends below the
+    floor (or the gap by which it does not)."""
+    diagnostics.update(hn_dims=[rep.ambient_dim], hn_slopes=[str(w.slope(rep))],
+                       dual_bound=floor, gap=diagnostics["residual"] - floor)
 
 
 def _flow_route(rep, w, opts, score, diagnostics, times):
     """Route, classification, witness, best score and inconclusive flag
-    from the flow limit; raises _Fallback when no certificate closes."""
+    from the flow limit; raises _Fallback when no certificate closes.
+
+    The flow runs first to the loose tolerance EARLY (scaled as the full
+    tolerance, and kept below the floor), where one Cholesky may already
+    certify ``stable``.  Its iterates are the first ones of the full run,
+    so a run that never met the loose tolerance (a plateau, or the
+    iteration cap) is the full run and is taken as it stands; one that met
+    it and did not certify gives way to the full run from I."""
     d0 = rep.ambient_dim
     # the least dual bound a positive score can give, f sqrt(d0 / (k (d0 - k)))
     # at f = 1 / den and k = d0 / 2: a residual under it certifies
     # semistability at any g, and every route after the flow loop needs it
     floor = 2 / (score.den * sqrt(d0))
+    chi = np.array([float(w.chi[e]) for e in rep.poset.elements])
+    flow, early = _flow_options(w), _flow_options(w, EARLY)
+    early.tol = min(early.tol, floor)
+    run = None
+    if early.tol > flow.tol:
+        with _timed(times, "flow"):
+            run = moment.kempf_ness_flow(rep, w, early)
+        system, report = run
+        if report.status == "converged":
+            run = None
+            if report.residual < floor:
+                _, bound = _cholesky_stable(
+                    np.stack(list(system.projections.values())), report.residual, chi, times)
+                if bound is not None:
+                    diagnostics.update(flow_status=report.status,
+                                       flow_iterations=report.iterations,
+                                       flow_trials=report.attempts, residual=report.residual)
+                    _semistable_diagnostics(rep, w, floor, diagnostics)
+                    diagnostics.update(end_dim=1, lambda_min=bound)
+                    return "flow_stable", STABLE, None, None, False
     g = np.eye(d0, dtype=complex)
     iterations = trials = 0
     for rerun in (False, True):
         # a rerun starts where the first run's plateau left off: its flow
         # on g V from I, and the metrics compose
-        with _timed(times, "flow"):
-            system, report = moment.kempf_ness_flow(
-                _moved(rep, g) if rerun else rep, w, _flow_options(w))
+        if rerun or run is None:
+            with _timed(times, "flow"):
+                run = moment.kempf_ness_flow(_moved(rep, g) if rerun else rep, w, flow)
+        system, report = run
         g = report.final_metric @ g
         iterations, trials = iterations + report.iterations, trials + report.attempts
         diagnostics.update(flow_status=report.status, flow_iterations=iterations,
@@ -554,19 +609,15 @@ def _flow_route(rep, w, opts, score, diagnostics, times):
                     raise
 
     residual = report.residual
-    diagnostics.update(hn_dims=[d0], hn_slopes=[str(w.slope(rep))],
-                       dual_bound=floor, gap=residual - floor)
+    _semistable_diagnostics(rep, w, floor, diagnostics)
     if residual >= floor:
         raise _Fallback("semistability_uncertified")
-    chi = np.array([float(w.chi[e]) for e in rep.poset.elements])
     with _timed(times, "hessian"):
         # the projectors at g (a run stopped below the floor returns none)
         p = (np.stack(list(system.projections.values())) if system
              else moment._MomentMap(rep, w)(g)[0])
-        lmat = _hessian(p, chi)
-        bound = _stable_bound(residual, chi)
-        certified = _positive_beyond(lmat, bound, chi)
-    if certified:
+    lmat, bound = _cholesky_stable(p, residual, chi, times)
+    if bound is not None:
         diagnostics.update(end_dim=1, lambda_min=bound)
         return "flow_stable", STABLE, None, None, False
     with _timed(times, "schur"):
@@ -611,8 +662,10 @@ def stability_check(
 ) -> StabilityVerdict:
     """Classify the representation for the given weight.
 
-    The Kempf-Ness flow runs, and the verdict is read off its limit with
-    the certificate of one of the routes of the module docstring;
+    The Kempf-Ness flow runs, first to the loose tolerance ``EARLY``,
+    where one Cholesky may certify ``stable`` at once, and else to its full
+    tolerance; the verdict is read off its limit with the certificate of
+    one of the routes of the module docstring;
     ``diagnostics["route"]`` names it (``flow_stable``, ``flow_split``,
     ``flow_boundary``, ``flow_unstable``).  When no certificate closes, the
     route is ``uncertified``, the verdict is the flow's own reading from
@@ -630,15 +683,19 @@ def stability_check(
     candidate's score, a lower bound on the maximum.  ``witness`` is a
     subspace of that score (None for ``stable``).  ``diagnostics`` also
     gives the flow's status, iterations, step trials (summed over a second
-    run) and residual, lambda_min (on ``flow_stable`` certified by the
-    Cholesky alone, the lower bound s(r) of the module docstring; else the
-    least trace-zero eigenvalue of L), the dimension of End (``end_dim``),
+    run) and residual (those of the loose run where its Cholesky certifies
+    ``stable``; else those of the full run, which leaves out a loose run
+    that did not certify), lambda_min (on ``flow_stable`` certified by the
+    Cholesky alone, the lower bound s(r) of the module docstring at that
+    residual; else the least trace-zero eigenvalue of L), the dimension of
+    End (``end_dim``),
     the dual bound and the gap (residual minus dual bound; information
     only), the HN type (``hn_dims`` and ``hn_slopes``, on every
     ``flow_unstable`` verdict), the dims, classification and route of each
     summand of a split (``summands``), and the wall time of each method in
     ms (``times_ms``: flow, schur, hessian, candidates, split; flow and
-    hessian alone when the Cholesky certifies ``stable``).
+    hessian alone when the Cholesky certifies ``stable``; flow and hessian
+    include a loose run and its Cholesky that did not certify).
     ``inconclusive`` is set on an ``uncertified`` verdict, or when the
     classification of a summand was.
 

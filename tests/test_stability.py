@@ -177,6 +177,63 @@ def test_margin_branch_certifies_where_the_cholesky_cannot(monkeypatch):
         assert v.diagnostics["route"] == "uncertified" and v.inconclusive
 
 
+def test_early_cholesky_certifies_before_the_full_flow():
+    """The four lines at lambda = 2 and five generic 2-planes in C^4: the
+    Cholesky closes at the early tolerance, so the verdict comes in fewer
+    iterations than the flow takes to its full tolerance, at a residual
+    below the early one, with lambda_min the bound s(r) at that residual."""
+    rng = np.random.default_rng(26)
+    p5 = pr.primitive_poset(*[1] * 5)
+    planes = pr.make_rep(p5, 4, {e: random_complex(rng, 4, 2) for e in p5.elements})
+    for rep, w in ((pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT),
+                   (planes, pr.Weight(Fraction(5, 2), {e: 1 for e in p5.elements}))):
+        v = pr.stability_check(rep, w)
+        d = v.diagnostics
+        assert v.classification == pr.STABLE and d["route"] == "flow_stable"
+        assert set(d["times_ms"]) == {"flow", "hessian"} and d["end_dim"] == 1
+        _, full = pr.kempf_ness_flow(rep, w)
+        assert full.status == "converged" and d["flow_status"] == "converged"
+        assert d["flow_iterations"] < full.iterations
+        assert full.residual < 1e-8 < d["residual"] <= stability.EARLY
+        chi = np.array([float(w.chi[e]) for e in rep.poset.elements])
+        assert d["lambda_min"] == stability._stable_bound(d["residual"], chi)
+
+
+def test_failed_early_cholesky_leaves_the_full_route(monkeypatch):
+    """The four lines at lambda = 1e-6: where the flow meets the early
+    tolerance, lambda_min (0.015, on its way to 4e-6 at the limit) is below
+    the bound s(r) (0.084), so the early Cholesky fails and the full flow
+    runs from I.  Verdict and diagnostics
+    (times aside) are those with the early step off (EARLY at 0, not above
+    the full tolerance), which makes one flow run instead of two."""
+    rep, w, early = pr.four_lines_rep(1e-6), pr.FOURSPACE_WEIGHT, stability.EARLY
+    chi = np.ones(4)
+    system, report = pr.kempf_ness_flow(rep, w, moment.FlowOptions(early))
+    assert report.status == "converged"
+    lmat = stability._hessian(np.stack(list(system.projections.values())), chi)
+    bound = stability._stable_bound(report.residual, chi)
+    assert stability._spectrum(lmat)[0][0] < bound
+    assert not stability._positive_beyond(lmat, bound, chi)
+    flow, tols = moment.kempf_ness_flow, []
+
+    def counted(rep, w, opts):
+        tols.append(opts.tol)
+        return flow(rep, w, opts)
+
+    monkeypatch.setattr(moment, "kempf_ness_flow", counted)
+    verdicts = [pr.stability_check(rep, w)]
+    monkeypatch.setattr(stability, "EARLY", 0.0)
+    verdicts.append(pr.stability_check(rep, w))
+    assert tols == [early, 1e-8, 1e-8]
+    for v in verdicts:
+        assert v.classification == pr.STABLE and not v.inconclusive
+        assert v.witness is None and v.best_score is None
+    with_early, without = ({k: x for k, x in v.diagnostics.items() if k != "times_ms"}
+                           for v in verdicts)
+    assert with_early == without and with_early["route"] == "flow_stable"
+    assert "schur" in verdicts[0].diagnostics["times_ms"]
+
+
 def test_flow_stable_verdicts_hold_against_the_oracle():
     """Generic reps in C^2..C^10 (n k-planes, k <= d0 / 2, n k >= 2 d0,
     weights 1-3): every one is certified stable by the Cholesky alone,
@@ -577,8 +634,9 @@ def test_flow_route_is_scale_invariant():
     """A weight and its multiples take one route: the four lines at
     lambda = 2 with every chi_e = s and chi0 = 2 s take ``flow_stable`` at
     s = 1, 1/3^20 and 1/3^30, where the floor 2 / (den sqrt d0) falls far
-    below the default tolerance 1e-8, because the flow's tolerance scales
-    with the least chi_e below 1; the residual scales with s."""
+    below the default tolerance 1e-8, because the flow's tolerances scale
+    with the least chi_e below 1; the residual scales with s, and is below
+    the early tolerance, where the Cholesky certifies."""
     rep = pr.four_lines_rep(2)
     residuals = []
     for s in (1, Fraction(1, 3**20), Fraction(1, 3**30)):
@@ -589,7 +647,8 @@ def test_flow_route_is_scale_invariant():
         assert d["inconclusive_reasons"] == [] and d["residual"] < d["dual_bound"]
         assert d["flow_iterations"] <= 4
         residuals.append(d["residual"] / s)
-    assert max(residuals) < 1e-8
+    assert max(residuals) - min(residuals) <= 1e-9 * max(residuals)
+    assert max(residuals) < stability.EARLY
 
 
 def test_cholesky_certifies_c1_vacuously(monkeypatch):
@@ -674,3 +733,38 @@ def test_scaling_keeps_the_verdict(seed, c):
     assert not scaled.inconclusive
     assert scaled.classification == v.classification
     assert scaled.best_score == (None if v.best_score is None else v.best_score * c)
+
+
+def _dual(rep, w):
+    """Each V_e sent to its orthogonal complement, with the chi_e kept and
+    chi0' = sum chi_e (d0 - d_e) / d0, the slope of the complements; on an
+    antichain the opposite poset is the poset itself."""
+    d0 = rep.ambient_dim
+    spans = {e: np.linalg.svd(q)[0][:, q.shape[1]:] for e, q in rep.spans.items()}
+    chi0 = sum(w.chi[e] * (d0 - rep.dim(e)) for e in rep.poset.elements) / Fraction(d0)
+    return pr.make_rep(rep.poset, d0, spans), pr.Weight(chi0, w.chi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_duality_keeps_the_verdict(seed):
+    """f'(K^perp) = f(K) for every K, f' the score of the complements at
+    their slope: dim(V_e^perp /\\ K^perp) = d0 - d_e - dim K + dim(V_e /\\ K),
+    and sigma' = sum chi_e - sigma.  So the complements have the
+    classification and best score of V, and the HN type reversed, with
+    slopes sum chi_e - sigma_j.  Compared wherever both verdicts are
+    certified; an oracle that shares no step with the flow's reading of
+    either rep."""
+    rng = np.random.default_rng(seed)
+    rep, w = random_antichain_rep(rng, bent=seed % 2 == 1)
+    dual, dw = _dual(rep, w)
+    assume(dw.chi0 > 0)
+    v, u = pr.stability_check(rep, w), pr.stability_check(dual, dw)
+    assume(not v.inconclusive and not u.inconclusive)
+    assert (u.classification, u.best_score) == (v.classification, v.best_score)
+    if v.classification == pr.UNSTABLE:
+        total = sum(w.chi.values())
+        d, e = v.diagnostics, u.diagnostics
+        assert e["hn_dims"] == d["hn_dims"][::-1]
+        assert [Fraction(x) for x in e["hn_slopes"]] == [
+            total - Fraction(x) for x in d["hn_slopes"][::-1]]
