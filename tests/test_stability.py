@@ -8,7 +8,8 @@ reps with ``oracle_lattice_verdict`` (the lattice closure and the Schur
 test, in ``conftest``), check each certificate on inputs of known class,
 check the Hessian against the dense Kronecker oracle, check the Cholesky
 certificate of ``stable`` against the Schur route it replaced, and check
-the slope-weight reduction against the lattice oracle.
+the slope-weight reduction against the lattice oracle and the verdict
+against that of the orthogonal complements.
 """
 
 from fractions import Fraction
@@ -203,9 +204,9 @@ def test_failed_early_cholesky_leaves_the_full_route(monkeypatch):
     """The four lines at lambda = 1e-6: where the flow meets the early
     tolerance, lambda_min (0.015, on its way to 4e-6 at the limit) is below
     the bound s(r) (0.084), so the early Cholesky fails and the full flow
-    runs from I.  Verdict and diagnostics
-    (times aside) are those with the early step off (EARLY at 0, not above
-    the full tolerance), which makes one flow run instead of two."""
+    runs from I.  Verdict and diagnostics (times aside) are those with the
+    early step off (EARLY at 0, not above the full tolerance), which makes
+    one flow run instead of two."""
     rep, w, early = pr.four_lines_rep(1e-6), pr.FOURSPACE_WEIGHT, stability.EARLY
     chi = np.ones(4)
     system, report = pr.kempf_ness_flow(rep, w, moment.FlowOptions(early))
@@ -753,8 +754,8 @@ def test_duality_keeps_the_verdict(seed):
     and sigma' = sum chi_e - sigma.  So the complements have the
     classification and best score of V, and the HN type reversed, with
     slopes sum chi_e - sigma_j.  Compared wherever both verdicts are
-    certified; an oracle that shares no step with the flow's reading of
-    either rep."""
+    certified: the two flows share no iterate, so each verdict checks the
+    other."""
     rng = np.random.default_rng(seed)
     rep, w = random_antichain_rep(rng, bent=seed % 2 == 1)
     dual, dw = _dual(rep, w)
