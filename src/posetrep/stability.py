@@ -568,23 +568,21 @@ def _flow_route(rep, w, opts, score, diagnostics, times):
     chi = np.array([float(w.chi[e]) for e in rep.poset.elements])
     flow, early = _flow_options(w), _flow_options(w, EARLY)
     early.tol = min(early.tol, floor)
-    run = None
+    run = None  # the loose run, when it is the full run as well
     if early.tol > flow.tol:
         with _timed(times, "flow"):
-            run = moment.kempf_ness_flow(rep, w, early)
-        system, report = run
-        if report.status == "converged":
-            run = None
-            if report.residual < floor:
-                _, bound = _cholesky_stable(
-                    np.stack(list(system.projections.values())), report.residual, chi, times)
-                if bound is not None:
-                    diagnostics.update(flow_status=report.status,
-                                       flow_iterations=report.iterations,
-                                       flow_trials=report.attempts, residual=report.residual)
-                    _semistable_diagnostics(rep, w, floor, diagnostics)
-                    diagnostics.update(end_dim=1, lambda_min=bound)
-                    return "flow_stable", STABLE, None, None, False
+            system, report = moment.kempf_ness_flow(rep, w, early)
+        if report.status != "converged":
+            run = system, report
+        elif report.residual < floor:  # as on the full route
+            _, bound = _cholesky_stable(
+                np.stack(list(system.projections.values())), report.residual, chi, times)
+            if bound is not None:
+                diagnostics.update(flow_status=report.status, flow_iterations=report.iterations,
+                                   flow_trials=report.attempts, residual=report.residual)
+                _semistable_diagnostics(rep, w, floor, diagnostics)
+                diagnostics.update(end_dim=1, lambda_min=bound)
+                return "flow_stable", STABLE, None, None, False
     g = np.eye(d0, dtype=complex)
     iterations = trials = 0
     for rerun in (False, True):

@@ -30,9 +30,8 @@ The script exits 1 on any difference in classification or certified best
 score, and when a section has more ``uncertified`` verdicts than its record
 (each section's count is its own ratchet); 0 otherwise.
 
-    PYTHONPATH=src python tests/stability_gate.py                      # compare both
-    PYTHONPATH=src python tests/stability_gate.py --section held-out   # one section
-    PYTHONPATH=src python tests/stability_gate.py --record             # rewrite the records
+    PYTHONPATH=src python tests/stability_gate.py            # compare both sections
+    PYTHONPATH=src python tests/stability_gate.py --record   # rewrite the records
 
 pytest does not collect this file (no ``test_`` prefix); the gate section
 takes about 7 s on one core, the held-out section about 12 s.
@@ -167,15 +166,12 @@ def main(argv=None) -> int:
     par = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     par.add_argument("--record", action="store_true",
                      help="write the verdicts to the record instead of comparing")
-    par.add_argument("--section", choices=sorted(RECORDS), action="append",
-                     help="run this section only (repeatable; default: both)")
     args = par.parse_args(argv)
     ok = True
-    for section in args.section or list(RECORDS):
+    for section, record in RECORDS.items():
         print(f"== {section}")
         entries = run_section(section)
         _tallies(entries)
-        record = RECORDS[section]
         if args.record:
             record.parent.mkdir(exist_ok=True)
             record.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
