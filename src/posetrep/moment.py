@@ -122,27 +122,34 @@ def orthoscalar_check(ps: ProjectionSystem, tol: float = 1e-8) -> CheckReport:
     order, and the weighted scalar identity sum chi_e P_e = chi0 I.
     """
     ps.weight.aligned(ps.poset)
-    d0 = ps.ambient_dim
-    herm = idem = rank_dev = nesting = 0.0
-    for e in ps.poset.elements:
-        p = linalg.as_complex(ps.projections[e])
+    elements, pairs = ps.poset.elements, ps.poset.pairs
+    n, d0 = len(elements), ps.ambient_dim
+    mats = [linalg.as_complex(ps.projections[e]) for e in elements]
+    for e, p in zip(elements, mats):
         if p.shape != (d0, d0):
             raise WrongShape(f"projection for {e!r} has shape {p.shape}")
-        herm = max(herm, float(np.linalg.norm(p - p.conj().T)))
-        idem = max(idem, float(np.linalg.norm(p @ p - p)))
-        rank_dev = max(rank_dev, abs(float(np.trace(p).real) - ps.ranks[e]))
-    for a, b in ps.poset.pairs:
-        pa, pb = ps.projections[a], ps.projections[b]
-        nesting = max(
-            nesting,
-            float(np.linalg.norm(pa @ pb - pa)),
-            float(np.linalg.norm(pb @ pa - pa)),
-        )
-    scalar_m = -float(ps.weight.chi0) * np.eye(d0, dtype=complex)
-    for e in ps.poset.elements:
-        scalar_m = scalar_m + float(ps.weight.chi[e]) * ps.projections[e]
-    scalar = float(np.linalg.norm(scalar_m))
-    return CheckReport(herm, idem, rank_dev, nesting, scalar, tol)
+    stack = np.array(mats, dtype=complex).reshape(n, d0, d0)
+
+    def worst(m: np.ndarray) -> float:
+        return float(np.max(np.linalg.norm(m, axis=(1, 2)), initial=0.0))
+
+    nesting = 0.0
+    if pairs:
+        index = {e: k for k, e in enumerate(elements)}
+        lower = stack[[index[a] for a, _ in pairs]]
+        upper = stack[[index[b] for _, b in pairs]]
+        nesting = max(worst(lower @ upper - lower), worst(upper @ lower - lower))
+    ranks = np.array([ps.ranks[e] for e in elements], dtype=float)
+    chi = np.array([float(ps.weight.chi[e]) for e in elements])
+    scalar = chi @ stack.reshape(n, d0 * d0) - float(ps.weight.chi0) * np.eye(d0).ravel()
+    return CheckReport(
+        worst(stack - stack.conj().transpose(0, 2, 1)),
+        worst(stack @ stack - stack),
+        float(np.max(np.abs(np.trace(stack, axis1=1, axis2=2).real - ranks), initial=0.0)),
+        nesting,
+        float(np.linalg.norm(scalar)),
+        tol,
+    )
 
 
 class _MomentMap:
@@ -533,9 +540,18 @@ def unitary_invariants(
     length m splits into halves U of length a = ceil(m / 2) and V of length
     m - a, and tr(U V) = sum_ij U_ij V_ji = <vec U, vec V^T>, so one matmul
     of the vectorized half-word products gives the trace of every word of
-    length m at its own number.  The keys are the numbers no larger than
-    any of their rotations.  The values are the left-to-right products'
-    traces up to rounding.
+    length m at its own number.  The keys are the numbers equal to their
+    least rotation.  The values are the left-to-right products' traces up
+    to rounding.
+
+    The P_e are Hermitian, so the trace of a reversed word is the complex
+    conjugate of the word's trace.  Each key's mirror is the least rotation
+    of its reversal, read off the same table of least rotations, and the
+    values keep that symmetry exactly: of a key and its mirror, the larger
+    takes the conjugate of the smaller's value, and a key that is its own
+    mirror (every word of length <= 2 among them) has a real trace, stored
+    with imaginary part 0.0.  Words are not merged through P_e^2 = P_e, so
+    a word with a repeated adjacent letter keeps its own trace.
     """
     elems = ps.poset.elements
     names = np.array(elems, dtype=object)
@@ -551,13 +567,21 @@ def unitary_invariants(
         left = prods[a].reshape(n ** a, d0 * d0)
         right = prods[b].transpose(0, 2, 1).reshape(n ** b, d0 * d0)
         traces = (left @ right.T).reshape(n ** m)
-        x = np.arange(n ** m)
-        necklace = np.ones(n ** m, dtype=bool)
+        # least[x]: the least rotation of the word numbered x
+        x = least = np.arange(n ** m)
         for r in range(1, m):
             tail = n ** (m - r)
-            necklace &= x <= x % tail * n ** r + x // tail
-        letters = x[necklace, None] // n ** np.arange(m - 1, -1, -1) % n
-        out.update(zip(zip(*names[letters].T.tolist()), traces[necklace].tolist()))
+            least = np.minimum(least, x % tail * n ** r + x // tail)
+        necklace = least == x
+        keys, values = x[necklace], traces[necklace]
+        place = n ** np.arange(m)
+        letters = keys[:, None] // place[::-1] % n
+        # each necklace's mirror: the least rotation of its reversal
+        mirror = least[letters @ place]
+        chiral = mirror < keys
+        values[chiral] = values[np.searchsorted(keys, mirror[chiral])].conj()
+        values.imag[mirror == keys] = 0.0
+        out.update(zip(zip(*names[letters].T.tolist()), values.tolist()))
     return out
 
 

@@ -508,6 +508,26 @@ def oracle_stable_margin(rep, w, projs: dict) -> tuple[int, float]:
     return oracle_endomorphism_dim(rep), float(values[1])
 
 
+def oracle_orthoscalar_check(ps) -> tuple[float, float, float, float, float]:
+    """The violations of ``orthoscalar_check`` (hermitian, idempotent,
+    rank_deviation, nesting, scalar), one projection and one order pair at
+    a time, the scalar sum one term at a time."""
+    herm = idem = rank_dev = nesting = 0.0
+    for e in ps.poset.elements:
+        p = np.asarray(ps.projections[e], dtype=complex)
+        herm = max(herm, float(np.linalg.norm(p - p.conj().T)))
+        idem = max(idem, float(np.linalg.norm(p @ p - p)))
+        rank_dev = max(rank_dev, abs(float(np.trace(p).real) - ps.ranks[e]))
+    for a, b in ps.poset.pairs:
+        pa, pb = ps.projections[a], ps.projections[b]
+        nesting = max(nesting, float(np.linalg.norm(pa @ pb - pa)),
+                      float(np.linalg.norm(pb @ pa - pa)))
+    total = -float(ps.weight.chi0) * np.eye(ps.ambient_dim, dtype=complex)
+    for e in ps.poset.elements:
+        total = total + float(ps.weight.chi[e]) * ps.projections[e]
+    return herm, idem, rank_dev, nesting, float(np.linalg.norm(total))
+
+
 def oracle_unitary_invariants(ps, max_len: int = 4):
     """tr(P_{w1} ... P_{wk}) for every word whose smallest rotation (by
     element index) is itself, each product formed from scratch."""

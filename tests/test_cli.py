@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -512,6 +513,69 @@ def test_invariants_text_and_json_agree(capsys, tmp_path):
     assert len(listed) == len(payload["invariants"]) == 10 + 55 + 340
     words = [word.split() for word, _ in listed]
     assert words == sorted(words, key=lambda w: (len(w), w))
+
+
+def _projection_file(directory, names, d0, rng) -> str:
+    """A .proj file of random projections of C^d0 on the antichain of the
+    given names, with its poset file next to it."""
+    p = pr.Poset(tuple(names), set())
+    ranks = {e: int(rng.integers(0, d0 + 1)) for e in names}
+    projs = {}
+    for e in names:
+        q = random_subspace(rng, d0, ranks[e])
+        projs[e] = q @ q.conj().T
+    ps = pr.ProjectionSystem(p, pr.Weight(1, {e: 1 for e in names}), projs, ranks)
+    fileio.save_poset(p, str(Path(directory) / "p.poset"))
+    proj = str(Path(directory) / "p.proj")
+    fileio.save_projection_system(ps, proj, "p.poset")
+    return proj
+
+
+def test_invariants_text_prints_self_mirror_words_as_real(capsys, tmp_path):
+    """A word that is its own reversal up to rotation, as every word of
+    length at most 2 is, has a real trace: the listing prints it with
+    imaginary part +0.0j.  Some longer words are chiral and some of those
+    print a nonzero imaginary part."""
+    names = [f"a{i}" for i in range(1, 6)]
+    proj = _projection_file(tmp_path, names, 3, np.random.default_rng(11))
+    code, text, _ = run(capsys, "invariants", proj, "--max-len", "4")
+    assert code == 0
+    index = {e: k for k, e in enumerate(names)}
+
+    def mirror(word):
+        rots = [word[::-1][k:] + word[::-1][:k] for k in range(len(word))]
+        return min(rots, key=lambda t: [index[e] for e in t])
+
+    listed = {tuple(line.split(": ", 1)[0].split()): line.split(": ", 1)[1]
+              for line in text.splitlines()[1:]}
+    real = {word for word in listed if mirror(word) == word}
+    assert sum(len(word) <= 2 for word in real) == 5 + 15
+    assert all(listed[word].endswith("+0.0j") for word in real)
+    assert any(not val.endswith("+0.0j") for word, val in listed.items() if word not in real)
+
+
+# element names with a quote, a backslash, non-ASCII letters and a letter
+# outside the BMP, which JSON escapes as a surrogate pair
+_NAMES = st.lists(st.text('ab"\\\u00e9\u03bb\U0001f600', min_size=1, max_size=3),
+                  unique=True, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_NAMES, st.integers(0, 3), st.integers(0, 4), st.integers(0, 2**32 - 1))
+@example([], 2, 4, 0)
+@example(['a"', "b\\", "\u00e9"], 2, 0, 0)
+def test_invariants_json_is_the_indented_dump(names, d0, max_len, seed):
+    """--output json invariants prints json.dumps(payload, sort_keys=True,
+    indent=2) byte for byte, although its word map goes through the C
+    encoder; the examples are the empty poset and --max-len 0, whose maps
+    are empty."""
+    with tempfile.TemporaryDirectory() as directory:
+        proj = _projection_file(directory, names, d0, np.random.default_rng(seed))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["--output", "json", "invariants", proj, "--max-len", str(max_len)]) == 0
+    out = out.getvalue()
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ from posetrep.moment import _MomentMap
 from conftest import (
     oracle_hessian,
     oracle_moment,
+    oracle_orthoscalar_check,
     oracle_unitary_invariants,
     planted_line_rep,
+    random_nested_input,
     random_nested_rep,
     random_poset,
     random_unitary,
@@ -54,6 +56,37 @@ def test_orthoscalar_check_flags_bad_scalar():
     out = pr.orthoscalar_check(pr.ProjectionSystem(p, w, projs, {"a1": 1, "a2": 1}))
     assert not out.passed
     assert out.as_dict()["scalar"] > 0.5
+
+
+def test_orthoscalar_check_matches_per_element_oracle(rng):
+    """Every violation, from the batched projector stack, against one
+    projection and one order pair at a time: on nested reps of random
+    posets, so that the nesting term is live, both at their projectors and
+    with the projectors moved by noise, so that no term is 0.  The sums
+    run in another order, so they agree to 16 d0^2 eps relative to the
+    larger of 1 and the oracle's value."""
+    eps = np.finfo(float).eps
+    nested = 0
+    for _ in range(20):
+        rep, chi, chi0 = random_nested_input(rng)
+        d0 = rep.ambient_dim
+        w = pr.Weight(chi0 if chi0 > 0 else 1, chi)
+        ranks = {e: rep.dim(e) for e in rep.poset.elements}
+        nested += bool(rep.poset.pairs)
+        for noise in (0.0, 0.1):
+            projs = {e: q @ q.conj().T + noise * random_complex(rng, d0, d0)
+                     for e, q in rep.spans.items()}
+            ps = pr.ProjectionSystem(rep.poset, w, projs, ranks)
+            report = pr.orthoscalar_check(ps)
+            got = (report.hermitian, report.idempotent, report.rank_deviation,
+                   report.nesting, report.scalar)
+            for g, want in zip(got, oracle_orthoscalar_check(ps)):
+                assert abs(g - want) <= 16 * d0 * d0 * eps * max(1.0, want), (got, want)
+    assert nested >= 10
+    bad = perp_system()
+    bad.projections["a2"] = np.eye(3, dtype=complex)
+    with pytest.raises(pr.WrongShape):
+        pr.orthoscalar_check(bad)
 
 
 def test_moment_value_zero_at_balanced_config():
@@ -501,25 +534,43 @@ def test_unitary_invariants_match_oracle(rng):
             assert sum(len(k) == m for k in got) == _necklace_count(n, m)
 
 
-def test_unitary_invariants_reversal_is_conjugate(rng):
-    """The P_e are Hermitian, so tr(P_{wk} ... P_{w1}) is the conjugate of
-    tr(P_{w1} ... P_{wk}): the key of each word's reversal holds the
-    conjugate value, with no product formed outside the function."""
-    ps = _random_projection_system(rng, 10, 16)
-    inv = pr.unitary_invariants(ps, 4)
+def _mirror_key(ps):
+    """The least rotation (by element index) of a word's reversal."""
     index = {e: k for k, e in enumerate(ps.poset.elements)}
 
     def key(word):
-        rots = [word[k:] + word[:k] for k in range(len(word))]
+        rots = [word[::-1][k:] + word[::-1][:k] for k in range(len(word))]
         return min(rots, key=lambda t: [index[e] for e in t])
+    return key
 
-    bound = _trace_bound(4, 16)
+
+def test_unitary_invariants_reversal_is_conjugate(rng):
+    """The P_e are Hermitian, so tr(P_{wk} ... P_{w1}) is the conjugate of
+    tr(P_{w1} ... P_{wk}): the key of each word's reversal holds exactly
+    the conjugate value, with no product formed outside the function."""
+    ps = _random_projection_system(rng, 10, 16)
+    inv = pr.unitary_invariants(ps, 4)
+    mirror_key = _mirror_key(ps)
     chiral = 0
     for word, value in inv.items():
-        mirror = key(word[::-1])
+        mirror = mirror_key(word)
         chiral += mirror != word
-        assert abs(inv[mirror] - value.conjugate()) <= bound, word
+        assert inv[mirror] == value.conjugate(), word
     assert chiral > 0
+
+
+def test_unitary_invariants_self_mirror_words_are_real(rng):
+    """A word that is its own reversal up to rotation has a real trace,
+    stored with imaginary part exactly 0.0 (not -0.0); every word of length
+    at most 2 is one.  Ten letters up to length 4 have 715 of them."""
+    ps = _random_projection_system(rng, 10, 16)
+    inv = pr.unitary_invariants(ps, 4)
+    mirror_key = _mirror_key(ps)
+    real = [word for word in inv if mirror_key(word) == word]
+    assert all(word in real for word in inv if len(word) <= 2)
+    assert len(real) == 715
+    for word in real:
+        assert math.copysign(1.0, inv[word].imag) == 1.0 and inv[word].imag == 0.0, word
 
 
 def test_fourspace_parameters_on_sphere_matrices(rng):

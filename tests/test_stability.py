@@ -737,18 +737,18 @@ def test_scaling_keeps_the_verdict(seed, c):
 
 
 def _dual(rep, w):
-    """Each V_e sent to its orthogonal complement, with the chi_e kept and
-    chi0' = sum chi_e (d0 - d_e) / d0, the slope of the complements; on an
-    antichain the opposite poset is the poset itself."""
-    d0 = rep.ambient_dim
+    """Each V_e sent to its orthogonal complement on the opposite poset
+    (V_a < V_b turns into V_b^perp < V_a^perp), with the chi_e kept and
+    chi0' = sum chi_e (d0 - d_e) / d0, the slope of the complements; the
+    rep and chi0', which is 0 when every V_e is the whole space."""
+    p, d0 = rep.poset, rep.ambient_dim
     spans = {e: np.linalg.svd(q)[0][:, q.shape[1]:] for e, q in rep.spans.items()}
-    chi0 = sum(w.chi[e] * (d0 - rep.dim(e)) for e in rep.poset.elements) / Fraction(d0)
-    return pr.make_rep(rep.poset, d0, spans), pr.Weight(chi0, w.chi)
+    chi0 = sum(w.chi[e] * (d0 - rep.dim(e)) for e in p.elements) / Fraction(d0)
+    opposite = pr.Poset(p.elements, {(b, a) for a, b in p.pairs})
+    return pr.make_rep(opposite, d0, spans), chi0
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_duality_keeps_the_verdict(seed):
+def _check_duality(rep, w):
     """f'(K^perp) = f(K) for every K, f' the score of the complements at
     their slope: dim(V_e^perp /\\ K^perp) = d0 - d_e - dim K + dim(V_e /\\ K),
     and sigma' = sum chi_e - sigma.  So the complements have the
@@ -756,11 +756,9 @@ def test_duality_keeps_the_verdict(seed):
     slopes sum chi_e - sigma_j.  Compared wherever both verdicts are
     certified: the two flows share no iterate, so each verdict checks the
     other."""
-    rng = np.random.default_rng(seed)
-    rep, w = random_antichain_rep(rng, bent=seed % 2 == 1)
-    dual, dw = _dual(rep, w)
-    assume(dw.chi0 > 0)
-    v, u = pr.stability_check(rep, w), pr.stability_check(dual, dw)
+    dual, chi0 = _dual(rep, w)
+    assume(chi0 > 0)
+    v, u = pr.stability_check(rep, w), pr.stability_check(dual, pr.Weight(chi0, w.chi))
     assume(not v.inconclusive and not u.inconclusive)
     assert (u.classification, u.best_score) == (v.classification, v.best_score)
     if v.classification == pr.UNSTABLE:
@@ -769,3 +767,23 @@ def test_duality_keeps_the_verdict(seed):
         assert e["hn_dims"] == d["hn_dims"][::-1]
         assert [Fraction(x) for x in e["hn_slopes"]] == [
             total - Fraction(x) for x in d["hn_slopes"][::-1]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_duality_keeps_the_verdict(seed):
+    """Duality (``_check_duality``) on antichain reps, bent toward a common
+    line for odd seeds; on an antichain the opposite poset is the poset."""
+    rng = np.random.default_rng(seed)
+    _check_duality(*random_antichain_rep(rng, bent=seed % 2 == 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_duality_keeps_the_verdict_on_nested_posets(seed):
+    """Duality (``_check_duality``) on nested reps of random posets at the
+    chi0 of their trace identity; the complements are nested along the
+    opposite poset."""
+    rep, chi, chi0 = random_nested_input(np.random.default_rng(seed))
+    assume(chi0 > 0)
+    _check_duality(rep, pr.Weight(chi0, chi))
