@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 invalid input, 2 non-convergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -222,7 +223,7 @@ def _cmd_solve(args) -> int:
     prefix = args.prefix or os.path.splitext(args.rep)[0]
     report_path = prefix + ".report.json"
     payload = report.as_dict()
-    with open(report_path, "w", encoding="utf-8") as fh:
+    with fileio.overwrite(report_path) as fh:
         fh.write(fileio.report_to_json(payload))
     written = [report_path]
     if system is not None:
@@ -341,17 +342,17 @@ def _cmd_fourspace_sweep(args) -> int:
     tokens = [tok.strip() for tok in args.lambdas.split(",") if tok.strip()]
     w = FOURSPACE_WEIGHT if args.chi is None else fileio.parse_weight(args.chi, FOUR_ANTICHAIN)
     rows = (_sweep_row(token, args, w) for token in tokens)
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
+    if args.out:
+        target = fileio.overwrite(args.out, newline="")
+    else:
+        target = contextlib.nullcontext(sys.stdout)
+    with target as out:
         if args.output == "json":
             out.write(json.dumps(list(rows), indent=2) + "\n")
         else:
             writer = csv.DictWriter(out, fieldnames=_SWEEP_COLUMNS)
             writer.writeheader()
             writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 

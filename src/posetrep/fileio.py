@@ -12,12 +12,23 @@ once; :func:`format_complex` is its one-entry case.  The text is the same
 as writing one entry at a time.  The reader parses a matrix block in one
 call and reads it again token by token only to report, or accept, what
 that call rejects.
+
+Every file this package writes goes through one writer, :func:`overwrite`.
+It overwrites the file in place: it opens the path without truncating it,
+writes the new text from the start and cuts the file at the end of that
+text, even when the write fails part way, so no old tail survives.  On an
+ext4 volume mounted with ``discard``, truncating a non-empty file on open
+costs about 60 us; writing in place and cutting the rest costs a few.  The
+writer is neither atomic nor synced, as ``open(path, "w")`` is not: a
+reader may see a half-written file, and a crash may lose the text.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import stat
 from fractions import Fraction
 
 import numpy as np
@@ -88,6 +99,28 @@ def _fraction(token: str, line: int | None = None) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# the output writer
+
+@contextlib.contextmanager
+def overwrite(path: str, newline: str | None = None):
+    """A UTF-8 text stream that overwrites ``path`` in place.
+
+    The path is opened without ``O_TRUNC`` and created with mode 0o666
+    (less the umask) when it is missing; the stream is that of
+    ``open(path, "w", encoding="utf-8", newline=newline)``.  On leaving the
+    block, whether the body finished or raised, a regular file is cut at the
+    end of what was written; a device such as ``/dev/null`` is left as it is.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+
+
+# ---------------------------------------------------------------------------
 # posets
 
 def parse_poset(text: str) -> Poset:
@@ -132,7 +165,7 @@ def load_poset(path: str) -> Poset:
 
 
 def save_poset(p: Poset, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with overwrite(path) as fh:
         fh.write(serialize_poset(p))
 
 
@@ -348,7 +381,7 @@ def load_rep(path: str) -> tuple[SubspaceRep, str]:
 
 
 def save_rep(rep: SubspaceRep, path: str, poset_path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with overwrite(path) as fh:
         fh.write(serialize_rep(rep, poset_path))
 
 
@@ -388,7 +421,7 @@ def load_projection_system(path: str) -> tuple[ProjectionSystem, str]:
 
 
 def save_projection_system(ps: ProjectionSystem, path: str, poset_path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with overwrite(path) as fh:
         fh.write(serialize_projection_system(ps, poset_path))
 
 

@@ -269,7 +269,7 @@ MAX_STEP = 10.0
 STALL_WINDOW = 20
 STALL_FACTOR = 0.5
 #: largest metric condition number: a run whose metric passes it stops
-#: with a plateau
+#: with a plateau, whatever its residual reads
 COND_CAP = 1e12
 
 
@@ -403,8 +403,10 @@ def kempf_ness_flow(
     accepted, the residual is above STALL_FACTOR times its value
     STALL_WINDOW iterations earlier, or the metric condition number
     passes COND_CAP (the metric degenerates, as on an unstable class); and
-    max_iter otherwise.  The weighted trace identity is required up front
-    (NoTraceIdentity).
+    max_iter otherwise.  Passing COND_CAP ends the run with plateau even in
+    a step whose residual reads below tol: a residual read at a metric that
+    near the boundary of the orbit certifies no orthoscalar limit.  The
+    weighted trace identity is required up front (NoTraceIdentity).
 
     Each step trial costs one Hermitian exponential, one moment-map
     evaluation (lines in closed form and one batched QR per wider span
@@ -491,17 +493,17 @@ def kempf_ness_flow(
             step, t_first = t, min(1.0, 2.0 * t)
         steps.append(t if accepted else 0.0)
         history.append(residual)
-        stalled = condition > COND_CAP or (
+        stalled = (
             len(history) > STALL_WINDOW
             and residual > STALL_FACTOR * history[-1 - STALL_WINDOW]
         )
-        if (not accepted or stalled) and residual >= opts.tol:
+        if condition > COND_CAP or ((not accepted or stalled) and residual >= opts.tol):
             status = "plateau"
             break
     else:
         iterations = opts.max_iter
 
-    if status != "converged" and residual < opts.tol:
+    if status == "max_iter" and residual < opts.tol:
         status = "converged"
 
     report = FlowReport(

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -300,6 +301,25 @@ def test_solve_default_prefix_next_to_rep(capsys, files, tmp_path):
     assert code == 0
     assert (tmp_path / "lam2.report.json").exists()
     assert (tmp_path / "lam2.proj").exists()
+
+
+def test_solve_overwrites_longer_files_and_repeats_byte_for_byte(capsys, files, tmp_path):
+    """Both outputs are written over 200 KB of junk with nothing of it left,
+    and a second run with the same prefix leaves the same bytes."""
+    prefix = str(tmp_path / "out")
+    outputs = [Path(prefix + ".report.json"), Path(prefix + ".proj")]
+    for path in outputs:
+        path.write_text("x" * 200_000)
+    argv = ("solve", files["lam2.rep"], "-w", "2; 1, 1, 1, 1", "--prefix", prefix)
+    code, first_out, _ = run(capsys, *argv)
+    assert code == 0
+    first = [path.read_bytes() for path in outputs]
+    assert json.loads(first[0])["status"] == "converged"
+    system, _ = fileio.load_projection_system(prefix + ".proj")
+    assert first[1] == fileio.serialize_projection_system(system, "anti4.poset").encode()
+    code, second_out, _ = run(capsys, *argv)
+    assert code == 0 and second_out == first_out
+    assert [path.read_bytes() for path in outputs] == first
 
 
 def test_solve_non_convergence_exit_2(capsys, files, tmp_path):
@@ -651,6 +671,24 @@ def test_fourspace_sweep_goes_on_past_nan_and_infinite_lambdas(capsys):
     assert [r["status"] for r in rows[:3]] == ["converged", "error:invalid-lambda", "converged"]
     assert rows[3]["exceptional"] == "yes"
     assert rows[3]["status"] == "converged"
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_fourspace_sweep_overwrites_a_longer_file(capsys, tmp_path, output):
+    out_path = tmp_path / "sweep.out"
+    argv = ("--output", output, "fourspace-sweep", "--lambdas", "2, zzz")
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+    out_path.write_text("x" * 200_000)
+    code, out, _ = run(capsys, *argv, "--out", str(out_path))
+    assert code == 0 and out == ""
+    assert out_path.read_bytes() == expected.encode()
+
+
+def test_fourspace_sweep_out_to_a_device(capsys):
+    """A device cannot be cut; it is written as ``open(path, "w")`` would."""
+    code, out, _ = run(capsys, "fourspace-sweep", "--lambdas", "2", "--out", os.devnull)
+    assert code == 0 and out == ""
 
 
 def test_fourspace_sweep_bad_chi_writes_no_csv(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -471,3 +472,79 @@ def test_report_json_shape():
     payload = json.loads(text)
     assert payload["status"] == "converged"
     assert isinstance(payload["history"], list)
+
+
+# ---------------------------------------------------------------------------
+# the output writer
+
+#: a longer old file than anything written below, with a line that no
+#: serializer writes, so a surviving tail shows
+JUNK = "# stale\n" + "x" * 200_000 + "\n"
+
+
+def test_overwrite_leaves_exactly_the_new_text(tmp_path):
+    path = write(tmp_path, "out.txt", JUNK)
+    with fileio.overwrite(path) as fh:
+        fh.write("short\n")
+    assert (tmp_path / "out.txt").read_bytes() == b"short\n"
+    with fileio.overwrite(path) as fh:
+        fh.write("")
+    assert (tmp_path / "out.txt").read_bytes() == b""
+
+
+def test_overwrite_creates_a_missing_file(tmp_path):
+    path = tmp_path / "new.txt"
+    with fileio.overwrite(str(path)) as fh:
+        fh.write("é\n")
+    assert path.read_bytes() == "é\n".encode("utf-8")
+
+
+def test_overwrite_newline_as_open(tmp_path):
+    """newline is passed through as to ``open``: '' writes the text as it
+    is, None translates '\\n' to os.linesep (the same on POSIX)."""
+    for newline in (None, "", "\r\n"):
+        expected = tmp_path / "open.txt"
+        with open(expected, "w", encoding="utf-8", newline=newline) as fh:
+            fh.write("a\nb\r\n")
+        path = write(tmp_path, "in_place.txt", JUNK)
+        with fileio.overwrite(path, newline=newline) as fh:
+            fh.write("a\nb\r\n")
+        assert (tmp_path / "in_place.txt").read_bytes() == expected.read_bytes()
+
+
+def test_overwrite_never_truncates_on_open(tmp_path, monkeypatch):
+    flags = []
+    os_open = os.open
+
+    def spy(path, flag, *args):
+        flags.append(flag)
+        return os_open(path, flag, *args)
+
+    monkeypatch.setattr(os, "open", spy)
+    path = write(tmp_path, "out.txt", JUNK)
+    fileio.save_poset(pr.primitive_poset(1, 2), path)
+    assert flags == [os.O_WRONLY | os.O_CREAT]
+
+
+def test_overwrite_cuts_the_old_tail_when_the_write_fails(tmp_path):
+    path = write(tmp_path, "out.txt", JUNK)
+    with pytest.raises(RuntimeError, match="half way"):
+        with fileio.overwrite(path) as fh:
+            fh.write("written\n")
+            raise RuntimeError("half way")
+    assert (tmp_path / "out.txt").read_bytes() == b"written\n"
+
+
+def test_save_functions_overwrite_a_longer_file(tmp_path):
+    write(tmp_path, "anti.poset", fileio.serialize_poset(pr.FOUR_ANTICHAIN))
+    poset, rep = pr.primitive_poset(1, 2), pr.four_lines_rep(2)
+    system, _ = pr.kempf_ness_flow(rep, pr.FOURSPACE_WEIGHT)
+    path = write(tmp_path, "out", JUNK)
+    fileio.save_poset(poset, path)
+    assert (tmp_path / "out").read_text() == fileio.serialize_poset(poset)
+    path = write(tmp_path, "out", JUNK)
+    fileio.save_rep(rep, path, "anti.poset")
+    assert (tmp_path / "out").read_text() == fileio.serialize_rep(rep, "anti.poset")
+    path = write(tmp_path, "out", JUNK)
+    fileio.save_projection_system(system, path, "anti.poset")
+    assert (tmp_path / "out").read_text() == fileio.serialize_projection_system(system, "anti.poset")

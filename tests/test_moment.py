@@ -291,6 +291,25 @@ def test_flow_plateau_on_tiny_condition_cap(monkeypatch):
     assert report.condition == pytest.approx(np.linalg.cond(report.final_metric), rel=1e-9)
 
 
+def test_flow_plateau_at_the_condition_cap_below_tol():
+    """Input 43 of the seeded nested sequence (see test_stability.py): its
+    metric passes COND_CAP in iteration 20.  With tol between the residuals
+    of iterations 19 and 20, the residual reads below tol in the step that
+    passes the cap; the run still ends as a plateau there, with the same
+    iterates as the run at the default tol, and returns no system."""
+    rng = np.random.default_rng(7)
+    for _ in range(44):
+        rep, chi, chi0 = random_nested_input(rng)
+    w = pr.Weight(chi0, chi)
+    _, free = pr.kempf_ness_flow(rep, w)
+    assert free.status == "plateau" and free.condition > moment.COND_CAP
+    tol = (free.history[-2] + free.history[-1]) / 2
+    system, report = pr.kempf_ness_flow(rep, w, pr.FlowOptions(tol=tol))
+    assert system is None and report.status == "plateau"
+    assert report.residual < tol and report.condition > moment.COND_CAP
+    assert report.history == free.history and report.iterations == free.iterations
+
+
 def test_flow_deterministic_reports():
     rep = pr.four_lines_rep(3 + 4j)
     w = pr.FOURSPACE_WEIGHT

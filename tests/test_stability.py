@@ -17,7 +17,7 @@ from math import sqrt
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import posetrep as pr
 from posetrep import moment, stability
@@ -780,6 +780,7 @@ def test_duality_keeps_the_verdict(seed):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1))
+@example(1902)
 def test_duality_keeps_the_verdict_on_nested_posets(seed):
     """Duality (``_check_duality``) on nested reps of random posets at the
     chi0 of their trace identity; the complements are nested along the
@@ -787,3 +788,16 @@ def test_duality_keeps_the_verdict_on_nested_posets(seed):
     rep, chi, chi0 = random_nested_input(np.random.default_rng(seed))
     assume(chi0 > 0)
     _check_duality(rep, pr.Weight(chi0, chi))
+
+
+def test_a_semistable_piece_is_not_passed_at_a_degenerate_metric():
+    """Seed 1902 of the nested inputs (5 elements in C^3): the flow on the
+    2-dim piece of slope 2 reads a residual below the tol of the
+    semistability test in the step whose metric passes COND_CAP.  That
+    step ends the run as a plateau, so the piece splits and the HN type
+    has three lines, the reverse of its complements'."""
+    rep, chi, chi0 = random_nested_input(np.random.default_rng(1902))
+    v = pr.stability_check(rep, pr.Weight(chi0, chi))
+    d = v.diagnostics
+    assert (v.classification, v.best_score, v.inconclusive) == (pr.UNSTABLE, Fraction(14, 3), False)
+    assert d["hn_dims"] == [1, 1, 1] and d["hn_slopes"] == ["9", "3", "1"]
