@@ -226,18 +226,22 @@ def _cmd_solve(args) -> int:
     with fileio.overwrite(report_path) as fh:
         fh.write(fileio.report_to_json(payload))
     written = [report_path]
+    proj_path = prefix + ".proj"
     if system is not None:
-        out_dir = os.path.dirname(os.path.abspath(prefix + ".proj"))
+        out_dir = os.path.dirname(os.path.abspath(proj_path))
         poset_abs = os.path.join(
             os.path.dirname(os.path.abspath(args.rep)), poset_path
         )
         fileio.save_projection_system(
-            system, prefix + ".proj", os.path.relpath(poset_abs, out_dir)
+            system, proj_path, os.path.relpath(poset_abs, out_dir)
         )
-        written.append(prefix + ".proj")
+        written.append(proj_path)
+    elif os.path.isfile(proj_path):
+        # a system left by an earlier run would pass for this input's
+        os.remove(proj_path)
     # the file keeps the final metric and the per-iteration lists; stdout
     # drops them
-    for key in ("final_metric", "history", "steps", "trials"):
+    for key in ("final_metric", "history", "steps", "trials", "hvps"):
         payload.pop(key, None)
     payload["files"] = written
     _emit(

@@ -31,6 +31,7 @@ metric degenerates, and the flow stops with a plateau.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,9 +211,9 @@ class _MomentMap:
         stays accurate where L is nearly singular."""
         xp = x @ p
         r = xp - p @ xp
-        s = self._weighted_sum(r)
-        curvature = 2.0 * float(self.chi @ (r.real**2 + r.imag**2).sum(axis=(1, 2)))
-        return s + s.conj().T, curvature
+        cr = self.chi[:, None, None] * r
+        s = cr.sum(0)
+        return s + s.conj().T, 2.0 * _inner(r, cr)
 
     def system(self, p: np.ndarray) -> ProjectionSystem:
         """The projections keyed in poset order."""
@@ -269,7 +270,10 @@ MAX_STEP = 10.0
 STALL_WINDOW = 20
 STALL_FACTOR = 0.5
 #: largest metric condition number: a run whose metric passes it stops
-#: with a plateau, whatever its residual reads
+#: with a plateau, whatever its residual reads.  The flow carries an upper
+#: bound on the condition instead of computing it, and takes the exact one
+#: (one SVD) only once the bound passes COND_CAP / 2 or is not finite, so
+#: the stop is always decided on an exact condition
 COND_CAP = 1e12
 
 
@@ -292,6 +296,7 @@ class FlowReport:
     history: list[float] = field(default_factory=list)
     steps: list[float] = field(default_factory=list)  # accepted t per iteration, 0 when none
     trials: list[int] = field(default_factory=list)  # step trials per iteration
+    hvps: list[int] = field(default_factory=list)  # Hessian-vector products per iteration
     final_metric: np.ndarray | None = None
 
     def as_dict(self) -> dict:
@@ -312,6 +317,7 @@ class FlowReport:
             "history": list(self.history),
             "steps": list(self.steps),
             "trials": list(self.trials),
+            "hvps": list(self.hvps),
             "final_metric": metric,
         }
 
@@ -408,13 +414,20 @@ def kempf_ness_flow(
     near the boundary of the orbit certifies no orthoscalar limit.  The
     weighted trace identity is required up front (NoTraceIdentity).
 
-    Each step trial costs one Hermitian exponential, one moment-map
+    Each step trial costs one Hermitian exponential and one moment-map
     evaluation (lines in closed form and one batched QR per wider span
-    width, see ``_MomentMap``) and one SVD of the candidate metric, whose
-    singular values give both the spectral-norm normalization and the
-    condition number checked against COND_CAP; the reported condition is
-    that of the last accepted trial (1 at g = I), with no SVD of its own.
-    The report lists the accepted t (0 when none) and the trials of each
+    width, see ``_MomentMap``), and no SVD.  x is traceless, so |det g|
+    stays 1 and g is not normalized along the run.  x is Hermitian, so
+    cond(exp(t x)) = e^{t (lmax - lmin)} <= e^{sqrt(2) t |x|_F}: the flow
+    carries an upper bound on cond(g), 1 at g = I, and multiplies it by
+    that factor at each accepted step.  Only when the bound passes
+    COND_CAP / 2, or is not finite, does the accepted metric take an SVD,
+    and the bound becomes its exact condition.  So every comparison with
+    COND_CAP that can fire is made on an exact condition, and where the
+    SVDs run does not change the iterates.  One SVD of the final metric
+    gives the reported condition and the spectral norm to which
+    ``final_metric`` is normalized.  The report lists the accepted t (0
+    when none), the trials and the Hessian-vector products of each
     iteration.
 
     Returns the projection system of the final metric when converged, else
@@ -434,17 +447,18 @@ def kempf_ness_flow(
     g = np.eye(rep.ambient_dim, dtype=complex)
     mmap = _MomentMap(rep, w)
     projs, mu = mmap(g)
-    residual = float(np.linalg.norm(mu))
+    residual = math.sqrt(_inner(mu, mu))
+    # an upper bound on cond(g), exact wherever it could pass COND_CAP
     condition = 1.0
     history = [residual]
     steps: list[float] = []
     trials: list[int] = []
+    hvps: list[int] = []
     grad_norm = 0.0
     step = 0.0
     # the damping of the next first trial, whether the last iteration had to
     # halve it, and the forcing term of the next direction
     t_first, halved, eta = 1.0, False, 0.5
-    hvp = 0
     status = "max_iter"
     iterations = 0
 
@@ -454,7 +468,7 @@ def kempf_ness_flow(
             iterations -= 1
             break
         x, lx, grad_sq, products = _newton_direction(mmap, projs, mu, eta)
-        hvp += products
+        hvps.append(products)
         grad_norm = np.sqrt(grad_sq)
         f_old = residual * residual
         slope = 2.0 * _inner(mu, lx)
@@ -464,14 +478,11 @@ def kempf_ness_flow(
         # no trial, and the iteration ends the run as a plateau
         for tried in range(1, (MAX_TRIALS if slope < 0 else 0) + 1):
             cand = linalg.herm_expm(t * x) @ g
-            # s[0] is the spectral norm and s[0] / s[-1] the condition
-            s = np.linalg.svd(cand, compute_uv=False)
-            cand = cand / s[0]
             cprojs, cmu = mmap(cand)
-            cres = float(np.linalg.norm(cmu))
-            passed = cres * cres < f_old + ARMIJO_C * t * slope
+            cres_sq = _inner(cmu, cmu)
+            passed = cres_sq < f_old + ARMIJO_C * t * slope
             if passed:
-                best = t, cand, s, cprojs, cmu, cres
+                best = t, cand, cprojs, cmu, math.sqrt(cres_sq)
             if tried == 1:
                 # doubling follows only a first trial that held, after an
                 # iteration that did not halve
@@ -486,10 +497,12 @@ def kempf_ness_flow(
         halved = tried > 1 and not grow
         accepted = best is not None
         if accepted:
-            t, g, s, projs, mu, cres = best
+            t, g, projs, mu, cres = best
             eta = 0.1 if t == 1 and cres <= 0.5 * residual else 0.5
             residual = cres
-            condition = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
+            condition *= math.exp(math.sqrt(2.0 * _inner(x, x)) * t)
+            if not condition <= 0.5 * COND_CAP:
+                condition = linalg.condition_number(g)
             step, t_first = t, min(1.0, 2.0 * t)
         steps.append(t if accepted else 0.0)
         history.append(residual)
@@ -506,19 +519,22 @@ def kempf_ness_flow(
     if status == "max_iter" and residual < opts.tol:
         status = "converged"
 
+    # s[0] is the spectral norm and s[0] / s[-1] the exact condition
+    s = linalg.singular_values(g)
     report = FlowReport(
         status=status,
         iterations=iterations,
         attempts=sum(trials),
-        hvp=hvp,
+        hvp=sum(hvps),
         residual=residual,
         gradient_norm=float(grad_norm),
         step=step,
-        condition=condition,
+        condition=float(s[0] / s[-1]) if s[-1] > 0 else np.inf,
         history=history,
         steps=steps,
         trials=trials,
-        final_metric=g,
+        hvps=hvps,
+        final_metric=g / s[0],
     )
     if status != "converged":
         return None, report

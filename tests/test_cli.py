@@ -334,6 +334,22 @@ def test_solve_non_convergence_exit_2(capsys, files, tmp_path):
     assert not (tmp_path / "stuck.proj").exists()
 
 
+def test_solve_without_convergence_removes_a_stale_system(capsys, files, tmp_path):
+    """A converged solve, then one that plateaus under the same prefix: the
+    second removes the first's .proj, which invariants would otherwise read
+    as this input's system, and lists none under files."""
+    prefix = str(tmp_path / "out")
+    code, _, _ = run(capsys, "solve", files["lam2.rep"], "-w", "2; 1, 1, 1, 1", "--prefix", prefix)
+    assert code == 0 and Path(prefix + ".proj").is_file()
+    code, out, _ = run(capsys, "--output", "json", "solve", files["same.rep"], "-w", "1; 1, 1",
+                       "--prefix", prefix)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["status"] == "plateau" and "hvps" not in payload
+    assert payload["files"] == [prefix + ".report.json"]
+    assert not Path(prefix + ".proj").exists()
+
+
 def test_solve_unstable_plateau_exit_2(capsys, files, tmp_path):
     """Four of six 2-planes in C^4 through one line: the flow stalls above
     the norm of the Harder-Narasimhan type and stops in tens of iterations

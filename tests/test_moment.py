@@ -1,11 +1,12 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import posetrep as pr
-from posetrep import moment
+from posetrep import linalg, moment
 from posetrep.linalg import herm_expm, random_complex, random_subspace
 from posetrep.moment import _MomentMap
 from conftest import (
@@ -195,14 +196,19 @@ def test_flow_gradient_matches_oracle(rng):
 
 
 def test_flow_linalg_call_budget(monkeypatch, rng):
-    """One SVD per step trial (the reported condition needs none of its
-    own) and one QR per span width of 2 or more per moment-map evaluation,
-    none for lines; counts, not timings."""
+    """One SVD per run while the condition bound stays below COND_CAP / 2
+    (that of the final metric, for the reported condition and the
+    normalization), one Hermitian exponential per step trial, and one QR
+    per span width of 2 or more per moment-map evaluation, none for lines;
+    counts, not timings.  A bound forced to inf or nan takes the exact
+    condition at every accepted step, one SVD each, and leaves the run as
+    it was."""
     cases = [
         (pr.four_lines_rep(3 + 4j), pr.FOURSPACE_WEIGHT, pr.FlowOptions(), 0),
         (*_mixed_width_rep(rng), pr.FlowOptions(max_iter=40), 1),
+        (*planted_line_rep(rng), pr.FlowOptions(), 1),
     ]
-    counts = {"svd": 0, "qr": 0}
+    counts = {"svd": 0, "qr": 0, "expm": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -213,12 +219,62 @@ def test_flow_linalg_call_budget(monkeypatch, rng):
 
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+    monkeypatch.setattr(linalg, "herm_expm", counted("expm", linalg.herm_expm))
     for rep, w, opts, groups in cases:
-        counts.update(svd=0, qr=0)
+        counts.update(svd=0, qr=0, expm=0)
+        _, free = pr.kempf_ness_flow(rep, w, opts)
+        assert free.attempts >= free.iterations > 0
+        assert counts["expm"] == free.attempts
+        assert counts["qr"] == groups * (free.attempts + 1)
+        assert counts["svd"] == 1
+        for bound in (math.inf, math.nan):
+            monkeypatch.setattr(moment, "math", SimpleNamespace(sqrt=math.sqrt,
+                                                                exp=lambda _, b=bound: b))
+            counts.update(svd=0)
+            _, report = pr.kempf_ness_flow(rep, w, opts)
+            monkeypatch.setattr(moment, "math", math)
+            assert counts["svd"] == sum(t > 0 for t in report.steps) + 1
+            assert (report.status, report.history) == (free.status, free.history)
+            assert report.condition == free.condition
+
+
+def test_flow_stops_at_the_first_metric_past_the_condition_cap(monkeypatch, rng):
+    """COND_CAP set between and at the exact conditions of the iterates of a
+    planted unstable input, each read off the run capped at that many
+    iterations: the flow stops with a plateau at the first iterate whose
+    condition passes the cap, reports that condition, and its history is a
+    prefix of the free run's.  So the bound neither stops a run early nor
+    lets one past the cap, and the SVDs it calls for leave the iterates as
+    they were."""
+    rep, w = planted_line_rep(rng)
+    _, free = pr.kempf_ness_flow(rep, w)
+    conditions = [pr.kempf_ness_flow(rep, w, pr.FlowOptions(max_iter=i))[1].condition
+                  for i in range(free.iterations + 1)]
+    caps = [math.sqrt(a * b) for a, b in zip(conditions, conditions[1:])][::3]
+    caps += conditions[2::5]
+    caps = [cap for cap in caps if cap < max(conditions)]
+    assert len(caps) >= 5
+    for cap in caps:
+        monkeypatch.setattr(moment, "COND_CAP", cap)
+        first = next(i for i, c in enumerate(conditions) if c > cap)
+        system, report = pr.kempf_ness_flow(rep, w)
+        assert system is None and report.status == "plateau"
+        assert report.iterations == first and report.condition == conditions[first]
+        assert report.history == free.history[: first + 1]
+
+
+def test_flow_reports_the_exact_condition_of_a_unit_metric(rng):
+    """The reported condition is the condition of the final metric, and
+    that metric has spectral norm 1, however the run ends."""
+    cases = [(pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT, pr.FlowOptions()),
+             (*planted_line_rep(rng), pr.FlowOptions()),
+             (*_mixed_width_rep(rng), pr.FlowOptions(max_iter=3)),
+             (*_mixed_width_rep(rng), pr.FlowOptions(max_iter=0))]
+    for rep, w, opts in cases:
         _, report = pr.kempf_ness_flow(rep, w, opts)
-        assert report.attempts >= report.iterations > 0
-        assert counts["svd"] == report.attempts
-        assert counts["qr"] == groups * (report.attempts + 1)
+        g = report.final_metric
+        assert report.condition == pytest.approx(linalg.condition_number(g), rel=1e-9)
+        assert np.linalg.norm(g, 2) == pytest.approx(1.0, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +681,8 @@ def test_flow_report_as_dict_round_trips_json():
     assert payload["attempts"] == report.attempts >= report.iterations
     assert payload["hvp"] == report.hvp >= report.iterations
     assert payload["step"] == report.step == 1.0
+    assert payload["hvps"] == report.hvps and len(report.hvps) == report.iterations
+    assert sum(report.hvps) == report.hvp
 
 
 def test_parse_lambda_tokens():
