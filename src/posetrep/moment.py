@@ -196,12 +196,8 @@ class _MomentMap:
             else:
                 q = np.linalg.qr(v)[0]
                 p[idx] = q @ q.conj().swapaxes(1, 2)
-        return p, self._weighted_sum(p) + self.shift
-
-    def _weighted_sum(self, stack: np.ndarray) -> np.ndarray:
-        """sum_e chi_e stack[e], as one vector-matrix product."""
-        d0 = stack.shape[1]
-        return (self.chi @ stack.reshape(len(self.chi), d0 * d0)).reshape(d0, d0)
+        # sum_e chi_e P_e as one vector-matrix product
+        return p, (self.chi @ p.reshape(n, d0 * d0)).reshape(d0, d0) + self.shift
 
     def hessian(self, p: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
         """L(x) = sum_e chi_e (R_e + R_e*) with R_e = (I - P_e) x P_e, the
