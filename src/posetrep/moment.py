@@ -400,15 +400,18 @@ def kempf_ness_flow(
     of an unstable input, the accepted steps swing between about 1/16 and
     1/64 and each iteration makes three to four trials, against about two.
     A run whose steps all hold at 1/2 or more takes full steps only.  An
-    iteration makes at most MAX_TRIALS trials.  Stops with status
-    converged when the residual drops below tol; plateau when no trial is
-    accepted, the residual is above STALL_FACTOR times its value
-    STALL_WINDOW iterations earlier, or the metric condition number
-    passes COND_CAP (the metric degenerates, as on an unstable class); and
-    max_iter otherwise.  Passing COND_CAP ends the run with plateau even in
-    a step whose residual reads below tol: a residual read at a metric that
-    near the boundary of the orbit certifies no orthoscalar limit.  The
-    weighted trace identity is required up front (NoTraceIdentity).
+    iteration makes at most MAX_TRIALS trials.
+
+    The run has one stop test, taken before each iteration, in this order:
+    plateau when the metric condition number passes COND_CAP (the metric
+    degenerates, as on an unstable class), even where the residual reads
+    below tol: a residual read at a metric that near the boundary of the
+    orbit certifies no orthoscalar limit; converged when the residual is
+    below tol; plateau when the last iteration accepted no trial or left
+    the residual above STALL_FACTOR times its value STALL_WINDOW iterations
+    earlier; max_iter after max_iter iterations.  ``iterations`` is the
+    number of iterations taken.  The weighted trace identity is required up
+    front (NoTraceIdentity).
 
     Each step trial costs one Hermitian exponential and one moment-map
     evaluation (lines in closed form and one batched QR per wider span
@@ -430,6 +433,17 @@ def kempf_ness_flow(
     None, together with the full report.
     """
     opts = opts or FlowOptions()
+    return next(_flow_run(rep, w, opts.tol, opts.max_iter))
+
+
+def _flow_run(rep: SubspaceRep, w: Weight, tol: float, max_iter: int):
+    """The flow of ``kempf_ness_flow`` as a run that can be resumed.
+
+    The generator yields the system and report of ``kempf_ness_flow`` at
+    the first stop for tol, and, sent a smaller tolerance, continues the
+    same run from there to its stop for that tolerance.  The stop test
+    reads only the run's state and the tolerance, so the iterates and the
+    report are those of a fresh run to the smaller tolerance."""
     w.aligned(rep.poset)
     if rep.ambient_dim == 0:
         raise WrongShape("flow needs a positive ambient dimension")
@@ -453,16 +467,37 @@ def kempf_ness_flow(
     grad_norm = 0.0
     step = 0.0
     # the damping of the next first trial, whether the last iteration had to
-    # halve it, and the forcing term of the next direction
-    t_first, halved, eta = 1.0, False, 0.5
-    status = "max_iter"
-    iterations = 0
+    # halve it, the forcing term of the next direction, and whether the last
+    # iteration accepted no trial or stalled
+    t_first, halved, eta, flat = 1.0, False, 0.5, False
 
-    for iterations in range(1, opts.max_iter + 1):
-        if residual < opts.tol:
-            status = "converged"
-            iterations -= 1
-            break
+    while True:
+        status = ("plateau" if condition > COND_CAP
+                  else "converged" if residual < tol
+                  else "plateau" if flat
+                  else "max_iter" if len(trials) == max_iter
+                  else None)
+        if status:
+            # s[0] is the spectral norm and s[0] / s[-1] the exact condition;
+            # the report takes copies of the lists the run goes on appending to
+            s = linalg.singular_values(g)
+            report = FlowReport(
+                status=status,
+                iterations=len(trials),
+                attempts=sum(trials),
+                hvp=sum(hvps),
+                residual=residual,
+                gradient_norm=float(grad_norm),
+                step=step,
+                condition=float(s[0] / s[-1]) if s[-1] > 0 else np.inf,
+                history=list(history),
+                steps=list(steps),
+                trials=list(trials),
+                hvps=list(hvps),
+                final_metric=g / s[0],
+            )
+            tol = yield (mmap.system(projs) if status == "converged" else None), report
+            continue
         x, lx, grad_sq, products = _newton_direction(mmap, projs, mu, eta)
         hvps.append(products)
         grad_norm = np.sqrt(grad_sq)
@@ -502,39 +537,10 @@ def kempf_ness_flow(
             step, t_first = t, min(1.0, 2.0 * t)
         steps.append(t if accepted else 0.0)
         history.append(residual)
-        stalled = (
+        flat = not accepted or (
             len(history) > STALL_WINDOW
             and residual > STALL_FACTOR * history[-1 - STALL_WINDOW]
         )
-        if condition > COND_CAP or ((not accepted or stalled) and residual >= opts.tol):
-            status = "plateau"
-            break
-    else:
-        iterations = opts.max_iter
-
-    if status == "max_iter" and residual < opts.tol:
-        status = "converged"
-
-    # s[0] is the spectral norm and s[0] / s[-1] the exact condition
-    s = linalg.singular_values(g)
-    report = FlowReport(
-        status=status,
-        iterations=iterations,
-        attempts=sum(trials),
-        hvp=sum(hvps),
-        residual=residual,
-        gradient_norm=float(grad_norm),
-        step=step,
-        condition=float(s[0] / s[-1]) if s[-1] > 0 else np.inf,
-        history=history,
-        steps=steps,
-        trials=trials,
-        hvps=hvps,
-        final_metric=g / s[0],
-    )
-    if status != "converged":
-        return None, report
-    return mmap.system(projs), report
 
 
 def unitary_invariants(

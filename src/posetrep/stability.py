@@ -56,12 +56,12 @@ f(K) sqrt(d0 / (k (d0 - k)))).  So with r the flow's final residual:
   Cholesky is tried first at the loose tolerance EARLY = 1e-2, scaled as
   the full one and kept below the floor: on generic planes it closes there
   after about 4 iterations, against 7 to reach 1e-8.  On that route
-  ``residual`` and ``flow_iterations`` are the loose run's, and
-  ``lambda_min`` is s(r) at its residual.  A loose run that never meets
-  its tolerance (a plateau, or the iteration cap) has taken the full run's
-  iterates, and is the full run; one that meets it and does not certify
-  gives way to the full run from I, so every other verdict is read off
-  the full run alone.
+  ``residual`` and ``flow_iterations`` are those at the loose stop, and
+  ``lambda_min`` is s(r) at its residual.  When the Cholesky does not
+  certify, the run continues to the full tolerance, with the iterates of
+  a run started there (``moment._flow_run``), and every other verdict is
+  read off it; a run that stops short of the loose tolerance (a plateau,
+  or the iteration cap) stops there at the full one too.
 - converged, dim End = 1 and r <= lambda_min / 4: ``stable``, margin
   lambda_min.  Along a unit geodesic t -> exp(t x) g the second derivative
   h(t) = sum_e chi_e |[P_e(t), x]|_F^2 of the potential obeys
@@ -554,44 +554,41 @@ def _flow_route(rep, w, opts, score, diagnostics, times):
     """Route, classification, witness, best score and inconclusive flag
     from the flow limit; raises _Fallback when no certificate closes.
 
-    The flow runs first to the loose tolerance EARLY (scaled as the full
-    tolerance, and kept below the floor), where one Cholesky may already
-    certify ``stable``.  Its iterates are the first ones of the full run,
-    so a run that never met the loose tolerance (a plateau, or the
-    iteration cap) is the full run and is taken as it stands; one that met
-    it and did not certify gives way to the full run from I."""
+    The flow's run stops first at the loose tolerance EARLY (scaled as the
+    full tolerance, and kept below the floor), where one Cholesky may
+    already certify ``stable``; otherwise the run continues to the full
+    tolerance, and every other verdict is read off it.  No iterate is
+    taken twice, so ``times_ms`` ``flow`` holds one run (and a rerun from
+    a plateau)."""
     d0 = rep.ambient_dim
     # the least dual bound a positive score can give, f sqrt(d0 / (k (d0 - k)))
     # at f = 1 / den and k = d0 / 2: a residual under it certifies
     # semistability at any g, and every route after the flow loop needs it
     floor = 2 / (score.den * sqrt(d0))
     chi = np.array([float(w.chi[e]) for e in rep.poset.elements])
-    flow, early = _flow_options(w), _flow_options(w, EARLY)
-    early.tol = min(early.tol, floor)
-    run = None  # the loose run, when it is the full run as well
-    if early.tol > flow.tol:
-        with _timed(times, "flow"):
-            system, report = moment.kempf_ness_flow(rep, w, early)
-        if report.status != "converged":
-            run = system, report
-        elif report.residual < floor:  # as on the full route
-            _, bound = _cholesky_stable(
-                np.stack(list(system.projections.values())), report.residual, chi, times)
-            if bound is not None:
-                diagnostics.update(flow_status=report.status, flow_iterations=report.iterations,
-                                   flow_trials=report.attempts, residual=report.residual)
-                _semistable_diagnostics(rep, w, floor, diagnostics)
-                diagnostics.update(end_dim=1, lambda_min=bound)
-                return "flow_stable", STABLE, None, None, False
+    flow = _flow_options(w)
+    early = min(_flow_options(w, EARLY).tol, floor)
+    run = moment._flow_run(rep, w, max(early, flow.tol), flow.max_iter)
+    with _timed(times, "flow"):
+        system, report = next(run)
+    # as on the full route, no certificate from a residual above the floor
+    if early > flow.tol and report.status == "converged" and report.residual < floor:
+        _, bound = _cholesky_stable(
+            np.stack(list(system.projections.values())), report.residual, chi, times)
+        if bound is not None:
+            diagnostics.update(flow_status=report.status, flow_iterations=report.iterations,
+                               flow_trials=report.attempts, residual=report.residual)
+            _semistable_diagnostics(rep, w, floor, diagnostics)
+            diagnostics.update(end_dim=1, lambda_min=bound)
+            return "flow_stable", STABLE, None, None, False
     g = np.eye(d0, dtype=complex)
     iterations = trials = 0
     for rerun in (False, True):
         # a rerun starts where the first run's plateau left off: its flow
         # on g V from I, and the metrics compose
-        if rerun or run is None:
-            with _timed(times, "flow"):
-                run = moment.kempf_ness_flow(_moved(rep, g) if rerun else rep, w, flow)
-        system, report = run
+        with _timed(times, "flow"):
+            system, report = (moment.kempf_ness_flow(_moved(rep, g), w, flow) if rerun
+                              else run.send(flow.tol))
         g = report.final_metric @ g
         iterations, trials = iterations + report.iterations, trials + report.attempts
         diagnostics.update(flow_status=report.status, flow_iterations=iterations,
@@ -661,9 +658,9 @@ def stability_check(
     """Classify the representation for the given weight.
 
     The Kempf-Ness flow runs, first to the loose tolerance ``EARLY``,
-    where one Cholesky may certify ``stable`` at once, and else to its full
-    tolerance; the verdict is read off its limit with the certificate of
-    one of the routes of the module docstring;
+    where one Cholesky may certify ``stable`` at once, and else the run
+    continues to its full tolerance; the verdict is read off its limit
+    with the certificate of one of the routes of the module docstring;
     ``diagnostics["route"]`` names it (``flow_stable``, ``flow_split``,
     ``flow_boundary``, ``flow_unstable``).  When no certificate closes, the
     route is ``uncertified``, the verdict is the flow's own reading from
@@ -681,19 +678,19 @@ def stability_check(
     candidate's score, a lower bound on the maximum.  ``witness`` is a
     subspace of that score (None for ``stable``).  ``diagnostics`` also
     gives the flow's status, iterations, step trials (summed over a second
-    run) and residual (those of the loose run where its Cholesky certifies
-    ``stable``; else those of the full run, which leaves out a loose run
-    that did not certify), lambda_min (on ``flow_stable`` certified by the
-    Cholesky alone, the lower bound s(r) of the module docstring at that
-    residual; else the least trace-zero eigenvalue of L), the dimension of
-    End (``end_dim``),
+    run) and residual (those at the loose stop where its Cholesky certifies
+    ``stable``; else those at the full stop, counted from g = I),
+    lambda_min (on ``flow_stable`` certified by the Cholesky alone, the
+    lower bound s(r) of the module docstring at that residual; else the
+    least trace-zero eigenvalue of L), the dimension of End (``end_dim``),
     the dual bound and the gap (residual minus dual bound; information
     only), the HN type (``hn_dims`` and ``hn_slopes``, on every
     ``flow_unstable`` verdict), the dims, classification and route of each
     summand of a split (``summands``), and the wall time of each method in
     ms (``times_ms``: flow, schur, hessian, candidates, split; flow and
-    hessian alone when the Cholesky certifies ``stable``; flow and hessian
-    include a loose run and its Cholesky that did not certify).
+    hessian alone when the Cholesky certifies ``stable``; flow is one run,
+    not repeated after the loose stop, and hessian includes a loose
+    Cholesky that did not certify).
     ``inconclusive`` is set on an ``uncertified`` verdict, or when the
     classification of a summand was.
 

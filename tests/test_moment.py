@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import posetrep as pr
 from posetrep import linalg, moment
@@ -15,6 +16,7 @@ from conftest import (
     oracle_orthoscalar_check,
     oracle_unitary_invariants,
     planted_line_rep,
+    random_antichain_rep,
     random_nested_input,
     random_nested_rep,
     random_poset,
@@ -275,6 +277,79 @@ def test_flow_reports_the_exact_condition_of_a_unit_metric(rng):
         g = report.final_metric
         assert report.condition == pytest.approx(linalg.condition_number(g), rel=1e-9)
         assert np.linalg.norm(g, 2) == pytest.approx(1.0, abs=1e-14)
+
+
+def _stopped(rep, w, tols, max_iter=moment.FlowOptions.max_iter):
+    """The flow's run stopped at each tolerance of tols in turn: the system
+    and report of its last stop."""
+    run = moment._flow_run(rep, w, tols[0], max_iter)
+    out = next(run)
+    for tol in tols[1:]:
+        out = run.send(tol)
+    return out
+
+
+def _assert_same_run(got, want):
+    """The same report, final metric and projectors, bit for bit."""
+    (system, report), (fresh_system, fresh) = got, want
+    assert report.as_dict() == fresh.as_dict()
+    assert report.final_metric.tobytes() == fresh.final_metric.tobytes()
+    assert (system is None) == (fresh_system is None)
+    if system is not None:
+        for e, p in fresh_system.projections.items():
+            assert system.projections[e].tobytes() == p.tobytes()
+
+
+def _seeded_flow_input(seed: int):
+    """An antichain rep (bent toward a common line for every other odd
+    seed) or, for even seeds, a nested rep of a random poset at the chi0 of
+    its trace identity (1, without the identity, where every V_e is 0)."""
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        return random_antichain_rep(rng, bent=seed % 4 == 1)
+    rep, chi, chi0 = random_nested_input(rng)
+    return rep, pr.Weight(chi0 if chi0 > 0 else 1, chi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from([(1e-2, 1e-8), (1e-2, 1e-12), (1e-8, 1e-12), (0.5, 1e-2)]),
+       st.sampled_from([0, 5, moment.FlowOptions.max_iter]))
+def test_resumed_run_is_the_fresh_run(seed, tols, max_iter):
+    """A run stopped at tol a and sent b < a stops where a fresh run to b
+    does, with the same report, final metric and projectors bit for bit:
+    the stop test reads only the run's state and the tolerance, and a
+    report keeps no list the run goes on appending to."""
+    rep, w = _seeded_flow_input(seed)
+    assume(w.trace_identity(rep))  # no flow runs without it
+    a, b = tols
+    run = moment._flow_run(rep, w, a, max_iter)
+    first, at_a = next(run), pr.kempf_ness_flow(rep, w, pr.FlowOptions(a, max_iter))
+    _assert_same_run(first, at_a)
+    _assert_same_run(run.send(b), pr.kempf_ness_flow(rep, w, pr.FlowOptions(b, max_iter)))
+    assert first[1].as_dict() == at_a[1].as_dict()
+
+
+def test_resumed_run_decides_the_stop_at_the_new_tolerance(monkeypatch):
+    """Two equal lines in C^2 (unstable: a plateau under every tolerance),
+    and the four lines at lambda = 1e-6 with STALL_WINDOW at 1, where the
+    first iteration stalls at a residual of about 0.51: a run stopped at a
+    tolerance above that residual has converged, and sent 1e-8 it must
+    stop on the same iterate with a plateau, as a fresh run to 1e-8 does,
+    not iterate on."""
+    same = two_lines(E1, E1)
+    w = pr.Weight(1, {"a1": 1, "a2": 1})
+    for max_iter in (0, 5, moment.FlowOptions.max_iter):
+        _assert_same_run(_stopped(same, w, [1e-2, 1e-8], max_iter),
+                         pr.kempf_ness_flow(same, w, pr.FlowOptions(1e-8, max_iter)))
+    monkeypatch.setattr(moment, "STALL_WINDOW", 1)
+    rep = pr.four_lines_rep(1e-6)
+    fresh = pr.kempf_ness_flow(rep, pr.FOURSPACE_WEIGHT)
+    k, history = fresh[1].iterations, fresh[1].history
+    assert fresh[1].status == "plateau" and fresh[1].steps[-1] > 0 and k >= 1
+    a = math.sqrt(history[k] * history[k - 1])
+    assert _stopped(rep, pr.FOURSPACE_WEIGHT, [a])[1].status == "converged"
+    _assert_same_run(_stopped(rep, pr.FOURSPACE_WEIGHT, [a, 1e-8]), fresh)
 
 
 # ---------------------------------------------------------------------------

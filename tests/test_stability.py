@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import posetrep as pr
-from posetrep import moment, stability
+from posetrep import linalg, moment, stability
 from posetrep.linalg import herm_expm, random_complex, subspace_intersection
 from conftest import (
     direct_sum,
@@ -203,10 +203,11 @@ def test_early_cholesky_certifies_before_the_full_flow():
 def test_failed_early_cholesky_leaves_the_full_route(monkeypatch):
     """The four lines at lambda = 1e-6: where the flow meets the early
     tolerance, lambda_min (0.015, on its way to 4e-6 at the limit) is below
-    the bound s(r) (0.084), so the early Cholesky fails and the full flow
-    runs from I.  Verdict and diagnostics (times aside) are those with the
-    early step off (EARLY at 0, not above the full tolerance), which makes
-    one flow run instead of two."""
+    the bound s(r) (0.084), so the early Cholesky fails and the same run
+    continues to the full tolerance.  No step trial runs twice: the
+    verdict makes one Hermitian exponential per trial it reports in
+    ``flow_trials``.  Verdict and diagnostics (times aside) are those with
+    the early stop off (EARLY at 0, not above the full tolerance)."""
     rep, w, early = pr.four_lines_rep(1e-6), pr.FOURSPACE_WEIGHT, stability.EARLY
     chi = np.ones(4)
     system, report = pr.kempf_ness_flow(rep, w, moment.FlowOptions(early))
@@ -215,17 +216,17 @@ def test_failed_early_cholesky_leaves_the_full_route(monkeypatch):
     bound = stability._stable_bound(report.residual, chi)
     assert stability._spectrum(lmat)[0][0] < bound
     assert not stability._positive_beyond(lmat, bound, chi)
-    flow, tols = moment.kempf_ness_flow, []
+    expm, calls = linalg.herm_expm, []
 
-    def counted(rep, w, opts):
-        tols.append(opts.tol)
-        return flow(rep, w, opts)
+    def counted(h):
+        calls.append(len(calls))
+        return expm(h)
 
-    monkeypatch.setattr(moment, "kempf_ness_flow", counted)
+    monkeypatch.setattr(linalg, "herm_expm", counted)
     verdicts = [pr.stability_check(rep, w)]
+    assert len(calls) == verdicts[0].diagnostics["flow_trials"] > report.attempts
     monkeypatch.setattr(stability, "EARLY", 0.0)
     verdicts.append(pr.stability_check(rep, w))
-    assert tols == [early, 1e-8, 1e-8]
     for v in verdicts:
         assert v.classification == pr.STABLE and not v.inconclusive
         assert v.witness is None and v.best_score is None
@@ -670,14 +671,17 @@ def test_cholesky_certifies_c1_vacuously(monkeypatch):
     assert set(d["times_ms"]) == {"flow", "hessian"} and d["end_dim"] == 1
     chi = np.array([2.0, 3.0])
     assert d["lambda_min"] == stability._stable_bound(d["residual"], chi)
-    flow = moment.kempf_ness_flow
+    run = moment._flow_run
 
-    def rounded(rep, w, opts=None):
-        system, report = flow(rep, w, opts)
-        report.residual = 1e-15
-        return system, report
+    def rounded(*args):
+        # the route's run, with every stop reading the residual 1e-15
+        stops = run(*args)
+        system, report = next(stops)
+        while True:
+            report.residual = 1e-15
+            system, report = stops.send((yield system, report))
 
-    monkeypatch.setattr(moment, "kempf_ness_flow", rounded)
+    monkeypatch.setattr(moment, "_flow_run", rounded)
     tiny = Fraction(1, 3**40)
     v = pr.stability_check(rep, pr.Weight(tiny, {"a1": tiny, "a2": 3}))
     d = v.diagnostics
