@@ -40,7 +40,8 @@ from .linrep import decompose  # noqa: F401
 from .moment import FlowOptions, kempf_ness_flow, orthoscalar_check, unitary_invariants
 # hasse_quiver stays a name of this module: bench/tracer.py patches it here.
 from .poset import hasse_quiver, is_representation_finite  # noqa: F401
-from .stability import StabilityOptions, stability_check
+# stability_check stays a name of this module: bench/tracer.py patches it here.
+from .stability import DIAGNOSTICS, stability_check
 
 
 class _UsageError(Exception):
@@ -165,16 +166,6 @@ def _cmd_dim_quotient(args) -> int:
 # ---------------------------------------------------------------------------
 # linear-representation subcommands
 
-#: stability_check diagnostics emitted under --output json: the route; the
-#: flow's status, iterations, trials and residual, lambda_min, dim End, the
-#: dual bound and gap (information only), the HN type (on every
-#: flow_unstable verdict); why the certificate did not close (on an
-#: uncertified verdict) and times in ms.  A key the route did not set is null.
-_STABILITY_DIAGNOSTICS = ("route", "flow_status", "flow_iterations", "flow_trials", "residual",
-                         "lambda_min", "end_dim", "dual_bound", "gap", "hn_dims", "hn_slopes",
-                         "inconclusive_reasons", "times_ms")
-
-
 def _route_text(diagnostics: dict) -> str:
     """The route, with the reasons in parentheses when it is uncertified."""
     reasons = diagnostics["inconclusive_reasons"]
@@ -184,8 +175,7 @@ def _route_text(diagnostics: dict) -> str:
 def _cmd_stability(args) -> int:
     rep, _ = fileio.load_rep(args.rep)
     w = fileio.parse_weight(args.weight, rep.poset)
-    opts = StabilityOptions(**_given(args, "tol"))
-    verdict = stability_check(rep, w, opts)
+    verdict = stability_check(rep, w, **_given(args, "tol"))
     lines = [
         f"classification: {verdict.classification}",
         f"best_score: {verdict.best_score if verdict.best_score is not None else 'none'}",
@@ -209,7 +199,7 @@ def _cmd_stability(args) -> int:
             "methods": list(verdict.methods),
             "inconclusive": verdict.inconclusive,
             "witness": witness,
-            "diagnostics": {k: verdict.diagnostics.get(k) for k in _STABILITY_DIAGNOSTICS},
+            "diagnostics": {k: verdict.diagnostics[k] for k in DIAGNOSTICS},
         },
         "\n".join(lines),
     )

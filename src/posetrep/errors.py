@@ -38,10 +38,6 @@ class RankDeficient(PosetRepError):
     """A spanning matrix has lower numerical rank than its column count."""
 
 
-class PosetMismatch(PosetRepError):
-    """Two representations do not live over the same poset."""
-
-
 class LatticeTooLarge(PosetRepError):
     """Subspace lattice closure exceeded the configured size cap.
 

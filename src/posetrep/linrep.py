@@ -24,7 +24,7 @@ stable verdict and the source of direct-sum splits (``generic_split``,
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, sqrt
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple
 
@@ -170,6 +170,13 @@ class Weight:
         return Fraction(
             sum(self.chi[e] * rep.dim(e) for e in rep.poset.elements), 1
         ) / rep.ambient_dim
+
+    @property
+    def scale(self) -> float:
+        """min(1, least chi_e): the flow is scale-equivariant, so a weight
+        and its multiples stop at residuals in proportion to it, and
+        integer weights keep 1."""
+        return float(min([1, *self.chi.values()]))
 
     def trace_identity(self, rep: SubspaceRep) -> bool:
         """Exact check of sum chi_e d_e == chi0 d0."""
@@ -437,6 +444,10 @@ class _Scorer:
         self.den = d0 * (c0 * w.chi0.denominator // w.chi0.numerator)
         self.weights = [c[e] for e in rep.poset.elements]
         self.total = sum(ce * rep.dim(e) for e, ce in zip(rep.poset.elements, self.weights))
+        # the least dual bound a positive score gives, f sqrt(d0 / (k (d0 - k)))
+        # at f = 1 / den and k = d0 / 2: a residual of mu under it certifies
+        # semistability at any metric (``stability``)
+        self.floor = 2 / (self.den * sqrt(d0))
 
     def numerator(self, dims: np.ndarray, width: int) -> int:
         """The numerator for the intersection dimensions of a basis of the

@@ -167,10 +167,10 @@ class _MomentMap:
     |v|^2 is a sum of squares and loses nothing.  Width-0 elements have the
     zero projector.
 
-    ``scale`` = min(1, least chi_e) is the scale of the weight, which the
-    Newton direction's forcing term measures mu against, and ``floor`` the
-    curvature per unit |x|^2 below the rounding noise of R_e, where a
-    direction reads as flat.
+    ``scale`` = min(1, least chi_e) is the scale of the weight
+    (``Weight.scale``), which the Newton direction's forcing term measures
+    mu against, and ``floor`` the curvature per unit |x|^2 below the
+    rounding noise of R_e, where a direction reads as flat.
     """
 
     def __init__(self, rep: SubspaceRep, w: Weight):
@@ -181,7 +181,7 @@ class _MomentMap:
         self.chi = np.array([float(w.chi[e]) for e in elements])
         self.shift = -float(w.chi0) * np.eye(d0, dtype=complex)
         self.groups = [(idx, stack) for idx, stack in _width_groups(rep) if stack.shape[2]]
-        self.scale = min([1.0, *self.chi])
+        self.scale = w.scale
         self.floor = float(np.sum(self.chi)) * (16 * d0 * np.finfo(float).eps) ** 2
 
     def __call__(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -327,7 +327,7 @@ def _newton_direction(
     Newton step whose accuracy grows as mu shrinks; the flow's forcing term
     eta is 1/10 once its Newton steps converge and 1/2 before) or after
     d0^2 products (the real dimension of the Hermitian matrices).  The
-    scale c = min(1, least chi_e) (``_MomentMap.scale``) makes the test
+    scale c = min(1, least chi_e) (``Weight.scale``) makes the test
     invariant under scaling the weight, under which x does not change, and
     leaves it as it was for weights of at least 1.  It also
     stops, keeping the current x, before a direction of no curvature or a

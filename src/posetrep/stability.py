@@ -50,18 +50,19 @@ f(K) sqrt(d0 / (k (d0 - k)))).  So with r the flow's final residual:
   and its Hermitian part is the kernel of L: so End = C, and the
   representation is polystable and indecomposable, that is stable.  The
   Cholesky runs at s(r) plus the rounding a successful factorization can
-  hide, 2 d0^4 eps (sum chi + 1).  When it fails, the bullets below
-  decide with the Schur test and the spectrum of the same L.
+  hide, 2 d0^4 eps (sum chi + 1).
   Since the certificate holds at any g with r below the floor, the
-  Cholesky is tried first at the loose tolerance EARLY = 1e-2, scaled as
-  the full one and kept below the floor: on generic planes it closes there
-  after about 4 iterations, against 7 to reach 1e-8.  On that route
-  ``residual`` and ``flow_iterations`` are those at the loose stop, and
-  ``lambda_min`` is s(r) at its residual.  When the Cholesky does not
-  certify, the run continues to the full tolerance, with the iterates of
-  a run started there (``moment._flow_run``), and every other verdict is
-  read off it; a run that stops short of the loose tolerance (a plateau,
-  or the iteration cap) stops there at the full one too.
+  Cholesky runs once per flow run, at its first stop: the loose tolerance
+  EARLY = 1e-2, scaled as the full one and kept below the floor, when the
+  run converges there.  On generic planes it closes after about 4
+  iterations, against 7 to reach 1e-8.  On that route ``residual`` and
+  ``flow_iterations`` are those at the loose stop, and ``lambda_min`` is
+  s(r) at its residual.  When the Cholesky does not certify, the run
+  continues to the full tolerance, with the iterates of a run started
+  there (``moment._flow_run``), and the bullets below decide from there
+  with the Schur test and the spectrum of L; a run that stops short of the
+  loose tolerance (a plateau, or the iteration cap) stops there at the
+  full one too.
 - converged, dim End = 1 and r <= lambda_min / 4: ``stable``, margin
   lambda_min.  Along a unit geodesic t -> exp(t x) g the second derivative
   h(t) = sum_e chi_e |[P_e(t), x]|_F^2 of the potential obeys
@@ -69,8 +70,13 @@ f(K) sqrt(d0 / (k (d0 - k)))).  So with r the flow's final residual:
   [P_e, x]; so h(t) >= lambda_min e^(-4t), the derivative of the potential
   along every ray exceeds -r + lambda_min (1 - e^(-4t)) / 4, which turns
   positive once r < lambda_min / 4, and mu has a zero in that ball: the
-  representation is polystable, and with End = C stable.  At the boundary
-  of the four-line family r / lambda_min tends to 1 / sqrt(8), above 1/4.
+  representation is polystable, and with End = C stable.  This is the
+  full stop's certificate of ``stable``, and no second Cholesky runs
+  there: one that succeeded would give lambda_min > s(r) >= 16 r, inside
+  this margin, which also holds where lambda_min stays below s(r), as for
+  the four lines at lambda = 1e-6 (lambda_min about 4 lambda).  At the
+  boundary of the four-line family r / lambda_min tends to 1 / sqrt(8),
+  above 1/4.
 - converged, dim End > 1: V splits along the generalized eigenspaces of
   a generic element of End (``linrep.generic_split``, the split that
   ``linrep.decompose_full`` recurses on), a linear-side decision.  Every
@@ -170,11 +176,12 @@ SNAP_ROUNDS = 100
 #: the flow runs first to this tolerance, scaled as the full one and kept
 #: below the floor, where one Cholesky may already certify ``stable``
 EARLY = 1e-2
-
-
-@dataclass
-class StabilityOptions:
-    tol: float = DEFAULT_TOL
+#: the diagnostics of every verdict besides ``sigma`` and ``summands`` (see
+#: ``stability_check``), the ones ``posetrep stability --output json``
+#: emits; a key the route did not set is None
+DIAGNOSTICS = ("route", "flow_status", "flow_iterations", "flow_trials", "residual",
+               "lambda_min", "end_dim", "dual_bound", "gap", "hn_dims", "hn_slopes",
+               "inconclusive_reasons", "times_ms")
 
 
 @dataclass
@@ -365,7 +372,7 @@ def _hull(points: dict[int, int], d0: int) -> list[tuple[int, int]]:
     return hull
 
 
-def _unstable_route(rep, w, opts, score, g, mu, residual, diagnostics):
+def _unstable_route(rep, w, tol, score, g, mu, residual, diagnostics):
     """The plateau certificate from the flag of mu(g)'s top eigenspaces:
     with the raw flag first and, when that leaves the certificate open,
     with every member snapped as well."""
@@ -379,7 +386,7 @@ def _unstable_route(rep, w, opts, score, g, mu, residual, diagnostics):
             if k not in at or num > at[k][0]:
                 at[k] = (num, q)
         try:
-            return _plateau_certificate(rep, w, opts, score, g, at, residual, diagnostics)
+            return _plateau_certificate(rep, w, tol, score, g, at, residual, diagnostics)
         except _Fallback as exc:
             if snap:
                 exc.candidates = list(at.values())
@@ -420,13 +427,13 @@ def _pieces(rep, g, chain, tol):
     return pieces
 
 
-def _plateau_certificate(rep, w, opts, score, g, at, residual, diagnostics):
+def _plateau_certificate(rep, w, tol, score, g, at, residual, diagnostics):
     """Unstable with the largest score of all subspaces and the HN type,
     once every piece of the hull's flag is certified semistable at its own
     slope, or _Fallback.  A piece that is not is classified from the
     metric its flow stopped at, and its destabilizer, lifted into V, is
     one more candidate, for at most d0 rounds."""
-    d0, den, tol = rep.ambient_dim, score.den, opts.tol
+    d0, den = rep.ambient_dim, score.den
     for _ in range(d0):
         hull = _hull({k: num for k, (num, _) in at.items()}, d0)
         dual = sqrt(sum(Fraction((y1 - y0) ** 2, x1 - x0)
@@ -450,7 +457,7 @@ def _plateau_certificate(rep, w, opts, score, g, at, residual, diagnostics):
             return "flow_unstable", UNSTABLE, at[best[0]][1], Fraction(best[1], den), False
         # the piece moved on by its flow's last metric gp, where a second
         # flow starts as the first one left off
-        verdict = stability_check(_moved(piece, gp), Weight(w.slope(piece), w.chi), opts)
+        verdict = stability_check(_moved(piece, gp), Weight(w.slope(piece), w.chi), tol)
         if verdict.classification != UNSTABLE:
             raise _Fallback("piece_unstable")
         # K_(j-1) and the piece's destabilizer, pulled back out of both frames
@@ -480,19 +487,19 @@ def _semistable(piece, w):
     if sigma == 0 or piece.ambient_dim == 1:
         return True, None
     pw = Weight(sigma, w.chi)
-    tol = 2 / (linrep._Scorer(piece, pw, DEFAULT_TOL).den * sqrt(piece.ambient_dim))
-    report = moment.kempf_ness_flow(piece, pw, moment.FlowOptions(tol))[1]
+    floor = linrep._Scorer(piece, pw, DEFAULT_TOL).floor
+    report = moment.kempf_ness_flow(piece, pw, moment.FlowOptions(floor))[1]
     return report.status == "converged", report.final_metric
 
 
-def _classify_summands(summands, w, opts, diagnostics):
+def _classify_summands(summands, w, tol, diagnostics):
     """King's rule on the direct summands of a split: the sum is
     ``polystable_not_stable`` when every summand is (poly)stable and
     ``semistable_not_polystable`` when every summand is semistable; None
     otherwise.  Each summand is classified on its own, and
     ``diagnostics["summands"]`` gets its dims, classification and route.
     The second value says whether any summand's verdict is inconclusive."""
-    verdicts = [stability_check(s, w, opts) for s in summands]
+    verdicts = [stability_check(s, w, tol) for s in summands]
     diagnostics["summands"] = [
         {"dims": list(s.dim_vector()), "classification": v.classification,
          "route": v.diagnostics["route"]}
@@ -508,16 +515,16 @@ def _classify_summands(summands, w, opts, diagnostics):
     return classification, any(v.inconclusive for v in verdicts)
 
 
-def _split_route(rep, w, opts, score, g, ends, diagnostics):
+def _split_route(rep, w, tol, score, g, ends, diagnostics):
     """Split along a generic endomorphism and classify every summand."""
-    pieces = linrep.generic_split(rep, ends, opts.tol)
+    pieces = linrep.generic_split(rep, ends, tol)
     if pieces is None:
         raise _Fallback("split_failed")
     # each summand in the frame of the limit, g B = Q R: R maps it onto the
     # restricted, nearly orthoscalar system, where its own flow starts
     classification, inconclusive = _classify_summands(
         [_moved(piece, np.linalg.qr(g @ block)[1]) for block, piece in pieces],
-        w, opts, diagnostics)
+        w, tol, diagnostics)
     witness = pieces[0][0]
     num, guard = score([witness])[0]
     if classification is None or num != 0 or not guard:
@@ -527,22 +534,6 @@ def _split_route(rep, w, opts, score, g, ends, diagnostics):
     return "flow_split", classification, witness, Fraction(0), inconclusive
 
 
-def _flow_options(w: Weight, tol: float = moment.FlowOptions.tol) -> moment.FlowOptions:
-    """The flow's options with the tolerance tol scaled by the least chi_e
-    below 1: the flow is scale-equivariant, so a weight and its multiples
-    stop at residuals in proportion, and integer weights keep tol."""
-    return moment.FlowOptions(tol * min([1, *w.chi.values()]))
-
-
-def _cholesky_stable(p, residual, chi, times):
-    """L at the projector stack p, and the bound s(r) when one Cholesky of
-    L - s(r) certifies ``stable`` (else None)."""
-    with _timed(times, "hessian"):
-        lmat = _hessian(p, chi)
-        bound = _stable_bound(residual, chi)
-        return lmat, bound if _positive_beyond(lmat, bound, chi) else None
-
-
 def _semistable_diagnostics(rep, w, floor, diagnostics):
     """The HN type [d0] and the dual bound of a flow that ends below the
     floor (or the gap by which it does not)."""
@@ -550,7 +541,7 @@ def _semistable_diagnostics(rep, w, floor, diagnostics):
                        dual_bound=floor, gap=diagnostics["residual"] - floor)
 
 
-def _flow_route(rep, w, opts, score, diagnostics, times):
+def _flow_route(rep, w, tol, score, diagnostics, times):
     """Route, classification, witness, best score and inconclusive flag
     from the flow limit; raises _Fallback when no certificate closes.
 
@@ -559,28 +550,28 @@ def _flow_route(rep, w, opts, score, diagnostics, times):
     already certify ``stable``; otherwise the run continues to the full
     tolerance, and every other verdict is read off it.  No iterate is
     taken twice, so ``times_ms`` ``flow`` holds one run (and a rerun from
-    a plateau)."""
-    d0 = rep.ambient_dim
-    # the least dual bound a positive score can give, f sqrt(d0 / (k (d0 - k)))
-    # at f = 1 / den and k = d0 / 2: a residual under it certifies
-    # semistability at any g, and every route after the flow loop needs it
-    floor = 2 / (score.den * sqrt(d0))
+    a plateau), and L is built at most once per stop."""
+    d0, floor = rep.ambient_dim, score.floor
     chi = np.array([float(w.chi[e]) for e in rep.poset.elements])
-    flow = _flow_options(w)
-    early = min(_flow_options(w, EARLY).tol, floor)
-    run = moment._flow_run(rep, w, max(early, flow.tol), flow.max_iter)
+    flow = moment.FlowOptions(moment.FlowOptions.tol * w.scale)
+    run = moment._flow_run(rep, w, max(min(EARLY * w.scale, floor), flow.tol), flow.max_iter)
     with _timed(times, "flow"):
         system, report = next(run)
-    # as on the full route, no certificate from a residual above the floor
-    if early > flow.tol and report.status == "converged" and report.residual < floor:
-        _, bound = _cholesky_stable(
-            np.stack(list(system.projections.values())), report.residual, chi, times)
-        if bound is not None:
+    lmat = None
+    # as on every route, no certificate from a residual above the floor
+    if report.status == "converged" and report.residual < floor:
+        with _timed(times, "hessian"):
+            lmat = _hessian(np.stack(list(system.projections.values())), chi)
+            bound = _stable_bound(report.residual, chi)
+            stable = _positive_beyond(lmat, bound, chi)
+        if stable:
             diagnostics.update(flow_status=report.status, flow_iterations=report.iterations,
-                               flow_trials=report.attempts, residual=report.residual)
+                               flow_trials=report.attempts, residual=report.residual,
+                               end_dim=1, lambda_min=bound)
             _semistable_diagnostics(rep, w, floor, diagnostics)
-            diagnostics.update(end_dim=1, lambda_min=bound)
             return "flow_stable", STABLE, None, None, False
+        if report.residual >= flow.tol:
+            lmat = None  # the run moves on from this g
     g = np.eye(d0, dtype=complex)
     iterations = trials = 0
     for rerun in (False, True):
@@ -597,7 +588,7 @@ def _flow_route(rep, w, opts, score, diagnostics, times):
             break
         with _timed(times, "candidates"):
             try:
-                return _unstable_route(rep, w, opts, score, g, moment._MomentMap(rep, w)(g)[1],
+                return _unstable_route(rep, w, tol, score, g, moment._MomentMap(rep, w)(g)[1],
                                        report.residual, diagnostics)
             except _Fallback as exc:
                 if rerun or str(exc) != "no_destabilizer":
@@ -607,25 +598,21 @@ def _flow_route(rep, w, opts, score, diagnostics, times):
     _semistable_diagnostics(rep, w, floor, diagnostics)
     if residual >= floor:
         raise _Fallback("semistability_uncertified")
-    with _timed(times, "hessian"):
-        # the projectors at g (a run stopped below the floor returns none)
-        p = (np.stack(list(system.projections.values())) if system
-             else moment._MomentMap(rep, w)(g)[0])
-    lmat, bound = _cholesky_stable(p, residual, chi, times)
-    if bound is not None:
-        diagnostics.update(end_dim=1, lambda_min=bound)
-        return "flow_stable", STABLE, None, None, False
     with _timed(times, "schur"):
-        ends, end_guard = linrep._endomorphisms(rep, opts.tol)
+        ends, end_guard = linrep._endomorphisms(rep, tol)
     diagnostics["end_dim"] = len(ends)
     if not end_guard:
         raise _Fallback("rank_guard")
     with _timed(times, "hessian"):
+        if lmat is None:
+            # the projectors at g (a run stopped below the floor returns none)
+            lmat = _hessian(np.stack(list(system.projections.values())) if system
+                            else moment._MomentMap(rep, w)(g)[0], chi)
         values, vectors = _spectrum(lmat)
     diagnostics["lambda_min"] = float(values[0])
     if len(ends) > 1:
         with _timed(times, "split"):
-            return _split_route(rep, w, opts, score, g, ends, diagnostics)
+            return _split_route(rep, w, tol, score, g, ends, diagnostics)
     if residual <= MARGIN_FACTOR * values[0]:
         return "flow_stable", STABLE, None, None, False
     with _timed(times, "candidates"):
@@ -652,15 +639,13 @@ def _reading(candidates, den):
     return UNSTABLE if num > 0 else SEMISTABLE_NOT_POLYSTABLE, q, Fraction(num, den)
 
 
-def stability_check(
-    rep: SubspaceRep, w: Weight, opts: StabilityOptions | None = None
-) -> StabilityVerdict:
+def stability_check(rep: SubspaceRep, w: Weight, tol: float = DEFAULT_TOL) -> StabilityVerdict:
     """Classify the representation for the given weight.
 
     The Kempf-Ness flow runs, first to the loose tolerance ``EARLY``,
-    where one Cholesky may certify ``stable`` at once, and else the run
-    continues to its full tolerance; the verdict is read off its limit
-    with the certificate of one of the routes of the module docstring;
+    where the run's one Cholesky may certify ``stable`` at once, and else
+    the run continues to its full tolerance; the verdict is read off its
+    limit with the certificate of one of the routes of the module docstring;
     ``diagnostics["route"]`` names it (``flow_stable``, ``flow_split``,
     ``flow_boundary``, ``flow_unstable``).  When no certificate closes, the
     route is ``uncertified``, the verdict is the flow's own reading from
@@ -669,7 +654,9 @@ def stability_check(
     ``flag_not_nested``, ``piece_unstable``, ``no_zero_witness``,
     ``split_failed``, ``summand_not_semistable``,
     ``semistability_uncertified`` or ``rank_guard``.  ``methods`` is
-    ``("flow",)`` whenever the flow ran.
+    ``("flow",)`` whenever the flow ran.  ``tol`` is the rank tolerance of
+    the scores, the Schur test and the split; the flow's tolerances are its
+    own (1e-8 and ``EARLY``, each times ``Weight.scale``).
 
     ``best_score`` is the largest score of a proper subspace when the route
     certifies it: the witness's score for ``unstable``, 0 for the
@@ -680,17 +667,19 @@ def stability_check(
     gives the flow's status, iterations, step trials (summed over a second
     run) and residual (those at the loose stop where its Cholesky certifies
     ``stable``; else those at the full stop, counted from g = I),
-    lambda_min (on ``flow_stable`` certified by the Cholesky alone, the
-    lower bound s(r) of the module docstring at that residual; else the
-    least trace-zero eigenvalue of L), the dimension of End (``end_dim``),
+    lambda_min (on ``flow_stable`` certified by the Cholesky at the loose
+    stop, the lower bound s(r) of the module docstring at that residual;
+    else the least trace-zero eigenvalue of L at the full stop), the
+    dimension of End (``end_dim``),
     the dual bound and the gap (residual minus dual bound; information
     only), the HN type (``hn_dims`` and ``hn_slopes``, on every
     ``flow_unstable`` verdict), the dims, classification and route of each
     summand of a split (``summands``), and the wall time of each method in
     ms (``times_ms``: flow, schur, hessian, candidates, split; flow and
     hessian alone when the Cholesky certifies ``stable``; flow is one run,
-    not repeated after the loose stop, and hessian includes a loose
-    Cholesky that did not certify).
+    not repeated after the loose stop, and hessian is one build of L at
+    each stop the verdict reads, at most one Cholesky and the spectrum).
+    The keys are ``sigma``, ``summands`` (on a split) and ``DIAGNOSTICS``.
     ``inconclusive`` is set on an ``uncertified`` verdict, or when the
     classification of a summand was.
 
@@ -702,30 +691,23 @@ def stability_check(
     ``stable``); sigma = 0 has the closed form of the module docstring
     (route ``zero_slope``, no method runs).  ``trace_identity`` is false.
     """
-    opts = opts or StabilityOptions()
     w.aligned(rep.poset)
     if rep.ambient_dim == 0:
         raise WrongShape("stability of the zero representation is undefined")
     times: dict[str, float] = {}
     sigma = w.slope(rep)
-    diagnostics: dict = {
-        "sigma": str(sigma), "flow_status": None,
-        "flow_iterations": None, "flow_trials": None, "residual": None,
-        "lambda_min": None, "end_dim": None, "dual_bound": None, "gap": None,
-        "hn_dims": None, "hn_slopes": None, "times_ms": times,
-    }
+    diagnostics = {"sigma": str(sigma), **dict.fromkeys(DIAGNOSTICS), "times_ms": times}
     if not w.trace_identity(rep):
-        return _off_slope(rep, w, sigma, opts, diagnostics)
-    score = linrep._Scorer(rep, w, opts.tol)
+        return _off_slope(rep, w, sigma, tol, diagnostics)
+    score = linrep._Scorer(rep, w, tol)
     try:
         route, classification, witness, best, inconclusive = _flow_route(
-            rep, w, opts, score, diagnostics, times)
+            rep, w, tol, score, diagnostics, times)
         reasons = []
     except _Fallback as exc:
         route, inconclusive, reasons = "uncertified", True, [str(exc)]
         classification, witness, best = _reading(exc.candidates, score.den)
-    diagnostics.update(route=route, inconclusive_reasons=reasons,
-                       rank_guard_stable="rank_guard" not in reasons)
+    diagnostics.update(route=route, inconclusive_reasons=reasons)
     return StabilityVerdict(
         classification=classification,
         witness=witness,
@@ -737,19 +719,19 @@ def stability_check(
     )
 
 
-def _off_slope(rep, w, sigma, opts, diagnostics):
+def _off_slope(rep, w, sigma, tol, diagnostics):
     """The verdict for a weight without the trace identity: the one at the
     slope weight (sigma; chi), with every class but ``unstable`` read as
     ``semistable_not_polystable``; at sigma = 0 the closed form."""
     if sigma > 0:
-        verdict = stability_check(rep, Weight(sigma, w.chi), opts)
+        verdict = stability_check(rep, Weight(sigma, w.chi), tol)
         if verdict.classification != UNSTABLE:
             verdict.classification = SEMISTABLE_NOT_POLYSTABLE
         verdict.trace_identity = False
         return verdict
     # every V_e is 0, so every score is 0
     d0 = rep.ambient_dim
-    diagnostics.update(route="zero_slope", inconclusive_reasons=[], rank_guard_stable=True)
+    diagnostics.update(route="zero_slope", inconclusive_reasons=[])
     return StabilityVerdict(
         classification=SEMISTABLE_NOT_POLYSTABLE,
         witness=np.eye(d0, 1, dtype=complex) if d0 > 1 else None,

@@ -599,7 +599,7 @@ def oracle_sweep_summands(lam, w) -> int | None:
 def direct_sum(a, b):
     """Block-diagonal direct sum of two reps of one poset."""
     if a.poset != b.poset:
-        raise pr.PosetMismatch("direct sum requires representations of the same poset")
+        raise pr.WrongShape("direct sum requires representations of the same poset")
     d = a.ambient_dim + b.ambient_dim
     spans = {}
     for e in a.poset.elements:

@@ -236,6 +236,41 @@ def test_failed_early_cholesky_leaves_the_full_route(monkeypatch):
     assert "schur" in verdicts[0].diagnostics["times_ms"]
 
 
+def test_one_cholesky_per_flow_run(monkeypatch):
+    """The Cholesky runs once per flow run, at its first stop, and L is
+    built once per stop.  Input 37 of the gate's antichain draw converges
+    at the loose stop, where the Cholesky fails, and the full stop
+    certifies ``stable`` by the Schur test and the margin r <= lambda_min
+    / 4, with lambda_min the least trace-zero eigenvalue of L.  The four
+    lines at lambda = 1e-6 stop twice and factor once; with EARLY at 0
+    their first stop is the full one, and its L serves both."""
+    rng = np.random.default_rng(2026)
+    for i in range(38):
+        rep, w = random_antichain_rep(rng, bent=i % 2 == 1)
+    positive, hessian, calls = stability._positive_beyond, stability._hessian, []
+
+    def counted(*args):
+        calls.append(positive(*args))
+        return calls[-1]
+
+    def built(*args):
+        calls.append("L")
+        return hessian(*args)
+
+    monkeypatch.setattr(stability, "_positive_beyond", counted)
+    monkeypatch.setattr(stability, "_hessian", built)
+    four = (pr.four_lines_rep(1e-6), pr.FOURSPACE_WEIGHT)
+    for early, (rep, w), builds in ((stability.EARLY, (rep, w), 2),
+                                    (stability.EARLY, four, 2), (0.0, four, 1)):
+        monkeypatch.setattr(stability, "EARLY", early)
+        calls.clear()
+        v = pr.stability_check(rep, w)
+        d = v.diagnostics
+        assert v.classification == pr.STABLE and d["route"] == "flow_stable"
+        assert "schur" in d["times_ms"] and d["lambda_min"] >= 4 * d["residual"]
+        assert calls == ["L", False] + ["L"] * (builds - 1)
+
+
 def test_flow_stable_verdicts_hold_against_the_oracle():
     """Generic reps in C^2..C^10 (n k-planes, k <= d0 / 2, n k >= 2 d0,
     weights 1-3): every one is certified stable by the Cholesky alone,
@@ -356,7 +391,7 @@ def test_uncertified_reasons():
     v = pr.stability_check(lines, W_LINES)
     d = v.diagnostics
     assert d["route"] == "uncertified" and d["inconclusive_reasons"] == ["rank_guard"]
-    assert v.methods == ("flow",) and v.inconclusive and not d["rank_guard_stable"]
+    assert v.methods == ("flow",) and v.inconclusive
     assert v.classification == pr.STABLE and v.best_score is None
 
 
