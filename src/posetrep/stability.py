@@ -52,17 +52,19 @@ f(K) sqrt(d0 / (k (d0 - k)))).  So with r the flow's final residual:
   Cholesky runs at s(r) plus the rounding a successful factorization can
   hide, 2 d0^4 eps (sum chi + 1).
   Since the certificate holds at any g with r below the floor, the
-  Cholesky runs once per flow run, at its first stop: the loose tolerance
-  EARLY = 1e-2, scaled as the full one and kept below the floor, when the
-  run converges there.  On generic planes it closes after about 4
-  iterations, against 7 to reach 1e-8.  On that route ``residual`` and
-  ``flow_iterations`` are those at the loose stop, and ``lambda_min`` is
-  s(r) at its residual.  When the Cholesky does not certify, the run
-  continues to the full tolerance, with the iterates of a run started
-  there (``moment._flow_run``), and the bullets below decide from there
-  with the Schur test and the spectrum of L; a run that stops short of the
-  loose tolerance (a plateau, or the iteration cap) stops there at the
-  full one too.
+  Cholesky runs once per flow run, at its first stop (the loose tolerance
+  EARLY = 1e-2, scaled as the full one and kept below the floor), whatever
+  its status, when the residual there is below the floor.  On generic
+  planes it closes after about 4 iterations, against 7 to reach
+  1e-8.  On that route ``residual`` and ``flow_iterations`` are those at
+  the first stop, and ``lambda_min`` is s(r) at its residual.  When the
+  Cholesky does not certify, the run continues to the full tolerance,
+  with the iterates of a run started there (``moment._flow_run``), and the
+  bullets below decide from there with the Schur test and the spectrum of
+  L; a run that stops short of the loose tolerance (a plateau, or the
+  iteration cap) stops there at the full one too, so in C^1, where the
+  flow plateaus at once, the Cholesky decides, and no route reads the
+  empty trace-zero spectrum.
 - converged, dim End = 1 and r <= lambda_min / 4: ``stable``, margin
   lambda_min.  Along a unit geodesic t -> exp(t x) g the second derivative
   h(t) = sum_e chi_e |[P_e(t), x]|_F^2 of the potential obeys
@@ -74,7 +76,11 @@ f(K) sqrt(d0 / (k (d0 - k)))).  So with r the flow's final residual:
   full stop's certificate of ``stable``, and no second Cholesky runs
   there: one that succeeded would give lambda_min > s(r) >= 16 r, inside
   this margin, which also holds where lambda_min stays below s(r), as for
-  the four lines at lambda = 1e-6 (lambda_min about 4 lambda).  At the
+  the four lines at lambda = 1e-6 (lambda_min about 4 lambda).  Unlike
+  the Cholesky, the margin needs the Schur test to read dim End = 1 at
+  the rank tolerance ``tol`` first, in the input's frame: where its rank
+  guard fires the verdict is ``uncertified`` (``rank_guard``), and where
+  it reads dim End > 1 the split route below decides.  At the
   boundary of the four-line family r / lambda_min tends to 1 / sqrt(8),
   above 1/4.
 - converged, dim End > 1: V splits along the generalized eigenspaces of
@@ -534,6 +540,13 @@ def _split_route(rep, w, tol, score, g, ends, diagnostics):
     return "flow_split", classification, witness, Fraction(0), inconclusive
 
 
+def _projectors(rep, w, system, g):
+    """The projector stack at a flow stop: the system's, or at g where the
+    run stopped short of its tolerance and returned none."""
+    return (np.stack(list(system.projections.values())) if system
+            else moment._MomentMap(rep, w)(g)[0])
+
+
 def _semistable_diagnostics(rep, w, floor, diagnostics):
     """The HN type [d0] and the dual bound of a flow that ends below the
     floor (or the gap by which it does not)."""
@@ -558,10 +571,12 @@ def _flow_route(rep, w, tol, score, diagnostics, times):
     with _timed(times, "flow"):
         system, report = next(run)
     lmat = None
-    # as on every route, no certificate from a residual above the floor
-    if report.status == "converged" and report.residual < floor:
+    # as on every route, no certificate from a residual above the floor; a
+    # stop short of the loose tolerance (a plateau, or the iteration cap) is
+    # the full stop too, and its Cholesky the run's one
+    if report.residual < floor:
         with _timed(times, "hessian"):
-            lmat = _hessian(np.stack(list(system.projections.values())), chi)
+            lmat = _hessian(_projectors(rep, w, system, report.final_metric), chi)
             bound = _stable_bound(report.residual, chi)
             stable = _positive_beyond(lmat, bound, chi)
         if stable:
@@ -570,7 +585,7 @@ def _flow_route(rep, w, tol, score, diagnostics, times):
                                end_dim=1, lambda_min=bound)
             _semistable_diagnostics(rep, w, floor, diagnostics)
             return "flow_stable", STABLE, None, None, False
-        if report.residual >= flow.tol:
+        if report.status == "converged" and report.residual >= flow.tol:
             lmat = None  # the run moves on from this g
     g = np.eye(d0, dtype=complex)
     iterations = trials = 0
@@ -605,9 +620,7 @@ def _flow_route(rep, w, tol, score, diagnostics, times):
         raise _Fallback("rank_guard")
     with _timed(times, "hessian"):
         if lmat is None:
-            # the projectors at g (a run stopped below the floor returns none)
-            lmat = _hessian(np.stack(list(system.projections.values())) if system
-                            else moment._MomentMap(rep, w)(g)[0], chi)
+            lmat = _hessian(_projectors(rep, w, system, g), chi)
         values, vectors = _spectrum(lmat)
     diagnostics["lambda_min"] = float(values[0])
     if len(ends) > 1:
@@ -643,7 +656,8 @@ def stability_check(rep: SubspaceRep, w: Weight, tol: float = DEFAULT_TOL) -> St
     """Classify the representation for the given weight.
 
     The Kempf-Ness flow runs, first to the loose tolerance ``EARLY``,
-    where the run's one Cholesky may certify ``stable`` at once, and else
+    where the run's one Cholesky may certify ``stable`` at once (at a stop
+    short of it too, below the floor), and else
     the run continues to its full tolerance; the verdict is read off its
     limit with the certificate of one of the routes of the module docstring;
     ``diagnostics["route"]`` names it (``flow_stable``, ``flow_split``,
@@ -665,12 +679,13 @@ def stability_check(rep: SubspaceRep, w: Weight, tol: float = DEFAULT_TOL) -> St
     candidate's score, a lower bound on the maximum.  ``witness`` is a
     subspace of that score (None for ``stable``).  ``diagnostics`` also
     gives the flow's status, iterations, step trials (summed over a second
-    run) and residual (those at the loose stop where its Cholesky certifies
+    run) and residual (those at the first stop where its Cholesky certifies
     ``stable``; else those at the full stop, counted from g = I),
-    lambda_min (on ``flow_stable`` certified by the Cholesky at the loose
+    lambda_min (on ``flow_stable`` certified by the Cholesky at the first
     stop, the lower bound s(r) of the module docstring at that residual;
-    else the least trace-zero eigenvalue of L at the full stop), the
-    dimension of End (``end_dim``),
+    else the least trace-zero eigenvalue of L at the full stop, where
+    ``stable`` also needs the Schur test at ``tol``), the dimension of End
+    (``end_dim``),
     the dual bound and the gap (residual minus dual bound; information
     only), the HN type (``hn_dims`` and ``hn_slopes``, on every
     ``flow_unstable`` verdict), the dims, classification and route of each

@@ -206,8 +206,14 @@ def test_failed_early_cholesky_leaves_the_full_route(monkeypatch):
     the bound s(r) (0.084), so the early Cholesky fails and the same run
     continues to the full tolerance.  No step trial runs twice: the
     verdict makes one Hermitian exponential per trial it reports in
-    ``flow_trials``.  Verdict and diagnostics (times aside) are those with
-    the early stop off (EARLY at 0, not above the full tolerance)."""
+    ``flow_trials``.  The Cholesky runs once per flow run, at its first
+    stop, and L is built once per stop: the full stop certifies ``stable``
+    by the Schur test and the margin r <= lambda_min / 4, with lambda_min
+    the least trace-zero eigenvalue of L.  Input 37 of the gate's
+    antichain draw takes the same route.  With the early stop off (EARLY
+    at 0, not above the full tolerance) the first stop is the full one,
+    its L serves both, and verdict and diagnostics (times aside) are
+    those with the early stop."""
     rep, w, early = pr.four_lines_rep(1e-6), pr.FOURSPACE_WEIGHT, stability.EARLY
     chi = np.ones(4)
     system, report = pr.kempf_ness_flow(rep, w, moment.FlowOptions(early))
@@ -216,40 +222,17 @@ def test_failed_early_cholesky_leaves_the_full_route(monkeypatch):
     bound = stability._stable_bound(report.residual, chi)
     assert stability._spectrum(lmat)[0][0] < bound
     assert not stability._positive_beyond(lmat, bound, chi)
-    expm, calls = linalg.herm_expm, []
-
-    def counted(h):
-        calls.append(len(calls))
-        return expm(h)
-
-    monkeypatch.setattr(linalg, "herm_expm", counted)
-    verdicts = [pr.stability_check(rep, w)]
-    assert len(calls) == verdicts[0].diagnostics["flow_trials"] > report.attempts
-    monkeypatch.setattr(stability, "EARLY", 0.0)
-    verdicts.append(pr.stability_check(rep, w))
-    for v in verdicts:
-        assert v.classification == pr.STABLE and not v.inconclusive
-        assert v.witness is None and v.best_score is None
-    with_early, without = ({k: x for k, x in v.diagnostics.items() if k != "times_ms"}
-                           for v in verdicts)
-    assert with_early == without and with_early["route"] == "flow_stable"
-    assert "schur" in verdicts[0].diagnostics["times_ms"]
-
-
-def test_one_cholesky_per_flow_run(monkeypatch):
-    """The Cholesky runs once per flow run, at its first stop, and L is
-    built once per stop.  Input 37 of the gate's antichain draw converges
-    at the loose stop, where the Cholesky fails, and the full stop
-    certifies ``stable`` by the Schur test and the margin r <= lambda_min
-    / 4, with lambda_min the least trace-zero eigenvalue of L.  The four
-    lines at lambda = 1e-6 stop twice and factor once; with EARLY at 0
-    their first stop is the full one, and its L serves both."""
     rng = np.random.default_rng(2026)
     for i in range(38):
-        rep, w = random_antichain_rep(rng, bent=i % 2 == 1)
-    positive, hessian, calls = stability._positive_beyond, stability._hessian, []
+        antichain = random_antichain_rep(rng, bent=i % 2 == 1)
+    expm, positive, hessian = linalg.herm_expm, stability._positive_beyond, stability._hessian
+    calls = []
 
-    def counted(*args):
+    def exponential(h):
+        calls.append("exp")
+        return expm(h)
+
+    def factored(*args):
         calls.append(positive(*args))
         return calls[-1]
 
@@ -257,18 +240,26 @@ def test_one_cholesky_per_flow_run(monkeypatch):
         calls.append("L")
         return hessian(*args)
 
-    monkeypatch.setattr(stability, "_positive_beyond", counted)
+    monkeypatch.setattr(linalg, "herm_expm", exponential)
+    monkeypatch.setattr(stability, "_positive_beyond", factored)
     monkeypatch.setattr(stability, "_hessian", built)
-    four = (pr.four_lines_rep(1e-6), pr.FOURSPACE_WEIGHT)
-    for early, (rep, w), builds in ((stability.EARLY, (rep, w), 2),
-                                    (stability.EARLY, four, 2), (0.0, four, 1)):
+    verdicts = []
+    for early, (r, wt), builds in ((early, (rep, w), 2), (early, antichain, 2),
+                                   (0.0, (rep, w), 1)):
         monkeypatch.setattr(stability, "EARLY", early)
         calls.clear()
-        v = pr.stability_check(rep, w)
+        v = pr.stability_check(r, wt)
         d = v.diagnostics
-        assert v.classification == pr.STABLE and d["route"] == "flow_stable"
+        assert v.classification == pr.STABLE and not v.inconclusive
+        assert v.witness is None and v.best_score is None and d["route"] == "flow_stable"
         assert "schur" in d["times_ms"] and d["lambda_min"] >= 4 * d["residual"]
-        assert calls == ["L", False] + ["L"] * (builds - 1)
+        assert calls.count("exp") == d["flow_trials"]
+        assert [c for c in calls if c != "exp"] == ["L", False] + ["L"] * (builds - 1)
+        verdicts.append(v)
+    assert verdicts[0].diagnostics["flow_trials"] > report.attempts
+    with_early, without = ({k: x for k, x in v.diagnostics.items() if k != "times_ms"}
+                           for v in (verdicts[0], verdicts[2]))
+    assert with_early == without
 
 
 def test_flow_stable_verdicts_hold_against_the_oracle():
@@ -691,7 +682,8 @@ def test_flow_route_is_scale_invariant():
 def test_cholesky_certifies_c1_vacuously(monkeypatch):
     """A C^1 rep with the trace identity: the trace-zero matrices are {0},
     so the Cholesky of the 1 x 1 shifted L certifies stable with no Schur
-    test, lambda_min the bound s(r) and dim End 1.  A converged residual
+    test, lambda_min the bound s(r) and dim End 1, also where the flow
+    stops on a plateau short of the loose tolerance.  A converged residual
     not below the floor 2 / den (as rounding leaves it for weights of
     denominator 3^40) leaves the verdict uncertified before any route reads
     the empty trace-zero spectrum: stable, from no candidate, and
@@ -706,6 +698,21 @@ def test_cholesky_certifies_c1_vacuously(monkeypatch):
     assert set(d["times_ms"]) == {"flow", "hessian"} and d["end_dim"] == 1
     chi = np.array([2.0, 3.0])
     assert d["lambda_min"] == stability._stable_bound(d["residual"], chi)
+    # 1/10 + 1/5 - 3/10 rounds to 5.6e-17: above the loose tolerance 1e-18
+    # and below the floor 2e-16, so the flow stops on its plateau there, and
+    # the Cholesky decides at that stop as at a converged one
+    p3 = pr.primitive_poset(1, 1, 1)
+    line = np.ones((1, 1), dtype=complex)
+    rep3 = pr.make_rep(p3, 1, {"a1": line, "a2": line, "a3": np.zeros((1, 0), dtype=complex)})
+    w3 = pr.Weight(Fraction(3, 10),
+                   {"a1": Fraction(1, 10), "a2": Fraction(1, 5), "a3": Fraction(1, 10**16)})
+    v = pr.stability_check(rep3, w3)
+    d = v.diagnostics
+    assert v.classification == pr.STABLE and d["route"] == "flow_stable"
+    assert d["flow_status"] == "plateau" and 1e-18 < d["residual"] < d["dual_bound"]
+    assert set(d["times_ms"]) == {"flow", "hessian"} and d["end_dim"] == 1
+    chi3 = np.array([0.1, 0.2, 1e-16])
+    assert d["lambda_min"] == stability._stable_bound(d["residual"], chi3)
     run = moment._flow_run
 
     def rounded(*args):
