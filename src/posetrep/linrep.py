@@ -131,15 +131,33 @@ def make_rep(
 # weights
 
 class Weight:
-    """Positive rational weight: chi0 for the ambient space, chi_e per element."""
+    """Positive rational weight: chi0 for the ambient space, chi_e per element.
 
-    __slots__ = ("chi0", "chi")
+    ``chi0`` and ``chi`` are the entries as Fractions.  The constructor
+    also computes, once, the least common denominator ``_den`` of the
+    entries, the integers ``_c0`` = chi0 den and ``_c[e]`` = chi_e den,
+    the floats ``_float0`` and ``_float[e]`` of the entries, and ``scale``
+    = min(1, least chi_e): the flow is scale-equivariant, so a weight and
+    its multiples stop at residuals in proportion to it, and integer
+    weights keep 1.  The slope, the trace identity, ``common_integer`` and
+    the scores (``_Scorer``) are integer arithmetic on this cache, and a
+    Fraction is built only where one is returned.  A weight is not changed
+    after construction, so the cache stays that of ``chi0`` and ``chi``.
+    """
+
+    __slots__ = ("chi0", "chi", "_den", "_c0", "_c", "_float0", "_float", "scale")
 
     def __init__(self, chi0, chi: Mapping[str, object]):
         self.chi0 = Fraction(chi0)
         self.chi = {e: Fraction(v) for e, v in chi.items()}
         if self.chi0 <= 0 or any(v <= 0 for v in self.chi.values()):
             raise WrongShape("weight entries must all be positive")
+        self._den = den = lcm(self.chi0.denominator, *(v.denominator for v in self.chi.values()))
+        self._c0 = self.chi0.numerator * (den // self.chi0.denominator)
+        self._c = {e: v.numerator * (den // v.denominator) for e, v in self.chi.items()}
+        self._float0 = float(self.chi0)
+        self._float = {e: float(v) for e, v in self.chi.items()}
+        self.scale = min([1.0, *self._float.values()])
 
     @classmethod
     def from_entries(cls, poset: Poset, entries: Iterable) -> "Weight":
@@ -153,36 +171,31 @@ class Weight:
     def aligned(self, poset: Poset) -> "Weight":
         missing = [e for e in poset.elements if e not in self.chi]
         if missing or len(self.chi) != len(poset):
-            raise WrongShape(f"weight does not match poset elements (missing {missing})")
+            extra = [e for e in self.chi if e not in poset.elements]
+            raise WrongShape(f"weight does not match poset elements "
+                             f"(missing {missing}, extra {extra})")
         return self
 
     def common_integer(self, poset: Poset) -> tuple[int, dict[str, int]]:
-        """Scale to a common denominator: integer weights with the same ratios."""
-        den = lcm(self.chi0.denominator, *(self.chi[e].denominator for e in poset.elements)) \
-            if poset.elements else self.chi0.denominator
-        return int(self.chi0 * den), {e: int(self.chi[e] * den) for e in poset.elements}
+        """Scale to a common denominator: integer weights with the same
+        ratios, for a weight aligned with the poset."""
+        return self._c0, {e: self._c[e] for e in poset.elements}
+
+    def _total(self, rep: SubspaceRep) -> int:
+        """sum chi_e dim V_e times the common denominator."""
+        return sum(self._c[e] * rep.dim(e) for e in rep.poset.elements)
 
     def slope(self, rep: SubspaceRep) -> Fraction:
         """sum chi_e dim V_e / dim V, exact."""
         self.aligned(rep.poset)
         if rep.ambient_dim == 0:
             raise WrongShape("slope of the zero representation is undefined")
-        return Fraction(
-            sum(self.chi[e] * rep.dim(e) for e in rep.poset.elements), 1
-        ) / rep.ambient_dim
-
-    @property
-    def scale(self) -> float:
-        """min(1, least chi_e): the flow is scale-equivariant, so a weight
-        and its multiples stop at residuals in proportion to it, and
-        integer weights keep 1."""
-        return float(min([1, *self.chi.values()]))
+        return Fraction(self._total(rep), self._den * rep.ambient_dim)
 
     def trace_identity(self, rep: SubspaceRep) -> bool:
         """Exact check of sum chi_e d_e == chi0 d0."""
         self.aligned(rep.poset)
-        total = sum(self.chi[e] * rep.dim(e) for e in rep.poset.elements)
-        return total == self.chi0 * rep.ambient_dim
+        return self._total(rep) == self._c0 * rep.ambient_dim
 
     def __repr__(self) -> str:
         return f"Weight({self.chi0}; {self.chi})"
@@ -428,10 +441,12 @@ def _per_width(fn, mats: list[np.ndarray]) -> list:
 class _Scorer:
     """f(K) for orthonormal bases K, with the rank guard of the intersections.
 
-    With c = den chi_e the common integer weights, d0 den f(K) is the
-    integer d0 sum_e c_e dim(V_e /\\ K) - (sum_e c_e d_e) dim K; dim K is
-    the column count of K.  Scores stay these integer numerators over the
-    common denominator ``den`` (= d0 den) until a Fraction is asked for.
+    With den the weight's common denominator and c_e = den chi_e its
+    integer weights (both kept by ``Weight``), d0 den f(K) is the integer
+    d0 sum_e c_e dim(V_e /\\ K) - (sum_e c_e d_e) dim K; dim K is the
+    column count of K.  Scores stay these integer numerators over the
+    common denominator ``den`` (= d0 times the weight's den) until a
+    Fraction is asked for.
     """
 
     def __init__(self, rep: SubspaceRep, w: Weight, tol: float):
@@ -439,11 +454,10 @@ class _Scorer:
         d0 = rep.ambient_dim
         if d0 == 0:
             raise WrongShape("slope of the zero representation is undefined")
-        c0, c = w.common_integer(rep.poset)
         self.rep, self.tol, self.d0 = rep, tol, d0
-        self.den = d0 * (c0 * w.chi0.denominator // w.chi0.numerator)
-        self.weights = [c[e] for e in rep.poset.elements]
-        self.total = sum(ce * rep.dim(e) for e, ce in zip(rep.poset.elements, self.weights))
+        self.den = d0 * w._den
+        self.weights = [w._c[e] for e in rep.poset.elements]
+        self.total = w._total(rep)
         # the least dual bound a positive score gives, f sqrt(d0 / (k (d0 - k)))
         # at f = 1 / den and k = d0 / 2: a residual of mu under it certifies
         # semistability at any metric (``stability``)

@@ -141,8 +141,8 @@ def orthoscalar_check(ps: ProjectionSystem, tol: float = 1e-8) -> CheckReport:
         upper = stack[[index[b] for _, b in pairs]]
         nesting = max(worst(lower @ upper - lower), worst(upper @ lower - lower))
     ranks = np.array([ps.ranks[e] for e in elements], dtype=float)
-    chi = np.array([float(ps.weight.chi[e]) for e in elements])
-    scalar = chi @ stack.reshape(n, d0 * d0) - float(ps.weight.chi0) * np.eye(d0).ravel()
+    chi = np.array([ps.weight._float[e] for e in elements])
+    scalar = chi @ stack.reshape(n, d0 * d0) - ps.weight._float0 * np.eye(d0).ravel()
     return CheckReport(
         worst(stack - stack.conj().transpose(0, 2, 1)),
         worst(stack @ stack - stack),
@@ -178,8 +178,8 @@ class _MomentMap:
         d0 = rep.ambient_dim
         self.rep = rep
         self.weight = w
-        self.chi = np.array([float(w.chi[e]) for e in elements])
-        self.shift = -float(w.chi0) * np.eye(d0, dtype=complex)
+        self.chi = np.array([w._float[e] for e in elements])
+        self.shift = -w._float0 * np.eye(d0, dtype=complex)
         self.groups = [(idx, stack) for idx, stack in _width_groups(rep) if stack.shape[2]]
         self.scale = w.scale
         self.floor = float(np.sum(self.chi)) * (16 * d0 * np.finfo(float).eps) ** 2
@@ -448,10 +448,8 @@ def _flow_run(rep: SubspaceRep, w: Weight, tol: float, max_iter: int):
     if rep.ambient_dim == 0:
         raise WrongShape("flow needs a positive ambient dimension")
     if not w.trace_identity(rep):
-        chi0_scaled, chi_scaled = w.common_integer(rep.poset)
-        total = sum(chi_scaled[e] * rep.dim(e) for e in rep.poset.elements)
         raise NoTraceIdentity(
-            f"sum chi_e d_e = {total} but chi0 d0 = {chi0_scaled * rep.ambient_dim} "
+            f"sum chi_e d_e = {w._total(rep)} but chi0 d0 = {w._c0 * rep.ambient_dim} "
             "(after clearing denominators); no orthoscalar system exists"
         )
     g = np.eye(rep.ambient_dim, dtype=complex)
@@ -623,7 +621,7 @@ def fourspace_parameters(ps: ProjectionSystem, tol: float = 1e-6) -> tuple[float
         raise WrongShape("fourspace parameters need ambient dimension 2")
     if any(ps.ranks[e] != 1 for e in p.elements):
         raise WrongShape("fourspace parameters need four rank-1 projections")
-    if any(ps.weight.chi[e] * 2 != ps.weight.chi0 for e in p.elements):
+    if any(2 * ps.weight._c[e] != ps.weight._c0 for e in p.elements):
         raise WrongShape("weight must be proportional to (2; 1, 1, 1, 1)")
     report = orthoscalar_check(ps, tol)
     if not report.passed:

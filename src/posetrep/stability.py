@@ -154,7 +154,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import sqrt
+from math import lcm, sqrt
 from time import perf_counter
 
 import numpy as np
@@ -442,8 +442,11 @@ def _plateau_certificate(rep, w, tol, score, g, at, residual, diagnostics):
     d0, den = rep.ambient_dim, score.den
     for _ in range(d0):
         hull = _hull({k: num for k, (num, _) in at.items()}, d0)
-        dual = sqrt(sum(Fraction((y1 - y0) ** 2, x1 - x0)
-                        for (x0, y0), (x1, y1) in zip(hull, hull[1:]))) / den
+        # sum (dy)^2 / dx over one integer denominator; int / int rounds
+        # correctly, as float(Fraction) does
+        steps = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(hull, hull[1:])]
+        width = lcm(*(dx for dx, _ in steps))
+        dual = sqrt(sum(dy * dy * (width // dx) for dx, dy in steps) / width) / den
         diagnostics.update(dual_bound=dual, gap=residual - dual)
         best = max(hull[1:-1], key=lambda pt: pt[1], default=None)
         if best is None or best[1] <= 0:
@@ -565,7 +568,7 @@ def _flow_route(rep, w, tol, score, diagnostics, times):
     taken twice, so ``times_ms`` ``flow`` holds one run (and a rerun from
     a plateau), and L is built at most once per stop."""
     d0, floor = rep.ambient_dim, score.floor
-    chi = np.array([float(w.chi[e]) for e in rep.poset.elements])
+    chi = np.array([w._float[e] for e in rep.poset.elements])
     flow = moment.FlowOptions(moment.FlowOptions.tol * w.scale)
     run = moment._flow_run(rep, w, max(min(EARLY * w.scale, floor), flow.tol), flow.max_iter)
     with _timed(times, "flow"):

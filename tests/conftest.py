@@ -15,13 +15,16 @@ matrix, the stable margin by both of these (the Schur test and a full
 eigh), the trace words by one product per word from scratch, a
 fixed-step reference flow with its own projector and moment computations,
 the four-line sweep's summand count by decomposing the flow's numerical
-limit, and complex text written and read one entry at a time.
+limit, and complex text written and read one entry at a time.  The weight's
+common integer form, slope, trace identity and scale are recomputed in
+Fraction arithmetic from its entries on every call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -415,7 +418,7 @@ def oracle_score(rep, w, basis, tol: float = 1e-9) -> Fraction:
     numerical rank, summed in Fractions."""
     from posetrep.linalg import rank_with_guard
 
-    sigma = w.slope(rep)
+    sigma = oracle_slope(w, rep)
     total = Fraction(0)
     for e in rep.poset.elements:
         total += w.chi[e] * rank_with_guard(oracle_intersection(rep.spans[e], basis, tol), tol)[0]
@@ -591,6 +594,31 @@ def oracle_sweep_summands(lam, w) -> int | None:
         return None
     tol = 1e-2 if pr.is_exceptional(lam) else 1e-6
     return len(pr.decompose(system.subspace_rep(tol=tol), tol=tol))
+
+
+# ---------------------------------------------------------------------------
+# weights in Fraction arithmetic (independent of Weight's integer cache)
+
+def oracle_common_integer(w, poset) -> tuple[int, dict[str, int]]:
+    """chi0 and the chi_e of the poset's elements times the least common
+    denominator of these entries."""
+    den = lcm(w.chi0.denominator, *(w.chi[e].denominator for e in poset.elements))
+    return int(w.chi0 * den), {e: int(w.chi[e] * den) for e in poset.elements}
+
+
+def oracle_slope(w, rep) -> Fraction:
+    """sum chi_e d_e / d0, summed in Fractions."""
+    return Fraction(sum(w.chi[e] * rep.dim(e) for e in rep.poset.elements), 1) / rep.ambient_dim
+
+
+def oracle_trace_identity(w, rep) -> bool:
+    """sum chi_e d_e == chi0 d0, summed in Fractions."""
+    return sum(w.chi[e] * rep.dim(e) for e in rep.poset.elements) == w.chi0 * rep.ambient_dim
+
+
+def oracle_scale(w) -> float:
+    """min(1, least chi_e), taken in Fractions and then rounded."""
+    return float(min([1, *w.chi.values()]))
 
 
 # ---------------------------------------------------------------------------

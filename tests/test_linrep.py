@@ -1,18 +1,24 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import posetrep as pr
 from posetrep.linalg import random_complex, random_subspace, same_subspace
 from conftest import (
     direct_sum,
+    oracle_common_integer,
     oracle_endomorphism_dim,
     oracle_lattice_verdict,
     oracle_random_search,
     oracle_saturate,
+    oracle_scale,
     oracle_score,
+    oracle_slope,
     oracle_subspace_lattice,
+    oracle_trace_identity,
     planted_line_rep,
     random_antichain_rep,
     random_nested_rep,
@@ -139,6 +145,9 @@ def test_weight_positivity_and_alignment():
         pr.Weight(1, {"a1": -1, "a2": 1})
     with pytest.raises(pr.WrongShape):
         pr.Weight(1, {"a1": 1}).aligned(p)
+    # an extra element is named, not reported as "missing []"
+    with pytest.raises(pr.WrongShape, match=r"missing \[\], extra \['zz'\]"):
+        pr.Weight(1, {"a1": 1, "a2": 1, "zz": 1}).aligned(p)
 
 
 def test_weight_derived_quantities():
@@ -149,6 +158,50 @@ def test_weight_derived_quantities():
     assert (chi0, chi["a1"], chi["a2"]) == (4, 1, 3)
     # the least chi_e below 1, else 1
     assert (w.scale, pr.Weight(2, {"a1": 3, "a2": 2}).scale) == (0.5, 1.0)
+
+
+#: large denominators, pairwise coprime: primes near 10^6 and 2^31 - 1,
+#: a product of two of them, and 231 = 3 7 11
+_DENOMINATORS = [999983, 1000003, 999983 * 1000003, 2**31 - 1, 231]
+
+
+def _wide_rational(seed: int) -> Fraction:
+    """A numerator of up to 100 random bits, so float(chi) rounds, over a
+    large denominator."""
+    rng = random.Random(seed)
+    return Fraction(rng.getrandbits(100) + 1, rng.choice(_DENOMINATORS))
+
+
+#: positive weight entries: integers, rationals over large coprime
+#: denominators, and binary fractions from floats such as Fraction(0.1)
+_ENTRIES = st.one_of(
+    st.integers(1, 10**6),
+    st.builds(Fraction, st.integers(1, 10**6), st.sampled_from(_DENOMINATORS)),
+    st.integers(0, 2**32 - 1).map(_wide_rational),
+    st.floats(1e-12, 1e12).map(Fraction),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4), _ENTRIES, st.lists(_ENTRIES, min_size=4, max_size=4),
+       st.integers(1, 6), st.lists(st.integers(0, 6), min_size=4, max_size=4))
+def test_weight_integer_cache_matches_fraction_oracles(n, chi0, entries, d0, dims):
+    """Weight's common-denominator integers give exactly what the Fraction
+    formulas give, on posets of 0..4 elements and random dimension
+    vectors; the cached floats are float(chi_e) bit for bit."""
+    p = pr.primitive_poset(*[1] * n)
+    w = pr.Weight.from_entries(p, [chi0, *entries[:n]])
+    spans = {e: np.zeros((d0, min(d, d0)), dtype=complex) for e, d in zip(p.elements, dims)}
+    rep = pr.SubspaceRep(p, d0, spans)
+    assert w.common_integer(p) == oracle_common_integer(w, p)
+    assert w.slope(rep) == oracle_slope(w, rep)
+    assert w.trace_identity(rep) == oracle_trace_identity(w, rep)
+    assert w.scale.hex() == oracle_scale(w).hex()
+    assert w._float0.hex() == float(w.chi0).hex()
+    assert all(w._float[e].hex() == float(w.chi[e]).hex() for e in p.elements)
+    sigma = oracle_slope(w, rep)
+    if sigma > 0:
+        assert pr.Weight(sigma, w.chi).trace_identity(rep)
 
 
 def test_weight_slope_and_trace_identity():

@@ -836,6 +836,48 @@ def test_duality_keeps_the_verdict_on_nested_posets(seed):
     _check_duality(rep, pr.Weight(chi0, chi))
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_direct_sums_follow_kings_rule(seed):
+    """King's rule on V + gV, for V an antichain rep in C^2..C^4 (bent
+    toward a common line for odd seeds) and g of condition at most 10: V
+    stable or polystable gives ``polystable_not_stable``, V semistable but
+    not polystable gives the same class, and V unstable gives ``unstable``
+    with twice V's best score (the HN polygon of the sum is V's scaled by
+    2).  A sum V + W' with a summand W' of another slope, at the sum's
+    trace-identity weight, is ``unstable``, with a best score at least that
+    of the summand of larger slope.  Compared wherever the verdicts are
+    certified."""
+    rng = np.random.default_rng(seed)
+    rep, w = random_antichain_rep(rng, bent=seed % 2 == 1)
+    while rep.ambient_dim > 4:
+        rep, w = random_antichain_rep(rng, bent=seed % 2 == 1)
+    p, d0 = rep.poset, rep.ambient_dim
+    v = pr.stability_check(rep, w)
+    assume(not v.inconclusive)
+    g = random_unitary(rng, d0) @ np.diag(10 ** rng.uniform(0, 1, d0)) @ random_unitary(rng, d0)
+    both = pr.stability_check(direct_sum(rep, rep.transformed(g)), w)
+    assume(not both.inconclusive)
+    if v.classification == pr.UNSTABLE:
+        assert (both.classification, both.best_score) == (pr.UNSTABLE, 2 * v.best_score)
+    elif v.classification == pr.SEMISTABLE_NOT_POLYSTABLE:
+        assert both.classification == pr.SEMISTABLE_NOT_POLYSTABLE
+    else:
+        assert both.classification == pr.POLYSTABLE_NOT_STABLE
+
+    d1 = int(rng.integers(1, 4))
+    other = pr.make_rep(p, d1, {e: random_complex(rng, d1, int(rng.integers(0, d1 + 1)))
+                                for e in p.elements})
+    mu, mu1 = w.slope(rep), w.slope(other)
+    assume(mu != mu1)
+    total = direct_sum(rep, other)
+    sigma = w.slope(total)
+    u = pr.stability_check(total, pr.Weight(sigma, w.chi))
+    assume(not u.inconclusive)
+    assert u.classification == pr.UNSTABLE
+    assert u.best_score >= max(d0 * (mu - sigma), d1 * (mu1 - sigma))
+
+
 def test_a_semistable_piece_is_not_passed_at_a_degenerate_metric():
     """Seed 1902 of the nested inputs (5 elements in C^3): the flow on the
     2-dim piece of slope 2 reads a residual below the tol of the
