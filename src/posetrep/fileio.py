@@ -402,9 +402,15 @@ def serialize_projection_system(ps: ProjectionSystem, poset_path: str) -> str:
 
 
 def parse_projection_system(text: str, base_dir: str = ".") -> tuple[ProjectionSystem, str]:
-    poset, poset_path, _, (weight,), blocks = _read_blocks(
+    """Parse a projection file; returns the system and the poset path used.
+    A system's ambient dimension is that of its projections, so a poset
+    with no elements needs ``ambient 0``: in C^d0 with d0 > 0 no such
+    system is orthoscalar (sum chi_e P_e - chi0 I = -chi0 I)."""
+    poset, poset_path, ambient, (weight,), blocks = _read_blocks(
         text, base_dir, "projection", "projection", "rank", ("weight",), square=True
     )
+    if not poset.elements and ambient:
+        raise ParseError(f"ambient {ambient} with a poset of no elements: need ambient 0")
     ranks = {e: k for e, (k, _) in blocks.items()}
     projections = {e: m for e, (_, m) in blocks.items()}
     missing = set(poset.elements) - set(projections)

@@ -130,6 +130,11 @@ def make_rep(
 # ---------------------------------------------------------------------------
 # weights
 
+def _fraction(v) -> Fraction:
+    """v as a Fraction; one that is already a Fraction is kept, not copied."""
+    return v if isinstance(v, Fraction) else Fraction(v)
+
+
 class Weight:
     """Positive rational weight: chi0 for the ambient space, chi_e per element.
 
@@ -148,8 +153,8 @@ class Weight:
     __slots__ = ("chi0", "chi", "_den", "_c0", "_c", "_float0", "_float", "scale")
 
     def __init__(self, chi0, chi: Mapping[str, object]):
-        self.chi0 = Fraction(chi0)
-        self.chi = {e: Fraction(v) for e, v in chi.items()}
+        self.chi0 = _fraction(chi0)
+        self.chi = {e: _fraction(v) for e, v in chi.items()}
         if self.chi0 <= 0 or any(v <= 0 for v in self.chi.values()):
             raise WrongShape("weight entries must all be positive")
         self._den = den = lcm(self.chi0.denominator, *(v.denominator for v in self.chi.values()))

@@ -176,8 +176,6 @@ class _MomentMap:
     def __init__(self, rep: SubspaceRep, w: Weight):
         elements = rep.poset.elements
         d0 = rep.ambient_dim
-        self.rep = rep
-        self.weight = w
         self.chi = np.array([w._float[e] for e in elements])
         self.shift = -w._float0 * np.eye(d0, dtype=complex)
         self.groups = [(idx, stack) for idx, stack in _width_groups(rep) if stack.shape[2]]
@@ -210,13 +208,6 @@ class _MomentMap:
         cr = self.chi[:, None, None] * r
         s = cr.sum(0)
         return s + s.conj().T, 2.0 * _inner(r, cr)
-
-    def system(self, p: np.ndarray) -> ProjectionSystem:
-        """The projections keyed in poset order."""
-        rep = self.rep
-        return ProjectionSystem(
-            rep.poset, self.weight, dict(zip(rep.poset.elements, p)), rep.dims()
-        )
 
 
 def _checked_moment(
@@ -429,21 +420,35 @@ def kempf_ness_flow(
     when none), the trials and the Hessian-vector products of each
     iteration.
 
+    The loop is ``_flow_run``, a run that can be resumed: this is its
+    first stop.  ``stability_check`` reads the same run at its stops and
+    continues it past a stall.
+
     Returns the projection system of the final metric when converged, else
     None, together with the full report.
     """
     opts = opts or FlowOptions()
-    return next(_flow_run(rep, w, opts.tol, opts.max_iter))
+    projs, _, report = next(_flow_run(rep, w, opts.tol, opts.max_iter))
+    if report.status != "converged":
+        return None, report
+    system = ProjectionSystem(rep.poset, w, dict(zip(rep.poset.elements, projs)), rep.dims())
+    return system, report
 
 
 def _flow_run(rep: SubspaceRep, w: Weight, tol: float, max_iter: int):
     """The flow of ``kempf_ness_flow`` as a run that can be resumed.
 
-    The generator yields the system and report of ``kempf_ness_flow`` at
-    the first stop for tol, and, sent a smaller tolerance, continues the
-    same run from there to its stop for that tolerance.  The stop test
-    reads only the run's state and the tolerance, so the iterates and the
-    report are those of a fresh run to the smaller tolerance."""
+    The generator yields the state of the run at each stop: the projector
+    stack at its metric g (in poset order), mu(g) and the report.  It
+    stops first for tol.  Sent a smaller tolerance, it continues the same
+    run from there to its stop for that tolerance; the stop test reads
+    only the run's state and the tolerance, so the iterates and the report
+    are those of a fresh run to the smaller tolerance (until ``next`` has
+    continued the run past a stall).  ``next`` at a stall (a plateau with
+    the metric condition within COND_CAP) continues the run for one more
+    stall window: the stall test then compares with residuals from that
+    stop on, as if the run had started there.  At any other stop ``next``
+    yields that stop again."""
     w.aligned(rep.poset)
     if rep.ambient_dim == 0:
         raise WrongShape("flow needs a positive ambient dimension")
@@ -465,9 +470,10 @@ def _flow_run(rep: SubspaceRep, w: Weight, tol: float, max_iter: int):
     grad_norm = 0.0
     step = 0.0
     # the damping of the next first trial, whether the last iteration had to
-    # halve it, the forcing term of the next direction, and whether the last
-    # iteration accepted no trial or stalled
-    t_first, halved, eta, flat = 1.0, False, 0.5, False
+    # halve it, the forcing term of the next direction, whether the last
+    # iteration accepted no trial or stalled, and the iteration at which the
+    # stall window starts
+    t_first, halved, eta, flat, since = 1.0, False, 0.5, False, 0
 
     while True:
         status = ("plateau" if condition > COND_CAP
@@ -494,7 +500,11 @@ def _flow_run(rep: SubspaceRep, w: Weight, tol: float, max_iter: int):
                 hvps=list(hvps),
                 final_metric=g / s[0],
             )
-            tol = yield (mmap.system(projs) if status == "converged" else None), report
+            sent = yield projs, mu, report
+            if sent is not None:
+                tol = sent
+            elif status == "plateau" and condition <= COND_CAP:
+                since, flat = len(trials), False
             continue
         x, lx, grad_sq, products = _newton_direction(mmap, projs, mu, eta)
         hvps.append(products)
@@ -536,7 +546,7 @@ def _flow_run(rep: SubspaceRep, w: Weight, tol: float, max_iter: int):
         steps.append(t if accepted else 0.0)
         history.append(residual)
         flat = not accepted or (
-            len(history) > STALL_WINDOW
+            len(trials) - since >= STALL_WINDOW
             and residual > STALL_FACTOR * history[-1 - STALL_WINDOW]
         )
 

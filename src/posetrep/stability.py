@@ -111,14 +111,15 @@ f(K) sqrt(d0 / (k (d0 - k)))).  So with r the flow's final residual:
   the HN polygon: its positive maximum is the largest score of all
   subspaces, ``unstable``, and its pieces are the HN type (``hn_dims``,
   ``hn_slopes``).  A subquotient the flow does not certify is classified
-  by ``stability_check``, moved on by the metric its flow stopped at so
-  that its second flow starts where the first left off; its destabilizer,
-  lifted into V, scores above H and joins the candidates, for at most d0
-  rounds.  D = |H| and the gap r - D are reported for information only.
-  When no candidate of the flag scores above 0, the flow runs once more on
-  g V from where it stopped (a stable class near an unstable one can
-  stall on the way), and the metrics compose: the verdict is read off the
-  second limit by the bullets above and this one.
+  by ``stability_check`` in its own frame, that of the plateau; its
+  destabilizer, lifted into V, scores above H and joins the candidates,
+  for at most d0 rounds.  D = |H| and the gap r - D are reported for
+  information only.  When no candidate of the flag scores above 0 at a
+  stall, the same run continues for one more stall window (a stable class
+  near an unstable one can stall on the way; ``moment._flow_run``), and
+  the verdict is read off its next stop by the bullets above and this
+  one.  A stop past COND_CAP or at the iteration cap does not move, and
+  its verdict stays uncertified (``no_destabilizer``).
 
 A run that stops short of its tolerance with the residual below the floor
 2 / (den sqrt(d0)) takes the converged bullets: weak duality certifies
@@ -436,9 +437,9 @@ def _pieces(rep, g, chain, tol):
 def _plateau_certificate(rep, w, tol, score, g, at, residual, diagnostics):
     """Unstable with the largest score of all subspaces and the HN type,
     once every piece of the hull's flag is certified semistable at its own
-    slope, or _Fallback.  A piece that is not is classified from the
-    metric its flow stopped at, and its destabilizer, lifted into V, is
-    one more candidate, for at most d0 rounds."""
+    slope, or _Fallback.  A piece that is not is classified by
+    ``stability_check`` in its own frame, and its destabilizer, lifted
+    into V, is one more candidate, for at most d0 rounds."""
     d0, den = rep.ambient_dim, score.den
     for _ in range(d0):
         hull = _hull({k: num for k, (num, _) in at.items()}, d0)
@@ -457,21 +458,18 @@ def _plateau_certificate(rep, w, tol, score, g, at, residual, diagnostics):
             raise _Fallback("flag_not_nested")
         pieces = _pieces(rep, g, chain, tol)
         for bad, (u, rjj, piece) in enumerate(pieces):
-            ok, gp = _semistable(piece, w)
-            if not ok:
+            if not _semistable(piece, w):
                 break
         else:
             diagnostics.update(hn_dims=[p.ambient_dim for _, _, p in pieces],
                                hn_slopes=[str(w.slope(p)) for _, _, p in pieces])
             return "flow_unstable", UNSTABLE, at[best[0]][1], Fraction(best[1], den), False
-        # the piece moved on by its flow's last metric gp, where a second
-        # flow starts as the first one left off
-        verdict = stability_check(_moved(piece, gp), Weight(w.slope(piece), w.chi), tol)
+        verdict = stability_check(piece, Weight(w.slope(piece), w.chi), tol)
         if verdict.classification != UNSTABLE:
             raise _Fallback("piece_unstable")
-        # K_(j-1) and the piece's destabilizer, pulled back out of both frames
+        # K_(j-1) and the piece's destabilizer, pulled back out of the frame of g
         lift = np.hstack([p[0] for p in pieces[:bad]]
-                         + [u @ np.linalg.solve(gp @ rjj, verdict.witness)])
+                         + [u @ np.linalg.solve(rjj, verdict.witness)])
         for num, q in _scores(rep, score, [np.linalg.qr(lift)[0]], False):
             if q.shape[1] not in at or num > at[q.shape[1]][0]:
                 at[q.shape[1]] = (num, q)
@@ -479,26 +477,25 @@ def _plateau_certificate(rep, w, tol, score, g, at, residual, diagnostics):
 
 
 def _moved(rep, g):
-    """g V for a flow to start from where another stopped: orthonormal
-    bases of the g V_e from QR, with no rank cut, since g is invertible and
-    may be as ill-conditioned as ``moment.COND_CAP`` allows."""
+    """g V, for a summand's flow to start in the frame of the limit:
+    orthonormal bases of the g V_e from QR, with no rank cut, since g is
+    invertible and may be as ill-conditioned as ``moment.COND_CAP``
+    allows."""
     return SubspaceRep(rep.poset, rep.ambient_dim,
                        {e: np.linalg.qr(g @ q)[0] for e, q in rep.spans.items()})
 
 
 def _semistable(piece, w):
     """Whether the piece's flow at its slope sigma converges below
-    2 / (den sqrt(n)), the least dual bound of a positive score on C^n,
-    and the metric the flow stopped at (None when none runs); sigma = 0
-    (every score is 0) and n = 1 (no proper subspace) are semistable
-    outright."""
+    2 / (den sqrt(n)), the least dual bound of a positive score on C^n;
+    sigma = 0 (every score is 0) and n = 1 (no proper subspace) are
+    semistable outright."""
     sigma = w.slope(piece)
     if sigma == 0 or piece.ambient_dim == 1:
-        return True, None
+        return True
     pw = Weight(sigma, w.chi)
     floor = linrep._Scorer(piece, pw, DEFAULT_TOL).floor
-    report = moment.kempf_ness_flow(piece, pw, moment.FlowOptions(floor))[1]
-    return report.status == "converged", report.final_metric
+    return moment.kempf_ness_flow(piece, pw, moment.FlowOptions(floor))[1].status == "converged"
 
 
 def _classify_summands(summands, w, tol, diagnostics):
@@ -543,17 +540,10 @@ def _split_route(rep, w, tol, score, g, ends, diagnostics):
     return "flow_split", classification, witness, Fraction(0), inconclusive
 
 
-def _projectors(rep, w, system, g):
-    """The projector stack at a flow stop: the system's, or at g where the
-    run stopped short of its tolerance and returned none."""
-    return (np.stack(list(system.projections.values())) if system
-            else moment._MomentMap(rep, w)(g)[0])
-
-
-def _semistable_diagnostics(rep, w, floor, diagnostics):
+def _semistable_diagnostics(rep, floor, diagnostics):
     """The HN type [d0] and the dual bound of a flow that ends below the
     floor (or the gap by which it does not)."""
-    diagnostics.update(hn_dims=[rep.ambient_dim], hn_slopes=[str(w.slope(rep))],
+    diagnostics.update(hn_dims=[rep.ambient_dim], hn_slopes=[diagnostics["sigma"]],
                        dual_bound=floor, gap=diagnostics["residual"] - floor)
 
 
@@ -564,56 +554,52 @@ def _flow_route(rep, w, tol, score, diagnostics, times):
     The flow's run stops first at the loose tolerance EARLY (scaled as the
     full tolerance, and kept below the floor), where one Cholesky may
     already certify ``stable``; otherwise the run continues to the full
-    tolerance, and every other verdict is read off it.  No iterate is
-    taken twice, so ``times_ms`` ``flow`` holds one run (and a rerun from
-    a plateau), and L is built at most once per stop."""
+    tolerance, and every other verdict is read off it.  A stall whose flag
+    holds no destabilizer continues the same run for one more stall
+    window; at a stop past COND_CAP or at the iteration cap the run yields
+    that stop again, and its reading fails as the first did.  No iterate
+    is taken twice, so ``times_ms`` ``flow`` holds one run, and L is built
+    at most once per stop, from the stop's own projector stack."""
     d0, floor = rep.ambient_dim, score.floor
     chi = np.array([w._float[e] for e in rep.poset.elements])
     flow = moment.FlowOptions(moment.FlowOptions.tol * w.scale)
     run = moment._flow_run(rep, w, max(min(EARLY * w.scale, floor), flow.tol), flow.max_iter)
     with _timed(times, "flow"):
-        system, report = next(run)
+        projs, mu, report = next(run)
     lmat = None
     # as on every route, no certificate from a residual above the floor; a
     # stop short of the loose tolerance (a plateau, or the iteration cap) is
     # the full stop too, and its Cholesky the run's one
     if report.residual < floor:
         with _timed(times, "hessian"):
-            lmat = _hessian(_projectors(rep, w, system, report.final_metric), chi)
+            lmat = _hessian(projs, chi)
             bound = _stable_bound(report.residual, chi)
             stable = _positive_beyond(lmat, bound, chi)
         if stable:
             diagnostics.update(flow_status=report.status, flow_iterations=report.iterations,
                                flow_trials=report.attempts, residual=report.residual,
                                end_dim=1, lambda_min=bound)
-            _semistable_diagnostics(rep, w, floor, diagnostics)
+            _semistable_diagnostics(rep, floor, diagnostics)
             return "flow_stable", STABLE, None, None, False
         if report.status == "converged" and report.residual >= flow.tol:
             lmat = None  # the run moves on from this g
-    g = np.eye(d0, dtype=complex)
-    iterations = trials = 0
-    for rerun in (False, True):
-        # a rerun starts where the first run's plateau left off: its flow
-        # on g V from I, and the metrics compose
+    for continued in (False, True):
         with _timed(times, "flow"):
-            system, report = (moment.kempf_ness_flow(_moved(rep, g), w, flow) if rerun
-                              else run.send(flow.tol))
-        g = report.final_metric @ g
-        iterations, trials = iterations + report.iterations, trials + report.attempts
-        diagnostics.update(flow_status=report.status, flow_iterations=iterations,
-                           flow_trials=trials, residual=report.residual)
+            projs, mu, report = next(run) if continued else run.send(flow.tol)
+        g = report.final_metric
+        diagnostics.update(flow_status=report.status, flow_iterations=report.iterations,
+                           flow_trials=report.attempts, residual=report.residual)
         if report.status == "converged" or report.residual < floor:
             break
         with _timed(times, "candidates"):
             try:
-                return _unstable_route(rep, w, tol, score, g, moment._MomentMap(rep, w)(g)[1],
-                                       report.residual, diagnostics)
+                return _unstable_route(rep, w, tol, score, g, mu, report.residual, diagnostics)
             except _Fallback as exc:
-                if rerun or str(exc) != "no_destabilizer":
+                if continued or str(exc) != "no_destabilizer":
                     raise
 
     residual = report.residual
-    _semistable_diagnostics(rep, w, floor, diagnostics)
+    _semistable_diagnostics(rep, floor, diagnostics)
     if residual >= floor:
         raise _Fallback("semistability_uncertified")
     with _timed(times, "schur"):
@@ -623,7 +609,7 @@ def _flow_route(rep, w, tol, score, diagnostics, times):
         raise _Fallback("rank_guard")
     with _timed(times, "hessian"):
         if lmat is None:
-            lmat = _hessian(_projectors(rep, w, system, g), chi)
+            lmat = _hessian(projs, chi)
         values, vectors = _spectrum(lmat)
     diagnostics["lambda_min"] = float(values[0])
     if len(ends) > 1:
@@ -681,9 +667,9 @@ def stability_check(rep: SubspaceRep, w: Weight, tol: float = DEFAULT_TOL) -> St
     no subspace's score.  On an ``uncertified`` verdict it is the best
     candidate's score, a lower bound on the maximum.  ``witness`` is a
     subspace of that score (None for ``stable``).  ``diagnostics`` also
-    gives the flow's status, iterations, step trials (summed over a second
-    run) and residual (those at the first stop where its Cholesky certifies
-    ``stable``; else those at the full stop, counted from g = I),
+    gives the flow's status, iterations, step trials and residual, all of
+    its one run counted from g = I (those at the first stop where its
+    Cholesky certifies ``stable``; else those at the stop read last),
     lambda_min (on ``flow_stable`` certified by the Cholesky at the first
     stop, the lower bound s(r) of the module docstring at that residual;
     else the least trace-zero eigenvalue of L at the full stop, where

@@ -642,6 +642,23 @@ def direct_sum(a, b):
 # ---------------------------------------------------------------------------
 # randomized helpers
 
+def bent_lines_rep(n: int, m: int, eps: float, seed: int):
+    """n lines in C^2, the first m within about eps of one common line, with
+    weight (n/2; 1, ..., 1): stable, since the lines are distinct, but
+    close to the unstable class where m > n/2 of them coincide."""
+    from posetrep.linalg import random_complex
+
+    rng = np.random.default_rng(seed)
+    p = pr.primitive_poset(*[1] * n)
+    line = random_complex(rng, 2, 1)
+    spans = {}
+    for i, e in enumerate(p.elements):
+        spans[e] = random_complex(rng, 2, 1)
+        if i < m:
+            spans[e] = line + eps * random_complex(rng, 2, 1)
+    return pr.make_rep(p, 2, spans), pr.Weight(Fraction(n, 2), {e: 1 for e in p.elements})
+
+
 def planted_line_rep(rng: np.random.Generator):
     """Six 2-planes in C^4, the first four through one common line, with
     weight (3; 1, 1, 1, 1, 1, 1): the line has slope 4 > 3, so the rep is

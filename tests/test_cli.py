@@ -388,6 +388,18 @@ def test_missing_file_exit_1(capsys, files):
     assert "error:" in err
 
 
+def test_projection_file_of_no_elements_in_c2_exit_1(capsys, tmp_path):
+    """A poset of no elements leaves C^2 with no projection, so
+    sum chi_e P_e - chi0 I = -I: the file is refused rather than read as
+    orthoscalar in ambient 0."""
+    (tmp_path / "empty.poset").write_text("")
+    proj = tmp_path / "e.proj"
+    proj.write_text("poset empty.poset\nambient 2\nweight 1;\n")
+    code, out, err = run(capsys, "--output", "json", "invariants", str(proj))
+    assert code == 1 and out == ""
+    assert "error:" in err and "ambient 2" in err
+
+
 def _long_flags(parser: argparse.ArgumentParser) -> set[str]:
     return {o for a in parser._actions for o in a.option_strings if o.startswith("--")}
 

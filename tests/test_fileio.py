@@ -449,6 +449,13 @@ def test_projection_system_parse_errors(tmp_path):
             fileio.parse_projection_system(
                 head + block.replace("rank 1", "rank " + rank), base_dir=str(tmp_path)
             )
+    # a poset without elements: the system's ambient dimension is 0
+    write(tmp_path, "e.poset", "")
+    empty = "poset e.poset\nambient {}\nweight 1;\n"
+    ps, _ = fileio.parse_projection_system(empty.format(0), base_dir=str(tmp_path))
+    assert ps.ambient_dim == 0 and "\nambient 0\n" in fileio.serialize_projection_system(ps, "e")
+    with pytest.raises(pr.ParseError, match="ambient 2 with a poset of no elements"):
+        fileio.parse_projection_system(empty.format(2), base_dir=str(tmp_path))
 
 
 def test_rep_poset_path_resolution(tmp_path):

@@ -160,6 +160,19 @@ def test_weight_derived_quantities():
     assert (w.scale, pr.Weight(2, {"a1": 3, "a2": 2}).scale) == (0.5, 1.0)
 
 
+def test_weight_keeps_its_fraction_entries():
+    """Entries that are Fractions already are kept, not copied, so a slope
+    weight (sigma; chi) shares its chi_e with the weight it comes from;
+    other entries are converted."""
+    p = pr.primitive_poset(1, 1)
+    w = pr.Weight.from_entries(p, ["2", "1/2", 3])
+    s = Fraction(5, 4)
+    slope = pr.Weight(s, w.chi)
+    assert slope.chi0 is s
+    assert all(slope.chi[e] is w.chi[e] for e in p.elements)
+    assert type(w.chi["a2"]) is Fraction and w.chi["a2"] == 3
+
+
 #: large denominators, pairwise coprime: primes near 10^6 and 2^31 - 1,
 #: a product of two of them, and 231 = 3 7 11
 _DENOMINATORS = [999983, 1000003, 999983 * 1000003, 2**31 - 1, 231]

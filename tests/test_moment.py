@@ -11,6 +11,7 @@ from posetrep import linalg, moment
 from posetrep.linalg import herm_expm, random_complex, random_subspace
 from posetrep.moment import _MomentMap
 from conftest import (
+    bent_lines_rep,
     oracle_hessian,
     oracle_moment,
     oracle_orthoscalar_check,
@@ -127,7 +128,8 @@ def test_directional_derivative_matches_finite_differences(rng):
 
 def test_batched_moment_matches_per_element_oracle(rng):
     """One QR per span width against one SVD per element, on random nested
-    reps with mixed widths (zero included) under well-conditioned metrics."""
+    reps with mixed widths (zero included) under well-conditioned metrics:
+    the projector stack in poset order and mu."""
     widths_seen = set()
     mixed = 0
     for _ in range(60):
@@ -137,15 +139,12 @@ def test_batched_moment_matches_per_element_oracle(rng):
         chi = {e: int(rng.integers(1, 6)) for e in p.elements}
         w = pr.Weight(int(rng.integers(1, 6)), chi)
         g = (random_unitary(rng, d0) * np.exp(rng.uniform(-1.5, 1.5, d0))) @ random_unitary(rng, d0)
-        mmap = _MomentMap(rep, w)
-        p_stack, mu = mmap(g)
-        system = mmap.system(p_stack)
+        p_stack, mu = _MomentMap(rep, w)(g)
         want_projs, want_mu = oracle_moment(rep, w, g)
-        assert list(system.projections) == list(p.elements)
-        assert system.ranks == rep.dims()
+        assert p_stack.shape == (len(p), d0, d0)
         assert np.linalg.norm(mu - want_mu) <= 1e-12
-        for e in p.elements:
-            assert np.linalg.norm(system.projections[e] - want_projs[e]) <= 1e-12
+        for e, got in zip(p.elements, p_stack):
+            assert np.linalg.norm(got - want_projs[e]) <= 1e-12
         assert np.array_equal(pr.moment_value(rep, g, w), mu)
         widths = set(rep.dims().values())
         widths_seen |= widths
@@ -280,8 +279,8 @@ def test_flow_reports_the_exact_condition_of_a_unit_metric(rng):
 
 
 def _stopped(rep, w, tols, max_iter=moment.FlowOptions.max_iter):
-    """The flow's run stopped at each tolerance of tols in turn: the system
-    and report of its last stop."""
+    """The flow's run stopped at each tolerance of tols in turn: its last
+    stop (projector stack, mu and report)."""
     run = moment._flow_run(rep, w, tols[0], max_iter)
     out = next(run)
     for tol in tols[1:]:
@@ -290,14 +289,11 @@ def _stopped(rep, w, tols, max_iter=moment.FlowOptions.max_iter):
 
 
 def _assert_same_run(got, want):
-    """The same report, final metric and projectors, bit for bit."""
-    (system, report), (fresh_system, fresh) = got, want
+    """The same projectors, mu, report and final metric, bit for bit."""
+    (projs, mu, report), (fresh_projs, fresh_mu, fresh) = got, want
+    assert projs.tobytes() == fresh_projs.tobytes() and mu.tobytes() == fresh_mu.tobytes()
     assert report.as_dict() == fresh.as_dict()
     assert report.final_metric.tobytes() == fresh.final_metric.tobytes()
-    assert (system is None) == (fresh_system is None)
-    if system is not None:
-        for e, p in fresh_system.projections.items():
-            assert system.projections[e].tobytes() == p.tobytes()
 
 
 def _seeded_flow_input(seed: int):
@@ -317,17 +313,26 @@ def _seeded_flow_input(seed: int):
        st.sampled_from([0, 5, moment.FlowOptions.max_iter]))
 def test_resumed_run_is_the_fresh_run(seed, tols, max_iter):
     """A run stopped at tol a and sent b < a stops where a fresh run to b
-    does, with the same report, final metric and projectors bit for bit:
-    the stop test reads only the run's state and the tolerance, and a
-    report keeps no list the run goes on appending to."""
+    does, with the same projectors, mu, report and final metric bit for
+    bit: the stop test reads only the run's state and the tolerance, and a
+    stop keeps no array or list the run goes on changing.  The first stop
+    is ``kempf_ness_flow``'s, with the projection system of its stack when
+    it has converged."""
     rep, w = _seeded_flow_input(seed)
     assume(w.trace_identity(rep))  # no flow runs without it
     a, b = tols
     run = moment._flow_run(rep, w, a, max_iter)
-    first, at_a = next(run), pr.kempf_ness_flow(rep, w, pr.FlowOptions(a, max_iter))
-    _assert_same_run(first, at_a)
-    _assert_same_run(run.send(b), pr.kempf_ness_flow(rep, w, pr.FlowOptions(b, max_iter)))
-    assert first[1].as_dict() == at_a[1].as_dict()
+    first = next(run)
+    _assert_same_run(run.send(b), _stopped(rep, w, [b], max_iter))
+    _assert_same_run(first, _stopped(rep, w, [a], max_iter))
+    system, report = pr.kempf_ness_flow(rep, w, pr.FlowOptions(a, max_iter))
+    assert report.as_dict() == first[2].as_dict()
+    assert (system is None) == (report.status != "converged")
+    if system is not None:
+        assert list(system.projections) == list(rep.poset.elements)
+        assert system.ranks == rep.dims()
+        for p, fresh in zip(system.projections.values(), first[0]):
+            assert p.tobytes() == fresh.tobytes()
 
 
 def test_resumed_run_decides_the_stop_at_the_new_tolerance(monkeypatch):
@@ -341,15 +346,63 @@ def test_resumed_run_decides_the_stop_at_the_new_tolerance(monkeypatch):
     w = pr.Weight(1, {"a1": 1, "a2": 1})
     for max_iter in (0, 5, moment.FlowOptions.max_iter):
         _assert_same_run(_stopped(same, w, [1e-2, 1e-8], max_iter),
-                         pr.kempf_ness_flow(same, w, pr.FlowOptions(1e-8, max_iter)))
+                         _stopped(same, w, [1e-8], max_iter))
     monkeypatch.setattr(moment, "STALL_WINDOW", 1)
     rep = pr.four_lines_rep(1e-6)
-    fresh = pr.kempf_ness_flow(rep, pr.FOURSPACE_WEIGHT)
-    k, history = fresh[1].iterations, fresh[1].history
-    assert fresh[1].status == "plateau" and fresh[1].steps[-1] > 0 and k >= 1
+    fresh = _stopped(rep, pr.FOURSPACE_WEIGHT, [1e-8])
+    k, history = fresh[2].iterations, fresh[2].history
+    assert fresh[2].status == "plateau" and fresh[2].steps[-1] > 0 and k >= 1
     a = math.sqrt(history[k] * history[k - 1])
-    assert _stopped(rep, pr.FOURSPACE_WEIGHT, [a])[1].status == "converged"
+    assert _stopped(rep, pr.FOURSPACE_WEIGHT, [a])[2].status == "converged"
     _assert_same_run(_stopped(rep, pr.FOURSPACE_WEIGHT, [a, 1e-8]), fresh)
+
+
+def test_next_continues_a_run_past_its_stall():
+    """Five lines in C^2, three within 1.4e-6 of a common line (stable but
+    near an unstable class): the run to 1e-8 stalls after 22 iterations.
+    ``next`` continues the same run with the stall window restarted there,
+    and it converges after 27 iterations; the stall's history, steps and
+    trials begin those of the converged stop.  A line planted in four of
+    six planes (unstable) stalls again after one whole window, not after
+    the first iteration past its stall."""
+    rep, w = bent_lines_rep(5, 3, 1.4e-6, 2)
+    run = moment._flow_run(rep, w, 1e-8, moment.FlowOptions.max_iter)
+    stall = next(run)[2]
+    assert stall.status == "plateau" and stall.condition <= moment.COND_CAP
+    assert stall.iterations == 22
+    stop = next(run)[2]
+    assert stop.status == "converged" and stop.iterations == 27
+    k = stall.iterations
+    assert stop.history[: k + 1] == stall.history
+    assert stop.steps[:k] == stall.steps and stop.trials[:k] == stall.trials
+    run = moment._flow_run(*planted_line_rep(np.random.default_rng(0)), 1e-8,
+                           moment.FlowOptions.max_iter)
+    stall, again = next(run)[2], next(run)[2]
+    assert stall.status == again.status == "plateau"
+    assert again.iterations == stall.iterations + moment.STALL_WINDOW
+
+
+def test_next_yields_a_stop_that_is_no_stall_again():
+    """A stop past COND_CAP (input 43 of the nested sequence of seed 7, as
+    in ``test_a_flow_stopped_at_the_condition_cap_certifies_unstable``), a
+    stop at the iteration cap and a converged stop: ``next`` yields the
+    same projectors, mu, report and final metric again."""
+    rng = np.random.default_rng(7)
+    for _ in range(44):
+        rep, chi, chi0 = random_nested_input(rng)
+    lines = pr.four_lines_rep(2)
+    cases = [(rep, pr.Weight(chi0, chi), moment.FlowOptions.max_iter),
+             (lines, pr.FOURSPACE_WEIGHT, 2),
+             (lines, pr.FOURSPACE_WEIGHT, moment.FlowOptions.max_iter)]
+    statuses = []
+    for rep, w, max_iter in cases:
+        run = moment._flow_run(rep, w, 1e-8, max_iter)
+        stop = next(run)
+        statuses.append(stop[2].status)
+        _assert_same_run(next(run), stop)
+        if stop[2].status == "plateau":
+            assert stop[2].condition > moment.COND_CAP
+    assert statuses == ["plateau", "max_iter", "converged"]
 
 
 # ---------------------------------------------------------------------------
