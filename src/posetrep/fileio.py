@@ -297,7 +297,8 @@ def _read_blocks(
     extra header keyword, in that order.  Blocks ``<keyword> <elem> <attr>
     <k>`` follow, at most one per element, with 0 <= k <= d0; each is
     followed by d0 matrix rows of k entries (d0 entries when ``square``),
-    and by no rows when that count is 0.  Returns the poset, its path as
+    and by no rows when that count is 0.  A NaN or infinite entry is a
+    ParseError at its row.  Returns the poset, its path as
     written, d0, the text after each extra header keyword, and per element
     k and the matrix.
     """
@@ -334,7 +335,11 @@ def _read_blocks(
             raise ParseError(f"duplicate {keyword} block for {elem!r}", lineno)
         ncols = ambient if square else k
         if ncols:
-            m, idx = _parse_rows(lines, idx + 1, ambient, ncols)
+            start = idx + 1
+            m, idx = _parse_rows(lines, start, ambient, ncols)
+            if not np.isfinite(m).all():
+                row = int(np.argmin(np.isfinite(m).all(axis=1)))
+                raise ParseError("matrix entries must be finite", lines[start + row][0])
         else:
             m, idx = np.zeros((ambient, 0), dtype=complex), idx + 1
         blocks[elem] = (k, m)

@@ -24,8 +24,9 @@ stable verdict and the source of direct-sum splits (``generic_split``,
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, sqrt
+from math import inf, lcm, sqrt
 from operator import mul
+from sys import float_info
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -135,13 +136,27 @@ def _fraction(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
+def _normal_float(v: Fraction) -> float:
+    """The float of a positive weight entry; WrongShape when it is not a
+    normal float: past the float range, or 0 or subnormal once rounded."""
+    try:
+        f = float(v)
+    except OverflowError:
+        f = inf
+    if not float_info.min <= f < inf:
+        raise WrongShape("weight entries must lie in the range of normal floats, "
+                         f"{float_info.min:.4g} to {float_info.max:.4g}")
+    return f
+
+
 class Weight:
     """Positive rational weight: chi0 for the ambient space, chi_e per element.
 
     ``chi0`` and ``chi`` are the entries as Fractions.  The constructor
     also computes, once, the least common denominator ``_den`` of the
     entries, the integers ``_c0`` = chi0 den and ``_c[e]`` = chi_e den,
-    the floats ``_float0`` and ``_float[e]`` of the entries, and ``scale``
+    the floats ``_float0`` and ``_float[e]`` of the entries (WrongShape
+    when one is not a normal float: the flow works in floats), and ``scale``
     = min(1, least chi_e): the flow is scale-equivariant, so a weight and
     its multiples stop at residuals in proportion to it, and integer
     weights keep 1.  The slope, the trace identity, ``common_integer`` and
@@ -160,8 +175,8 @@ class Weight:
         self._den = den = lcm(self.chi0.denominator, *(v.denominator for v in self.chi.values()))
         self._c0 = self.chi0.numerator * (den // self.chi0.denominator)
         self._c = {e: v.numerator * (den // v.denominator) for e, v in self.chi.items()}
-        self._float0 = float(self.chi0)
-        self._float = {e: float(v) for e, v in self.chi.items()}
+        self._float0 = _normal_float(self.chi0)
+        self._float = {e: _normal_float(v) for e, v in self.chi.items()}
         self.scale = min([1.0, *self._float.values()])
 
     @classmethod

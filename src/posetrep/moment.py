@@ -82,16 +82,16 @@ class ProjectionSystem:
         return tuple(float(np.trace(p1 @ self.projections[e]).real) for e in (e4, e3, e2))
 
 
+@dataclass
 class CheckReport:
     """Worst-case violations of the orthoscalar conditions."""
 
-    def __init__(self, hermitian, idempotent, rank_dev, nesting, scalar, tol):
-        self.hermitian = hermitian
-        self.idempotent = idempotent
-        self.rank_deviation = rank_dev
-        self.nesting = nesting
-        self.scalar = scalar
-        self.tol = tol
+    hermitian: float
+    idempotent: float
+    rank_deviation: float
+    nesting: float
+    scalar: float
+    tol: float
 
     @property
     def passed(self) -> bool:
@@ -101,18 +101,7 @@ class CheckReport:
         return bool(worst < self.tol)
 
     def as_dict(self) -> dict:
-        return {
-            "hermitian": self.hermitian,
-            "idempotent": self.idempotent,
-            "rank_deviation": self.rank_deviation,
-            "nesting": self.nesting,
-            "scalar": self.scalar,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
-
-    def __repr__(self) -> str:
-        return f"CheckReport({self.as_dict()})"
+        return {**vars(self), "passed": self.passed}
 
 
 def orthoscalar_check(ps: ProjectionSystem, tol: float = 1e-8) -> CheckReport:
@@ -287,26 +276,16 @@ class FlowReport:
     final_metric: np.ndarray | None = None
 
     def as_dict(self) -> dict:
+        """The fields, with copies of the per-iteration lists and the final
+        metric as text rows (None when there is none)."""
         from .fileio import format_complex_rows
 
-        metric = None
+        out = dict(vars(self))
+        for name in ("history", "steps", "trials", "hvps"):
+            out[name] = list(out[name])
         if self.final_metric is not None:
-            metric = format_complex_rows(self.final_metric)
-        return {
-            "status": self.status,
-            "iterations": self.iterations,
-            "attempts": self.attempts,
-            "hvp": self.hvp,
-            "residual": self.residual,
-            "gradient_norm": self.gradient_norm,
-            "step": self.step,
-            "condition": self.condition,
-            "history": list(self.history),
-            "steps": list(self.steps),
-            "trials": list(self.trials),
-            "hvps": list(self.hvps),
-            "final_metric": metric,
-        }
+            out["final_metric"] = format_complex_rows(self.final_metric)
+        return out
 
 
 def _newton_direction(

@@ -1,9 +1,13 @@
 """Finite posets, their covering quivers, and representation-finiteness.
 
-A poset here is a finite set of named elements with a strict partial order.
-Every poset is silently extended by a maximal element ``*`` when we pass to
-quivers: the covering quiver has one vertex per element plus ``*``, one arrow
-for each covering pair, and one arrow from each maximal element into ``*``.
+A poset here is a finite set of named elements with a strict partial order,
+built by :class:`Poset` (also named :func:`build_poset`) from generating
+pairs, whose transitive closure it takes.  Every poset is silently extended
+by a maximal element ``*`` when we pass to quivers: the covering quiver has
+one vertex per element plus ``*``, one arrow for each covering pair, and one
+arrow from each maximal element into ``*``.  Its stable topological order
+(:meth:`Quiver.topological_order`) lists the elements in a linear extension
+of the poset, then ``*``.
 """
 
 from __future__ import annotations
@@ -29,67 +33,52 @@ def _check_name(name: str) -> str:
     return name
 
 
-def _checked_elements(elements: tuple[str, ...]) -> set[str]:
-    """The set of the element ids; InvalidElement on a malformed id and
-    DuplicateElement on a repeated one."""
+def _check_elements(elements: tuple[str, ...]) -> None:
+    """InvalidElement on a malformed element id, DuplicateElement on a
+    repeated one."""
     seen: set[str] = set()
     for e in elements:
         _check_name(e)
         if e in seen:
             raise DuplicateElement(f"element {e!r} listed twice")
         seen.add(e)
-    return seen
 
 
 class Poset:
     """Immutable finite poset.
 
     ``elements`` keeps construction order; that order fixes how dimension
-    vectors and file formats index the elements.  ``pairs`` is the full strict
-    order, i.e. the set of (a, b) with a < b, always transitively closed.
-    Construct through :func:`build_poset` unless the pairs are already closed.
+    vectors and file formats index the elements.  ``pairs`` generate the
+    strict order: they need not be covering pairs, and the transitive
+    closure is taken, so the stored ``pairs`` is the full strict order,
+    i.e. the set of (a, b) with a < b.  InvalidElement on a malformed id
+    or an unknown pair endpoint, DuplicateElement on repeated ids,
+    CycleError when the closure forces x < x.
     """
 
     __slots__ = ("elements", "pairs", "_below", "_above")
 
     def __init__(self, elements: Iterable[str], pairs: Iterable[tuple[str, str]]):
         elements = tuple(elements)
-        seen = _checked_elements(elements)
-        pairs = frozenset(pairs)
-        below: dict[str, set[str]] = {e: set() for e in elements}
+        _check_elements(elements)
         above: dict[str, set[str]] = {e: set() for e in elements}
         for a, b in pairs:
-            if a not in seen or b not in seen:
-                raise InvalidElement(f"order pair ({a!r}, {b!r}) uses unknown element")
-            if a == b:
-                raise CycleError(f"element {a!r} compares below itself")
+            if a not in above or b not in above:
+                raise InvalidElement(f"cover ({a!r}, {b!r}) uses unknown element")
             above[a].add(b)
-            below[b].add(a)
-        for a, b in pairs:
-            for c in above[b]:
-                if c == a:
-                    raise CycleError(f"cycle through {a!r} and {b!r}")
-                if c not in above[a]:
-                    raise ValueError("order pairs are not transitively closed")
-        self._fill(elements, pairs, below, above)
-
-    @classmethod
-    def _closed(cls, elements: tuple[str, ...], above: dict[str, set[str]]) -> "Poset":
-        """The poset of checked element ids and an order that is already
-        transitively closed and acyclic, given as the set above each
-        element; no check is repeated."""
+        # Warshall closure on the sets above each element.
+        for k in elements:
+            for a in elements:
+                if k in above[a]:
+                    above[a] |= above[k]
         below: dict[str, set[str]] = {e: set() for e in elements}
         for a in elements:
+            if a in above[a]:
+                raise CycleError(f"cycle through {a!r}")
             for b in above[a]:
                 below[b].add(a)
-        pairs = frozenset((a, b) for a in elements for b in above[a])
-        p = object.__new__(cls)
-        p._fill(elements, pairs, below, above)
-        return p
-
-    def _fill(self, elements, pairs, below, above) -> None:
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "pairs", frozenset((a, b) for a in elements for b in above[a]))
         object.__setattr__(self, "_below", below)
         object.__setattr__(self, "_above", above)
 
@@ -130,22 +119,6 @@ class Poset:
     def maximal_elements(self) -> tuple[str, ...]:
         return tuple(e for e in self.elements if not self._above[e])
 
-    def linear_extension(self) -> tuple[str, ...]:
-        """Elements reordered so that a < b implies a comes first (stable)."""
-        remaining = list(self.elements)
-        placed: list[str] = []
-        placed_set: set[str] = set()
-        while remaining:
-            for e in remaining:
-                if self._below[e] <= placed_set:
-                    placed.append(e)
-                    placed_set.add(e)
-                    remaining.remove(e)
-                    break
-            else:  # pragma: no cover - impossible for a valid order
-                raise CycleError("no linear extension exists")
-        return tuple(placed)
-
 
 def connected_components(items: Iterable, edges: Iterable[tuple]) -> list[list]:
     """Connected components of the graph on ``items`` with the given edges.
@@ -172,31 +145,9 @@ def connected_components(items: Iterable, edges: Iterable[tuple]) -> list[list]:
     return list(groups.values())
 
 
-def build_poset(elements: Iterable[str], covers: Iterable[tuple[str, str]]) -> Poset:
-    """Build a poset from element ids and generating pairs a < b.
-
-    The pairs need not be covering pairs; the transitive closure is taken.
-    InvalidElement on a malformed id or an unknown cover endpoint,
-    DuplicateElement on repeated ids, CycleError when the closure forces
-    x < x.  The closure is checked for cycles here, so the poset is built
-    without the second pass of the :class:`Poset` constructor's checks.
-    """
-    elements = tuple(elements)
-    _checked_elements(elements)
-    succ: dict[str, set[str]] = {e: set() for e in elements}
-    for a, b in covers:
-        if a not in succ or b not in succ:
-            raise InvalidElement(f"cover ({a!r}, {b!r}) uses unknown element")
-        succ[a].add(b)
-    # Warshall closure on the successor sets.
-    for k in elements:
-        for a in elements:
-            if k in succ[a]:
-                succ[a] |= succ[k]
-    for a in elements:
-        if a in succ[a]:
-            raise CycleError(f"cycle through {a!r}")
-    return Poset._closed(elements, succ)
+#: The name most callers build a poset by: element ids and generating pairs
+#: a < b, closed transitively.
+build_poset = Poset
 
 
 @dataclass(frozen=True)
@@ -309,7 +260,7 @@ def hasse_quiver(p: Poset) -> Quiver:
     """
     arrows = list(p.covers())
     arrows.extend((m, ROOT) for m in p.maximal_elements())
-    return Quiver(p.elements + (ROOT,), tuple(arrows)).validate()
+    return Quiver(p.elements + (ROOT,), tuple(arrows))
 
 
 def primitive_poset(*chain_lengths: int) -> Poset:
@@ -438,7 +389,7 @@ def _embedding_plan(crit: Poset) -> _EmbeddingPlan:
     embedding instead of one per permutation of the chains.
     """
     comps = connected_components(crit.elements, crit.pairs)
-    rank = {c: k for k, c in enumerate(crit.linear_extension())}
+    rank = {c: k for k, c in enumerate(hasse_quiver(crit).topological_order())}
     order = [c for comp in sorted(comps, key=len, reverse=True)
              for c in sorted(comp, key=rank.get)]
     pos = {c: k for k, c in enumerate(order)}

@@ -155,7 +155,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, sqrt
+from math import ldexp, lcm, sqrt
 from time import perf_counter
 
 import numpy as np
@@ -444,10 +444,15 @@ def _plateau_certificate(rep, w, tol, score, g, at, residual, diagnostics):
     for _ in range(d0):
         hull = _hull({k: num for k, (num, _) in at.items()}, d0)
         # sum (dy)^2 / dx over one integer denominator; int / int rounds
-        # correctly, as float(Fraction) does
+        # correctly, as float(Fraction) does.  The quotient passes the float
+        # range once den passes about 1e154: it is then divided by
+        # 4^shift before the root and ldexp restores 2^shift, exact
+        # scalings that change no bit of a value whose quotient fits
         steps = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(hull, hull[1:])]
         width = lcm(*(dx for dx, _ in steps))
-        dual = sqrt(sum(dy * dy * (width // dx) for dx, dy in steps) / width) / den
+        total = sum(dy * dy * (width // dx) for dx, dy in steps)
+        shift = max(0, (total.bit_length() - width.bit_length() - 1000) // 2)
+        dual = ldexp(sqrt(total / (width << 2 * shift)) / den, shift)
         diagnostics.update(dual_bound=dual, gap=residual - dual)
         best = max(hull[1:-1], key=lambda pt: pt[1], default=None)
         if best is None or best[1] <= 0:

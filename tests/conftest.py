@@ -769,7 +769,7 @@ def random_nested_rep(rng: np.random.Generator, p: pr.Poset, d0: int):
 
     target = {e: int(rng.integers(0, d0 + 1)) for e in p.elements}
     spans: dict[str, np.ndarray] = {}
-    for e in p.linear_extension():
+    for e in pr.hasse_quiver(p).topological_order()[:-1]:
         below = [f for f in p.elements if (f, e) in p.pairs]
         base = np.zeros((d0, 0), dtype=complex)
         for f in below:

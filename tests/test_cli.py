@@ -400,6 +400,43 @@ def test_projection_file_of_no_elements_in_c2_exit_1(capsys, tmp_path):
     assert "error:" in err and "ambient 2" in err
 
 
+def _two_lines(tmp_path, name: str, second: str) -> str:
+    """A .rep of the line e1 and the line spanned by ``second`` in C^2 on
+    the 2-element antichain."""
+    (tmp_path / "anti2.poset").write_text("elem a1\nelem a2\n")
+    path = tmp_path / name
+    path.write_text("poset anti2.poset\nambient 2\nspan a1 cols 1\n1.0+0.0j\n0.0+0.0j\n"
+                    f"span a2 cols 1\n{second}\n")
+    return str(path)
+
+
+def test_weights_a_float_cannot_hold_exit_1(capsys, tmp_path):
+    """An entry past the float range, or 0 or subnormal as a float, exits 1
+    with one error line and writes nothing; 1e-160, whose dual bound
+    squares past the float range, reads unstable."""
+    orth = _two_lines(tmp_path, "orth.rep", "0.0+0.0j\n1.0+0.0j")
+    skew = _two_lines(tmp_path, "skew.rep", "1.0+0.0j\n1.0+0.0j")
+    code, out, _ = run(capsys, "--output", "json", "stability", orth, "-w", "1; 1e-160, 1")
+    verdict = json.loads(out)
+    assert code == 0
+    assert (verdict["classification"], verdict["diagnostics"]["route"]) == ("unstable", "flow_unstable")
+    for argv in (("stability", orth, "-w", "1; 1e400, 1"),
+                 ("stability", orth, "-w", "1; 1e-400, 1"),
+                 ("solve", skew, "-w", "1e-400; 1e-400, 1e-400")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: weight entries must lie in the range of normal floats")
+        assert err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["anti2.poset", "orth.rep", "skew.rep"]
+
+
+def test_non_finite_span_entry_exit_1(capsys, tmp_path):
+    for token in ("nan+0j", "inf+0j"):
+        rep = _two_lines(tmp_path, "bad.rep", f"0.0+0.0j\n{token}")
+        code, out, err = run(capsys, "stability", rep, "-w", "1; 1, 1")
+        assert (code, out, err) == (1, "", "error: line 8: matrix entries must be finite\n")
+
+
 def _long_flags(parser: argparse.ArgumentParser) -> set[str]:
     return {o for a in parser._actions for o in a.option_strings if o.startswith("--")}
 
@@ -721,7 +758,7 @@ def test_fourspace_sweep_out_to_a_device(capsys):
 
 def test_fourspace_sweep_bad_chi_writes_no_csv(capsys, tmp_path):
     out_path = tmp_path / "sweep.csv"
-    for chi in ("2; 1, 1", "x; 1, 1, 1, 1"):
+    for chi in ("2; 1, 1", "x; 1, 1, 1, 1", "1e400; 1, 1, 1, 1"):
         code, out, err = run(
             capsys, "fourspace-sweep", "--lambdas", "2, nan", "--chi", chi,
             "--out", str(out_path),

@@ -393,6 +393,23 @@ def test_block_parse_errors_name_their_row(tmp_path, kind):
         parse_block_file(kind, block_file(kind, bad), str(tmp_path))
 
 
+@pytest.mark.parametrize("kind", ["rep", "proj"])
+def test_non_finite_entries_are_refused_at_their_row(tmp_path, kind):
+    """A NaN or infinite entry in the k-th row of a block is a ParseError
+    at that row's line, whether the block parses in one call or, with
+    inner spaces, row by row."""
+    write(tmp_path, "p.poset", "elem a1\nelem a2\n")
+    ncols = 2 if kind == "rep" else 3
+    rows = [", ".join("1.0+0.0j" if j == i else "0.0+0.0j" for j in range(ncols))
+            for i in range(3)]
+    for k in range(3):
+        for token in ("nan+0.0j", "0.0-infj", "inf", "-inf + 0j", "nan + nanj"):
+            bad = list(rows)
+            bad[k] = rows[k].rpartition(", ")[0] + ", " + token
+            with pytest.raises(pr.ParseError, match=rf"^line {6 + k}: matrix entries must be finite$"):
+                parse_block_file(kind, block_file(kind, bad), str(tmp_path))
+
+
 def test_rep_round_trip_random(tmp_path, rng):
     zigzag = pr.build_poset(["n1", "n2", "n3", "n4"], [("n1", "n2"), ("n3", "n2"), ("n3", "n4")])
     write(tmp_path, "p.poset", fileio.serialize_poset(zigzag))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from sys import float_info
 
 import numpy as np
 import pytest
@@ -148,6 +149,20 @@ def test_weight_positivity_and_alignment():
     # an extra element is named, not reported as "missing []"
     with pytest.raises(pr.WrongShape, match=r"missing \[\], extra \['zz'\]"):
         pr.Weight(1, {"a1": 1, "a2": 1, "zz": 1}).aligned(p)
+
+
+def test_weight_refuses_entries_a_float_cannot_hold():
+    """An entry whose float is infinite, 0 or subnormal is a WrongShape, in
+    any place; the normal extremes are kept, with their floats."""
+    p = pr.primitive_poset(1, 1)
+    for bad in ("1e400", "1e-400", "1e-310", "2e-308", 2**1024, Fraction(1, 2**1075)):
+        for place in range(3):
+            entries = [1, 1, 1]
+            entries[place] = bad
+            with pytest.raises(pr.WrongShape, match="range of normal floats"):
+                pr.Weight.from_entries(p, entries)
+    w = pr.Weight.from_entries(p, [Fraction(float_info.max), Fraction(float_info.min), "1e-300"])
+    assert (w._float0, w._float["a1"], w._float["a2"]) == (float_info.max, float_info.min, 1e-300)
 
 
 def test_weight_derived_quantities():

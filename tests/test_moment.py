@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -51,6 +52,17 @@ def test_orthoscalar_check_passes_for_complementary_lines():
     assert out.passed
     d = out.as_dict()
     assert set(d) >= {"hermitian", "idempotent", "rank_deviation", "nesting", "scalar"}
+
+
+def test_check_report_as_dict_keeps_its_keys_and_values():
+    """The six fields in order, then passed: the worst of the first five
+    below tol."""
+    names = ("hermitian", "idempotent", "rank_deviation", "nesting", "scalar", "tol")
+    for values, passed in (((1e-9, 2e-9, 0.0, 3e-9, 4e-9, 1e-8), True),
+                           ((1e-9, 2e-9, 0.0, 1e-8, 4e-9, 1e-8), False)):
+        d = pr.CheckReport(*values).as_dict()
+        assert list(d) == [*names, "passed"]
+        assert d == {**dict(zip(names, values)), "passed": passed}
 
 
 def test_orthoscalar_check_flags_bad_scalar():
@@ -803,7 +815,11 @@ def test_flow_report_as_dict_round_trips_json():
     import json
 
     _, report = pr.kempf_ness_flow(pr.four_lines_rep(2), pr.FOURSPACE_WEIGHT)
-    payload = json.loads(json.dumps(report.as_dict()))
+    d = report.as_dict()
+    assert list(d) == [f.name for f in dataclasses.fields(report)]
+    for name in ("history", "steps", "trials", "hvps"):
+        assert d[name] == getattr(report, name) and d[name] is not getattr(report, name)
+    payload = json.loads(json.dumps(d))
     assert payload["status"] == "converged"
     assert payload["iterations"] == report.iterations
     assert payload["attempts"] == report.attempts >= report.iterations

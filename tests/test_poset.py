@@ -45,22 +45,57 @@ def test_build_poset_rejects_cycles():
         pr.build_poset(["a"], [("a", "a")])
 
 
-def test_build_poset_matches_the_checked_constructor():
-    """build_poset checks its own closure and skips the constructor's
-    checks; the poset it builds is the one the checked constructor builds
-    from the same closed pairs, order sets included, and a cycle through
-    three elements is still a CycleError."""
-    rng = np.random.default_rng(45)
-    for n in range(7):
-        names = [f"x{i}" for i in rng.permutation(n)]
-        covers = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
-                  if rng.random() < 0.4]
-        p = pr.build_poset(names, covers)
-        q = pr.Poset(names, p.pairs)
-        assert p.elements == q.elements and p.pairs == q.pairs
-        assert p._below == q._below and p._above == q._above
-    with pytest.raises(pr.CycleError):
-        pr.build_poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+def _reach(n: int, raw) -> set[tuple[int, int]]:
+    """(a, b) with a path a -> ... -> b of length >= 1 along ``raw``, by
+    search from each start; (a, a) marks a cycle through a."""
+    out: dict[int, set[int]] = {i: set() for i in range(n)}
+    for a, b in raw:
+        out[a].add(b)
+    found = set()
+    for a in range(n):
+        stack = list(out[a])
+        seen: set[int] = set()
+        while stack:
+            b = stack.pop()
+            if b not in seen:
+                seen.add(b)
+                stack.extend(out[b])
+        found |= {(a, b) for b in seen}
+    return found
+
+
+def test_poset_closes_its_generating_pairs(rng):
+    """Poset(elements, pairs) on pairs that need not be closed (or acyclic)
+    is the poset of their closure, up and down sets included, and a
+    CycleError exactly when the closure forces x < x; a pair with an
+    endpoint outside the elements is an InvalidElement.  Over every
+    relation without loops on up to four elements, and random relations,
+    loops included, on five to eight."""
+    cases = []
+    for n in range(5):
+        offdiagonal = [(a, b) for a in range(n) for b in range(n) if a != b]
+        cases += [(n, [q for k, q in enumerate(offdiagonal) if bits >> k & 1])
+                  for bits in range(1 << len(offdiagonal))]
+    for _ in range(300):
+        n = int(rng.integers(5, 9))
+        cases.append((n, [(a, b) for a in range(n) for b in range(n)
+                          if rng.random() < (0.02 if a == b else 0.12)]))
+    for n, raw in cases:
+        names = [f"x{i}" for i in range(n)]
+        pairs = [(names[a], names[b]) for a, b in raw]
+        reach = _reach(n, raw)
+        if any(a == b for a, b in reach):
+            with pytest.raises(pr.CycleError, match=r"^cycle through 'x\d+'$"):
+                pr.Poset(names, pairs)
+            continue
+        closure = {(names[a], names[b]) for a, b in reach}
+        p = pr.Poset(names, pairs)
+        assert p.elements == tuple(names) and p.pairs == closure
+        assert p == pr.Poset(names, closure)
+        assert p._above == {e: {b for a, b in closure if a == e} for e in names}
+        assert p._below == {e: {a for a, b in closure if b == e} for e in names}
+    with pytest.raises(pr.InvalidElement, match="uses unknown element"):
+        pr.Poset(["x0", "x1"], [("x0", "x1"), ("x1", "zz")])
 
 
 def test_build_poset_rejects_unknown_cover_endpoints():
@@ -81,11 +116,32 @@ def test_covers_drop_transitive_pairs():
     assert set(p.covers()) == {("a", "b"), ("b", "c")}
 
 
-def test_linear_extension_is_consistent():
-    p = pr.build_poset(["c", "a", "b"], [("a", "b"), ("b", "c")])
-    order = p.linear_extension()
-    pos = {e: i for i, e in enumerate(order)}
-    assert all(pos[a] < pos[b] for a, b in p.pairs)
+def _first_ready_order(p: pr.Poset) -> list[str]:
+    """Each step takes the first element, in stored order, whose down set
+    is placed: a scan over the pairs, apart from the quiver."""
+    placed: list[str] = []
+    while len(placed) < len(p):
+        placed.append(next(e for e in p.elements if e not in placed
+                            and all(a in placed for a, b in p.pairs if b == e)))
+    return placed
+
+
+def test_topological_order_is_a_linear_extension(rng):
+    """The covering quiver's order lists the elements so that a < b puts a
+    first, each step taking the ready element first in stored order, and
+    ends with the added maximum; over every strict order on four elements
+    in two stored orders, and random posets whose stored order is
+    shuffled."""
+    posets = [poset_from_pairs(4, rel) for rel in all_strict_orders(4)]
+    posets += [pr.Poset(p.elements[::-1], p.pairs) for p in posets]
+    posets += [random_relabelled_poset(rng, int(rng.integers(0, 9))) for _ in range(100)]
+    posets.append(pr.build_poset(["c", "a", "b"], [("a", "b"), ("b", "c")]))
+    for p in posets:
+        order = pr.hasse_quiver(p).topological_order()
+        assert order[-1] == pr.ROOT
+        pos = {e: i for i, e in enumerate(order)}
+        assert all(pos[a] < pos[b] for a, b in p.pairs)
+        assert list(order[:-1]) == _first_ready_order(p)
 
 
 def test_restrict_full_subposet():

@@ -340,6 +340,22 @@ def test_certificate_fails_where_the_limit_is_not_stable():
         assert v.classification != pr.STABLE and "schur" in v.diagnostics["times_ms"]
 
 
+def test_dual_bound_of_a_weight_past_the_float_square():
+    """Two orthogonal lines in C^2 with weights (1; 10^-k, 1): the line of
+    weight 1 destabilizes with score (1 - 10^-k) / 2, so the dual bound
+    is (1 - 10^-k) / sqrt 2.  From k of about 154 the quotient under its
+    root passes the float range and is scaled by a power of 4; the bound
+    stays the closed form to a few ulps."""
+    p = pr.primitive_poset(1, 1)
+    rep = pr.make_rep(p, 2, {"a1": np.array([[1], [0]]), "a2": np.array([[0], [1]])})
+    for k in (150, 160, 300):
+        v = pr.stability_check(rep, pr.Weight(1, {"a1": Fraction(1, 10**k), "a2": 1}))
+        d = v.diagnostics
+        assert (v.classification, d["route"]) == (pr.UNSTABLE, "flow_unstable")
+        assert d["dual_bound"] == pytest.approx(1 / sqrt(2), rel=1e-15)
+        assert d["hn_slopes"] == ["1", str(Fraction(1, 10**k))]
+
+
 def test_plateau_certificate_and_snap():
     """The planted line of four of six planes in C^4: the plateau's top
     eigenvector is the line up to about 1e-10, in the rank guard's band
