@@ -20,7 +20,7 @@ import os
 import sys
 from typing import Sequence
 
-from . import fileio, linrep
+from . import fileio
 from .bound_quiver import (
     assignment_report,
     bound_quiver_of,
@@ -32,6 +32,7 @@ from .families import (
     FOUR_ANTICHAIN,
     FOURSPACE_WEIGHT,
     four_lines_rep,
+    four_lines_summands,
     is_exceptional,
     parse_lambda,
 )
@@ -324,11 +325,9 @@ def _sweep_row(token: str, args, w) -> dict:
     row["a_sq"], row["b_sq"], row["c_sq"] = repr(t14), repr(t13), repr(t12)
     row["invariant_sum"] = repr(t14 + t13 + t12)
     # The limit is the orthoscalar form of the polystable associated graded
-    # (King 1994).  In C^2 every proper subspace is a line and only the V_e
-    # score above -sigma, so it is one summand iff the lines are stable, and
-    # two (a score-0 line and its quotient) otherwise.
-    scores = linrep._Scorer(rep, w, linrep.DEFAULT_TOL)(list(rep.spans.values()))
-    row["summands"] = "1" if all(num < 0 for num, _ in scores) else "2"
+    # (King 1994): one summand iff the lines are stable, read off the 2x2
+    # determinants of the input lines, not off the numerical limit.
+    row["summands"] = str(four_lines_summands(lam, w))
     return row
 
 

@@ -6,7 +6,9 @@ e1 + lam e2 inside C^2 (lam = infinity means the line e2).  With weight
 (2; 1, 1, 1, 1) the generic member is stable and its orthoscalar
 representative is a quadruple of rank-1 projections parametrized by a point
 (a, b, c) of the unit sphere; lam in {0, 1, infinity} are the exceptional
-split points.
+split points.  The family is exact: ``four_lines_rep`` writes down its unit
+vectors with no SVD, and ``four_lines_summands`` reads the split of the
+flow's limit off the 2x2 determinants of those vectors.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import WrongShape
-from .linrep import SubspaceRep, Weight, make_rep
+from .linalg import DEFAULT_TOL
+from .linrep import SubspaceRep, Weight
 from .moment import ProjectionSystem
 from .poset import Poset, primitive_poset
 
@@ -73,26 +76,63 @@ def is_exceptional(lam: complex | float) -> bool:
     return abs(lam) < 1e-12 or abs(lam - 1.0) < 1e-12
 
 
+def _unit_lines(lam: complex | float) -> tuple[tuple[complex, complex], ...]:
+    """The four lines as unit vectors (x, y) of C^2, in element order: e1,
+    e2, (e1 + e2) / sqrt 2 and (e1 + lam e2) / hypot(1, |lam|), or e2 at
+    lam = infinity.  hypot keeps every |lam| of the float range from
+    overflowing, where 1 + |lam|^2 would."""
+    if lam == math.inf:
+        fourth = (0j, 1 + 0j)
+    else:
+        lam = complex(lam)
+        h = math.hypot(1.0, abs(lam))
+        fourth = (1 / h + 0j, lam / h)
+    r = 1 / math.sqrt(2.0) + 0j
+    return (1 + 0j, 0j), (0j, 1 + 0j), (r, r), fourth
+
+
 def four_lines_rep(lam: complex | float | str) -> SubspaceRep:
     """Lines e1, e2, e1 + e2, e1 + lam e2 in C^2 over the four-antichain.
 
     lam = infinity (float inf or a token like "inf") puts the fourth line at
-    e2.  Distinct lam give pairwise non-isomorphic representations.
+    e2.  Distinct lam give pairwise non-isomorphic representations.  The
+    spans are the unit vectors of the lines, written down directly: each
+    is already an orthonormal basis and the antichain has no nesting to
+    check, so no ``make_rep`` (and no SVD) is needed.
     """
     if isinstance(lam, str):
         lam = parse_lambda(lam)
-    e1 = np.array([[1.0], [0.0]], dtype=complex)
-    e2 = np.array([[0.0], [1.0]], dtype=complex)
-    if lam == math.inf:
-        fourth = e2
-    else:
-        fourth = np.array([[1.0], [complex(lam)]], dtype=complex)
-    a1, a2, a3, a4 = FOUR_ANTICHAIN.elements
-    return make_rep(
-        FOUR_ANTICHAIN,
-        2,
-        {a1: e1, a2: e2, a3: e1 + e2, a4: fourth},
-    )
+    lines = zip(FOUR_ANTICHAIN.elements, _unit_lines(lam))
+    return SubspaceRep(FOUR_ANTICHAIN, 2, {e: np.array([[x], [y]]) for e, (x, y) in lines})
+
+
+def four_lines_summands(lam: complex | float, w: Weight) -> int:
+    """The number of summands of the polystable limit of the four lines at
+    lam under the weight w (aligned with the four-antichain): 1 when the
+    lines are stable, else 2, a score-0 line and its quotient.
+
+    In C^2 every proper subspace is a line and only the V_e score above
+    -sigma, so the lines are stable iff every V_e scores below 0: with c_f
+    the integer weights (``Weight._c``), iff for every e the lines V_f that
+    coincide with V_e (V_e among them) have 2 sum c_f < the sum of all
+    four c_f.  Unit lines u, v coincide when |det[u, v]| <= tol (1 + |u* v|),
+    tol the rank tolerance DEFAULT_TOL: the singular values of [u, -v] are
+    sqrt(1 +- |u* v|), so the ratio that ``linalg.subspace_intersections``
+    compares with tol is sin / (1 + cos) = tan(theta / 2) of the angle
+    theta between the lines, and this test reads as the scores of
+    ``linrep._Scorer`` do, in a few complex operations and no SVD.
+    """
+    lines, tol = _unit_lines(lam), DEFAULT_TOL
+    c = [w._c[e] for e in FOUR_ANTICHAIN.elements]
+    total = sum(c)
+    for x, y in lines:
+        # the weight of the lines (u, v) that coincide with (x, y)
+        share = sum(ce for ce, (u, v) in zip(c, lines)
+                    if abs(x * v - y * u) <= tol * (1 + abs(x.conjugate() * u
+                                                            + y.conjugate() * v)))
+        if 2 * share >= total:
+            return 2
+    return 1
 
 
 def sphere_projection_system(a: float, b: float, c: float) -> ProjectionSystem:

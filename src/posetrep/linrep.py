@@ -24,7 +24,7 @@ stable verdict and the source of direct-sum splits (``generic_split``,
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, lcm, sqrt
+from math import inf, lcm, ldexp, sqrt
 from operator import mul
 from sys import float_info
 from typing import Iterable, Mapping, NamedTuple
@@ -458,6 +458,18 @@ def _per_width(fn, mats: list[np.ndarray]) -> list:
     return out
 
 
+def _float_shift(n: int) -> tuple[float, int]:
+    """A positive int n as m 2^s: (float(n), 0) where n fits a float, else
+    s = bit length - 1000 and m the correctly rounded n / 2^s (int / int
+    rounds correctly), so that n can divide a float without ever becoming
+    one; float / n raises OverflowError there."""
+    try:
+        return float(n), 0
+    except OverflowError:
+        s = n.bit_length() - 1000
+        return n / (1 << s), s
+
+
 class _Scorer:
     """f(K) for orthonormal bases K, with the rank guard of the intersections.
 
@@ -466,7 +478,9 @@ class _Scorer:
     d0 sum_e c_e dim(V_e /\\ K) - (sum_e c_e d_e) dim K; dim K is the
     column count of K.  Scores stay these integer numerators over the
     common denominator ``den`` (= d0 times the weight's den) until a
-    Fraction is asked for.
+    Fraction is asked for.  ``den_scaled`` is den as m 2^s
+    (``_float_shift``), for the floats divided by den where den passes the
+    float range.
     """
 
     def __init__(self, rep: SubspaceRep, w: Weight, tol: float):
@@ -480,8 +494,10 @@ class _Scorer:
         self.total = w._total(rep)
         # the least dual bound a positive score gives, f sqrt(d0 / (k (d0 - k)))
         # at f = 1 / den and k = d0 / 2: a residual of mu under it certifies
-        # semistability at any metric (``stability``)
-        self.floor = 2 / (self.den * sqrt(d0))
+        # semistability at any metric (``stability``); 2 / (den sqrt(d0))
+        # bit for bit where den fits a float (s = 0)
+        self.den_scaled = m, s = _float_shift(self.den)
+        self.floor = ldexp(2 / (m * sqrt(d0)), -s)
 
     def numerator(self, dims: np.ndarray, width: int) -> int:
         """The numerator for the intersection dimensions of a basis of the

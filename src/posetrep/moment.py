@@ -160,29 +160,41 @@ class _MomentMap:
     (``Weight.scale``), which the Newton direction's forcing term measures
     mu against, and ``floor`` the curvature per unit |x|^2 below the
     rounding noise of R_e, where a direction reads as flat.
+
+    Everything that does not depend on g or x is built once here: the
+    weights broadcast over the stack (``chi3``) for the Hessian, and
+    whether one width group holds every element in poset order
+    (``whole``), as for the four lines; then the group's projectors are
+    the stack itself, with no zero stack to fill.
     """
 
     def __init__(self, rep: SubspaceRep, w: Weight):
         elements = rep.poset.elements
         d0 = rep.ambient_dim
         self.chi = np.array([w._float[e] for e in elements])
+        self.chi3 = self.chi[:, None, None]
         self.shift = -w._float0 * np.eye(d0, dtype=complex)
         self.groups = [(idx, stack) for idx, stack in _width_groups(rep) if stack.shape[2]]
+        self.whole = len(self.groups) == 1 and len(self.groups[0][0]) == len(elements)
         self.scale = w.scale
         self.floor = float(np.sum(self.chi)) * (16 * d0 * np.finfo(float).eps) ** 2
 
     def __call__(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The projector stack and mu(g)."""
         n, d0 = len(self.chi), len(self.shift)
-        p = np.zeros((n, d0, d0), dtype=complex)
+        p = None if self.whole else np.zeros((n, d0, d0), dtype=complex)
         for idx, stack in self.groups:
             v = g @ stack
             if stack.shape[2] == 1:
                 vh = v.conj().swapaxes(1, 2)
-                p[idx] = (v @ vh) / (vh @ v).real
+                pg = (v @ vh) / (vh @ v).real
             else:
                 q = np.linalg.qr(v)[0]
-                p[idx] = q @ q.conj().swapaxes(1, 2)
+                pg = q @ q.conj().swapaxes(1, 2)
+            if self.whole:
+                p = pg
+            else:
+                p[idx] = pg
         # sum_e chi_e P_e as one vector-matrix product
         return p, (self.chi @ p.reshape(n, d0 * d0)).reshape(d0, d0) + self.shift
 
@@ -194,8 +206,8 @@ class _MomentMap:
         stays accurate where L is nearly singular."""
         xp = x @ p
         r = xp - p @ xp
-        cr = self.chi[:, None, None] * r
-        s = cr.sum(0)
+        cr = self.chi3 * r
+        s = np.add.reduce(cr, 0)
         return s + s.conj().T, 2.0 * _inner(r, cr)
 
 
@@ -309,35 +321,43 @@ def _newton_direction(
     all.  Returns x, L(x), the squared gradient norm
     4 sum_e chi_e |(I - P_e) mu P_e|_F^2 (twice the curvature along mu,
     read off the first product) and the number of products.
+
+    Each CG step costs one product and three inner products; the scalars
+    are Python floats (``math.sqrt``, no numpy scalar), a L(d) is formed
+    once for both L(x) and the residual, and the first direction is the
+    residual itself, so its |d|^2 is |r|^2.
     """
     d0 = len(mu)
-    x = np.zeros_like(mu)
-    lx = np.zeros_like(mu)
+    x = np.zeros((d0, d0), dtype=complex)
+    lx = np.zeros((d0, d0), dtype=complex)
     r = -0.5 * (mu + mu.conj().T)
     d = r.copy()
     rr = _inner(r, r)
-    norm = np.sqrt(rr)
-    target = min(eta, np.sqrt(norm / mmap.scale)) * norm
+    norm = math.sqrt(rr)
+    target = min(eta, math.sqrt(norm / mmap.scale)) * norm
     grad_sq = 0.0
     for k in range(d0 * d0):
         ld, curvature = mmap.hessian(p, d)
-        dd = _inner(d, d)
         if k == 0:
+            dd = rr
             grad_sq = 2.0 * curvature
+        else:
+            dd = _inner(d, d)
         if curvature <= mmap.floor * dd:
             break
         a = rr / curvature
         x_next = x + a * d
         if _inner(x_next, x_next) > MAX_STEP * MAX_STEP:
             if k == 0:
-                a = MAX_STEP / np.sqrt(dd)
+                a = MAX_STEP / math.sqrt(dd)
                 x, lx = a * d, a * ld
             break
         x = x_next
-        lx += a * ld
-        r -= a * ld
+        ald = a * ld
+        lx += ald
+        r -= ald
         rr_next = _inner(r, r)
-        if np.sqrt(rr_next) <= target:
+        if math.sqrt(rr_next) <= target:
             break
         d = r + (rr_next / rr) * d
         rr = rr_next
@@ -487,7 +507,7 @@ def _flow_run(rep: SubspaceRep, w: Weight, tol: float, max_iter: int):
             continue
         x, lx, grad_sq, products = _newton_direction(mmap, projs, mu, eta)
         hvps.append(products)
-        grad_norm = np.sqrt(grad_sq)
+        grad_norm = math.sqrt(grad_sq)
         f_old = residual * residual
         slope = 2.0 * _inner(mu, lx)
         best = None

@@ -441,18 +441,21 @@ def _plateau_certificate(rep, w, tol, score, g, at, residual, diagnostics):
     ``stability_check`` in its own frame, and its destabilizer, lifted
     into V, is one more candidate, for at most d0 rounds."""
     d0, den = rep.ambient_dim, score.den
+    den_m, den_s = score.den_scaled
     for _ in range(d0):
         hull = _hull({k: num for k, (num, _) in at.items()}, d0)
         # sum (dy)^2 / dx over one integer denominator; int / int rounds
         # correctly, as float(Fraction) does.  The quotient passes the float
         # range once den passes about 1e154: it is then divided by
         # 4^shift before the root and ldexp restores 2^shift, exact
-        # scalings that change no bit of a value whose quotient fits
+        # scalings that change no bit of a value whose quotient fits.  den
+        # itself divides as den_m 2^den_s (``linrep._float_shift``), which
+        # is float(den) wherever den fits a float
         steps = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(hull, hull[1:])]
         width = lcm(*(dx for dx, _ in steps))
         total = sum(dy * dy * (width // dx) for dx, dy in steps)
         shift = max(0, (total.bit_length() - width.bit_length() - 1000) // 2)
-        dual = ldexp(sqrt(total / (width << 2 * shift)) / den, shift)
+        dual = ldexp(sqrt(total / (width << 2 * shift)) / den_m, shift - den_s)
         diagnostics.update(dual_bound=dual, gap=residual - dual)
         best = max(hull[1:-1], key=lambda pt: pt[1], default=None)
         if best is None or best[1] <= 0:

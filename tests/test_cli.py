@@ -430,6 +430,20 @@ def test_weights_a_float_cannot_hold_exit_1(capsys, tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["anti2.poset", "orth.rep", "skew.rep"]
 
 
+def test_common_denominator_past_the_float_range_reads_unstable(capsys, tmp_path):
+    """At 3e-308 every entry is a normal float but the common denominator
+    d0 10^308 is not: the floor and the dual bound divide by it without
+    converting it, and the verdict reads unstable with the dual bound
+    1/sqrt 2 of the two orthogonal lines."""
+    orth = _two_lines(tmp_path, "orth.rep", "0.0+0.0j\n1.0+0.0j")
+    code, out, err = run(capsys, "--output", "json", "stability", orth, "-w", "1; 3e-308, 1")
+    assert (code, err) == (0, "")
+    verdict = json.loads(out)
+    diagnostics = verdict["diagnostics"]
+    assert (verdict["classification"], diagnostics["route"]) == ("unstable", "flow_unstable")
+    assert diagnostics["dual_bound"] == pytest.approx(math.sqrt(0.5), rel=1e-12)
+
+
 def test_non_finite_span_entry_exit_1(capsys, tmp_path):
     for token in ("nan+0j", "inf+0j"):
         rep = _two_lines(tmp_path, "bad.rep", f"0.0+0.0j\n{token}")
@@ -796,6 +810,27 @@ def test_fourspace_sweep_summands_follow_the_line_scores():
     for chi, token, summands in cases:
         row = sweep_row(token, chi)
         assert (row["status"], row["summands"]) == ("converged", summands), (chi, token, row)
+
+
+def test_fourspace_sweep_builds_and_scores_with_no_svd(monkeypatch):
+    """A sweep row costs its flow: the four lines are written down and
+    their split read off determinants, with no make_rep and no _Scorer;
+    the boundary points and 1e-10 (within the rank tolerance of 0) read 2
+    summands, 2 reads 1."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep called an SVD route")
+
+    monkeypatch.setattr(pr.linrep, "make_rep", refuse)
+    monkeypatch.setattr(pr.linrep, "_Scorer", refuse)
+    monkeypatch.setattr(pr.linalg, "orthonormal_stack", refuse)
+    monkeypatch.setattr(pr.linalg, "subspace_intersections", refuse)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["fourspace-sweep", "--lambdas=0,1,inf,1e-10,2"]) == 0
+    rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+    assert [r["exceptional"] for r in rows] == ["yes", "yes", "yes", "no", "no"]
+    assert [r["summands"] for r in rows] == ["2", "2", "2", "2", "1"]
+    assert {r["status"] for r in rows} == {"converged"}
 
 
 _SWEEP_WEIGHTS = ("2; 1, 1, 1, 1", "3; 1, 1, 1, 3", "3; 3, 1, 1, 1", "7/4; 1, 1, 1, 1/2")

@@ -165,6 +165,18 @@ def test_weight_refuses_entries_a_float_cannot_hold():
     assert (w._float0, w._float["a1"], w._float["a2"]) == (float_info.max, float_info.min, 1e-300)
 
 
+def test_float_shift_divides_by_ints_past_the_float_range():
+    """_float_shift(n) is (float(n), 0) wherever n fits a float, so a
+    float divided by m 2^s is bit for bit the float divided by n; past the
+    range m 2^s is n to a relative 2^-53, with m a float near 2^1000."""
+    for n in (1, 3, 10**300, 2**1023, int(float_info.max)):
+        assert pr.linrep._float_shift(n) == (float(n), 0)
+    for n in (int(float_info.max) + 2**971, 2 * 10**308, 7**1000, 10**5000):
+        m, s = pr.linrep._float_shift(n)
+        assert s > 0 and 2.0**999 <= m <= 2.0**1000
+        assert abs(Fraction(m) * 2**s / n - 1) <= Fraction(1, 2**53)
+
+
 def test_weight_derived_quantities():
     p = pr.primitive_poset(1, 1)
     w = pr.Weight.from_entries(p, ["2", "1/2", "3/2"])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import posetrep as pr
-from posetrep import linalg, moment
+from posetrep import families, linalg, moment
 from posetrep.linalg import herm_expm, random_complex, random_subspace
 from posetrep.moment import _MomentMap
 from conftest import (
@@ -182,6 +182,24 @@ def test_line_projectors_match_qr_under_ill_conditioned_metric(rng):
             assert np.linalg.norm(proj - q @ q.conj().T) <= 1e-12
             assert np.linalg.norm(proj - proj.conj().T) <= 1e-14
             assert np.linalg.norm(proj @ proj - proj) <= 1e-14
+
+
+def test_single_width_group_is_the_projector_stack_bit_for_bit(rng):
+    """Where one width group holds every element (lines, or planes of one
+    width), the group's projectors are returned as the stack itself; they
+    equal, bit for bit, those written into a zero stack element by
+    element."""
+    for k, d0 in ((1, 2), (1, 5), (2, 4), (3, 5)):
+        p = pr.primitive_poset(*[1] * 5)
+        rep = pr.make_rep(p, d0, {e: random_subspace(rng, d0, k) for e in p.elements})
+        w = pr.Weight(Fraction(5 * k, d0), {e: 1 for e in p.elements})
+        g = (random_unitary(rng, d0) * np.exp(rng.uniform(-1.5, 1.5, d0))) @ random_unitary(rng, d0)
+        mmap = _MomentMap(rep, w)
+        assert mmap.whole
+        projs, mu = mmap(g)
+        mmap.whole = False
+        want_projs, want_mu = mmap(g)
+        assert np.array_equal(projs, want_projs) and np.array_equal(mu, want_mu)
 
 
 def _mixed_width_rep(rng):
@@ -860,3 +878,75 @@ def test_four_lines_rep_distinct_generic():
         assert rep.spans[e].shape == (2, 1)
     v = pr.stability_check(rep, pr.FOURSPACE_WEIGHT)
     assert v.classification == pr.STABLE
+
+
+def _raw_fourth_line(lam):
+    if lam == math.inf:
+        return np.array([[0.0], [1.0]], dtype=complex)
+    return np.array([[1.0], [lam]], dtype=complex)
+
+
+def test_four_lines_rep_is_make_rep_of_the_raw_lines():
+    """The unit vectors written down by four_lines_rep: every column has
+    norm 1, and the projectors equal those of make_rep of the raw lines
+    e1, e2, e1 + e2, e1 + lam e2 to 1e-15, also at 1e-300 and 1e300, where
+    1 + |lam|^2 would underflow to 1 or overflow."""
+    e1, e2 = np.array([[1.0], [0.0]], dtype=complex), np.array([[0.0], [1.0]], dtype=complex)
+    for lam in (*pr.EXCEPTIONAL_LAMBDAS, 2, 3 + 4j, 1e-300, 1e300):
+        rep = pr.four_lines_rep(lam)
+        raw = pr.make_rep(pr.FOUR_ANTICHAIN, 2, dict(zip(
+            pr.FOUR_ANTICHAIN.elements, (e1, e2, e1 + e2, _raw_fourth_line(lam)))))
+        for e in pr.FOUR_ANTICHAIN.elements:
+            q, want = rep.spans[e], raw.spans[e]
+            assert q.shape == (2, 1) and q.dtype == complex
+            assert abs(np.linalg.norm(q) - 1.0) <= 1e-15, (lam, e)
+            assert np.max(np.abs(q @ q.conj().T - want @ want.conj().T)) <= 1e-15, (lam, e)
+
+
+def _coincidence_ratios(lam):
+    """tan(theta / 2) for every pair of the four unit lines at lam, as
+    linalg.subspace_intersections reads it: the ratio of the singular
+    values of [u, -v]."""
+    cols = [q[:, 0] for q in pr.four_lines_rep(lam).spans.values()]
+    out = []
+    for i in range(4):
+        for j in range(i + 1, 4):
+            s = np.linalg.svd(np.column_stack([cols[i], -cols[j]]), compute_uv=False)
+            out.append(s[1] / s[0])
+    return out
+
+
+def test_four_lines_summands_match_the_scorer():
+    """The closed-form split (four_lines_summands, from 2x2 determinants)
+    against the scores of the input lines by _Scorer's batched SVD, the
+    reading it replaces: 1 iff every V_e scores below 0.  lambda runs over
+    the boundary points, points within 1e-10 of them, 1e10, points just
+    inside and just outside the cut near 0 and infinity, and 400 random
+    values with |lambda| log-uniform in 1e-12..1e12, times the default
+    weight, (3; 3, 1, 1, 1) (where V1 scores 0 with any line on it) and 20
+    random integer weights.  A lambda at which some pair of lines has
+    tan(theta / 2) within 1e-6 of tol is left out: there the two routes
+    may round to opposite sides of the cut."""
+    rng = np.random.default_rng(35)
+    p = pr.FOUR_ANTICHAIN
+    weights = [pr.FOURSPACE_WEIGHT, pr.Weight(3, dict(zip(p.elements, (3, 1, 1, 1))))]
+    for _ in range(20):
+        chi = [int(c) for c in rng.integers(1, 8, 4)]
+        weights.append(pr.Weight(Fraction(sum(chi), 2), dict(zip(p.elements, chi))))
+    # 1.5e-9 and 1 / 1.5e-9 coincide with e1 and e2 (tan(theta / 2) about
+    # 7.5e-10), 2.5e-9 does not
+    lams = [*pr.EXCEPTIONAL_LAMBDAS, 2, 3 + 4j, 1e-10, 1 + 1e-10, 1e10, 1.5e-9, 1 / 1.5e-9, 2.5e-9]
+    lams += [10 ** rng.uniform(-12, 12) * np.exp(2j * np.pi * rng.uniform()) for _ in range(400)]
+    tol = linalg.DEFAULT_TOL
+    kept = [lam for lam in lams
+            if all(abs(t / tol - 1) > 1e-6 for t in _coincidence_ratios(lam))]
+    assert len(kept) >= len(lams) - 4
+    counts = {1: 0, 2: 0}
+    for lam in kept:
+        rep = pr.four_lines_rep(lam)
+        for w in weights:
+            scores = pr.linrep._Scorer(rep, w, tol)(list(rep.spans.values()))
+            want = 1 if all(num < 0 for num, _ in scores) else 2
+            assert families.four_lines_summands(lam, w) == want, (lam, w)
+            counts[want] += 1
+    assert min(counts.values()) > 500, counts
