@@ -218,7 +218,7 @@ def _checked_moment(
     g = linalg.as_complex(g)
     if g.shape != (rep.ambient_dim, rep.ambient_dim):
         raise WrongShape(f"metric has shape {g.shape}, ambient is {rep.ambient_dim}")
-    if linalg.condition_number(g) > 1e14:
+    if linalg.condition_number(g) > COND_CAP:
         raise SingularMetric("metric is numerically singular")
     mmap = _MomentMap(rep, w)
     return (mmap, *mmap(g))
@@ -257,11 +257,11 @@ MAX_STEP = 10.0
 #: its value STALL_WINDOW iterations earlier
 STALL_WINDOW = 20
 STALL_FACTOR = 0.5
-#: largest metric condition number: a run whose metric passes it stops
-#: with a plateau, whatever its residual reads.  The flow carries an upper
-#: bound on the condition instead of computing it, and takes the exact one
-#: (one SVD) only once the bound passes COND_CAP / 2 or is not finite, so
-#: the stop is always decided on an exact condition
+#: largest metric condition number, the one condition threshold: the flow
+#: takes no metric past it, and ``moment_value`` refuses one.  The flow
+#: carries an upper bound on the condition instead of computing it, and
+#: takes the exact one (one SVD) only once the bound passes COND_CAP / 2 or
+#: is not finite, so a trial is refused only on an exact condition
 COND_CAP = 1e12
 
 
@@ -390,28 +390,31 @@ def kempf_ness_flow(
     of an unstable input, the accepted steps swing between about 1/16 and
     1/64 and each iteration makes three to four trials, against about two.
     A run whose steps all hold at 1/2 or more takes full steps only.  An
-    iteration makes at most MAX_TRIALS trials.
+    iteration makes at most MAX_TRIALS trials.  The trial an iteration
+    would take is refused when its metric's condition number passes
+    COND_CAP, and no smaller damping is tried then: the iteration takes no
+    step.  So every metric the run takes, and every stop, has its
+    condition within COND_CAP; where the metric degenerates, as on an
+    unstable class, the run ends with a plateau at the last metric inside
+    the cap, however low the residual of the refused trial reads.
 
     The run has one stop test, taken before each iteration, in this order:
-    plateau when the metric condition number passes COND_CAP (the metric
-    degenerates, as on an unstable class), even where the residual reads
-    below tol: a residual read at a metric that near the boundary of the
-    orbit certifies no orthoscalar limit; converged when the residual is
-    below tol; plateau when the last iteration accepted no trial or left
-    the residual above STALL_FACTOR times its value STALL_WINDOW iterations
-    earlier; max_iter after max_iter iterations.  ``iterations`` is the
-    number of iterations taken.  The weighted trace identity is required up
-    front (NoTraceIdentity).
+    converged when the residual is below tol; plateau when the last
+    iteration accepted no trial or left the residual above STALL_FACTOR
+    times its value STALL_WINDOW iterations earlier; max_iter after
+    max_iter iterations.  ``iterations`` is the number of iterations taken.
+    The weighted trace identity is required up front (NoTraceIdentity).
 
     Each step trial costs one Hermitian exponential and one moment-map
     evaluation (lines in closed form and one batched QR per wider span
     width, see ``_MomentMap``), and no SVD.  x is traceless, so |det g|
     stays 1 and g is not normalized along the run.  x is Hermitian, so
     cond(exp(t x)) = e^{t (lmax - lmin)} <= e^{sqrt(2) t |x|_F}: the flow
-    carries an upper bound on cond(g), 1 at g = I, and multiplies it by
-    that factor at each accepted step.  Only when the bound passes
-    COND_CAP / 2, or is not finite, does the accepted metric take an SVD,
-    and the bound becomes its exact condition.  So every comparison with
+    carries an upper bound on cond(g), 1 at g = I, and bounds the
+    condition of the trial an iteration would take by that factor times
+    it.  Only when that bound passes COND_CAP / 2, or is not finite, does
+    the trial's metric take an SVD, and the bound becomes its exact
+    condition, carried on if the trial is taken.  So every comparison with
     COND_CAP that can fire is made on an exact condition, and where the
     SVDs run does not change the iterates.  One SVD of the final metric
     gives the reported condition and the spectral norm to which
@@ -443,11 +446,13 @@ def _flow_run(rep: SubspaceRep, w: Weight, tol: float, max_iter: int):
     run from there to its stop for that tolerance; the stop test reads
     only the run's state and the tolerance, so the iterates and the report
     are those of a fresh run to the smaller tolerance (until ``next`` has
-    continued the run past a stall).  ``next`` at a stall (a plateau with
-    the metric condition within COND_CAP) continues the run for one more
-    stall window: the stall test then compares with residuals from that
-    stop on, as if the run had started there.  At any other stop ``next``
-    yields that stop again."""
+    continued the run past a stall).  ``next`` at a stall (a plateau whose
+    last iteration took a step) continues the run for one more stall
+    window: the stall test then compares with residuals from that stop on,
+    as if the run had started there.  At any other stop, a plateau with no
+    step taken (as at the condition cap) included, ``next`` yields that
+    stop again: going on would try the same direction from the same metric
+    again."""
     w.aligned(rep.poset)
     if rep.ambient_dim == 0:
         raise WrongShape("flow needs a positive ambient dimension")
@@ -475,8 +480,7 @@ def _flow_run(rep: SubspaceRep, w: Weight, tol: float, max_iter: int):
     t_first, halved, eta, flat, since = 1.0, False, 0.5, False, 0
 
     while True:
-        status = ("plateau" if condition > COND_CAP
-                  else "converged" if residual < tol
+        status = ("converged" if residual < tol
                   else "plateau" if flat
                   else "max_iter" if len(trials) == max_iter
                   else None)
@@ -502,7 +506,9 @@ def _flow_run(rep: SubspaceRep, w: Weight, tol: float, max_iter: int):
             sent = yield projs, mu, report
             if sent is not None:
                 tol = sent
-            elif status == "plateau" and condition <= COND_CAP:
+            elif status == "plateau" and steps[-1]:
+                # a stall; going on from a plateau with no step taken
+                # would try the same direction from the same g again
                 since, flat = len(trials), False
             continue
         x, lx, grad_sq, products = _newton_direction(mmap, projs, mu, eta)
@@ -533,14 +539,16 @@ def _flow_run(rep: SubspaceRep, w: Weight, tol: float, max_iter: int):
                 t *= 0.5
         trials.append(tried)
         halved = tried > 1 and not grow
-        accepted = best is not None
+        if best is not None:
+            bound = condition * math.exp(math.sqrt(2.0 * _inner(x, x)) * best[0])
+            if not bound <= 0.5 * COND_CAP:
+                bound = linalg.condition_number(best[1])
+        # a step past the cap is refused, and no smaller damping is tried
+        accepted = best is not None and bound <= COND_CAP
         if accepted:
-            t, g, projs, mu, cres = best
+            (t, g, projs, mu, cres), condition = best, bound
             eta = 0.1 if t == 1 and cres <= 0.5 * residual else 0.5
             residual = cres
-            condition *= math.exp(math.sqrt(2.0 * _inner(x, x)) * t)
-            if not condition <= 0.5 * COND_CAP:
-                condition = linalg.condition_number(g)
             step, t_first = t, min(1.0, 2.0 * t)
         steps.append(t if accepted else 0.0)
         history.append(residual)

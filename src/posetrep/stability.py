@@ -86,9 +86,11 @@ f(K) sqrt(d0 / (k (d0 - k)))).  So with r the flow's final residual:
 - converged, dim End > 1: V splits along the generalized eigenspaces of
   a generic element of End (``linrep.generic_split``, the split that
   ``linrep.decompose_full`` recurses on), a linear-side decision.  Every
-  summand is moved into the frame of the limit, where its own flow starts
-  at the restricted, nearly orthoscalar system, and classified on its own
-  (``_classify_summands``, King's rule).
+  summand is moved into the frame of the limit as a subquotient of the
+  flag of the blocks' partial sums, the way the HN pieces of a plateau
+  are (``_pieces``), where its own flow starts at the restricted, nearly
+  orthoscalar system, and classified on its own (``_classify_summands``,
+  King's rule).
   ``polystable_not_stable`` when all are (poly)stable, with the first
   summand's embedding as the score-0 witness; the equal slopes are the
   trace identity of each summand, checked exactly.
@@ -97,9 +99,9 @@ f(K) sqrt(d0 / (k (d0 - k)))).  So with r the flow's final residual:
   score.  The nested eigenspaces of the near-kernel direction of L, pulled
   back by g^-1 and scored exactly, give a score-0 witness:
   ``semistable_not_polystable`` (indecomposable and not stable).
-- plateau (a stall, or a metric condition past ``moment.COND_CAP``) or
-  the iteration cap, with the residual not below the floor: the nested
-  top-k eigenspaces of mu(g),
+- plateau (a stall, or a step refused at ``moment.COND_CAP``, so g is
+  never more ill-conditioned than the cap) or the iteration cap, with the
+  residual not below the floor: the nested top-k eigenspaces of mu(g),
   pulled back by g^-1 and scored exactly, form a flag; the vertices of the
   upper concave hull H of its points (k, f(K_k)) give a filtration
   0 < K_1 < ... < K_m = V with strictly falling slopes sigma + c_j / n_j.
@@ -118,7 +120,8 @@ f(K) sqrt(d0 / (k (d0 - k)))).  So with r the flow's final residual:
   stall, the same run continues for one more stall window (a stable class
   near an unstable one can stall on the way; ``moment._flow_run``), and
   the verdict is read off its next stop by the bullets above and this
-  one.  A stop past COND_CAP or at the iteration cap does not move, and
+  one.  A plateau whose last iteration took no step (a step refused at
+  COND_CAP included) or a stop at the iteration cap does not move, and
   its verdict stays uncertified (``no_destabilizer``).
 
 A run that stops short of its tolerance with the residual below the floor
@@ -400,12 +403,16 @@ def _unstable_route(rep, w, tol, score, g, mu, residual, diagnostics):
                 raise
 
 
-def _pieces(rep, g, chain, tol):
+def _pieces(rep, g, chain, tol, failure="piece_unstable"):
     """(u_j, R_jj, K_j / K_(j-1)) for the flag 0 < K_1 < ... < K_m = V of
     the bases ``chain`` (K_1 .. K_(m-1)): u_j the orthonormal complement of
     K_(j-1) in K_j, and the subquotient the V_e /\\ K_j projected onto u_j,
     of rank dim(V_e /\\ K_j) - dim(V_e /\\ K_(j-1)), moved by the block R_jj
-    of g [u_1 .. u_m] = Q R into the frame of g (as a summand of a split)."""
+    of g [u_1 .. u_m] = Q R into the frame of g.  The one way into the frame
+    of the limit: the HN pieces of a plateau's flag, and the summands of a
+    split (the flag of the blocks' partial sums, whose subquotients are the
+    summands).  Where a rank guard of the V_e /\\ K_j fails, _Fallback
+    with the reason ``failure``."""
     d0 = rep.ambient_dim
     u = np.zeros((d0, 0), dtype=complex)
     for kj in chain + [np.eye(d0)]:
@@ -420,7 +427,7 @@ def _pieces(rep, g, chain, tol):
         for idx, spans in linrep._width_groups(rep):
             _, guard, bases = linalg.subspace_intersections(spans, u[:, :k], tol)
             if not guard.all():
-                raise _Fallback("piece_unstable")
+                raise _Fallback(failure)
             meets[-1].update(zip((rep.poset.elements[i] for i in idx), bases))
     meets.append(rep.spans)
     pieces = []
@@ -484,15 +491,6 @@ def _plateau_certificate(rep, w, tol, score, g, at, residual, diagnostics):
     raise _Fallback("piece_unstable")
 
 
-def _moved(rep, g):
-    """g V, for a summand's flow to start in the frame of the limit:
-    orthonormal bases of the g V_e from QR, with no rank cut, since g is
-    invertible and may be as ill-conditioned as ``moment.COND_CAP``
-    allows."""
-    return SubspaceRep(rep.poset, rep.ambient_dim,
-                       {e: np.linalg.qr(g @ q)[0] for e, q in rep.spans.items()})
-
-
 def _semistable(piece, w):
     """Whether the piece's flow at its slope sigma converges below
     2 / (den sqrt(n)), the least dual bound of a positive score on C^n;
@@ -530,21 +528,26 @@ def _classify_summands(summands, w, tol, diagnostics):
 
 
 def _split_route(rep, w, tol, score, g, ends, diagnostics):
-    """Split along a generic endomorphism and classify every summand."""
-    pieces = linrep.generic_split(rep, ends, tol)
-    if pieces is None:
+    """Split along a generic endomorphism and classify every summand, each
+    moved into the frame of the limit by ``_pieces`` (a failing rank guard
+    there is ``split_failed``)."""
+    split = linrep.generic_split(rep, ends, tol)
+    if split is None:
         raise _Fallback("split_failed")
-    # each summand in the frame of the limit, g B = Q R: R maps it onto the
-    # restricted, nearly orthoscalar system, where its own flow starts
+    blocks = [block for block, _ in split]
+    # each summand in the frame of the limit, as the subquotient of the flag
+    # of the blocks' partial sums, where its own flow starts at the
+    # restricted, nearly orthoscalar system
+    chain = [np.hstack(blocks[:j]) for j in range(1, len(blocks))]
+    pieces = _pieces(rep, g, chain, tol, "split_failed")
     classification, inconclusive = _classify_summands(
-        [_moved(piece, np.linalg.qr(g @ block)[1]) for block, piece in pieces],
-        w, tol, diagnostics)
-    witness = pieces[0][0]
+        [piece for _, _, piece in pieces], w, tol, diagnostics)
+    witness = blocks[0]
     num, guard = score([witness])[0]
     if classification is None or num != 0 or not guard:
         # the summands' embeddings; where their slopes differ, one scores above 0
         raise _Fallback("summand_not_semistable" if classification is None else "split_failed",
-                        _scores(rep, score, [block for block, _ in pieces], False))
+                        _scores(rep, score, blocks, False))
     return "flow_split", classification, witness, Fraction(0), inconclusive
 
 
@@ -564,10 +567,12 @@ def _flow_route(rep, w, tol, score, diagnostics, times):
     already certify ``stable``; otherwise the run continues to the full
     tolerance, and every other verdict is read off it.  A stall whose flag
     holds no destabilizer continues the same run for one more stall
-    window; at a stop past COND_CAP or at the iteration cap the run yields
-    that stop again, and its reading fails as the first did.  No iterate
-    is taken twice, so ``times_ms`` ``flow`` holds one run, and L is built
-    at most once per stop, from the stop's own projector stack."""
+    window; at a plateau with no step taken (as at COND_CAP) or at the
+    iteration cap the run yields that stop again, and its reading fails as
+    the first did.  Every stop's metric is within COND_CAP, so g^-1 is
+    read at a trusted condition.  No iterate is taken twice, so
+    ``times_ms`` ``flow`` holds one run, and L is built at most once per
+    stop, from the stop's own projector stack."""
     d0, floor = rep.ambient_dim, score.floor
     chi = np.array([w._float[e] for e in rep.poset.elements])
     flow = moment.FlowOptions(moment.FlowOptions.tol * w.scale)

@@ -24,6 +24,7 @@ from conftest import (
     oracle_sweep_summands,
     planted_line_rep,
     random_antichain_rep,
+    random_nested_input,
 )
 
 
@@ -442,6 +443,26 @@ def test_common_denominator_past_the_float_range_reads_unstable(capsys, tmp_path
     diagnostics = verdict["diagnostics"]
     assert (verdict["classification"], diagnostics["route"]) == ("unstable", "flow_unstable")
     assert diagnostics["dual_bound"] == pytest.approx(math.sqrt(0.5), rel=1e-12)
+
+
+def test_stability_json_at_a_flow_stopped_at_the_condition_cap(capsys, tmp_path):
+    """Seed 1752279 of the nested inputs (5 elements in C^4, weight
+    3; 1, 2, 3, 2, 1): the flow stops at the last metric inside COND_CAP,
+    where the plateau's flag is read through g^-1, and the verdict is
+    unstable with best score 5 and the HN type (1, 1, 2)."""
+    rep, chi, chi0 = random_nested_input(np.random.default_rng(1752279))
+    w = pr.Weight(chi0, chi)
+    assert fileio.serialize_weight(w, rep.poset) == "3; 1, 2, 3, 2, 1"
+    fileio.save_poset(rep.poset, str(tmp_path / "nested.poset"))
+    fileio.save_rep(rep, str(tmp_path / "nested.rep"), "nested.poset")
+    code, out, err = run(capsys, "--output", "json", "stability", str(tmp_path / "nested.rep"),
+                         "-w", "3; 1, 2, 3, 2, 1")
+    assert (code, err) == (0, "")
+    verdict = json.loads(out)
+    d = verdict["diagnostics"]
+    assert (verdict["classification"], verdict["best_score"], d["route"]) == (
+        "unstable", "5", "flow_unstable")
+    assert d["hn_dims"] == [1, 1, 2] and d["dual_bound"] <= d["residual"] * (1 + 1e-6)
 
 
 def test_non_finite_span_entry_exit_1(capsys, tmp_path):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import posetrep as pr
 from posetrep import families, linalg, moment
@@ -269,14 +269,16 @@ def test_flow_linalg_call_budget(monkeypatch, rng):
             assert report.condition == free.condition
 
 
-def test_flow_stops_at_the_first_metric_past_the_condition_cap(monkeypatch, rng):
+def test_flow_stops_at_the_last_metric_inside_the_condition_cap(monkeypatch, rng):
     """COND_CAP set between and at the exact conditions of the iterates of a
     planted unstable input, each read off the run capped at that many
-    iterations: the flow stops with a plateau at the first iterate whose
-    condition passes the cap, reports that condition, and its history is a
-    prefix of the free run's.  So the bound neither stops a run early nor
-    lets one past the cap, and the SVDs it calls for leave the iterates as
-    they were."""
+    iterations: the step to the first iterate whose condition passes the
+    cap is refused, so the flow stops with a plateau one iteration later,
+    with no step taken, at the last iterate inside the cap, whose condition
+    it reports; its history is the free run's up to that iterate, and its
+    trials are the free run's.  So the bound neither stops a run early nor
+    lets a metric past the cap, and the SVDs it calls for leave the
+    iterates as they were."""
     rep, w = planted_line_rep(rng)
     _, free = pr.kempf_ness_flow(rep, w)
     conditions = [pr.kempf_ness_flow(rep, w, pr.FlowOptions(max_iter=i))[1].condition
@@ -290,8 +292,10 @@ def test_flow_stops_at_the_first_metric_past_the_condition_cap(monkeypatch, rng)
         first = next(i for i, c in enumerate(conditions) if c > cap)
         system, report = pr.kempf_ness_flow(rep, w)
         assert system is None and report.status == "plateau"
-        assert report.iterations == first and report.condition == conditions[first]
-        assert report.history == free.history[: first + 1]
+        assert report.iterations == first and report.steps[-1] == 0.0
+        assert report.condition == conditions[first - 1] <= cap
+        assert report.history == free.history[:first] + [free.history[first - 1]]
+        assert report.trials == free.trials[:first]
 
 
 def test_flow_reports_the_exact_condition_of_a_unit_metric(rng):
@@ -365,6 +369,25 @@ def test_resumed_run_is_the_fresh_run(seed, tols, max_iter):
             assert p.tobytes() == fresh.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@example(4)
+@example(29)
+def test_every_stop_is_inside_the_condition_cap(seed):
+    """At every stop of the run (to 1e-8, then ``next`` three times, which
+    continues a stall), unstable inputs included, the metric's condition is
+    within COND_CAP, and ``moment_value`` takes the metric.  Seeds 4
+    (nested) and 29 (antichain) had stops past the cap when a step was
+    checked against it only once taken."""
+    rep, w = _seeded_flow_input(seed)
+    assume(w.trace_identity(rep))  # no flow runs without it
+    run = moment._flow_run(rep, w, 1e-8, moment.FlowOptions.max_iter)
+    for _ in range(4):
+        report = next(run)[2]
+        assert report.condition <= moment.COND_CAP
+        pr.moment_value(rep, report.final_metric, w)  # SingularMetric past the cap
+
+
 def test_resumed_run_decides_the_stop_at_the_new_tolerance(monkeypatch):
     """Two equal lines in C^2 (unstable: a plateau under every tolerance),
     and the four lines at lambda = 1e-6 with STALL_WINDOW at 1, where the
@@ -413,9 +436,10 @@ def test_next_continues_a_run_past_its_stall():
 
 
 def test_next_yields_a_stop_that_is_no_stall_again():
-    """A stop past COND_CAP (input 43 of the nested sequence of seed 7, as
-    in ``test_a_flow_stopped_at_the_condition_cap_certifies_unstable``), a
-    stop at the iteration cap and a converged stop: ``next`` yields the
+    """A stop at COND_CAP (input 43 of the nested sequence of seed 7, as in
+    ``test_a_flow_stopped_at_the_condition_cap_certifies_unstable``: a
+    plateau whose last iteration took no step, its metric inside the cap),
+    a stop at the iteration cap and a converged stop: ``next`` yields the
     same projectors, mu, report and final metric again."""
     rng = np.random.default_rng(7)
     for _ in range(44):
@@ -431,7 +455,8 @@ def test_next_yields_a_stop_that_is_no_stall_again():
         statuses.append(stop[2].status)
         _assert_same_run(next(run), stop)
         if stop[2].status == "plateau":
-            assert stop[2].condition > moment.COND_CAP
+            assert stop[2].steps[-1] == 0.0 and stop[2].condition <= moment.COND_CAP
+            assert moment.COND_CAP / 2 < stop[2].condition
     assert statuses == ["plateau", "max_iter", "converged"]
 
 
@@ -491,36 +516,53 @@ def test_flow_plateau_on_coincident_lines():
 
 
 def test_flow_plateau_on_tiny_condition_cap(monkeypatch):
-    """A metric condition past COND_CAP ends the run as a plateau at the
-    metric just accepted: with the cap just above 1, after the first
-    iteration, which is the first iteration of the uncapped run."""
+    """With COND_CAP just above 1 the first step the flow finds, the first
+    iteration's step of the uncapped run, is refused: the run ends as a
+    plateau after that iteration, with no step taken, at g = I, whose
+    condition 1 is inside the cap, and ``moment_value`` accepts that
+    metric."""
     rep = pr.four_lines_rep(2)
     _, free = pr.kempf_ness_flow(rep, pr.FOURSPACE_WEIGHT)
     monkeypatch.setattr(moment, "COND_CAP", 1.0 + 1e-9)
     system, report = pr.kempf_ness_flow(rep, pr.FOURSPACE_WEIGHT)
     assert system is None and report.status == "plateau"
-    assert report.iterations == 1 and report.history == free.history[:2]
-    assert report.residual == free.history[1] > free.residual
-    assert report.condition > moment.COND_CAP
-    assert report.condition == pytest.approx(np.linalg.cond(report.final_metric), rel=1e-9)
+    assert report.iterations == 1 and report.steps == [0.0] and report.step == 0.0
+    assert report.trials == free.trials[:1]
+    assert report.history == [free.history[0]] * 2 and free.history[1] < free.history[0]
+    assert report.condition == 1.0 <= moment.COND_CAP
+    assert np.array_equal(report.final_metric, np.eye(2))
+    mu = pr.moment_value(rep, report.final_metric, pr.FOURSPACE_WEIGHT)
+    assert np.linalg.norm(mu) == pytest.approx(report.residual, rel=1e-12)
 
 
-def test_flow_plateau_at_the_condition_cap_below_tol():
-    """Input 43 of the seeded nested sequence (see test_stability.py): its
-    metric passes COND_CAP in iteration 20.  With tol between the residuals
-    of iterations 19 and 20, the residual reads below tol in the step that
-    passes the cap; the run still ends as a plateau there, with the same
-    iterates as the run at the default tol, and returns no system."""
+def test_flow_plateau_at_the_condition_cap_below_tol(monkeypatch):
+    """Input 43 of the seeded nested sequence (see test_stability.py): the
+    step of its iteration 20 would take the metric past COND_CAP, and is
+    refused.  With tol between the residual that step would read (the run
+    with no cap, ``COND_CAP`` = inf, takes it and converges there) and
+    the residual before it, the run still ends as a plateau at the last
+    metric inside the cap, with the same iterates as the run at the
+    default tol, and returns no system: no residual read at a metric past
+    the cap ends a run converged."""
     rng = np.random.default_rng(7)
     for _ in range(44):
         rep, chi, chi0 = random_nested_input(rng)
     w = pr.Weight(chi0, chi)
     _, free = pr.kempf_ness_flow(rep, w)
-    assert free.status == "plateau" and free.condition > moment.COND_CAP
-    tol = (free.history[-2] + free.history[-1]) / 2
+    assert free.status == "plateau" and free.iterations == 20 and free.steps[-1] == 0.0
+    assert free.condition <= moment.COND_CAP
+    with monkeypatch.context() as m:
+        m.setattr(moment, "COND_CAP", math.inf)
+        _, uncapped = pr.kempf_ness_flow(rep, w, pr.FlowOptions(max_iter=20))
+    assert uncapped.history[:20] == free.history[:20] and uncapped.condition > moment.COND_CAP
+    tol = (free.history[-1] + uncapped.history[-1]) / 2
+    assert uncapped.history[-1] < tol < free.residual
+    with monkeypatch.context() as m:
+        m.setattr(moment, "COND_CAP", math.inf)
+        assert pr.kempf_ness_flow(rep, w, pr.FlowOptions(tol=tol))[1].status == "converged"
     system, report = pr.kempf_ness_flow(rep, w, pr.FlowOptions(tol=tol))
     assert system is None and report.status == "plateau"
-    assert report.residual < tol and report.condition > moment.COND_CAP
+    assert report.residual > tol and report.condition <= moment.COND_CAP
     assert report.history == free.history and report.iterations == free.iterations
 
 

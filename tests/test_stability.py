@@ -13,7 +13,7 @@ against that of the orthogonal complements.
 """
 
 from fractions import Fraction
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 import pytest
@@ -500,21 +500,30 @@ def test_plateau_certifies_on_its_first_plateau():
     assert v.best_score == oracle_lattice_verdict(rep, w, cap=CAP).best_score
 
 
-def test_a_flow_stopped_at_the_condition_cap_certifies_unstable():
+def test_a_flow_stopped_at_the_condition_cap_certifies_unstable(monkeypatch):
     """Input 43 of the seeded nested sequence (a 3-plane and a 2-plane of
-    C^4): the flow's metric passes COND_CAP after 20 iterations, which ends
-    the run as a plateau at that metric, and the plateau's flag certifies
-    unstable from there, with HN type (1, 1, 2) and the lattice oracle's
-    best score."""
+    C^4): the step of the flow's iteration 20 would take its metric past
+    COND_CAP (as the run with no cap shows), so it is refused, and the run
+    ends as a plateau at the last metric inside the cap.  The plateau's
+    flag certifies unstable from there, with HN type (1, 1, 2) and the
+    lattice oracle's best score, and the reported residual is at least the
+    dual bound of that type."""
     rng = np.random.default_rng(7)
     for _ in range(44):
         rep, chi, chi0 = random_nested_input(rng)
     w = pr.Weight(chi0, chi)
     _, report = pr.kempf_ness_flow(rep, w)
-    assert report.status == "plateau" and report.condition > moment.COND_CAP
+    assert report.status == "plateau" and report.steps[-1] == 0.0
+    assert moment.COND_CAP / 2 < report.condition <= moment.COND_CAP
+    with monkeypatch.context() as m:
+        m.setattr(moment, "COND_CAP", inf)
+        _, uncapped = pr.kempf_ness_flow(rep, w, pr.FlowOptions(max_iter=report.iterations))
+    assert uncapped.steps[-1] > 0 and uncapped.condition > moment.COND_CAP
     v = pr.stability_check(rep, w)
     d = v.diagnostics
     assert d["route"] == "flow_unstable" and d["flow_iterations"] == report.iterations
+    assert d["residual"] == report.residual
+    assert d["dual_bound"] <= d["residual"] * (1 + 1e-6)
     assert d["hn_dims"] == [1, 1, 2] and not v.inconclusive
     assert v.best_score == Fraction(5, 2) == pr.subspace_score(rep, w, v.witness)
     assert v.best_score == oracle_lattice_verdict(rep, w).best_score
@@ -834,13 +843,41 @@ def test_duality_keeps_the_verdict(seed):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 @example(1902)
+@example(1752279)
+@example(1118849589)
+@example(541705847)
 def test_duality_keeps_the_verdict_on_nested_posets(seed):
     """Duality (``_check_duality``) on nested reps of random posets at the
     chi0 of their trace identity; the complements are nested along the
-    opposite poset."""
+    opposite poset.  Seeds 1752279, 1118849589 and 541705847 stop their
+    flows at the condition cap: a metric past it made ``_flag`` fail to
+    solve with g on the first, and gave certified HN types that disagree
+    with the complements' on the other two."""
     rep, chi, chi0 = random_nested_input(np.random.default_rng(seed))
     assume(chi0 > 0)
     _check_duality(rep, pr.Weight(chi0, chi))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@example(2088516584)
+def test_an_unstable_verdict_keeps_weak_duality(seed):
+    """Weak duality on every certified ``flow_unstable`` verdict: the flow's
+    residual is at least the dual bound of the HN type it certifies, up to
+    rounding (1e-6 relative), on antichain reps (bent toward a common line
+    for odd seeds) and nested reps (even seeds) at their trace identity.
+    Seed 2088516584 (nested) read a residual 59% below its dual bound when
+    the flow could stop at a metric past the condition cap."""
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        rep, w = random_antichain_rep(rng, bent=seed % 4 == 1)
+    else:
+        rep, chi, chi0 = random_nested_input(rng)
+        assume(chi0 > 0)
+        w = pr.Weight(chi0, chi)
+    d = pr.stability_check(rep, w).diagnostics
+    assume(d["route"] == "flow_unstable")
+    assert d["dual_bound"] <= d["residual"] * (1 + 1e-6)
 
 
 @settings(max_examples=30, deadline=None)
@@ -887,10 +924,10 @@ def test_direct_sums_follow_kings_rule(seed):
 
 def test_a_semistable_piece_is_not_passed_at_a_degenerate_metric():
     """Seed 1902 of the nested inputs (5 elements in C^3): the flow on the
-    2-dim piece of slope 2 reads a residual below the tol of the
+    2-dim piece of slope 2 would read a residual below the tol of the
     semistability test in the step whose metric passes COND_CAP.  That
-    step ends the run as a plateau, so the piece splits and the HN type
-    has three lines, the reverse of its complements'."""
+    step is refused and the run ends as a plateau, so the piece splits and
+    the HN type has three lines, the reverse of its complements'."""
     rep, chi, chi0 = random_nested_input(np.random.default_rng(1902))
     v = pr.stability_check(rep, pr.Weight(chi0, chi))
     d = v.diagnostics
