@@ -312,6 +312,26 @@ def _generalized_eigenspaces(f: np.ndarray, tol: float) -> list[np.ndarray] | No
     return bases
 
 
+def _split_blocks(rep: SubspaceRep, ends: list[np.ndarray], tol: float):
+    """The generalized eigenspaces of each of _SPLIT_DRAWS generic elements
+    f of the span of ``ends``, drawn from a generator fixed at seed 0, that
+    split cleanly and along which every V_e splits: the dimensions of the
+    V_e /\\ block, from singular values only (one batched SVD per block and
+    span width), add up to dim V_e."""
+    rng = np.random.default_rng(0)
+    for _ in range(_SPLIT_DRAWS):
+        coeff = linalg.random_complex(rng, len(ends))
+        blocks = _generalized_eigenspaces(sum(c * b for c, b in zip(coeff, ends)), tol)
+        if blocks is None:
+            continue
+        dims = np.zeros(len(rep.poset.elements), dtype=int)
+        for block in blocks:
+            for idx, spans in _width_groups(rep):
+                dims[idx] += linalg.subspace_intersections(spans, block, tol, bases=False)[0]
+        if dims.tolist() == [rep.dim(e) for e in rep.poset.elements]:
+            yield blocks
+
+
 def _restrict_to_block(rep: SubspaceRep, block: np.ndarray, tol: float) -> SubspaceRep | None:
     spans = {}
     for e in rep.poset.elements:
@@ -336,20 +356,14 @@ def generic_split(
 
     f is drawn up to _SPLIT_DRAWS times from a generator fixed at seed 0,
     so the split is deterministic.  A draw does not split cleanly when f
-    has one eigenvalue cluster, when the intersections with a block do not
-    form a representation, or when dim V_e is not the sum of the summands'
-    dimensions for some e; None when no draw does.
+    has one eigenvalue cluster, when dim V_e is not the sum of the
+    dimensions of its intersections with the blocks for some e
+    (``_split_blocks``), or when the intersections with a block do not
+    form a representation; None when no draw does.
     """
-    rng = np.random.default_rng(0)
-    for _ in range(_SPLIT_DRAWS):
-        coeff = linalg.random_complex(rng, len(ends))
-        blocks = _generalized_eigenspaces(sum(c * b for c, b in zip(coeff, ends)), tol)
-        if blocks is None:
-            continue
+    for blocks in _split_blocks(rep, ends, tol):
         pieces = [_restrict_to_block(rep, block, tol) for block in blocks]
-        if all(p is not None for p in pieces) and all(
-            sum(p.dim(e) for p in pieces) == rep.dim(e) for e in rep.poset.elements
-        ):
+        if all(p is not None for p in pieces):
             return list(zip(blocks, pieces))
     return None
 

@@ -305,9 +305,12 @@ def _newton_direction(
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
     """Conjugate gradients on L(x) = -mu over Hermitian x, from x = 0.
 
-    Stops once |L(x) + mu| <= min(eta, sqrt(|mu| / c)) |mu| (an inexact
-    Newton step whose accuracy grows as mu shrinks; the flow's forcing term
-    eta is 1/10 once its Newton steps converge and 1/2 before) or after
+    Stops once |L(x) + mu| <= min(eta, |mu| / c) |mu| (an inexact Newton
+    step whose accuracy grows as mu shrinks: a forcing term of order |mu|
+    gives convergence of order 2, Dembo, Eisenstat and Steihaug, SIAM J.
+    Numer. Anal. 19, 1982; the flow's forcing term eta is 1/10 once its
+    Newton steps converge and 1/2 before, and alone sets the target while
+    |mu| / c >= eta) or after
     d0^2 products (the real dimension of the Hermitian matrices).  The
     scale c = min(1, least chi_e) (``Weight.scale``) makes the test
     invariant under scaling the weight, under which x does not change, and
@@ -334,7 +337,7 @@ def _newton_direction(
     d = r.copy()
     rr = _inner(r, r)
     norm = math.sqrt(rr)
-    target = min(eta, math.sqrt(norm / mmap.scale)) * norm
+    target = min(eta, norm / mmap.scale) * norm
     grad_sq = 0.0
     for k in range(d0 * d0):
         ld, curvature = mmap.hessian(p, d)
@@ -376,9 +379,15 @@ def kempf_ness_flow(
     projector stack (see ``_newton_direction``).  Its forcing term eta is
     1/10 after a full step (t = 1) that at least halved the residual, where
     Newton has taken hold, and 1/2 otherwise (Eisenstat and Walker, SIAM J.
-    Sci. Comput. 17, 1996); |mu| enters the forcing relative to the scale
-    min(1, least chi_e) of the weight, so a weight and its multiples take
-    the same steps and residuals in proportion (with tol scaled alike).
+    Sci. Comput. 17, 1996).  CG stops at min(eta, |mu| / c) |mu|, a
+    quadratic forcing term: eta alone in the global phase and on the
+    plateau of an unstable input, |mu| / c once the residual falls below
+    eta c, so the local phase converges with order 2.  eta stays 1/2 until
+    Newton has taken hold: with eta = 1/10 from the first iteration, the
+    flow of a generic stable input can stop short of convergence.  |mu|
+    enters the forcing relative to the scale c = min(1, least chi_e) of
+    the weight, so a weight and its multiples take the same steps and
+    residuals in proportion (with tol scaled alike).
     The damping t must pass the Armijo test
     F(t) < F + ARMIJO_C t s, with the slope s = 2 Re tr(mu L(x)) (about
     -2F, so F falls quadratically near a zero of mu).  The first trial is

@@ -530,11 +530,14 @@ def _classify_summands(summands, w, tol, diagnostics):
 def _split_route(rep, w, tol, score, g, ends, diagnostics):
     """Split along a generic endomorphism and classify every summand, each
     moved into the frame of the limit by ``_pieces`` (a failing rank guard
-    there is ``split_failed``)."""
-    split = linrep.generic_split(rep, ends, tol)
-    if split is None:
+    there is ``split_failed``).  The blocks are those of the first of
+    ``generic_split``'s draws along which every V_e splits, checked on the
+    intersection dimensions alone: the summands are built once, by
+    ``_pieces``, whose subquotient dimensions add up to dim V_e whatever
+    the blocks."""
+    blocks = next(linrep._split_blocks(rep, ends, tol), None)
+    if blocks is None:
         raise _Fallback("split_failed")
-    blocks = [block for block, _ in split]
     # each summand in the frame of the limit, as the subquotient of the flag
     # of the blocks' partial sums, where its own flow starts at the
     # restricted, nearly orthoscalar system

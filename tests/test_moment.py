@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import statistics
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -653,8 +654,9 @@ def test_newton_direction_meets_forcing_bound(rng):
     a descent direction for F, and the reported L(x) is L applied to x.
     Where mu lies in the range of L and the exact Newton step L^+(-mu) fits
     the trust region (CG iterates grow in norm towards it): x meets the
-    forcing bound |L(x) + mu| <= min(eta, sqrt|mu|) |mu|, at the default
-    eta = 1/2 and at the tight eta = 1/10."""
+    forcing bound |L(x) + mu| <= min(eta, |mu|) |mu| (the weights are at
+    least 1, so the scale c is 1), at the default eta = 1/2 and at the
+    tight eta = 1/10."""
 
     def vec(m):
         return m.reshape(-1, order="F")
@@ -687,10 +689,10 @@ def test_newton_direction_meets_forcing_bound(rng):
         ):
             continue
         checked += 1
-        bound = min(0.5, np.sqrt(residual)) * residual
+        bound = min(0.5, residual) * residual
         assert np.linalg.norm(dense @ vec(x) + vec(want_mu)) <= bound * (1 + 1e-9)
         x = moment._newton_direction(mmap, p_stack, mu, eta=0.1)[0]
-        bound = min(0.1, np.sqrt(residual)) * residual
+        bound = min(0.1, residual) * residual
         assert np.linalg.norm(dense @ vec(x) + vec(want_mu)) <= bound * (1 + 1e-9)
     assert checked >= 25
 
@@ -720,7 +722,9 @@ def test_flow_is_scale_equivariant():
 def test_flow_iteration_budget(rng):
     """Iteration counts, not times, at tol 1e-8: a few Newton steps on
     generic inputs and tens of them at and near the boundary of the
-    four-line family."""
+    four-line family.  The generic planes in C^4 and C^16 take 6 and 5
+    iterations under the quadratic forcing term (7 and 7 under the
+    order-1.5 one)."""
     w = pr.FOURSPACE_WEIGHT
     opts = pr.FlowOptions(tol=1e-8)
     cases = [(pr.four_lines_rep(lam), w, 8) for lam in (2, 3 + 4j)]
@@ -728,16 +732,64 @@ def test_flow_iteration_budget(rng):
         (pr.four_lines_rep(lam), w, 30)
         for lam in (1e-3, 1e-4, 1e-5, 1e-6, 0.0, 1.0, float("inf"))
     ]
-    for n, d0, k in ((5, 4, 2), (10, 16, 8)):
+    for n, d0, k, budget in ((5, 4, 2, 6), (10, 16, 8, 5)):
         p = pr.primitive_poset(*[1] * n)
         rep = pr.make_rep(p, d0, {e: random_subspace(rng, d0, k) for e in p.elements})
-        cases.append((rep, pr.Weight(Fraction(n * k, d0), {e: 1 for e in p.elements}), 15))
+        cases.append((rep, pr.Weight(Fraction(n * k, d0), {e: 1 for e in p.elements}), budget))
     for rep, weight, budget in cases:
         _, report = pr.kempf_ness_flow(rep, weight, opts)
         assert report.status == "converged"
         assert report.iterations <= budget, (rep.ambient_dim, report.iterations)
         assert 0 < report.step <= 1
         assert report.hvp >= report.iterations
+
+
+def test_four_lines_take_four_iterations_at_the_median():
+    """The four lines on a 9 x 9 grid of generic lambda, |lambda| in
+    [10^-1/2, 10^1/2] and arg lambda at the midpoints of nine sectors, so
+    at distance at least 0.34 from 1 (as the generic points of a sweep):
+    under the quadratic forcing term the median flow to 1e-8 takes 4
+    iterations (5 under the order-1.5 one)."""
+    opts = pr.FlowOptions(tol=1e-8)
+    counts = []
+    for i in range(9):
+        for j in range(9):
+            lam = 10 ** ((i + 0.5) / 9 - 0.5) * np.exp(2j * np.pi * (j + 0.5) / 9)
+            _, report = pr.kempf_ness_flow(pr.four_lines_rep(lam), pr.FOURSPACE_WEIGHT, opts)
+            assert report.status == "converged"
+            counts.append(report.iterations)
+    assert statistics.median(counts) == 4
+
+
+# The planted line on seed 0, recorded under the order-1.5 forcing term:
+# its residual stays above 1.15 > eta (c = 1), where both terms are
+# eta |mu|; the residuals as float.hex
+PLATEAU_HISTORY = [
+    "0x1.422c852a13fbdp+1", "0x1.16095ac2dc605p+1", "0x1.8a677678c7b3cp+0",
+    "0x1.7541f1d07cd57p+0", "0x1.6a38db9839ae4p+0", "0x1.5df4f868e0c57p+0",
+    "0x1.582911cb82293p+0", "0x1.35dc3aaeee008p+0", "0x1.2a4ee4e3bac9bp+0",
+    "0x1.280c829c58791p+0", "0x1.27aff1ce98826p+0", "0x1.279f7432ffb6dp+0",
+    "0x1.279c12bf00f27p+0", "0x1.279b2a884742ep+0", "0x1.279aecb6672a7p+0",
+    "0x1.279a9940df0c2p+0", "0x1.279a83e7ca703p+0", "0x1.279a7fdab61a2p+0",
+    "0x1.279a77abaf80cp+0", "0x1.279a75ae70d12p+0", "0x1.279a75026497ep+0",
+    "0x1.279a74a6978ebp+0",
+]
+PLATEAU_STEPS = [1, 1 / 2, 1 / 8, 1 / 16, 1 / 16, 1 / 16, 1 / 8, 1 / 8, 1 / 32, 1 / 32, 1 / 32,
+                 1 / 32, 1 / 32, 1 / 16, 1 / 32, 1 / 32, 1 / 16, 1 / 32, 1 / 32, 1 / 32, 1 / 16]
+PLATEAU_HVPS = [2, 3, 3, 3, 3, 3, 2, 2] + [1] * 13
+
+
+def test_flow_plateau_keeps_its_iterates():
+    """Where |mu| / c >= eta throughout, as on the plateau of an unstable
+    input, both forcing terms are eta |mu|: the planted line of
+    ``test_flow_plateau_trials_and_hn_type`` takes the residuals, steps
+    and Hessian-vector products of the order-1.5 run bit for bit."""
+    rep, w = planted_line_rep(np.random.default_rng(0))
+    _, report = pr.kempf_ness_flow(rep, w)
+    assert report.status == "plateau"
+    assert [h.hex() for h in report.history] == PLATEAU_HISTORY
+    assert report.steps == PLATEAU_STEPS
+    assert report.hvps == PLATEAU_HVPS
 
 
 # ---------------------------------------------------------------------------
